@@ -17,8 +17,7 @@ from .linalg import (DegenerateInputError, RngStream, inner_product,
                      unit_direction)
 from .params import SystemParams, quantization_distortion
 from .codebooks import (Codebook, CodebookSizeError, QuantizationOutcome,
-                       generate_codebook, qca_interference_gain, quantize,
-                       zfbf_beams)
+                       generate_codebook, quantize, zfbf_beams)
 from .simulate import (RateEstimate, SimMode, SinrRealization,
                        collect_sinr_samples, estimate_secrecy_rate,
                        ks_statistic, simulate_realization)
@@ -30,9 +29,9 @@ __all__ = [
     "estimate_secrecy_rate", "exp_integral_e1", "exp_integral_e1_scaled",
     "gauss_2f1", "generate_codebook", "inner_product", "ks_statistic",
     "laplace_pole_integral", "laplace_two_pole_integral",
-    "orthonormal_complement", "qca_interference_gain",
-    "quantization_distortion", "quantize", "rate_from_cdf_quadrature",
-    "sample_complex_gaussian", "secrecy_rate_closed_form",
+    "orthonormal_complement", "quantization_distortion", "quantize",
+    "rate_from_cdf_quadrature", "sample_complex_gaussian",
+    "secrecy_rate_closed_form",
     "secrecy_rate_interference_limited", "secrecy_rate_noise_limited",
     "simulate_realization", "sinr_cdf", "unit_direction", "zfbf_beams",
 ]

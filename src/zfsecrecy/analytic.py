@@ -114,14 +114,6 @@ def exp_integral_e1_scaled(x: float) -> float:
     return _en_scaled_cf(1, x)
 
 
-def exp_integral_ei(x: float) -> float:
-    """Ei(x) for x < 0 only: Ei(-t) = -E1(t).  Positive arguments are not
-    needed by any rate formula here and are rejected."""
-    if not x < 0:
-        raise ValueError(f"Ei accessor is defined for x < 0 only, got {x}")
-    return -exp_integral_e1(-x)
-
-
 def _en_scaled(n: int, x: float) -> float:
     """exp(x) * E_n(x) for integer n >= 1 and x >= 0 (x > 0 when n == 1).
 

@@ -13,6 +13,7 @@ Every subcommand honors --seed; there are no hidden entropy sources.
 """
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -23,7 +24,7 @@ import numpy as np
 from . import analytic, codebooks, linalg, simulate
 from .analytic import Link, Regime
 from .params import SystemParams
-from .simulate import SimMode
+from .simulate import RateEstimate, SimMode
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -36,6 +37,11 @@ _MODES = ("full", "qca", "perfect", "analytic-only")
 _REGIMES = {"general": Regime.GENERAL,
             "il": Regime.INTERFERENCE_LIMITED,
             "nl": Regime.NOISE_LIMITED}
+
+# Largest sweep grid accepted, in points; checked before the grid is built.
+MAX_GRID_POINTS = 1_000_000
+# Relative slack that keeps an SNR stop reached up to rounding inside the grid.
+_SNR_REL_TOL = 1e-9
 
 
 class UsageError(Exception):
@@ -62,17 +68,42 @@ class SweepConfig:
     out: str = ""
     mc_tol_sigmas: float = 3.0
 
+    def _snr_span(self) -> float:
+        """Steps from the SNR start to its stop, padded against rounding."""
+        return ((self.snr_stop - self.snr_start) / self.snr_step
+                * (1.0 + _SNR_REL_TOL))
+
     def snr_values(self):
-        n = int(round((self.snr_stop - self.snr_start) / self.snr_step)) + 1
+        n = math.floor(self._snr_span()) + 1
         return [self.snr_start + i * self.snr_step for i in range(n)]
+
+    def grid(self, nt=None, bits=None, alpha=None, snr=None):
+        """SystemParams of the sweep: n_t outermost, then bits, alpha, SNR.
+
+        A list passed for an axis replaces that axis's configured values.
+        """
+        axes = (self.nt if nt is None else nt,
+                self.bits if bits is None else bits,
+                self.alpha if alpha is None else alpha,
+                self.snr_values() if snr is None else snr)
+        for n_t, b, a, snr_db in itertools.product(*axes):
+            yield SystemParams(n_t=n_t, bits=b, alpha=a, snr_db=snr_db)
 
     def validate(self):
         if not self.nt or not self.bits or not self.alpha:
             raise UsageError("--nt, --bits and --alpha must be non-empty")
+        if not all(map(math.isfinite,
+                       (self.snr_start, self.snr_stop, self.snr_step))):
+            raise UsageError("--snr start, stop and step must be finite")
         if self.snr_step <= 0:
             raise UsageError("--snr step must be > 0")
         if self.snr_stop < self.snr_start:
             raise UsageError("--snr stop must be >= start")
+        size = (len(self.nt) * len(self.bits) * len(self.alpha)
+                * (math.floor(min(self._snr_span(), MAX_GRID_POINTS)) + 1))
+        if size > MAX_GRID_POINTS:
+            raise UsageError(f"grid size cap hit: the sweep has more than "
+                             f"{MAX_GRID_POINTS} points")
         if self.trials < 1:
             raise UsageError("--trials must be >= 1")
         if self.workers < 1:
@@ -81,15 +112,19 @@ class SweepConfig:
             raise UsageError(f"--mode must be one of {_MODES}")
         if self.regime not in _REGIMES:
             raise UsageError(f"--regime must be one of {tuple(_REGIMES)}")
-        for n_t in self.nt:
-            if n_t < 2:
-                raise UsageError("--nt entries must be >= 2")
-        for b in self.bits:
-            if b < 0:
-                raise UsageError("--bits entries must be >= 0")
-        for a in self.alpha:
-            if a <= 0:
-                raise UsageError("--alpha entries must be > 0")
+        if min(self.nt) < 2:
+            raise UsageError("--nt entries must be >= 2")
+        if min(self.bits) < 0:
+            raise UsageError("--bits entries must be >= 0")
+        if self.mode == "full" and max(self.bits) > codebooks.MAX_CODEBOOK_BITS:
+            raise UsageError(f"--mode full searches explicit codebooks of at "
+                             f"most {codebooks.MAX_CODEBOOK_BITS} bits; use "
+                             f"--mode qca for larger --bits")
+        # alpha**2 scales the eavesdropper's noise level, so it must stay a
+        # positive finite number too.
+        if not all(a > 0 and 0 < a * a < math.inf for a in self.alpha):
+            raise UsageError("--alpha entries must be > 0, finite, and "
+                             "neither under- nor overflow when squared")
 
 
 @dataclass(frozen=True)
@@ -118,6 +153,16 @@ def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
 
+def _tag(p: SystemParams) -> str:
+    """Label of one grid point in check lines."""
+    return f"nt={p.n_t} bits={p.bits} alpha={p.alpha:g} snr={p.snr_db:g}dB"
+
+
+# The Monte Carlo columns of an analytic-only row.
+_NO_ESTIMATE = RateEstimate(mean=float("nan"), std_err=float("nan"),
+                            n_trials=0, rejected=0)
+
+
 def parse_curve_csv(text: str):
     """Inverse of the CSV writer; returns the CurvePoints of a sweep file."""
     lines = text.strip().split("\n")
@@ -142,25 +187,16 @@ def run_rate_curve(config: SweepConfig, stream=None):
     stream = stream if stream is not None else sys.stdout
     regime = _REGIMES[config.regime]
     points = []
-    for n_t in config.nt:
-        for bits in config.bits:
-            for alpha in config.alpha:
-                for snr_db in config.snr_values():
-                    p = SystemParams(n_t=n_t, bits=bits, alpha=alpha,
-                                     snr_db=snr_db)
-                    r_analytic = analytic.secrecy_rate_for_regime(p, regime)
-                    if config.mode == "analytic-only":
-                        points.append(CurvePoint(
-                            snr_db, alpha, n_t, bits, r_analytic,
-                            float("nan"), float("nan"), 0, 0))
-                        continue
-                    est = simulate.estimate_secrecy_rate(
-                        p, SimMode(config.mode), config.trials, config.seed,
-                        workers=config.workers, clip=config.clip,
-                        fixed_codebooks=config.fixed_codebook)
-                    points.append(CurvePoint(
-                        snr_db, alpha, n_t, bits, r_analytic, est.mean,
-                        est.std_err, est.n_trials, est.rejected))
+    for p in config.grid():
+        r_analytic = analytic.secrecy_rate_for_regime(p, regime)
+        est = _NO_ESTIMATE if config.mode == "analytic-only" else (
+            simulate.estimate_secrecy_rate(
+                p, SimMode(config.mode), config.trials, config.seed,
+                workers=config.workers, clip=config.clip,
+                fixed_codebooks=config.fixed_codebook))
+        points.append(CurvePoint(p.snr_db, p.alpha, p.n_t, p.bits, r_analytic,
+                                 est.mean, est.std_err, est.n_trials,
+                                 est.rejected))
     body = CSV_HEADER + "\n" + "\n".join(pt.csv_row() for pt in points) + "\n"
     if config.out:
         with open(config.out, "w", newline="") as fh:
@@ -187,29 +223,22 @@ def run_validate(config: SweepConfig, stream=None) -> bool:
     stream = stream if stream is not None else sys.stdout
     report = []
     all_ok = True
-    for n_t in config.nt:
-        for bits in config.bits:
-            for alpha in config.alpha:
-                for snr_db in config.snr_values():
-                    p = SystemParams(n_t=n_t, bits=bits, alpha=alpha,
-                                     snr_db=snr_db)
-                    tag = f"nt={n_t} bits={bits} alpha={alpha:g} snr={snr_db:g}dB"
-                    closed = analytic.secrecy_rate_closed_form(p)
-                    quad = analytic.rate_from_cdf_quadrature(p, Regime.GENERAL)
-                    rel = abs(closed - quad) / max(abs(quad), 1e-6)
-                    all_ok &= _check(
-                        f"triangle closed-vs-quadrature {tag}", rel < 1e-8,
-                        f"closed={closed:.12g} quad={quad:.12g} rel={rel:.3e}",
-                        report, stream)
-                    est = simulate.estimate_secrecy_rate(
-                        p, SimMode.QCA, config.trials, config.seed,
-                        workers=config.workers)
-                    gap = abs(est.mean - closed)
-                    bound = config.mc_tol_sigmas * est.std_err
-                    all_ok &= _check(
-                        f"triangle mc-vs-closed {tag}", gap < bound,
-                        f"mc={est.mean:.6g} closed={closed:.6g} "
-                        f"|diff|={gap:.3g} bound={bound:.3g}", report, stream)
+    for p in config.grid():
+        closed = analytic.secrecy_rate_closed_form(p)
+        quad = analytic.rate_from_cdf_quadrature(p, Regime.GENERAL)
+        rel = abs(closed - quad) / max(abs(quad), 1e-6)
+        all_ok &= _check(
+            f"triangle closed-vs-quadrature {_tag(p)}", rel < 1e-8,
+            f"closed={closed:.12g} quad={quad:.12g} rel={rel:.3e}",
+            report, stream)
+        est = simulate.estimate_secrecy_rate(
+            p, SimMode.QCA, config.trials, config.seed, workers=config.workers)
+        gap = abs(est.mean - closed)
+        bound = config.mc_tol_sigmas * est.std_err
+        all_ok &= _check(
+            f"triangle mc-vs-closed {_tag(p)}", gap < bound,
+            f"mc={est.mean:.6g} closed={closed:.6g} "
+            f"|diff|={gap:.3g} bound={bound:.3g}", report, stream)
 
     # Limit consistency: interference-limited at high SNR, noise-limited at
     # low SNR (ratio criterion; both terms vanish), and the exact zeros.
@@ -217,27 +246,25 @@ def run_validate(config: SweepConfig, stream=None) -> bool:
     # by then, i.e. distortion scale >= 0.5 (noise 1e-5 << interference);
     # for tiny distortion the ceiling is approached too slowly (for two
     # antennas only like noise*log(1/noise)) for a fixed-SNR check.
-    for n_t in config.nt:
-        for bits in config.bits:
-            p_hi = SystemParams(n_t=n_t, bits=bits, alpha=1.0, snr_db=50.0)
+    for zero_fb in config.grid(bits=[0], alpha=[0.5], snr=[0.0]):
+        n_t = zero_fb.n_t
+        for p_hi in config.grid(nt=[n_t], alpha=[1.0], snr=[50.0]):
             if p_hi.distortion >= 0.5:
                 il = analytic.secrecy_rate_interference_limited(p_hi)
                 gap = abs(analytic.secrecy_rate_closed_form(p_hi) - il)
                 all_ok &= _check(
-                    f"limit interference nt={n_t} bits={bits}", gap < 1e-3,
-                    f"|closed(50dB) - R_IL| = {gap:.3e}", report, stream)
-            for alpha in config.alpha:
-                if alpha == 1.0:
+                    f"limit interference nt={n_t} bits={p_hi.bits}",
+                    gap < 1e-3, f"|closed(50dB) - R_IL| = {gap:.3e}",
+                    report, stream)
+            for p_lo in config.grid(nt=[n_t], bits=[p_hi.bits], snr=[-40.0]):
+                if p_lo.alpha == 1.0:
                     continue  # noise-limited rate is exactly 0 there
-                p_lo = SystemParams(n_t=n_t, bits=bits, alpha=alpha,
-                                    snr_db=-40.0)
                 nl = analytic.secrecy_rate_noise_limited(p_lo)
                 ratio = analytic.secrecy_rate_closed_form(p_lo) / nl
                 all_ok &= _check(
-                    f"limit noise nt={n_t} bits={bits} alpha={alpha:g}",
-                    abs(ratio - 1.0) < 0.01,
+                    f"limit noise nt={n_t} bits={p_lo.bits} "
+                    f"alpha={p_lo.alpha:g}", abs(ratio - 1.0) < 0.01,
                     f"closed(-40dB)/R_NL = {ratio:.6f}", report, stream)
-        zero_fb = SystemParams(n_t=n_t, bits=0, alpha=0.5, snr_db=0.0)
         il0 = analytic.secrecy_rate_interference_limited(zero_fb)
         all_ok &= _check(f"limit il-zero-feedback nt={n_t}", il0 == 0.0,
                          f"R_IL(bits=0) = {il0!r}", report, stream)
@@ -275,35 +302,27 @@ def run_dist_check(config: SweepConfig, stream=None) -> bool:
     loose = 0.15
     threshold = loose if mode is SimMode.FULL else strict
     all_ok = True
-    for n_t in config.nt:
-        if n_t == 2:
-            print("note: nt=2 has a one-dimensional error space; the "
-                  "interference beta factor is degenerate there and the "
-                  "product-distribution identity needs nt >= 3", file=stream)
-        for bits in config.bits:
-            for alpha in config.alpha:
-                for snr_db in config.snr_values():
-                    p = SystemParams(n_t=n_t, bits=bits, alpha=alpha,
-                                     snr_db=snr_db)
-                    tag = f"nt={n_t} bits={bits} alpha={alpha:g} snr={snr_db:g}dB"
-                    for link, enum_link in (("legitimate", Link.LEGITIMATE),
-                                            ("eavesdropper", Link.EAVESDROPPER)):
-                        regime = Regime.GENERAL
-                        if mode is SimMode.PERFECT and link == "legitimate":
-                            regime = Regime.NOISE_LIMITED
-                        thr = threshold
-                        if mode is SimMode.PERFECT and link == "eavesdropper":
-                            thr = loose  # beams from real geometry, approximate law
-                        samples = simulate.collect_sinr_samples(
-                            p, mode, link, n, config.seed,
-                            workers=config.workers)
-                        stat = simulate.ks_statistic(
-                            samples,
-                            lambda x: analytic.sinr_cdf(x, p, enum_link, regime))
-                        ok = stat < thr
-                        all_ok &= ok
-                        print(f"{'PASS' if ok else 'FAIL'}  ks {link} {tag}: "
-                              f"stat={stat:.5f} threshold={thr:.5f}", file=stream)
+    if 2 in config.nt:
+        print("note: nt=2 has a one-dimensional error space; the "
+              "interference beta factor is degenerate there and the "
+              "product-distribution identity needs nt >= 3", file=stream)
+    for p in config.grid():
+        for link, enum_link in (("legitimate", Link.LEGITIMATE),
+                                ("eavesdropper", Link.EAVESDROPPER)):
+            regime = Regime.GENERAL
+            if mode is SimMode.PERFECT and link == "legitimate":
+                regime = Regime.NOISE_LIMITED
+            thr = threshold
+            if mode is SimMode.PERFECT and link == "eavesdropper":
+                thr = loose  # beams from real geometry, approximate law
+            samples = simulate.collect_sinr_samples(
+                p, mode, link, n, config.seed, workers=config.workers)
+            stat = simulate.ks_statistic(
+                samples, lambda x: analytic.sinr_cdf(x, p, enum_link, regime))
+            ok = stat < thr
+            all_ok &= ok
+            print(f"{'PASS' if ok else 'FAIL'}  ks {link} {_tag(p)}: "
+                  f"stat={stat:.5f} threshold={thr:.5f}", file=stream)
     print(f"dist-check: {'all below threshold' if all_ok else 'FAILURES present'}",
           file=stream)
     return all_ok
@@ -447,11 +466,11 @@ def _apply_settings(config: SweepConfig, settings: dict):
         if value is None:
             continue
         if key == "nt":
-            config.nt = _parse_int_list(value) if isinstance(value, str) else value
+            config.nt = _parse_int_list(value)
         elif key == "bits":
-            config.bits = _parse_int_list(value) if isinstance(value, str) else value
+            config.bits = _parse_int_list(value)
         elif key == "alpha":
-            config.alpha = _parse_float_list(value) if isinstance(value, str) else value
+            config.alpha = _parse_float_list(value)
         elif key == "snr":
             config.snr_start, config.snr_stop, config.snr_step = _parse_snr(value)
         elif key in _INT_KEYS:
@@ -465,9 +484,7 @@ def _apply_settings(config: SweepConfig, settings: dict):
             except ValueError as exc:
                 raise UsageError(f"{key} expects a real, got {value!r}") from exc
         elif key in _BOOL_KEYS:
-            if isinstance(value, bool):
-                setattr(config, key, value)
-            elif value.lower() in ("1", "true", "yes", "on"):
+            if value.lower() in ("1", "true", "yes", "on"):
                 setattr(config, key, True)
             elif value.lower() in ("0", "false", "no", "off"):
                 setattr(config, key, False)
@@ -498,7 +515,7 @@ def _add_sweep_flags(sub, snr_default: str):
                      help="simulation mode (default qca)")
     sub.add_argument("--regime", choices=tuple(_REGIMES),
                      help="analytic regime for r_analytic (default general)")
-    sub.add_argument("--clip", action="store_true", default=None,
+    sub.add_argument("--clip", action="store_const", const="true",
                      help="apply a per-user positive part to secrecy terms")
     sub.add_argument("--out", help="output path (CSV for rate-curve, JSON "
                                    "report for validate)")
@@ -579,10 +596,9 @@ def _normalize_argv(argv):
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(_normalize_argv(argv))
-        if args.command == "selftest":
-            seed = int(args.seed) if args.seed is not None else 20250
-            return EXIT_OK if run_selftest(seed=seed) else EXIT_VALIDATION
         config = _resolve_config(args)
+        if args.command == "selftest":
+            return EXIT_OK if run_selftest(seed=config.seed) else EXIT_VALIDATION
         if args.command == "rate-curve":
             run_rate_curve(config)
             return EXIT_OK

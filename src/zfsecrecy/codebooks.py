@@ -13,7 +13,6 @@ import numpy as np
 
 from .linalg import (DegenerateInputError, as_generator, complex_gaussian_batch,
                      orthonormal_complement, unit_direction)
-from .params import SystemParams
 
 # Exhaustive codeword search is O(2**bits * n_t) per draw; past this cap the
 # simulation has to run in QCA mode instead of materializing codebooks.
@@ -102,16 +101,6 @@ def quantize(h: np.ndarray, codebook: Codebook) -> QuantizationOutcome:
     return QuantizationOutcome(index=index, error=error,
                                error_direction=error_direction,
                                codeword=cw, phase=phase)
-
-
-def qca_interference_gain(params: SystemParams, rng) -> float:
-    """One quantization-cell-approximation draw of channel gain times error.
-
-    Distributed Gamma(n_t - 1, distortion): mean distortion * (n_t - 1).
-    Used by the QCA simulation mode in place of explicit codebooks.
-    """
-    gen = as_generator(rng)
-    return float(gen.gamma(shape=params.n_t - 1, scale=params.distortion))
 
 
 def zfbf_beams(quantized_directions) -> np.ndarray:

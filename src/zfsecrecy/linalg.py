@@ -58,9 +58,7 @@ def sample_complex_gaussian(dim: int, rng) -> np.ndarray:
     """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    gen = as_generator(rng)
-    parts = gen.standard_normal((2, dim))
-    return (parts[0] + 1j * parts[1]) / np.sqrt(2.0)
+    return complex_gaussian_batch(as_generator(rng), (dim,))
 
 
 def complex_gaussian_batch(gen: np.random.Generator, shape) -> np.ndarray:

@@ -1,21 +1,24 @@
 """Monte Carlo estimation of per-user and eavesdropper SINRs and the
 ergodic secrecy sum-rate.
 
-Three simulation modes:
+Every SINR, of a served user or of the eavesdropper tapping a stream, is
+num / (den + noise): received signal power over interference plus the
+link's noise level, all relative to the transmit power.  The three
+simulation modes differ only in how they draw num and den:
 
 FULL     draws channels, per-user random codebooks and ZF beams explicitly;
-         the physical ground truth.
-QCA      replaces the residual-interference geometry with its
-         quantization-cell-approximation law (numerator Exp(1), denominator
-         Gamma(n_t-1, distortion) plus noise); the eavesdropper side uses
-         the same law with distortion 1.  Much faster, and exactly the
-         model the closed forms integrate.
-PERFECT  beams built from the true channel directions: zero inter-user
-         interference, a degenerate sanity check.
+         num and den are the beam gains.  The physical ground truth.
+QCA      draws them from the quantization-cell-approximation law: num
+         Exp(1), den Gamma(n_t-1, distortion) for the users and
+         Gamma(n_t-1, 1) for the eavesdropper.  Much faster, and exactly
+         the model the closed forms integrate.
+PERFECT  as FULL with beams built from the true channel directions: zero
+         inter-user interference (den = 0), a degenerate sanity check.
 
-Trials are partitioned into fixed-size chunks, each driven by its own
-counter-based substream keyed by (seed, chunk index), and chunk results are
-reduced in index order — so the worker count can never change a result bit.
+One function, ``_map_chunks``, partitions the trials into fixed-size chunks,
+each drawn from its own counter-based substream keyed by (seed, chunk
+index), and hands every chunk's SINRs to a reduction.  Chunk results come
+back in index order, so the worker count can never change a result bit.
 """
 
 import math
@@ -96,22 +99,22 @@ def _zf_beams_batch(directions: np.ndarray):
     return beams, ok
 
 
-def _full_sinr_batch(params: SystemParams, gen: np.random.Generator, n: int,
-                     perfect: bool = False, fixed_codewords=None):
-    """n FULL- or PERFECT-mode SINR draws, resampling degenerate beam sets.
+def _geometry_draw(params: SystemParams, gen: np.random.Generator, n: int,
+                   perfect: bool = False, fixed_codewords=None):
+    """n FULL- or PERFECT-mode draws, resampling degenerate beam sets.
 
-    Returns (legitimate (n, K), eavesdropper (n, K), rejected count,
-    max zero-forcing residual over kept draws).
+    Returns the noise-free SINR parts (legit_num, legit_den, eav_num,
+    eav_den), each (n, K), then the rejected count and the largest
+    zero-forcing residual over kept draws.  PERFECT beams leave no
+    inter-user interference, so its legit_den is zero.
     """
     k = params.n_t
     if not perfect and fixed_codewords is None and params.bits > MAX_CODEBOOK_BITS:
         raise CodebookSizeError(
             f"bits={params.bits} exceeds the exhaustive-search cap of "
             f"{MAX_CODEBOOK_BITS}; use QCA mode")
-    noise_legit = params.noise_over_power
-    noise_eav = params.eav_noise_over_power
 
-    legit_parts, eav_parts = [], []
+    parts = []
     rejected = 0
     zf_residual = 0.0
     remaining = n
@@ -140,25 +143,21 @@ def _full_sinr_batch(params: SystemParams, gen: np.random.Generator, n: int,
         cross = np.einsum("tkn,tin->tki", np.conj(h), beams)
         power = np.abs(cross) ** 2
         signal = np.einsum("tkk->tk", power).copy()
-        interference = power.sum(axis=2) - signal
         if perfect:
-            legit = signal / noise_legit
+            interference = np.zeros_like(signal)
         else:
-            legit = signal / (interference + noise_legit)
+            interference = power.sum(axis=2) - signal
             zf = np.abs(np.einsum("tkn,tin->tki", np.conj(point_dirs), beams))
             zf[:, np.arange(k), np.arange(k)] = 0.0
             if zf.size:
                 zf_residual = max(zf_residual, float(zf.max()))
 
         eav_amps = np.abs(np.einsum("tn,tin->ti", np.conj(g), beams)) ** 2
-        eav = eav_amps / (eav_amps.sum(axis=1, keepdims=True) - eav_amps + noise_eav)
+        eav_den = eav_amps.sum(axis=1, keepdims=True) - eav_amps
+        parts.append((signal, interference, eav_amps, eav_den))
+        remaining -= signal.shape[0]
 
-        legit_parts.append(legit)
-        eav_parts.append(eav)
-        remaining -= legit.shape[0]
-
-    return (np.concatenate(legit_parts), np.concatenate(eav_parts),
-            rejected, zf_residual)
+    return (*(np.concatenate(p) for p in zip(*parts)), rejected, zf_residual)
 
 
 def _select_codewords(h_dir: np.ndarray, codewords: np.ndarray) -> np.ndarray:
@@ -169,27 +168,38 @@ def _select_codewords(h_dir: np.ndarray, codewords: np.ndarray) -> np.ndarray:
                               axis=2)[:, :, 0, :]
 
 
-def _qca_sinr_batch(params: SystemParams, gen: np.random.Generator, n: int):
-    """n QCA-mode SINR draws (synthetic interference, no beam geometry)."""
+def _qca_draw(params: SystemParams, gen: np.random.Generator, n: int):
+    """n QCA-mode draws of the noise-free SINR parts, as :func:`_geometry_draw`
+    returns them: Exp(1) numerators over Gamma(n_t-1, distortion) (users)
+    and Gamma(n_t-1, 1) (eavesdropper) interference."""
     k = params.n_t
     legit_num = gen.exponential(size=(n, k))
     legit_den = gen.gamma(shape=k - 1, scale=params.distortion, size=(n, k))
     eav_num = gen.exponential(size=(n, k))
     eav_den = gen.gamma(shape=k - 1, scale=1.0, size=(n, k))
-    legit = legit_num / (legit_den + params.noise_over_power)
-    eav = eav_num / (eav_den + params.eav_noise_over_power)
-    return legit, eav, 0, 0.0
+    return legit_num, legit_den, eav_num, eav_den, 0, 0.0
 
 
 def _sinr_batch(params: SystemParams, mode: SimMode, gen, n: int,
                 fixed_codewords=None):
+    """n SINR draws of both links in any mode.
+
+    Returns (legitimate (n, K), eavesdropper (n, K), rejected count, max
+    zero-forcing residual).  Every SINR is num / (den + noise); the modes
+    differ only in how they draw num and den.
+    """
     if mode is SimMode.QCA:
-        return _qca_sinr_batch(params, gen, n)
-    if mode is SimMode.FULL:
-        return _full_sinr_batch(params, gen, n, fixed_codewords=fixed_codewords)
-    if mode is SimMode.PERFECT:
-        return _full_sinr_batch(params, gen, n, perfect=True)
-    raise ValueError(f"unknown mode {mode!r}")
+        draw = _qca_draw(params, gen, n)
+    elif mode is SimMode.FULL:
+        draw = _geometry_draw(params, gen, n, fixed_codewords=fixed_codewords)
+    elif mode is SimMode.PERFECT:
+        draw = _geometry_draw(params, gen, n, perfect=True)
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    legit_num, legit_den, eav_num, eav_den, rejected, zf_residual = draw
+    return (legit_num / (legit_den + params.noise_over_power),
+            eav_num / (eav_den + params.eav_noise_over_power),
+            rejected, zf_residual)
 
 
 def simulate_realization(params: SystemParams, mode: SimMode,
@@ -204,11 +214,8 @@ def simulate_realization(params: SystemParams, mode: SimMode,
     """
     gen = as_generator(rng)
     k = params.n_t
-    if mode is SimMode.QCA:
-        legit, eav, _, _ = _qca_sinr_batch(params, gen, 1)
-        return SinrRealization(legitimate=legit[0], eavesdropper=eav[0])
-    if mode is SimMode.PERFECT:
-        legit, eav, _, _ = _full_sinr_batch(params, gen, 1, perfect=True)
+    if mode is not SimMode.FULL:
+        legit, eav, _, _ = _sinr_batch(params, mode, gen, 1)
         return SinrRealization(legitimate=legit[0], eavesdropper=eav[0])
 
     while True:
@@ -233,19 +240,39 @@ def simulate_realization(params: SystemParams, mode: SimMode,
         return SinrRealization(legitimate=legit, eavesdropper=eav)
 
 
-def _map_chunks(worker_fn, n_chunks: int, workers: int):
-    if workers <= 1 or n_chunks <= 1:
-        return [worker_fn(i) for i in range(n_chunks)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker_fn, range(n_chunks)))
-
-
 def _fixed_codewords(params: SystemParams, seed: int):
     """Shared per-user codebooks for the fixed-codebook study mode."""
     gen = RngStream(seed, _FIXED_CODEBOOK_STREAM).generator()
     books = [generate_codebook(params.n_t, params.bits, gen)
              for _ in range(params.n_t)]
     return np.stack([b.codewords for b in books])  # (K, 2**bits, K)
+
+
+def _map_chunks(params: SystemParams, mode: SimMode, n: int, seed: int,
+                workers: int, fn, fixed_codewords=None) -> list:
+    """``fn(legit, eav, rejected, zf_residual)`` of each chunk of n draws,
+    in chunk order.
+
+    Chunk i holds :func:`chunk_trials` draws (the last chunk the rest),
+    all from substream ``RngStream(seed, i)``, so neither the worker count
+    nor thread scheduling can change a result bit.
+    """
+    if n < 1:
+        raise ValueError(f"trial count must be >= 1, got {n}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    chunk = chunk_trials(params, mode)
+    n_chunks = (n + chunk - 1) // chunk
+
+    def run_chunk(index: int):
+        gen = RngStream(seed, index).generator()
+        m = min(chunk, n - index * chunk)
+        return fn(*_sinr_batch(params, mode, gen, m, fixed_codewords))
+
+    if workers == 1 or n_chunks == 1:
+        return [run_chunk(i) for i in range(n_chunks)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(run_chunk, range(n_chunks)))
 
 
 def estimate_secrecy_rate(params: SystemParams, mode: SimMode, n_trials: int,
@@ -259,29 +286,20 @@ def estimate_secrecy_rate(params: SystemParams, mode: SimMode, n_trials: int,
     worker counts.  ``fixed_codebooks`` freezes one codebook set for all
     trials instead of redrawing per realization.
     """
-    if n_trials < 1:
-        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     fixed = (_fixed_codewords(params, seed)
              if fixed_codebooks and mode is SimMode.FULL else None)
-    chunk = chunk_trials(params, mode)
-    n_chunks = (n_trials + chunk - 1) // chunk
 
-    def run_chunk(index: int):
-        gen = RngStream(seed, index).generator()
-        m = min(chunk, n_trials - index * chunk)
-        legit, eav, rejected, _ = _sinr_batch(params, mode, gen, m, fixed)
+    def moments(legit, eav, rejected, _):
         per_user = np.log2(1.0 + legit) - np.log2(1.0 + eav)
         if clip:
             per_user = np.maximum(per_user, 0.0)
         per_trial = per_user.sum(axis=1)
-        return (float(per_trial.sum()), float(per_trial @ per_trial),
-                m, rejected)
+        return float(per_trial.sum()), float(per_trial @ per_trial), rejected
 
     total = total_sq = 0.0
     rejected = 0
-    for s, sq, _, rej in _map_chunks(run_chunk, n_chunks, workers):
+    for s, sq, rej in _map_chunks(params, mode, n_trials, seed, workers,
+                                  moments, fixed):
         total += s
         total_sq += sq
         rejected += rej
@@ -303,38 +321,19 @@ def collect_sinr_samples(params: SystemParams, mode: SimMode, link: str,
     :func:`estimate_secrecy_rate`, so results are reproducible and
     worker-count independent.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
     if link not in ("legitimate", "eavesdropper"):
         raise ValueError(f"link must be 'legitimate' or 'eavesdropper', got {link!r}")
-    chunk = chunk_trials(params, mode)
-    n_chunks = (n + chunk - 1) // chunk
-
-    def run_chunk(index: int):
-        gen = RngStream(seed, index).generator()
-        m = min(chunk, n - index * chunk)
-        legit, eav, _, _ = _sinr_batch(params, mode, gen, m)
-        return legit[:, 0] if link == "legitimate" else eav[:, 0]
-
-    return np.concatenate(_map_chunks(run_chunk, n_chunks, workers))
+    return np.concatenate(_map_chunks(
+        params, mode, n, seed, workers,
+        lambda legit, eav, *_: (legit if link == "legitimate" else eav)[:, 0]))
 
 
 def max_zf_residual(params: SystemParams, n: int, seed: int) -> tuple:
     """(max zero-forcing residual, rejected count) over n FULL-mode draws."""
-    chunk = chunk_trials(params, SimMode.FULL)
-    worst = 0.0
-    rejected = 0
-    done = 0
-    index = 0
-    while done < n:
-        gen = RngStream(seed, index).generator()
-        m = min(chunk, n - done)
-        _, _, rej, resid = _full_sinr_batch(params, gen, m)
-        worst = max(worst, resid)
-        rejected += rej
-        done += m
-        index += 1
-    return worst, rejected
+    parts = _map_chunks(params, SimMode.FULL, n, seed, 1,
+                        lambda legit, eav, rejected, resid: (resid, rejected))
+    return (max(resid for resid, _ in parts),
+            sum(rejected for _, rejected in parts))
 
 
 def ks_statistic(samples, cdf) -> float:

@@ -5,7 +5,7 @@ import pytest
 from scipy import integrate
 
 from zfsecrecy.analytic import (Link, Regime, exp_integral_e1,
-                                exp_integral_e1_scaled, exp_integral_ei,
+                                exp_integral_e1_scaled,
                                 gauss_2f1, laplace_pole_integral,
                                 laplace_two_pole_integral,
                                 rate_from_cdf_quadrature,
@@ -85,12 +85,6 @@ def test_e1_domain():
         exp_integral_e1(0.0)
     with pytest.raises(ValueError):
         exp_integral_e1(-1.0)
-
-
-def test_ei_negative_axis_accessor():
-    assert exp_integral_ei(-1.0) == pytest.approx(-exp_integral_e1(1.0))
-    with pytest.raises(ValueError):
-        exp_integral_ei(1.0)
 
 
 # --------------------------------------------------------------------------

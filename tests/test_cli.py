@@ -1,9 +1,11 @@
 import io
 import math
 
+import pytest
+
 from zfsecrecy.cli import (CSV_HEADER, EXIT_IO, EXIT_OK, EXIT_USAGE,
-                           EXIT_VALIDATION, SweepConfig, main, parse_curve_csv,
-                           run_rate_curve)
+                           EXIT_VALIDATION, MAX_GRID_POINTS, SweepConfig,
+                           UsageError, main, parse_curve_csv, run_rate_curve)
 
 TINY = dict(nt=[5], bits=[4], alpha=[1.0], snr_start=10.0, snr_stop=10.0,
             snr_step=1.0, trials=2_000, seed=3)
@@ -72,13 +74,42 @@ def test_full_mode_populates_rejection_column(tmp_path):
     assert point.n_trials == 500
 
 
-def test_usage_errors_exit_one():
+def test_snr_grid_stop_is_inclusive_and_never_overshot():
+    def snrs(start, stop, step):
+        return SweepConfig(snr_start=start, snr_stop=stop,
+                           snr_step=step).snr_values()
+    assert snrs(0.0, 3.0, 2.0) == [0.0, 2.0]
+    assert snrs(0.0, 11.0, 2.0)[-1] == 10.0
+    assert snrs(-10.0, 30.0, 2.0)[-1] == 30.0
+    assert len(snrs(0.0, 0.3, 0.1)) == 4  # 0.3 / 0.1 rounds below 3
+
+
+def test_usage_errors_exit_one(capsys):
     assert main(["rate-curve", "--snr", "10:0:2"]) == EXIT_USAGE     # stop < start
     assert main(["rate-curve", "--snr", "0:10:0"]) == EXIT_USAGE     # step 0
     assert main(["rate-curve", "--snr", "nonsense"]) == EXIT_USAGE
     assert main(["rate-curve", "--nt", "1"]) == EXIT_USAGE
     assert main(["rate-curve", "--mode", "warp"]) == EXIT_USAGE
     assert main(["no-such-command"]) == EXIT_USAGE
+    assert main(["rate-curve", "--alpha", "nan"]) == EXIT_USAGE
+    assert main(["rate-curve", "--snr", "nan:1:1"]) == EXIT_USAGE
+    assert main(["selftest", "--seed", "abc"]) == EXIT_USAGE
+    assert main(["rate-curve", "--mode", "full", "--bits", "17"]) == EXIT_USAGE
+    assert main(["rate-curve", "--alpha", "1e-200"]) == EXIT_USAGE  # alpha^2 underflows
+    assert main(["rate-curve", "--alpha", "inf"]) == EXIT_USAGE
+    capsys.readouterr()
+    # Rejected from its size alone: the 1e18-point grid is never built.
+    assert main(["rate-curve", "--snr", "0:1e9:1e-9"]) == EXIT_USAGE
+    assert "usage error: grid size cap hit" in capsys.readouterr().err
+
+
+def test_grid_size_cap_counts_every_axis():
+    config = SweepConfig(nt=[2, 3], snr_start=0.0, snr_step=1.0,
+                         snr_stop=MAX_GRID_POINTS // 6 - 1)
+    config.validate()  # 2 nt x 3 alpha x MAX/6 SNRs fit under the cap
+    config.snr_stop += 1.0
+    with pytest.raises(UsageError, match="cap hit"):
+        config.validate()
 
 
 def test_unwritable_output_exits_two(tmp_path):
@@ -156,6 +187,36 @@ def test_config_file_is_read_and_flags_override(tmp_path):
     assert code == EXIT_OK
     (point,) = parse_curve_csv(read(out_b).decode())
     assert point.snr_db == 5.0
+
+
+def test_config_file_fixed_codebook_freezes_codebooks(tmp_path):
+    cfg = tmp_path / "fixed.cfg"
+    cfg.write_text("nt = 3\nbits = 2\nalpha = 1\nsnr = 0:10:10\n"
+                   "trials = 500\nseed = 5\nmode = full\n")
+    redrawn = tmp_path / "redrawn.csv"
+    assert main(["rate-curve", "--config", str(cfg), "--out", str(redrawn)]) == EXIT_OK
+    with open(cfg, "a") as fh:
+        fh.write("fixed_codebook = true\n")
+    fixed_a, fixed_b = tmp_path / "fixed-a.csv", tmp_path / "fixed-b.csv"
+    for out in (fixed_a, fixed_b):
+        assert main(["rate-curve", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    assert read(fixed_a) == read(fixed_b)
+    fixed, free = (parse_curve_csv(read(path).decode()) for path in (fixed_a, redrawn))
+    assert len(fixed) == len(free) == 2
+    assert all(a.r_mc_mean != b.r_mc_mean for a, b in zip(fixed, free))
+
+
+def test_clip_flag_matches_clipped_config(tmp_path):
+    flagged = tmp_path / "flag.csv"
+    assert main(["rate-curve", "--nt", "5", "--bits", "4", "--alpha", "1",
+                 "--snr", "10:10:1", "--trials", "2000", "--seed", "3",
+                 "--clip", "--out", str(flagged)]) == EXIT_OK
+    (point,) = parse_curve_csv(read(flagged).decode())
+    (clipped,) = run_rate_curve(SweepConfig(**TINY, clip=True),
+                                stream=io.StringIO())
+    (plain,) = run_rate_curve(SweepConfig(**TINY), stream=io.StringIO())
+    assert point == clipped
+    assert point.r_mc_mean > plain.r_mc_mean
 
 
 def test_config_file_unknown_key_is_usage_error(tmp_path):

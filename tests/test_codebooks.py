@@ -10,8 +10,8 @@ from zfsecrecy.linalg import (DegenerateInputError, RngStream,
                               sample_complex_gaussian, unit_direction)
 from zfsecrecy.params import SystemParams, quantization_distortion
 from zfsecrecy.codebooks import (CodebookSizeError, generate_codebook,
-                                qca_interference_gain, quantize, zfbf_beams)
-from zfsecrecy.simulate import ks_statistic
+                                quantize, zfbf_beams)
+from zfsecrecy.simulate import _qca_draw, ks_statistic
 
 
 # --------------------------------------------------------------------------
@@ -153,27 +153,30 @@ def test_quantization_decomposition_invariants(seed, dim, bits):
 
 
 # --------------------------------------------------------------------------
-# QCA interference draws
+# QCA interference draws (the simulation engine's users' denominators)
 # --------------------------------------------------------------------------
+
+def qca_interference(p, gen, n):
+    """n draws of the first user's QCA interference term."""
+    _, legit_den, _, _, _, _ = _qca_draw(p, gen, n)
+    return legit_den[:, 0]
+
 
 def test_qca_gain_mean_matches_gamma_law():
     p = SystemParams(n_t=5, bits=4, alpha=1.0, snr_db=10.0)
-    gen = RngStream(8, 0).generator()
-    draws = np.array([qca_interference_gain(p, gen) for _ in range(100_000)])
+    draws = qca_interference(p, RngStream(8, 0).generator(), 100_000)
     assert draws.mean() == pytest.approx(2.0, abs=0.03)
 
 
 def test_qca_gain_mean_zero_feedback():
     p = SystemParams(n_t=5, bits=0, alpha=1.0, snr_db=10.0)
-    gen = RngStream(9, 0).generator()
-    draws = np.array([qca_interference_gain(p, gen) for _ in range(100_000)])
+    draws = qca_interference(p, RngStream(9, 0).generator(), 100_000)
     assert draws.mean() == pytest.approx(4.0, abs=0.05)
 
 
 def test_qca_gain_distribution_ks():
     p = SystemParams(n_t=5, bits=4, alpha=1.0, snr_db=10.0)
-    gen = RngStream(10, 0).generator()
-    draws = [qca_interference_gain(p, gen) for _ in range(10_000)]
+    draws = qca_interference(p, RngStream(10, 0).generator(), 10_000)
     cdf = stats.gamma(a=4, scale=0.5).cdf
     assert ks_statistic(draws, cdf) < 0.0163
 

@@ -7,7 +7,7 @@ from scipy import stats
 from zfsecrecy.analytic import Link, secrecy_rate_closed_form, sinr_cdf
 from zfsecrecy.linalg import RngStream
 from zfsecrecy.params import SystemParams
-from zfsecrecy.simulate import (SimMode, _full_sinr_batch, collect_sinr_samples,
+from zfsecrecy.simulate import (SimMode, _sinr_batch, collect_sinr_samples,
                                 estimate_secrecy_rate, ks_statistic,
                                 max_zf_residual, simulate_realization)
 
@@ -56,8 +56,8 @@ def test_batched_kernel_matches_reference_path():
     # phase.
     for seed in range(8):
         ref = simulate_realization(P55, SimMode.FULL, RngStream(seed, 0))
-        legit, eav, _, _ = _full_sinr_batch(
-            P55, RngStream(seed, 0).generator(), 1)
+        legit, eav, _, _ = _sinr_batch(
+            P55, SimMode.FULL, RngStream(seed, 0).generator(), 1)
         assert np.abs(ref.legitimate - legit[0]).max() < 1e-10
         assert np.abs(ref.eavesdropper - eav[0]).max() < 1e-10
 
@@ -172,6 +172,12 @@ def test_rejection_free_and_zero_forcing_residual():
     worst, rejected = max_zf_residual(P55, 10_000, seed=7)
     assert rejected == 0
     assert worst < 1e-10
+
+
+def test_zero_forcing_residual_needs_draws():
+    # Zero draws would pass any residual check vacuously.
+    with pytest.raises(ValueError):
+        max_zf_residual(P55, 0, seed=7)
 
 
 @pytest.mark.slow
