@@ -15,11 +15,15 @@ adaptive quadrature as an independent oracle.
 All chi-square-style variates follow the complex-variate convention: the
 two-degree case is Exp(1) with density exp(-x), and the 2k-degree case is
 Gamma(k, 1).  Standard chi-square tables differ by a factor of 2.
+
+A series, continued fraction or quadrature that fails to converge raises
+ArithmeticError, as float64 overflow and division by zero do.
 """
 
 import enum
 import math
 
+import numpy as np
 from scipy import integrate
 
 from .params import SystemParams
@@ -61,7 +65,7 @@ def _e1_series(x: float) -> float:
         total += add
         if abs(add) < 1e-18 * max(abs(total), 1e-300):
             return total
-    raise RuntimeError(f"E1 series failed to converge at x={x}")
+    raise ArithmeticError(f"E1 series failed to converge at x={x}")
 
 
 def _en_scaled_cf(n: int, x: float) -> float:
@@ -89,7 +93,8 @@ def _en_scaled_cf(n: int, x: float) -> float:
         h *= delta
         if abs(delta - 1.0) < 1e-16:
             return h
-    raise RuntimeError(f"continued fraction failed to converge at n={n}, x={x}")
+    raise ArithmeticError(
+        f"continued fraction failed to converge at n={n}, x={x}")
 
 
 def exp_integral_e1(x: float) -> float:
@@ -166,7 +171,7 @@ def _quad_two_pole(x: float, y: float, z: int) -> float:
     head, err_h = integrate.quad(integrand, 0.0, split, **_QUAD_OPTS)
     tail, err_t = integrate.quad(integrand, split, math.inf, **_QUAD_OPTS)
     if err_h + err_t > 1e-9:
-        raise RuntimeError(
+        raise ArithmeticError(
             f"two-pole quadrature did not converge (x={x}, y={y}, z={z}, "
             f"error estimate {err_h + err_t:.2e})")
     return head + tail
@@ -241,7 +246,7 @@ def gauss_2f1(n_t: int, z: float) -> float:
             if add < 1e-17 * total:
                 return total
             power *= z
-        raise RuntimeError(f"2F1 series failed to converge at z={z}")
+        raise ArithmeticError(f"2F1 series failed to converge at z={z}")
     partial = 0.0
     power = 1.0
     for k in range(1, m):
@@ -254,10 +259,13 @@ def gauss_2f1(n_t: int, z: float) -> float:
 # SINR distributions
 # ---------------------------------------------------------------------------
 
-def sinr_survival(x: float, params: SystemParams, link: Link,
-                  regime: Regime = Regime.GENERAL) -> float:
-    """P(sinr > x) for the requested link and regime."""
-    if x < 0:
+def sinr_survival(x, params: SystemParams, link: Link,
+                  regime: Regime = Regime.GENERAL):
+    """P(sinr > x) for the requested link and regime; x a float or an array."""
+    # A float skips numpy's reduction, which would cost the quadrature
+    # oracle microseconds per integrand call.
+    negative = (x < 0).any() if isinstance(x, np.ndarray) else x < 0
+    if negative:
         raise ValueError(f"x must be >= 0, got {x}")
     if link is Link.LEGITIMATE:
         noise = params.noise_over_power
@@ -267,17 +275,18 @@ def sinr_survival(x: float, params: SystemParams, link: Link,
         interference = 1.0
     k = params.n_t - 1
     if regime is Regime.GENERAL:
-        return math.exp(-x * noise) / (1.0 + interference * x) ** k
+        return np.exp(-x * noise) / (1.0 + interference * x) ** k
     if regime is Regime.INTERFERENCE_LIMITED:
         return 1.0 / (1.0 + interference * x) ** k
     if regime is Regime.NOISE_LIMITED:
-        return math.exp(-x * noise)
+        return np.exp(-x * noise)
     raise ValueError(f"unknown regime {regime!r}")
 
 
-def sinr_cdf(x: float, params: SystemParams, link: Link,
-             regime: Regime = Regime.GENERAL) -> float:
-    """CDF of a served user's (or the eavesdropper's) SINR.
+def sinr_cdf(x, params: SystemParams, link: Link,
+             regime: Regime = Regime.GENERAL):
+    """CDF of a served user's (or the eavesdropper's) SINR; x a float or an
+    array.
 
     Monotone non-decreasing, 0 at x = 0, tending to 1 as x grows.
     """
@@ -361,7 +370,7 @@ def rate_from_cdf_quadrature(params: SystemParams,
     tail, err_t = integrate.quad(integrand, split, math.inf, **_QUAD_OPTS)
     err = err_h + err_t
     if err > 1e-9:
-        raise RuntimeError(
+        raise ArithmeticError(
             f"rate quadrature did not converge for {params}, {regime}: "
             f"error estimate {err:.2e}")
     return params.n_t * LOG2_E * (head + tail)

@@ -8,7 +8,12 @@ validate     three-way agreement (closed form / quadrature / MC) plus limit
 dist-check   KS tests of simulated SINR samples against the analytic CDFs
 selftest     special-function and linear-algebra oracle checks
 
-Exit codes: 0 success, 1 usage error, 2 I/O error, 3 validation failure.
+Each subcommand accepts only the flags it reads, and each value is converted
+once, by its flag's argparse type.  ``--config`` reads key=value lines as
+more such flags (keys are flag names), placed before the command line's.
+
+Exit codes: 0 success, 1 usage error (also a trial count over MAX_TRIALS or
+an input past the engine's float64 range), 2 I/O error, 3 validation failure.
 Every subcommand honors --seed; there are no hidden entropy sources.
 """
 
@@ -17,7 +22,7 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -31,8 +36,6 @@ EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_VALIDATION = 3
 
-CSV_HEADER = "snr_db,alpha,n_t,bits,r_analytic,r_mc_mean,r_mc_stderr,n_trials,rejected"
-
 _MODES = ("full", "qca", "perfect", "analytic-only")
 _REGIMES = {"general": Regime.GENERAL,
             "il": Regime.INTERFERENCE_LIMITED,
@@ -40,6 +43,8 @@ _REGIMES = {"general": Regime.GENERAL,
 
 # Largest sweep grid accepted, in points; checked before the grid is built.
 MAX_GRID_POINTS = 1_000_000
+# Most trials per point: a dist-check sample array of this size takes 800 MB.
+MAX_TRIALS = 10**8
 # Relative slack that keeps an SNR stop reached up to rounding inside the grid.
 _SNR_REL_TOL = 1e-9
 
@@ -106,6 +111,8 @@ class SweepConfig:
                              f"{MAX_GRID_POINTS} points")
         if self.trials < 1:
             raise UsageError("--trials must be >= 1")
+        if self.trials > MAX_TRIALS:
+            raise UsageError(f"trial cap hit: --trials must be <= {MAX_TRIALS}")
         if self.workers < 1:
             raise UsageError("--workers must be >= 1")
         if self.mode not in _MODES:
@@ -129,7 +136,7 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class CurvePoint:
-    """One grid point of a rate sweep."""
+    """One grid point of a rate sweep; its fields are the CSV columns."""
 
     snr_db: float
     alpha: float
@@ -142,15 +149,12 @@ class CurvePoint:
     rejected: int
 
     def csv_row(self) -> str:
-        return ",".join([
-            _fmt(self.snr_db), _fmt(self.alpha), str(self.n_t), str(self.bits),
-            _fmt(self.r_analytic), _fmt(self.r_mc_mean), _fmt(self.r_mc_stderr),
-            str(self.n_trials), str(self.rejected),
-        ])
+        """Reals carry 17 significant digits, so the CSV round-trips exactly."""
+        return ",".join(format(float(v), ".17g") if f.type is float else str(v)
+                        for f, v in zip(fields(self), astuple(self)))
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
+CSV_HEADER = ",".join(f.name for f in fields(CurvePoint))
 
 
 def _tag(p: SystemParams) -> str:
@@ -168,14 +172,9 @@ def parse_curve_csv(text: str):
     lines = text.strip().split("\n")
     if lines[0] != CSV_HEADER:
         raise ValueError(f"unexpected CSV header: {lines[0]!r}")
-    points = []
-    for line in lines[1:]:
-        c = line.split(",")
-        points.append(CurvePoint(
-            snr_db=float(c[0]), alpha=float(c[1]), n_t=int(c[2]),
-            bits=int(c[3]), r_analytic=float(c[4]), r_mc_mean=float(c[5]),
-            r_mc_stderr=float(c[6]), n_trials=int(c[7]), rejected=int(c[8])))
-    return points
+    casts = [f.type for f in fields(CurvePoint)]
+    return [CurvePoint(*(cast(v) for cast, v in zip(casts, line.split(","))))
+            for line in lines[1:]]
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +216,7 @@ def run_validate(config: SweepConfig, stream=None) -> bool:
     """Three-way agreement and limit-consistency suite.
 
     The Monte Carlo leg always runs in QCA mode (that is the model the
-    closed forms integrate); --mode is ignored here.  Returns True iff
+    closed forms integrate), so validate has no --mode.  Returns True iff
     every check passed; writes a JSON report to --out when given.
     """
     stream = stream if stream is not None else sys.stdout
@@ -412,43 +411,46 @@ def run_selftest(seed: int = 20250, stream=None) -> bool:
 # Argument and config-file handling
 # ---------------------------------------------------------------------------
 
-def _parse_int_list(text: str):
+def _list_of(convert, what: str):
+    """argparse type: a comma-separated list of ``convert`` values."""
+    def parse(text: str) -> list:
+        try:
+            return [convert(x) for x in text.split(",") if x.strip()]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {what}, got {text!r}") from None
+    return parse
+
+
+def _snr_grid(text: str) -> dict:
+    """argparse type: the dB grid start:stop:step, as SweepConfig fields."""
     try:
-        return [int(x) for x in text.split(",") if x.strip() != ""]
-    except ValueError as exc:
-        raise UsageError(f"expected comma-separated integers, got {text!r}") from exc
+        start, stop, step = map(float, text.split(":"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected numeric start:stop:step, got {text!r}") from None
+    return dict(snr_start=start, snr_stop=stop, snr_step=step)
 
 
-def _parse_float_list(text: str):
-    try:
-        return [float(x) for x in text.split(",") if x.strip() != ""]
-    except ValueError as exc:
-        raise UsageError(f"expected comma-separated reals, got {text!r}") from exc
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
 
 
-def _parse_snr(text: str):
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise UsageError(f"--snr expects start:stop:step, got {text!r}")
-    try:
-        return float(parts[0]), float(parts[1]), float(parts[2])
-    except ValueError as exc:
-        raise UsageError(f"--snr expects numeric start:stop:step, got {text!r}") from exc
+def _boolean(text: str) -> bool:
+    if text.lower() not in _BOOLEANS:
+        raise argparse.ArgumentTypeError(f"expected a boolean, got {text!r}")
+    return _BOOLEANS[text.lower()]
 
 
-_BOOL_KEYS = {"clip", "fixed_codebook"}
-_INT_KEYS = {"trials", "seed", "workers"}
-_FLOAT_KEYS = {"mc_tol_sigmas"}
-
-
-def _read_config_file(path: str) -> dict:
-    """Flat key=value file; '#' starts a comment; keys match flag names."""
-    values = {}
+def _read_config_file(path: str) -> list:
+    """A flat key=value file as ``--key=value`` tokens; '#' starts a comment
+    and keys are flag names, spelled with '_' or '-'."""
     try:
         with open(path) as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
+    tokens = []
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -456,44 +458,8 @@ def _read_config_file(path: str) -> dict:
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, value = (s.strip() for s in line.split("=", 1))
-        key = key.replace("-", "_")
-        values[key] = value
-    return values
-
-
-def _apply_settings(config: SweepConfig, settings: dict):
-    for key, value in settings.items():
-        if value is None:
-            continue
-        if key == "nt":
-            config.nt = _parse_int_list(value)
-        elif key == "bits":
-            config.bits = _parse_int_list(value)
-        elif key == "alpha":
-            config.alpha = _parse_float_list(value)
-        elif key == "snr":
-            config.snr_start, config.snr_stop, config.snr_step = _parse_snr(value)
-        elif key in _INT_KEYS:
-            try:
-                setattr(config, key, int(value))
-            except ValueError as exc:
-                raise UsageError(f"{key} expects an integer, got {value!r}") from exc
-        elif key in _FLOAT_KEYS:
-            try:
-                setattr(config, key, float(value))
-            except ValueError as exc:
-                raise UsageError(f"{key} expects a real, got {value!r}") from exc
-        elif key in _BOOL_KEYS:
-            if value.lower() in ("1", "true", "yes", "on"):
-                setattr(config, key, True)
-            elif value.lower() in ("0", "false", "no", "off"):
-                setattr(config, key, False)
-            else:
-                raise UsageError(f"{key} expects a boolean, got {value!r}")
-        elif key in ("mode", "regime", "out"):
-            setattr(config, key, value)
-        else:
-            raise UsageError(f"unknown config key {key!r}")
+        tokens.append(f"--{key.replace('_', '-')}={value}")
+    return tokens
 
 
 class _Parser(argparse.ArgumentParser):
@@ -501,26 +467,23 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_sweep_flags(sub, snr_default: str):
-    sub.add_argument("--nt", help="comma-separated antenna/user counts (default 5)")
-    sub.add_argument("--bits", help="comma-separated feedback bit budgets (default 4)")
-    sub.add_argument("--alpha", help="comma-separated relative path gains "
-                                     "(default 0.25,0.5,1)")
-    sub.add_argument("--snr", help=f"SNR grid start:stop:step in dB "
-                                   f"(default {snr_default})")
-    sub.add_argument("--trials", help="Monte Carlo trials / sample count per point")
-    sub.add_argument("--seed", help="base seed; fixed default 20250")
-    sub.add_argument("--workers", help="worker threads (never changes results)")
-    sub.add_argument("--mode", choices=_MODES,
-                     help="simulation mode (default qca)")
-    sub.add_argument("--regime", choices=tuple(_REGIMES),
-                     help="analytic regime for r_analytic (default general)")
-    sub.add_argument("--clip", action="store_const", const="true",
-                     help="apply a per-user positive part to secrecy terms")
-    sub.add_argument("--out", help="output path (CSV for rate-curve, JSON "
-                                   "report for validate)")
-    sub.add_argument("--config", help="flat key=value config file; explicit "
-                                      "flags override file values")
+def _add_sweep_flags(sub):
+    """Flags of every sweep subcommand.  Each gets its own copy: argparse
+    ``parents=`` would share the actions, and one subcommand's
+    ``set_defaults`` would then change the others' defaults."""
+    ints, reals = _list_of(int, "integers"), _list_of(float, "reals")
+    sub.add_argument("--nt", type=ints, help="antenna/user counts: a,b,...")
+    sub.add_argument("--bits", type=ints, help="feedback bit budgets: a,b,...")
+    sub.add_argument("--alpha", type=reals,
+                     help="relative path gains: a,b,...")
+    sub.add_argument("--snr", type=_snr_grid, help="dB grid start:stop:step")
+    sub.add_argument("--trials", type=int,
+                     help=f"trials per point, at most {MAX_TRIALS}")
+    sub.add_argument("--seed", type=int, help="base seed")
+    sub.add_argument("--workers", type=int,
+                     help="worker threads (never changes results)")
+    sub.add_argument("--config", help="key=value file of these flags; flags "
+                                      "on the command line override it")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -532,87 +495,93 @@ def build_parser() -> argparse.ArgumentParser:
                     "transmit power follows --snr).")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    curve = subs.add_parser("rate-curve", help="sweep the grid and emit CSV")
-    _add_sweep_flags(curve, "-10:30:2")
+    def add(name, help, sweep=True):
+        sub = subs.add_parser(name, help=help, allow_abbrev=False,
+                              argument_default=argparse.SUPPRESS)
+        if sweep:
+            _add_sweep_flags(sub)
+        return sub
 
-    val = subs.add_parser("validate", help="closed form vs quadrature vs MC")
-    _add_sweep_flags(val, "-10:20:10")
-    val.add_argument("--mc-tol-sigmas", dest="mc_tol_sigmas",
+    curve = add("rate-curve", "sweep the grid and emit CSV")
+    curve.add_argument("--mode", choices=_MODES, help="simulation mode")
+    curve.add_argument("--regime", choices=tuple(_REGIMES),
+                       help="analytic regime for r_analytic")
+    curve.add_argument("--clip", type=_boolean, nargs="?", const=True,
+                       help="apply a per-user positive part to secrecy terms")
+    curve.add_argument("--fixed-codebook", type=_boolean, nargs="?",
+                       const=True, help="FULL mode: one codebook set for "
+                                        "every trial")
+    curve.add_argument("--out", help="CSV output path (default stdout)")
+
+    val = add("validate", "closed form vs quadrature vs MC")
+    val.add_argument("--out", help="JSON report path")
+    val.add_argument("--mc-tol-sigmas", type=float,
                      help="MC agreement tolerance in standard errors "
-                          "(default 3; lower it to watch the harness fail)")
+                          "(lower it to watch the harness fail)")
+    val.set_defaults(nt=[2, 3, 5], bits=[0, 1, 4, 8], snr_start=-10.0,
+                     snr_stop=20.0, snr_step=10.0, trials=200_000)
 
-    dist = subs.add_parser("dist-check", help="KS tests of SINR samples")
-    _add_sweep_flags(dist, "10:10:1")
+    dist = add("dist-check", "KS tests of SINR samples")
+    dist.add_argument("--mode", choices=("full", "qca", "perfect"),
+                      help="sampling mode")
+    dist.set_defaults(snr_start=10.0, snr_stop=10.0, snr_step=1.0,
+                      trials=10_000)
 
-    self_test = subs.add_parser("selftest",
-                                help="special-function and linalg oracles")
-    self_test.add_argument("--seed", help="base seed; fixed default 20250")
+    add("selftest", "special-function and linalg oracles",
+        sweep=False).add_argument("--seed", type=int, help="base seed")
     return parser
 
 
-_VALIDATE_DEFAULTS = dict(nt=[2, 3, 5], bits=[0, 1, 4, 8],
-                          snr_start=-10.0, snr_stop=20.0, snr_step=10.0,
-                          trials=200_000)
-_DIST_DEFAULTS = dict(snr_start=10.0, snr_stop=10.0, snr_step=1.0,
-                      trials=10_000)
-
-
-def _resolve_config(args: argparse.Namespace) -> SweepConfig:
-    config = SweepConfig()
-    if args.command == "validate":
-        for key, value in _VALIDATE_DEFAULTS.items():
-            setattr(config, key, value)
-    elif args.command == "dist-check":
-        for key, value in _DIST_DEFAULTS.items():
-            setattr(config, key, value)
-    if getattr(args, "config", None):
-        _apply_settings(config, _read_config_file(args.config))
-    flag_settings = {k: v for k, v in vars(args).items()
-                     if k not in ("command", "config")}
-    _apply_settings(config, flag_settings)
+def _resolve_config(argv: list) -> tuple:
+    """(command, validated SweepConfig) of a command line.  A config file's
+    flags go before the command line's, and argparse keeps the last value of
+    a repeated flag, so the command line wins; an unset setting keeps the
+    subcommand's ``set_defaults`` value, else the SweepConfig default."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if hasattr(args, "config"):
+        args = parser.parse_args(
+            [argv[0], *_read_config_file(args.config), *argv[1:]])
+    settings = vars(args)
+    settings.update(settings.pop("snr", {}))
+    command = settings.pop("command")
+    settings.pop("config", None)
+    config = SweepConfig(**settings)
     config.validate()
-    return config
+    return command, config
 
 
 def _normalize_argv(argv):
     """Fold '--snr -10:30:2' into '--snr=-10:30:2' so a leading minus in the
     grid start is not mistaken for a flag."""
-    if argv is None:
-        argv = sys.argv[1:]
-    out = []
-    skip = False
-    for i, token in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        if token == "--snr" and i + 1 < len(argv):
-            out.append(f"--snr={argv[i + 1]}")
-            skip = True
-        else:
-            out.append(token)
-    return out
+    argv = sys.argv[1:] if argv is None else list(argv)
+    while "--snr" in argv[:-1]:
+        i = argv.index("--snr")
+        argv[i:i + 2] = [f"--snr={argv[i + 1]}"]
+    return argv
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(_normalize_argv(argv))
-        config = _resolve_config(args)
-        if args.command == "selftest":
+        command, config = _resolve_config(_normalize_argv(argv))
+        if command == "selftest":
             return EXIT_OK if run_selftest(seed=config.seed) else EXIT_VALIDATION
-        if args.command == "rate-curve":
+        if command == "rate-curve":
             run_rate_curve(config)
             return EXIT_OK
-        if args.command == "validate":
+        if command == "validate":
             return EXIT_OK if run_validate(config) else EXIT_VALIDATION
-        if args.command == "dist-check":
-            return EXIT_OK if run_dist_check(config) else EXIT_VALIDATION
-        raise UsageError(f"unknown command {args.command!r}")
+        return EXIT_OK if run_dist_check(config) else EXIT_VALIDATION
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except ArithmeticError as exc:
+        print(f"usage error: input outside the float64 range (about 1e-308 "
+              f"to 1e308) of the analytic engine: {exc!r}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

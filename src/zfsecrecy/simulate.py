@@ -339,12 +339,13 @@ def max_zf_residual(params: SystemParams, n: int, seed: int) -> tuple:
 def ks_statistic(samples, cdf) -> float:
     """Kolmogorov-Smirnov sup distance between the empirical CDF and ``cdf``.
 
-    ``cdf`` is a scalar callable, monotone on the sample range.
+    ``cdf`` is called once, on the sorted sample array, and must be
+    monotone on the sample range.
     """
     x = np.sort(np.asarray(samples, dtype=float))
     n = x.shape[0]
     if n == 0:
         raise ValueError("samples must be non-empty")
-    f = np.array([cdf(v) for v in x], dtype=float)
+    f = np.asarray(cdf(x), dtype=float)
     steps = np.arange(1, n + 1) / n
     return float(max((steps - f).max(), (f - (steps - 1.0 / n)).max()))

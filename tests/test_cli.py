@@ -1,11 +1,16 @@
+import importlib.util
 import io
 import math
+import pathlib
 
 import pytest
 
 from zfsecrecy.cli import (CSV_HEADER, EXIT_IO, EXIT_OK, EXIT_USAGE,
-                           EXIT_VALIDATION, MAX_GRID_POINTS, SweepConfig,
-                           UsageError, main, parse_curve_csv, run_rate_curve)
+                           EXIT_VALIDATION, MAX_GRID_POINTS, MAX_TRIALS,
+                           SweepConfig, UsageError, main, parse_curve_csv,
+                           run_rate_curve)
+
+SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 
 TINY = dict(nt=[5], bits=[4], alpha=[1.0], snr_start=10.0, snr_stop=10.0,
             snr_step=1.0, trials=2_000, seed=3)
@@ -98,9 +103,40 @@ def test_usage_errors_exit_one(capsys):
     assert main(["rate-curve", "--alpha", "1e-200"]) == EXIT_USAGE  # alpha^2 underflows
     assert main(["rate-curve", "--alpha", "inf"]) == EXIT_USAGE
     capsys.readouterr()
+    assert main(["rate-curve", "--trials", str(MAX_TRIALS + 1)]) == EXIT_USAGE
+    assert "usage error: trial cap hit" in capsys.readouterr().err
     # Rejected from its size alone: the 1e18-point grid is never built.
     assert main(["rate-curve", "--snr", "0:1e9:1e-9"]) == EXIT_USAGE
     assert "usage error: grid size cap hit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--nt", "200", "--snr", "60:60:1"],
+    ["--nt", "3", "--bits", "2000"],
+    ["--snr", "-4000:-4000:1"],
+    ["--alpha", "1e-150", "--snr", "-100:-100:1"],
+    ["--alpha", "1e-150", "--snr", "0:0:1"],
+    ["--bits", "5000"],
+])
+def test_numeric_range_errors_exit_one(flags, capsys):
+    # Valid settings whose closed form leaves float64: a message, no traceback.
+    assert main(["rate-curve", "--mode", "analytic-only", *flags]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: input outside the float64 range")
+    assert "Traceback" not in err
+
+
+def test_settings_a_subcommand_ignores_exit_one(tmp_path):
+    for argv in (["validate", "--mode", "full"], ["validate", "--regime", "il"],
+                 ["validate", "--clip"], ["dist-check", "--out", "x.txt"],
+                 ["dist-check", "--regime", "il"], ["dist-check", "--clip"],
+                 ["dist-check", "--mode", "analytic-only"],
+                 ["selftest", "--trials", "5"]):
+        assert main(argv) == EXIT_USAGE, argv
+    for line in ("mc_tol_sigmas = 2", "tri = 5"):  # ignored; abbreviated
+        cfg = tmp_path / "rate.cfg"
+        cfg.write_text(line + "\n")
+        assert main(["rate-curve", "--config", str(cfg)]) == EXIT_USAGE, line
 
 
 def test_grid_size_cap_counts_every_axis():
@@ -206,6 +242,19 @@ def test_config_file_fixed_codebook_freezes_codebooks(tmp_path):
     assert all(a.r_mc_mean != b.r_mc_mean for a, b in zip(fixed, free))
 
 
+def test_fixed_codebook_flag_matches_config_key(tmp_path):
+    flags = ["--nt", "3", "--bits", "2", "--alpha", "1", "--snr", "0:10:10",
+             "--trials", "500", "--seed", "5", "--mode", "full"]
+    cfg = tmp_path / "fixed.cfg"
+    cfg.write_text("fixed_codebook = true\n")
+    flagged, keyed = tmp_path / "flag.csv", tmp_path / "key.csv"
+    assert main(["rate-curve", *flags, "--fixed-codebook",
+                 "--out", str(flagged)]) == EXIT_OK
+    assert main(["rate-curve", *flags, "--config", str(cfg),
+                 "--out", str(keyed)]) == EXIT_OK
+    assert read(flagged) == read(keyed)
+
+
 def test_clip_flag_matches_clipped_config(tmp_path):
     flagged = tmp_path / "flag.csv"
     assert main(["rate-curve", "--nt", "5", "--bits", "4", "--alpha", "1",
@@ -250,3 +299,18 @@ def test_interior_maximum_for_weak_eavesdroppers(tmp_path):
         values = [p.r_analytic for p in curve]
         peak = values.index(max(values))
         assert 0 < peak < len(values) - 1
+
+
+def test_rate_curves_script_writes_its_three_sweeps(tmp_path, capsys):
+    spec = importlib.util.spec_from_file_location(
+        "run_rate_curves", SCRIPTS / "run_rate_curves.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.run(["--outdir", str(tmp_path), "--trials", "200",
+                       "--full-trials", "200"]) == 0
+    for name, trials in (("analytic", 0), ("qca", 200), ("full", 200)):
+        points = parse_curve_csv(
+            read(tmp_path / f"rate_curve_{name}.csv").decode())
+        assert len(points) == 3 * 26  # three path gains, -10..40 dB by 2
+        assert all(p.n_t == 5 and p.bits == 4 for p in points)
+        assert all(p.n_trials == trials for p in points)

@@ -189,7 +189,7 @@ def test_gamma_beta_product_is_scaled_exponential(n_t):
     gen = RngStream(33, 0).generator()
     product = (gen.gamma(shape=n_t - 1, scale=d, size=10_000)
                * gen.beta(1, n_t - 2, size=10_000))
-    assert ks_statistic(product, lambda x: 1.0 - math.exp(-x / d)) < 0.0163
+    assert ks_statistic(product, lambda x: 1.0 - np.exp(-x / d)) < 0.0163
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -57,7 +55,7 @@ def test_entry_power_is_unit_exponential():
     # critical value 1.63/sqrt(n).
     gen = RngStream(13, 0).generator()
     power = np.abs(sample_complex_gaussian(10_000, gen)) ** 2
-    assert ks_statistic(power, lambda x: 1.0 - math.exp(-x)) < 0.0163
+    assert ks_statistic(power, lambda x: 1.0 - np.exp(-x)) < 0.0163
 
 
 def test_inner_product_identity_and_orthogonality():
