@@ -20,13 +20,14 @@ from .codebooks import (Codebook, CodebookSizeError, QuantizationOutcome,
                        generate_codebook, quantize, zfbf_beams)
 from .simulate import (RateEstimate, SimMode, SinrRealization,
                        collect_sinr_samples, estimate_secrecy_rate,
-                       ks_statistic, simulate_realization)
+                       estimate_secrecy_rates, ks_statistic,
+                       simulate_realization)
 
 __all__ = [
     "Codebook", "CodebookSizeError", "DegenerateInputError", "Link",
     "QuantizationOutcome", "RateEstimate", "Regime", "RngStream", "SimMode",
     "SinrRealization", "SystemParams", "collect_sinr_samples",
-    "estimate_secrecy_rate", "exp_integral_e1", "exp_integral_e1_scaled",
+    "estimate_secrecy_rate", "estimate_secrecy_rates", "exp_integral_e1", "exp_integral_e1_scaled",
     "gauss_2f1", "generate_codebook", "inner_product", "ks_statistic",
     "laplace_pole_integral", "laplace_two_pole_integral",
     "orthonormal_complement", "quantization_distortion", "quantize",

@@ -32,6 +32,8 @@ EULER_GAMMA = 0.5772156649015328606
 LOG2_E = math.log2(math.e)
 
 _CF_MAX_ITER = 10_000
+# gauss_2f1 sums its series up to this z and uses the logarithmic form above.
+_2F1_SERIES_MAX_Z = 0.9
 _QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-12, limit=300)
 
 
@@ -237,7 +239,7 @@ def gauss_2f1(n_t: int, z: float) -> float:
     m = n_t - 1
     if z == 0.0:
         return 1.0
-    if z <= 0.9:
+    if z <= _2F1_SERIES_MAX_Z:
         total = 0.0
         power = 1.0
         for j in range(100_000):
@@ -247,12 +249,19 @@ def gauss_2f1(n_t: int, z: float) -> float:
                 return total
             power *= z
         raise ArithmeticError(f"2F1 series failed to converge at z={z}")
+    return _2f1_log_form(m, z, -math.log1p(-z))
+
+
+def _2f1_log_form(m: int, z: float, neg_log_d: float) -> float:
+    """The logarithmic form m z^(-m) (-ln(d) - sum_{k<m} z^k/k) of
+    2F1(m, 1; m+1; z), with d = 1 - z passed as -ln(d), so that a caller
+    holding d itself keeps it exact where 1 - d would round to 1."""
     partial = 0.0
     power = 1.0
     for k in range(1, m):
         power *= z
         partial += power / k
-    return m * (-math.log1p(-z) - partial) / z ** m
+    return m * (neg_log_d - partial) / z ** m
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +329,17 @@ def secrecy_rate_interference_limited(params: SystemParams) -> float:
     where B(1, n_t-1) = 1/(n_t-1).  Exactly zero for zero feedback.
     """
     n_t = params.n_t
-    hyp = gauss_2f1(n_t, 1.0 - params.distortion)
+    d = params.distortion
+    if d == 0.0:
+        raise OverflowError(f"the distortion 2**(-bits/(n_t-1)) underflows "
+                            f"to 0 at n_t={n_t}, bits={params.bits}, and the "
+                            f"rate grows like -log(distortion)")
+    z = 1.0 - d
+    if z <= _2F1_SERIES_MAX_Z:
+        hyp = gauss_2f1(n_t, z)
+    else:
+        # ln(d) from d itself: 1 - d rounds to 1 once d < 2**-53.
+        hyp = _2f1_log_form(n_t - 1, z, -math.log(d))
     return n_t * LOG2_E * (hyp - 1.0) / (n_t - 1)
 
 

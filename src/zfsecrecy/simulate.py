@@ -17,11 +17,19 @@ PERFECT  as FULL with beams built from the true channel directions: zero
 
 One function, ``_map_chunks``, partitions the trials into fixed-size chunks,
 each drawn from its own counter-based substream keyed by (seed, chunk
-index), and hands every chunk's SINRs to a reduction.  Chunk results come
-back in index order, so the worker count can never change a result bit.
+index), and hands every chunk's noise-free parts to a reduction.  Chunk
+results come back in index order, so the worker count can never change a
+result bit.
+
+The draws depend on (n_t, bits) alone, never on the SNR or alpha, which
+enter only through the noise levels.  So one draw per chunk serves every
+SNR x alpha point of an (n_t, bits) geometry: ``estimate_secrecy_rates``
+evaluates all of them from it, and each point's estimate is bit-identical
+to the one-point call.
 """
 
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -180,26 +188,27 @@ def _qca_draw(params: SystemParams, gen: np.random.Generator, n: int):
     return legit_num, legit_den, eav_num, eav_den, 0, 0.0
 
 
-def _sinr_batch(params: SystemParams, mode: SimMode, gen, n: int,
+def _draw_parts(params: SystemParams, mode: SimMode, gen, n: int,
                 fixed_codewords=None):
-    """n SINR draws of both links in any mode.
+    """n draws of both links' noise-free SINR parts in any mode.
 
-    Returns (legitimate (n, K), eavesdropper (n, K), rejected count, max
-    zero-forcing residual).  Every SINR is num / (den + noise); the modes
-    differ only in how they draw num and den.
+    Returns (legit_num, legit_den, eav_num, eav_den), each (n, K), then the
+    rejected count and the largest zero-forcing residual.  They depend on
+    ``params`` only through (n_t, bits).
     """
     if mode is SimMode.QCA:
-        draw = _qca_draw(params, gen, n)
-    elif mode is SimMode.FULL:
-        draw = _geometry_draw(params, gen, n, fixed_codewords=fixed_codewords)
-    elif mode is SimMode.PERFECT:
-        draw = _geometry_draw(params, gen, n, perfect=True)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    legit_num, legit_den, eav_num, eav_den, rejected, zf_residual = draw
-    return (legit_num / (legit_den + params.noise_over_power),
-            eav_num / (eav_den + params.eav_noise_over_power),
-            rejected, zf_residual)
+        return _qca_draw(params, gen, n)
+    if mode is SimMode.FULL:
+        return _geometry_draw(params, gen, n, fixed_codewords=fixed_codewords)
+    if mode is SimMode.PERFECT:
+        return _geometry_draw(params, gen, n, perfect=True)
+    raise ValueError(f"unknown mode {mode!r}")
+
+
+def _sinr(num, den, noise: float):
+    """The one SINR formula: signal over interference plus the link's
+    noise level, all relative to the transmit power."""
+    return num / (den + noise)
 
 
 def simulate_realization(params: SystemParams, mode: SimMode,
@@ -215,8 +224,12 @@ def simulate_realization(params: SystemParams, mode: SimMode,
     gen = as_generator(rng)
     k = params.n_t
     if mode is not SimMode.FULL:
-        legit, eav, _, _ = _sinr_batch(params, mode, gen, 1)
-        return SinrRealization(legitimate=legit[0], eavesdropper=eav[0])
+        legit_num, legit_den, eav_num, eav_den, _, _ = _draw_parts(
+            params, mode, gen, 1)
+        return SinrRealization(
+            legitimate=_sinr(legit_num, legit_den, params.noise_over_power)[0],
+            eavesdropper=_sinr(eav_num, eav_den,
+                               params.eav_noise_over_power)[0])
 
     while True:
         # Same draw layout as the batched kernel with n = 1, so both paths
@@ -249,13 +262,14 @@ def _fixed_codewords(params: SystemParams, seed: int):
 
 
 def _map_chunks(params: SystemParams, mode: SimMode, n: int, seed: int,
-                workers: int, fn, fixed_codewords=None) -> list:
-    """``fn(legit, eav, rejected, zf_residual)`` of each chunk of n draws,
-    in chunk order.
+                workers: int, fn, fixed_codewords=None):
+    """Yields ``fn(legit_num, legit_den, eav_num, eav_den, rejected,
+    zf_residual)`` of each chunk of n draws, in chunk order.
 
     Chunk i holds :func:`chunk_trials` draws (the last chunk the rest),
     all from substream ``RngStream(seed, i)``, so neither the worker count
-    nor thread scheduling can change a result bit.
+    nor thread scheduling can change a result bit.  At most
+    ``2 * workers`` chunks are in flight, so memory does not grow with n.
     """
     if n < 1:
         raise ValueError(f"trial count must be >= 1, got {n}")
@@ -267,42 +281,25 @@ def _map_chunks(params: SystemParams, mode: SimMode, n: int, seed: int,
     def run_chunk(index: int):
         gen = RngStream(seed, index).generator()
         m = min(chunk, n - index * chunk)
-        return fn(*_sinr_batch(params, mode, gen, m, fixed_codewords))
+        return fn(*_draw_parts(params, mode, gen, m, fixed_codewords))
 
     if workers == 1 or n_chunks == 1:
-        return [run_chunk(i) for i in range(n_chunks)]
+        yield from map(run_chunk, range(n_chunks))
+        return
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run_chunk, range(n_chunks)))
+        pending = deque()
+        for index in range(n_chunks):
+            pending.append(pool.submit(run_chunk, index))
+            if len(pending) == 2 * workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
 
 
-def estimate_secrecy_rate(params: SystemParams, mode: SimMode, n_trials: int,
-                          seed: int, workers: int = 1, clip: bool = False,
-                          fixed_codebooks: bool = False) -> RateEstimate:
-    """Monte Carlo ergodic secrecy sum-rate over ``n_trials`` channel draws.
-
-    Each trial contributes sum_k [log2(1+sinr_k) - log2(1+eav_sinr_k)];
-    negative per-user terms are kept unless ``clip`` applies a per-user
-    positive part.  For a fixed seed the result is bit-identical across
-    worker counts.  ``fixed_codebooks`` freezes one codebook set for all
-    trials instead of redrawing per realization.
-    """
-    fixed = (_fixed_codewords(params, seed)
-             if fixed_codebooks and mode is SimMode.FULL else None)
-
-    def moments(legit, eav, rejected, _):
-        per_user = np.log2(1.0 + legit) - np.log2(1.0 + eav)
-        if clip:
-            per_user = np.maximum(per_user, 0.0)
-        per_trial = per_user.sum(axis=1)
-        return float(per_trial.sum()), float(per_trial @ per_trial), rejected
-
-    total = total_sq = 0.0
-    rejected = 0
-    for s, sq, rej in _map_chunks(params, mode, n_trials, seed, workers,
-                                  moments, fixed):
-        total += s
-        total_sq += sq
-        rejected += rej
+def _rate_estimate(total: float, total_sq: float, n_trials: int,
+                   rejected: int) -> RateEstimate:
+    """Mean and standard error from the sum and sum of squares of the
+    per-trial rates."""
     mean = total / n_trials
     if n_trials > 1:
         var = max(total_sq - n_trials * mean * mean, 0.0) / (n_trials - 1)
@@ -313,6 +310,62 @@ def estimate_secrecy_rate(params: SystemParams, mode: SimMode, n_trials: int,
                         rejected=rejected)
 
 
+def estimate_secrecy_rates(points, mode: SimMode, n_trials: int, seed: int,
+                           workers: int = 1, clip: bool = False,
+                           fixed_codebooks: bool = False) -> list:
+    """Monte Carlo ergodic secrecy sum-rates at ``points`` (SystemParams
+    sharing one (n_t, bits)), each over the same ``n_trials`` channel draws.
+
+    Each chunk is drawn once and every point evaluated from it, so each
+    point's RateEstimate is bit-identical to the one-point call, whatever
+    the point order or the worker count.  Each trial contributes
+    sum_k [log2(1+sinr_k) - log2(1+eav_sinr_k)]; negative per-user terms
+    are kept unless ``clip`` applies a per-user positive part.
+    ``fixed_codebooks`` freezes one codebook set for all trials instead of
+    redrawing per realization.
+    """
+    points = list(points)
+    geometries = {(p.n_t, p.bits) for p in points}
+    if len(geometries) != 1:
+        raise ValueError(f"points must share one (n_t, bits) geometry, got "
+                         f"{sorted(geometries) or 'none'}")
+    params = points[0]
+    fixed = (_fixed_codewords(params, seed)
+             if fixed_codebooks and mode is SimMode.FULL else None)
+    noise = [(p.noise_over_power, p.eav_noise_over_power) for p in points]
+
+    def moments(legit_num, legit_den, eav_num, eav_den, rejected, _):
+        # (sum, sum of squares) of the per-trial rate, one row per point.
+        out = np.empty((len(noise), 2))
+        for row, (legit_noise, eav_noise) in zip(out, noise):
+            per_user = (np.log2(1.0 + _sinr(legit_num, legit_den, legit_noise))
+                        - np.log2(1.0 + _sinr(eav_num, eav_den, eav_noise)))
+            if clip:
+                per_user = np.maximum(per_user, 0.0)
+            per_trial = per_user.sum(axis=1)
+            row[:] = per_trial.sum(), per_trial @ per_trial
+        return out, rejected
+
+    sums = np.zeros((len(points), 2))
+    rejected = 0
+    for chunk_sums, chunk_rejected in _map_chunks(
+            params, mode, n_trials, seed, workers, moments, fixed):
+        sums += chunk_sums
+        rejected += chunk_rejected
+    return [_rate_estimate(total, total_sq, n_trials, rejected)
+            for total, total_sq in sums.tolist()]
+
+
+def estimate_secrecy_rate(params: SystemParams, mode: SimMode, n_trials: int,
+                          seed: int, workers: int = 1, clip: bool = False,
+                          fixed_codebooks: bool = False) -> RateEstimate:
+    """Monte Carlo ergodic secrecy sum-rate over ``n_trials`` channel draws:
+    :func:`estimate_secrecy_rates` at one point.  For a fixed seed the
+    result is bit-identical across worker counts."""
+    return estimate_secrecy_rates([params], mode, n_trials, seed, workers,
+                                  clip, fixed_codebooks)[0]
+
+
 def collect_sinr_samples(params: SystemParams, mode: SimMode, link: str,
                          n: int, seed: int, workers: int = 1) -> np.ndarray:
     """n i.i.d. samples of the first user's (or eavesdropper's) SINR.
@@ -321,19 +374,28 @@ def collect_sinr_samples(params: SystemParams, mode: SimMode, link: str,
     :func:`estimate_secrecy_rate`, so results are reproducible and
     worker-count independent.
     """
-    if link not in ("legitimate", "eavesdropper"):
+    # Position of the link's numerator among the parts, and its noise level.
+    links = {"legitimate": (0, params.noise_over_power),
+             "eavesdropper": (2, params.eav_noise_over_power)}
+    if link not in links:
         raise ValueError(f"link must be 'legitimate' or 'eavesdropper', got {link!r}")
-    return np.concatenate(_map_chunks(
-        params, mode, n, seed, workers,
-        lambda legit, eav, *_: (legit if link == "legitimate" else eav)[:, 0]))
+    num, noise = links[link]
+
+    def first_user(*parts):
+        return _sinr(parts[num][:, 0], parts[num + 1][:, 0], noise)
+
+    return np.concatenate(list(_map_chunks(params, mode, n, seed, workers,
+                                           first_user)))
 
 
 def max_zf_residual(params: SystemParams, n: int, seed: int) -> tuple:
     """(max zero-forcing residual, rejected count) over n FULL-mode draws."""
-    parts = _map_chunks(params, SimMode.FULL, n, seed, 1,
-                        lambda legit, eav, rejected, resid: (resid, rejected))
-    return (max(resid for resid, _ in parts),
-            sum(rejected for _, rejected in parts))
+    worst, rejected = 0.0, 0
+    for chunk_rejected, resid in _map_chunks(
+            params, SimMode.FULL, n, seed, 1, lambda *parts: parts[4:]):
+        worst = max(worst, resid)
+        rejected += chunk_rejected
+    return worst, rejected
 
 
 def ks_statistic(samples, cdf) -> float:

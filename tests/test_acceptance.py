@@ -16,6 +16,7 @@ notes):
   modeled at n_t=5, B=4), which exceeds the 5% envelope.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -32,7 +33,7 @@ from zfsecrecy.analytic import (Link, exp_integral_e1, gauss_2f1,
 from zfsecrecy.linalg import RngStream
 from zfsecrecy.params import SystemParams, quantization_distortion
 from zfsecrecy.simulate import (SimMode, collect_sinr_samples,
-                                estimate_secrecy_rate, ks_statistic,
+                                estimate_secrecy_rates, ks_statistic,
                                 max_zf_residual)
 
 SEED = 20250
@@ -55,17 +56,22 @@ def _report(line: str):
 def test_criterion_1_correctness_triangle():
     worst_rel = 0.0
     worst_sigma = 0.0
-    for n_t, bits, alpha, snr_db in GRID:
-        p = SystemParams(n_t=n_t, bits=bits, alpha=alpha, snr_db=snr_db)
-        closed = secrecy_rate_closed_form(p)
-        quad = rate_from_cdf_quadrature(p)
-        rel = abs(closed - quad) / max(abs(quad), 1e-6)
-        worst_rel = max(worst_rel, rel)
-        assert rel < 1e-8, (p, closed, quad, rel)
-        est = estimate_secrecy_rate(p, SimMode.QCA, 200_000, seed=SEED)
-        gap = abs(est.mean - closed)
-        worst_sigma = max(worst_sigma, gap / est.std_err)
-        assert gap < 3.0 * est.std_err, (p, est, closed)
+    points = [SystemParams(n_t=n_t, bits=bits, alpha=alpha, snr_db=snr_db)
+              for n_t, bits, alpha, snr_db in GRID]
+    # GRID runs (n_t, bits) outermost: one shared-draw call per geometry.
+    for _, group in itertools.groupby(points, lambda p: (p.n_t, p.bits)):
+        group = list(group)
+        estimates = estimate_secrecy_rates(group, SimMode.QCA, 200_000,
+                                           seed=SEED)
+        for p, est in zip(group, estimates):
+            closed = secrecy_rate_closed_form(p)
+            quad = rate_from_cdf_quadrature(p)
+            rel = abs(closed - quad) / max(abs(quad), 1e-6)
+            worst_rel = max(worst_rel, rel)
+            assert rel < 1e-8, (p, closed, quad, rel)
+            gap = abs(est.mean - closed)
+            worst_sigma = max(worst_sigma, gap / est.std_err)
+            assert gap < 3.0 * est.std_err, (p, est, closed)
     _report(f"criterion 1 triangle over {len(GRID)} grid points: "
             f"worst closed-vs-quad rel {worst_rel:.2e}, "
             f"worst MC deviation {worst_sigma:.2f} sigma: PASS")
@@ -110,11 +116,11 @@ def test_criterion_2b_interior_maximum(alpha):
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0])
 def test_criterion_2c_full_mode_tracks_closed_form(alpha):
     gaps = []
-    for snr_db in FIG_SNRS:
-        p = SystemParams(5, 4, alpha, snr_db)
+    points = [SystemParams(5, 4, alpha, snr_db) for snr_db in FIG_SNRS]
+    estimates = estimate_secrecy_rates(points, SimMode.FULL, 20_000, seed=SEED)
+    for p, est in zip(points, estimates):
         closed = secrecy_rate_closed_form(p)
-        est = estimate_secrecy_rate(p, SimMode.FULL, 20_000, seed=SEED)
-        gaps.append((snr_db, abs(est.mean - closed), closed, est.std_err))
+        gaps.append((p.snr_db, abs(est.mean - closed), closed, est.std_err))
     bad = [(s, g, c, se) for s, g, c, se in gaps
            if g >= max(0.05 * abs(c), 4.0 * se)]
     assert not bad, (

@@ -338,6 +338,29 @@ def test_interference_limited_increases_in_feedback():
     assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
+@pytest.mark.parametrize("n_t,bits", [(2, 53), (2, 54), (2, 64), (5, 200),
+                                      (3, 49), (3, 53)])
+def test_interference_limited_matches_mpmath_at_tiny_distortion(n_t, bits):
+    # From bits/(n_t-1) = 54 on, 1 - distortion rounds to 1 in float64.
+    # Below that, where the distortion is not a power of two, taking the
+    # logarithm of the rounded 1 - distortion would cost up to 2e-10
+    # relative (n_t=3, bits=53).
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        d = mpmath.mpf(2) ** (-mpmath.mpf(bits) / (n_t - 1))
+        hyp = mpmath.hyp2f1(n_t - 1, 1, n_t, 1 - d)
+        want = float(n_t * (hyp - 1) / ((n_t - 1) * mpmath.log(2)))
+    got = secrecy_rate_interference_limited(
+        SystemParams(n_t=n_t, bits=bits, alpha=1.0, snr_db=0.0))
+    assert got == pytest.approx(want, rel=1e-14)
+
+
+def test_interference_limited_rejects_underflowing_distortion():
+    with pytest.raises(OverflowError, match="underflows"):
+        secrecy_rate_interference_limited(
+            SystemParams(n_t=2, bits=1075, alpha=1.0, snr_db=0.0))
+
+
 def test_noise_limited_zero_at_equal_path_loss():
     assert secrecy_rate_noise_limited(
         SystemParams(n_t=5, bits=4, alpha=1.0, snr_db=3.0)) == 0.0

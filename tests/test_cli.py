@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import io
 import math
@@ -8,12 +9,21 @@ import pytest
 from zfsecrecy.cli import (CSV_HEADER, EXIT_IO, EXIT_OK, EXIT_USAGE,
                            EXIT_VALIDATION, MAX_GRID_POINTS, MAX_TRIALS,
                            SweepConfig, UsageError, main, parse_curve_csv,
-                           run_rate_curve)
+                           run_rate_curve, run_validate)
 
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 
 TINY = dict(nt=[5], bits=[4], alpha=[1.0], snr_start=10.0, snr_stop=10.0,
             snr_step=1.0, trials=2_000, seed=3)
+
+
+# Two chunks per point (8,192 + 808 trials) on two workers, four geometries.
+GOLDEN = dict(nt=[2, 3], bits=[0, 2], alpha=[0.5, 1.0], snr_start=-10.0,
+              snr_stop=10.0, snr_step=10.0, trials=9_000, seed=11, workers=2)
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 def read(path):
@@ -79,6 +89,36 @@ def test_full_mode_populates_rejection_column(tmp_path):
     assert point.n_trials == 500
 
 
+# Digests of the per-point engine that drew every grid point afresh
+# (float64 on x86-64, numpy 2.4, scipy 1.17): sharing one draw per geometry
+# across the grid must leave every output byte unchanged.
+@pytest.mark.parametrize("settings,digest", [
+    (dict(mode="qca"),
+     "988f449bbb590ba1880f3eee748f2284dfcc2226f02f4d3740ea10fef7e798b0"),
+    (dict(mode="qca", clip=True),
+     "2dab8ef8d8719f9ae21ede2dd3d0bf48729fa280ca1cf8f10976599602e5dde8"),
+    (dict(mode="full"),
+     "cb0d9fb7bdb1a8e3563795a8fbbb1f48b69fe6d235d2b32a1894226af040b7d6"),
+    (dict(mode="full", fixed_codebook=True),
+     "3c05374d62d920e6c1148c36d3f606ccf0b33791330ac23221228513b2def6f6"),
+    (dict(mode="perfect"),
+     "600aba5963a12ef1564bf628c8f9183d632a3171d855936e7c7bb2a7d3a489be"),
+])
+def test_rate_curve_csv_matches_recorded_digest(settings, digest):
+    stream = io.StringIO()
+    run_rate_curve(SweepConfig(**GOLDEN, **settings), stream=stream)
+    assert sha256(stream.getvalue().encode()) == digest
+
+
+def test_validate_report_matches_recorded_digest(tmp_path):
+    report, stream = tmp_path / "report.json", io.StringIO()
+    assert run_validate(SweepConfig(**GOLDEN, out=str(report)), stream=stream)
+    assert sha256(stream.getvalue().encode()) == (
+        "4c256f81acfa81ac9377aacd3eed25d41f5c7ae0c690ce3c520609d6de92f648")
+    assert sha256(read(report)) == (
+        "2319c8b91861217f75f5f6d6ded106000267994038c9051aaef06c162170be35")
+
+
 def test_snr_grid_stop_is_inclusive_and_never_overshot():
     def snrs(start, stop, step):
         return SweepConfig(snr_start=start, snr_stop=stop,
@@ -117,6 +157,7 @@ def test_usage_errors_exit_one(capsys):
     ["--alpha", "1e-150", "--snr", "-100:-100:1"],
     ["--alpha", "1e-150", "--snr", "0:0:1"],
     ["--bits", "5000"],
+    ["--regime", "il", "--nt", "2", "--bits", "1075"],  # distortion underflows
 ])
 def test_numeric_range_errors_exit_one(flags, capsys):
     # Valid settings whose closed form leaves float64: a message, no traceback.
@@ -124,6 +165,16 @@ def test_numeric_range_errors_exit_one(flags, capsys):
     err = capsys.readouterr().err
     assert err.startswith("usage error: input outside the float64 range")
     assert "Traceback" not in err
+
+
+def test_interference_limit_at_distortion_below_float64_epsilon(tmp_path):
+    # 1 - 2**-54 rounds to 1, the pole of the interference-limited form.
+    out = tmp_path / "il.csv"
+    assert main(["rate-curve", "--mode", "analytic-only", "--regime", "il",
+                 "--nt", "2", "--bits", "54", "--out", str(out)]) == EXIT_OK
+    points = parse_curve_csv(read(out).decode())
+    assert all(math.isfinite(p.r_analytic) and p.r_analytic > 0
+               for p in points)
 
 
 def test_settings_a_subcommand_ignores_exit_one(tmp_path):

@@ -7,8 +7,9 @@ from scipy import stats
 from zfsecrecy.analytic import Link, secrecy_rate_closed_form, sinr_cdf
 from zfsecrecy.linalg import RngStream
 from zfsecrecy.params import SystemParams
-from zfsecrecy.simulate import (SimMode, _sinr_batch, collect_sinr_samples,
-                                estimate_secrecy_rate, ks_statistic,
+from zfsecrecy.simulate import (SimMode, _draw_parts, _sinr,
+                                collect_sinr_samples, estimate_secrecy_rate,
+                                estimate_secrecy_rates, ks_statistic,
                                 max_zf_residual, simulate_realization)
 
 P55 = SystemParams(n_t=5, bits=4, alpha=1.0, snr_db=10.0)
@@ -56,8 +57,10 @@ def test_batched_kernel_matches_reference_path():
     # phase.
     for seed in range(8):
         ref = simulate_realization(P55, SimMode.FULL, RngStream(seed, 0))
-        legit, eav, _, _ = _sinr_batch(
+        legit_num, legit_den, eav_num, eav_den, _, _ = _draw_parts(
             P55, SimMode.FULL, RngStream(seed, 0).generator(), 1)
+        legit = _sinr(legit_num, legit_den, P55.noise_over_power)
+        eav = _sinr(eav_num, eav_den, P55.eav_noise_over_power)
         assert np.abs(ref.legitimate - legit[0]).max() < 1e-10
         assert np.abs(ref.eavesdropper - eav[0]).max() < 1e-10
 
@@ -107,6 +110,39 @@ def test_fixed_codebooks_are_deterministic_and_distinct():
     c = estimate_secrecy_rate(P55, SimMode.FULL, 5_000, seed=33)
     assert a.mean == b.mean
     assert a.mean != c.mean
+
+
+# Two alphas x three SNRs of one geometry; 8,192 + 808 trials, two chunks.
+GRID6 = [SystemParams(n_t=3, bits=2, alpha=a, snr_db=s)
+         for a in (0.5, 1.0) for s in (-10.0, 5.0, 30.0)]
+
+
+@pytest.mark.parametrize("mode,options", [
+    (SimMode.QCA, {}),
+    (SimMode.FULL, {}),
+    (SimMode.PERFECT, {}),
+    (SimMode.FULL, {"fixed_codebooks": True}),
+    (SimMode.QCA, {"clip": True}),
+])
+def test_shared_draws_reproduce_each_single_point_estimate(mode, options):
+    single = [estimate_secrecy_rate(p, mode, 9_000, seed=12, **options)
+              for p in GRID6]
+    assert len(set(single)) == len(GRID6)  # the points really differ
+    for workers in (1, 2, 4):
+        assert estimate_secrecy_rates(GRID6, mode, 9_000, seed=12,
+                                      workers=workers, **options) == single
+    shuffled = [GRID6[i] for i in (4, 0, 5, 2, 1, 3)]
+    assert estimate_secrecy_rates(shuffled, mode, 9_000, seed=12, workers=2,
+                                  **options) == [single[i]
+                                                 for i in (4, 0, 5, 2, 1, 3)]
+
+
+def test_shared_draws_need_one_geometry():
+    for points in ([P55, SystemParams(n_t=5, bits=3, alpha=1.0, snr_db=10.0)],
+                   [P55, SystemParams(n_t=4, bits=4, alpha=1.0, snr_db=10.0)],
+                   []):
+        with pytest.raises(ValueError, match="geometry"):
+            estimate_secrecy_rates(points, SimMode.QCA, 100, seed=1)
 
 
 def test_trial_count_validation():
