@@ -45,6 +45,8 @@ _REGIMES = {"general": Regime.GENERAL,
 MAX_GRID_POINTS = 1_000_000
 # Most trials per point: a dist-check sample array of this size takes 800 MB.
 MAX_TRIALS = 10**8
+# Most worker threads; twice as many chunks of up to 48 MiB are in flight.
+MAX_WORKERS = 256
 # Relative slack that keeps an SNR stop reached up to rounding inside the grid.
 _SNR_REL_TOL = 1e-9
 
@@ -122,6 +124,8 @@ class SweepConfig:
             raise UsageError(f"trial cap hit: --trials must be <= {MAX_TRIALS}")
         if self.workers < 1:
             raise UsageError("--workers must be >= 1")
+        if self.workers > MAX_WORKERS:
+            raise UsageError(f"worker cap hit: --workers must be <= {MAX_WORKERS}")
         if self.mode not in _MODES:
             raise UsageError(f"--mode must be one of {_MODES}")
         if self.regime not in _REGIMES:

@@ -66,10 +66,13 @@ def complex_gaussian_batch(gen: np.random.Generator, shape) -> np.ndarray:
 
     Consumes exactly 2*prod(shape) underlying normal draws in a fixed
     layout, so batched and single-vector callers sharing a stream see the
-    same values.
+    same values, bit for bit those of ``(re + 1j*im) / sqrt(2)``.
     """
     parts = gen.standard_normal((2,) + tuple(shape))
-    return (parts[0] + 1j * parts[1]) / np.sqrt(2.0)
+    out = np.empty(parts.shape[1:], dtype=complex)
+    np.multiply(parts[0], 1.0 / np.sqrt(2.0), out=out.real)
+    np.multiply(parts[1], 1.0 / np.sqrt(2.0), out=out.imag)
+    return out
 
 
 def inner_product(a: np.ndarray, b: np.ndarray) -> complex:

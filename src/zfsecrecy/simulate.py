@@ -28,6 +28,7 @@ evaluates all of them from it, and each point's estimate is bit-identical
 to the one-point call.
 """
 
+import contextlib
 import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -42,8 +43,8 @@ from .params import SystemParams
 from .codebooks import (MAX_CODEBOOK_BITS, Codebook, CodebookSizeError,
                        generate_codebook, quantize, zfbf_beams)
 
-# Beam construction below this smallest-QR-diagonal counts as a degenerate
-# draw (coincident quantized directions) and is resampled.
+# A direction this close to the span of the others makes a degenerate draw
+# (coincident quantized directions), which is resampled.
 _BEAM_RANK_TOL = 1e-8
 
 # Fixed chunking so worker count cannot influence the sample sequence.
@@ -89,22 +90,21 @@ def chunk_trials(params: SystemParams, mode: SimMode) -> int:
 def _zf_beams_batch(directions: np.ndarray):
     """Vectorized zero-forcing beams for a batch of direction sets.
 
-    ``directions`` has shape (n, K, K), rows = unit directions.  For each
-    trial and user, the beam is the orthonormal complement of the other
-    K-1 directions, obtained from the trailing column of a complete
-    Householder QR.  Returns (beams (n, K, K), ok (n,) validity mask).
+    ``directions`` has shape (n, K, K), rows = unit directions.  Beam i is
+    column i of the set's inverse, conjugated and normalized: orthogonal to
+    every direction but the i-th, its norm is 1 / (distance of direction i
+    from the others' span).  Returns (beams (n, K, K), ok (n,) mask).
     """
-    n, k, dim = directions.shape
-    others = np.empty((n, k, k - 1, dim), dtype=complex)
-    for i in range(k):
-        others[:, i] = directions[:, [j for j in range(k) if j != i], :]
-    # Column-matrix form per (trial, user): (n, K, dim, K-1).
-    mats = np.swapaxes(others, -1, -2)
-    q, r = np.linalg.qr(mats, mode="complete")
-    beams = q[..., -1]  # (n, K, dim)
-    diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))  # (n, K, K-1)
-    ok = diag.min(axis=(1, 2)) > _BEAM_RANK_TOL
-    return beams, ok
+    try:
+        inv = np.linalg.inv(directions)
+    except np.linalg.LinAlgError:  # one exactly singular set fails the stack
+        inv = np.full_like(directions, np.nan)  # NaN sets are not ok
+        for t, matrix in enumerate(directions):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                inv[t] = np.linalg.inv(matrix)
+    distance = 1.0 / np.linalg.norm(inv, axis=1)  # (n, K), one per column
+    beams = np.conj(np.swapaxes(inv, 1, 2)) * distance[:, :, None]
+    return beams, (distance > _BEAM_RANK_TOL).all(axis=1)
 
 
 def _geometry_draw(params: SystemParams, gen: np.random.Generator, n: int,
@@ -129,17 +129,12 @@ def _geometry_draw(params: SystemParams, gen: np.random.Generator, n: int,
     while remaining > 0:
         h = complex_gaussian_batch(gen, (remaining, k, k))      # rows: user channels
         g = complex_gaussian_batch(gen, (remaining, k))         # eavesdropper fading
-        h_dir = h / np.linalg.norm(h, axis=2, keepdims=True)
-        if perfect:
-            point_dirs = h_dir
-        elif fixed_codewords is not None:
-            cw = np.broadcast_to(fixed_codewords,
-                                 (remaining,) + fixed_codewords.shape)
-            point_dirs = _select_codewords(h_dir, cw)
-        else:
-            cw = complex_gaussian_batch(gen, (remaining, k, 2 ** params.bits, k))
-            cw = cw / np.linalg.norm(cw, axis=3, keepdims=True)
-            point_dirs = _select_codewords(h_dir, cw)
+        point_dirs = h / np.linalg.norm(h, axis=2, keepdims=True)
+        if not perfect:
+            cw = (complex_gaussian_batch(gen, (remaining, k, 2 ** params.bits, k))
+                  if fixed_codewords is None else np.broadcast_to(
+                      fixed_codewords, (remaining,) + fixed_codewords.shape))
+            point_dirs = _select_codewords(point_dirs, cw)
 
         beams, ok = _zf_beams_batch(point_dirs)
         n_bad = int(np.count_nonzero(~ok))
@@ -157,8 +152,7 @@ def _geometry_draw(params: SystemParams, gen: np.random.Generator, n: int,
             interference = power.sum(axis=2) - signal
             zf = np.abs(np.einsum("tkn,tin->tki", np.conj(point_dirs), beams))
             zf[:, np.arange(k), np.arange(k)] = 0.0
-            if zf.size:
-                zf_residual = max(zf_residual, float(zf.max()))
+            zf_residual = max(zf_residual, float(zf.max(initial=0.0)))
 
         eav_amps = np.abs(np.einsum("tn,tin->ti", np.conj(g), beams)) ** 2
         eav_den = eav_amps.sum(axis=1, keepdims=True) - eav_amps
@@ -169,11 +163,12 @@ def _geometry_draw(params: SystemParams, gen: np.random.Generator, n: int,
 
 
 def _select_codewords(h_dir: np.ndarray, codewords: np.ndarray) -> np.ndarray:
-    """Best codeword per (trial, user) by squared direction correlation."""
-    ips = np.einsum("tkn,tkbn->tkb", np.conj(h_dir), codewords)
-    idx = np.argmax(np.abs(ips) ** 2, axis=2)
-    return np.take_along_axis(codewords, idx[:, :, None, None],
-                              axis=2)[:, :, 0, :]
+    """Codeword of largest |h^H c|^2 / |c|^2 per (trial, user), normalized."""
+    gain = np.abs(np.einsum("tkn,tkbn->tkb", np.conj(h_dir), codewords)) ** 2
+    flat = codewords.view(float)
+    idx = np.argmax(gain / np.einsum("tkbn,tkbn->tkb", flat, flat), axis=2)
+    best = np.take_along_axis(codewords, idx[..., None, None], axis=2)[:, :, 0]
+    return best / np.linalg.norm(best, axis=2, keepdims=True)
 
 
 def _qca_draw(params: SystemParams, gen: np.random.Generator, n: int):
@@ -388,11 +383,12 @@ def collect_sinr_samples(params: SystemParams, mode: SimMode, link: str,
                                            first_user)))
 
 
-def max_zf_residual(params: SystemParams, n: int, seed: int) -> tuple:
+def max_zf_residual(params: SystemParams, n: int, seed: int,
+                    workers: int = 1) -> tuple:
     """(max zero-forcing residual, rejected count) over n FULL-mode draws."""
     worst, rejected = 0.0, 0
     for chunk_rejected, resid in _map_chunks(
-            params, SimMode.FULL, n, seed, 1, lambda *parts: parts[4:]):
+            params, SimMode.FULL, n, seed, workers, lambda *parts: parts[4:]):
         worst = max(worst, resid)
         rejected += chunk_rejected
     return worst, rejected

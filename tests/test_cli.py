@@ -8,7 +8,7 @@ import pytest
 
 from zfsecrecy.cli import (CSV_HEADER, EXIT_IO, EXIT_OK, EXIT_USAGE,
                            EXIT_VALIDATION, MAX_GRID_POINTS, MAX_TRIALS,
-                           SweepConfig, UsageError, main, parse_curve_csv,
+                           MAX_WORKERS, SweepConfig, UsageError, main, parse_curve_csv,
                            run_rate_curve, run_validate)
 
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
@@ -91,18 +91,21 @@ def test_full_mode_populates_rejection_column(tmp_path):
 
 # Digests of the per-point engine that drew every grid point afresh
 # (float64 on x86-64, numpy 2.4, scipy 1.17): sharing one draw per geometry
-# across the grid must leave every output byte unchanged.
+# across the grid must leave every output byte unchanged.  The full,
+# fixed-codebook and perfect digests are of the batched-inverse ZF beams,
+# which moved only the last digits of the Monte Carlo columns; their draws
+# match the QR construction in test_simulate's oracle test.
 @pytest.mark.parametrize("settings,digest", [
     (dict(mode="qca"),
      "988f449bbb590ba1880f3eee748f2284dfcc2226f02f4d3740ea10fef7e798b0"),
     (dict(mode="qca", clip=True),
      "2dab8ef8d8719f9ae21ede2dd3d0bf48729fa280ca1cf8f10976599602e5dde8"),
     (dict(mode="full"),
-     "cb0d9fb7bdb1a8e3563795a8fbbb1f48b69fe6d235d2b32a1894226af040b7d6"),
+     "32907c29e90cecbccf4e27f0fd1c5543488680339ab47f67287347bfd8605208"),
     (dict(mode="full", fixed_codebook=True),
-     "3c05374d62d920e6c1148c36d3f606ccf0b33791330ac23221228513b2def6f6"),
+     "690f4d4a9d6db496add2980e613ace60bc687921a5902f7ecf05fc632227ec45"),
     (dict(mode="perfect"),
-     "600aba5963a12ef1564bf628c8f9183d632a3171d855936e7c7bb2a7d3a489be"),
+     "5ebe277b50393dfe6a92d567a5e06936f764dcef1977045a5ce55114f28ba2c9"),
 ])
 def test_rate_curve_csv_matches_recorded_digest(settings, digest):
     stream = io.StringIO()
@@ -148,6 +151,11 @@ def test_usage_errors_exit_one(capsys):
     # Rejected from its size alone: the 1e18-point grid is never built.
     assert main(["rate-curve", "--snr", "0:1e9:1e-9"]) == EXIT_USAGE
     assert "usage error: grid size cap hit" in capsys.readouterr().err
+    # Refused by validate(), before a thread or a chunk exists.
+    assert main(["rate-curve", "--workers", str(MAX_WORKERS + 1)]) == EXIT_USAGE
+    assert main(["rate-curve", "--workers", "1000000",
+                 "--trials", str(MAX_TRIALS)]) == EXIT_USAGE
+    assert capsys.readouterr().err.count("usage error: worker cap hit") == 2
 
 
 @pytest.mark.parametrize("flags", [

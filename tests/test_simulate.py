@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from zfsecrecy import simulate
 from zfsecrecy.analytic import Link, secrecy_rate_closed_form, sinr_cdf
 from zfsecrecy.linalg import RngStream
 from zfsecrecy.params import SystemParams
-from zfsecrecy.simulate import (SimMode, _draw_parts, _sinr,
-                                collect_sinr_samples, estimate_secrecy_rate,
-                                estimate_secrecy_rates, ks_statistic,
-                                max_zf_residual, simulate_realization)
+from zfsecrecy.simulate import (SimMode, _draw_parts, _fixed_codewords,
+                                _select_codewords, _sinr, _zf_beams_batch,
+                                chunk_trials, collect_sinr_samples,
+                                estimate_secrecy_rate, estimate_secrecy_rates,
+                                ks_statistic, max_zf_residual,
+                                simulate_realization)
 
 P55 = SystemParams(n_t=5, bits=4, alpha=1.0, snr_db=10.0)
 
@@ -52,9 +55,9 @@ def test_realization_determinism():
 
 def test_batched_kernel_matches_reference_path():
     # Fed the same stream, the reference construction (per-user codebooks,
-    # complement-based beams) and the vectorized kernel (batched QR) must
-    # produce the same SINRs; beams agree up to a physically irrelevant
-    # phase.
+    # complement-based beams) and the vectorized kernel (one batched
+    # inverse) must produce the same SINRs; beams agree up to a physically
+    # irrelevant phase.
     for seed in range(8):
         ref = simulate_realization(P55, SimMode.FULL, RngStream(seed, 0))
         legit_num, legit_den, eav_num, eav_den, _, _ = _draw_parts(
@@ -63,6 +66,89 @@ def test_batched_kernel_matches_reference_path():
         eav = _sinr(eav_num, eav_den, P55.eav_noise_over_power)
         assert np.abs(ref.legitimate - legit[0]).max() < 1e-10
         assert np.abs(ref.eavesdropper - eav[0]).max() < 1e-10
+
+
+def _qr_zf_beams(directions):
+    """Oracle ZF beams: for each user, the trailing column of a complete
+    Householder QR of the other K-1 directions, with a set rejected when a
+    diagonal of R falls below the engine's rank tolerance."""
+    n, k, dim = directions.shape
+    others = np.empty((n, k, k - 1, dim), dtype=complex)
+    for i in range(k):
+        others[:, i] = directions[:, [j for j in range(k) if j != i], :]
+    q, r = np.linalg.qr(np.swapaxes(others, -1, -2), mode="complete")
+    diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
+    return q[..., -1], diag.min(axis=(1, 2)) > simulate._BEAM_RANK_TOL
+
+
+def _normalize_then_select(h_dir, codewords):
+    """Oracle selection: normalize the whole codebook, then pick the
+    codeword of largest squared correlation."""
+    cw = codewords / np.linalg.norm(codewords, axis=3, keepdims=True)
+    ips = np.einsum("tkn,tkbn->tkb", np.conj(h_dir), cw)
+    idx = np.argmax(np.abs(ips) ** 2, axis=2)
+    return np.take_along_axis(cw, idx[:, :, None, None], axis=2)[:, :, 0, :]
+
+
+@pytest.mark.parametrize("mode,fixed,n_t,bits", [
+    *((SimMode.FULL, fixed, n_t, bits) for fixed in (False, True)
+      for n_t in (3, 5) for bits in (1, 4, 8)),
+    (SimMode.PERFECT, False, 3, 0),
+    (SimMode.PERFECT, False, 5, 0),
+])
+def test_chunk_matches_qr_and_normalized_codebook_oracle(monkeypatch, mode,
+                                                         fixed, n_t, bits):
+    # One whole chunk from one stream, drawn by the engine and again with
+    # its beams and codeword selection swapped for the oracles above.
+    params = SystemParams(n_t=n_t, bits=bits, alpha=1.0, snr_db=10.0)
+    fixed_cw = _fixed_codewords(params, 3) if fixed else None
+    n = chunk_trials(params, mode)
+
+    def draw(select, beams):
+        chosen = []
+
+        def recording_select(h_dir, codewords):
+            chosen.append(select(h_dir, codewords))
+            return chosen[-1]
+
+        monkeypatch.setattr(simulate, "_select_codewords", recording_select)
+        monkeypatch.setattr(simulate, "_zf_beams_batch", beams)
+        parts = _draw_parts(params, mode, RngStream(5, 0).generator(), n,
+                            fixed_cw)
+        return parts, chosen
+
+    engine, engine_chosen = draw(_select_codewords, _zf_beams_batch)
+    oracle, oracle_chosen = draw(_normalize_then_select, _qr_zf_beams)
+    selections = 1 if mode is SimMode.FULL else 0
+    assert len(engine_chosen) == len(oracle_chosen) == selections
+    for ours, theirs in zip(engine_chosen, oracle_chosen):
+        np.testing.assert_array_equal(ours, theirs)
+    for ours, theirs in zip(engine[:4], oracle[:4]):
+        assert ours.shape == theirs.shape == (n, n_t)
+        assert np.abs(ours - theirs).max() <= 1e-12 * np.abs(theirs).max()
+    assert engine[4] == oracle[4]
+
+
+def test_singular_direction_set_is_rejected_not_raised():
+    # Trials 1 and 3 repeat a direction.  Trial 1's set (unit basis rows)
+    # is exactly singular, so a stacked inverse raises for the whole batch;
+    # trial 3's is singular up to rounding.
+    gen = RngStream(19, 0).generator()
+    dirs = gen.standard_normal((5, 5, 5)) + 1j * gen.standard_normal((5, 5, 5))
+    dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
+    dirs[1] = np.eye(5)
+    dirs[1, 3] = dirs[1, 0]
+    dirs[3, 4] = dirs[3, 2]
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(dirs)
+    beams, ok = _zf_beams_batch(dirs)
+    assert ok.tolist() == [True, False, True, False, True]
+    kept_dirs, kept = dirs[ok], beams[ok]
+    assert np.isfinite(kept).all()
+    np.testing.assert_allclose(np.linalg.norm(kept, axis=2), 1.0, atol=1e-12)
+    gains = np.abs(np.einsum("tkn,tin->tki", np.conj(kept_dirs), kept))
+    off_diagonal = gains[:, ~np.eye(5, dtype=bool)]
+    assert off_diagonal.max() < 1e-10
 
 
 # --------------------------------------------------------------------------
@@ -205,7 +291,7 @@ def test_zero_feedback_equal_path_links_identically_distributed():
 
 
 def test_rejection_free_and_zero_forcing_residual():
-    worst, rejected = max_zf_residual(P55, 10_000, seed=7)
+    worst, rejected = max_zf_residual(P55, 10_000, seed=7, workers=2)
     assert rejected == 0
     assert worst < 1e-10
 
@@ -220,7 +306,7 @@ def test_zero_forcing_residual_needs_draws():
 def test_degenerate_draws_have_probability_zero():
     # One million explicit-codebook draws without a single degenerate
     # beam set.
-    worst, rejected = max_zf_residual(P55, 1_000_000, seed=17)
+    worst, rejected = max_zf_residual(P55, 1_000_000, seed=17, workers=2)
     assert rejected == 0
     assert worst < 1e-10
 
