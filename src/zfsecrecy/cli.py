@@ -29,7 +29,7 @@ import numpy as np
 from . import analytic, codebooks, linalg, simulate
 from .analytic import Link, Regime
 from .params import SystemParams
-from .simulate import RateEstimate, SimMode
+from .simulate import MAX_WORKERS, RateEstimate, SimMode
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -45,8 +45,6 @@ _REGIMES = {"general": Regime.GENERAL,
 MAX_GRID_POINTS = 1_000_000
 # Most trials per point: a dist-check sample array of this size takes 800 MB.
 MAX_TRIALS = 10**8
-# Most worker threads; twice as many chunks of up to 48 MiB are in flight.
-MAX_WORKERS = 256
 # Relative slack that keeps an SNR stop reached up to rounding inside the grid.
 _SNR_REL_TOL = 1e-9
 

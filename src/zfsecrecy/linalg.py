@@ -68,10 +68,11 @@ def complex_gaussian_batch(gen: np.random.Generator, shape) -> np.ndarray:
     layout, so batched and single-vector callers sharing a stream see the
     same values, bit for bit those of ``(re + 1j*im) / sqrt(2)``.
     """
-    parts = gen.standard_normal((2,) + tuple(shape))
-    out = np.empty(parts.shape[1:], dtype=complex)
-    np.multiply(parts[0], 1.0 / np.sqrt(2.0), out=out.real)
-    np.multiply(parts[1], 1.0 / np.sqrt(2.0), out=out.imag)
+    part = gen.standard_normal(tuple(shape))  # real parts, then imaginary
+    out = np.empty(part.shape, dtype=complex)
+    np.multiply(part, 1.0 / np.sqrt(2.0), out=out.real)
+    gen.standard_normal(out=part)
+    np.multiply(part, 1.0 / np.sqrt(2.0), out=out.imag)
     return out
 
 

@@ -47,6 +47,9 @@ from .codebooks import (MAX_CODEBOOK_BITS, Codebook, CodebookSizeError,
 # (coincident quantized directions), which is resampled.
 _BEAM_RANK_TOL = 1e-8
 
+# Most worker threads; twice as many chunks of up to 48 MiB are in flight.
+MAX_WORKERS = 256
+
 # Fixed chunking so worker count cannot influence the sample sequence.
 _CHUNK_TRIALS = 8192
 _CHUNK_TARGET_BYTES = 48 * 2 ** 20
@@ -200,10 +203,11 @@ def _draw_parts(params: SystemParams, mode: SimMode, gen, n: int,
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _sinr(num, den, noise: float):
+def _sinr(num, den, noise: float, out=None):
     """The one SINR formula: signal over interference plus the link's
-    noise level, all relative to the transmit power."""
-    return num / (den + noise)
+    noise level, all relative to the transmit power (into ``out`` if given)."""
+    out = np.add(den, noise, out)
+    return np.divide(num, out, out)
 
 
 def simulate_realization(params: SystemParams, mode: SimMode,
@@ -268,8 +272,8 @@ def _map_chunks(params: SystemParams, mode: SimMode, n: int, seed: int,
     """
     if n < 1:
         raise ValueError(f"trial count must be >= 1, got {n}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    if not 1 <= workers <= MAX_WORKERS:
+        raise ValueError(f"workers must lie in [1, {MAX_WORKERS}], got {workers}")
     chunk = chunk_trials(params, mode)
     n_chunks = (n + chunk - 1) // chunk
 
@@ -327,18 +331,33 @@ def estimate_secrecy_rates(points, mode: SimMode, n_trials: int, seed: int,
     params = points[0]
     fixed = (_fixed_codewords(params, seed)
              if fixed_codebooks and mode is SimMode.FULL else None)
-    noise = [(p.noise_over_power, p.eav_noise_over_power) for p in points]
+    # Only the eavesdropper noise depends on alpha, so group points by SNR.
+    groups = {}
+    for row, p in enumerate(points):
+        groups.setdefault(p.noise_over_power, []).append(
+            (row, p.eav_noise_over_power))
 
     def moments(legit_num, legit_den, eav_num, eav_den, rejected, _):
         # (sum, sum of squares) of the per-trial rate, one row per point.
-        out = np.empty((len(noise), 2))
-        for row, (legit_noise, eav_noise) in zip(out, noise):
-            per_user = (np.log2(1.0 + _sinr(legit_num, legit_den, legit_noise))
-                        - np.log2(1.0 + _sinr(eav_num, eav_den, eav_noise)))
-            if clip:
-                per_user = np.maximum(per_user, 0.0)
-            per_trial = per_user.sum(axis=1)
-            row[:] = per_trial.sum(), per_trial @ per_trial
+        # The scratch is per call: chunks run concurrently on threads.
+        out = np.empty((len(points), 2))
+        legit, per_user = np.empty_like(legit_num), np.empty_like(eav_num)
+        per_trial = np.empty(legit_num.shape[0])
+        for legit_noise, members in groups.items():
+            _sinr(legit_num, legit_den, legit_noise, legit)
+            legit += 1.0
+            np.log2(legit, out=legit)
+            for row, eav_noise in members:
+                _sinr(eav_num, eav_den, eav_noise, per_user)
+                per_user += 1.0
+                np.log2(per_user, out=per_user)
+                np.subtract(legit, per_user, out=per_user)
+                if clip:
+                    np.maximum(per_user, 0.0, out=per_user)
+                # (n, K) rows summed per trial: a user-major layout would
+                # change numpy's summation order, and the bits, at K >= 8.
+                per_user.sum(axis=1, out=per_trial)
+                out[row] = per_trial.sum(), per_trial @ per_trial
         return out, rejected
 
     sums = np.zeros((len(points), 2))

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zfsecrecy.linalg import (DegenerateInputError, RngStream, inner_product,
+from zfsecrecy.linalg import (DegenerateInputError, RngStream,
+                              complex_gaussian_batch, inner_product,
                               orthonormal_complement, sample_complex_gaussian,
                               unit_direction)
 from zfsecrecy.simulate import ks_statistic
@@ -48,6 +49,19 @@ def test_mean_square_norm_matches_dimension():
     norms = [np.linalg.norm(sample_complex_gaussian(5, gen)) ** 2
              for _ in range(100_000)]
     assert np.mean(norms) == pytest.approx(5.0, abs=0.1)
+
+
+# 1-D, a channel matrix stack, and a FULL codebook stack (n, K, 2**B, K).
+@pytest.mark.parametrize("shape", [(1,), (9,), (4, 3), (6, 5, 5),
+                                   (3, 5, 16, 5)])
+def test_complex_draw_is_all_real_parts_then_all_imaginary(shape):
+    gen, twin = RngStream(21, 4).generator(), RngStream(21, 4).generator()
+    draw = complex_gaussian_batch(gen, shape)
+    re, im = twin.standard_normal((2,) + shape)
+    expected = (re + 1j * im) / np.sqrt(2.0)
+    assert draw.shape == shape
+    assert draw.tobytes() == expected.tobytes()
+    np.testing.assert_equal(gen.bit_generator.state, twin.bit_generator.state)
 
 
 def test_entry_power_is_unit_exponential():

@@ -223,6 +223,58 @@ def test_shared_draws_reproduce_each_single_point_estimate(mode, options):
                                                  for i in (4, 0, 5, 2, 1, 3)]
 
 
+def _per_point_moments(points, clip):
+    """The plain per-point reduction, two fresh log passes per point: the
+    oracle for the engine's grouped, in-place one."""
+    noise = [(p.noise_over_power, p.eav_noise_over_power) for p in points]
+
+    def moments(legit_num, legit_den, eav_num, eav_den, rejected, _):
+        out = np.empty((len(noise), 2))
+        for row, (legit_noise, eav_noise) in zip(out, noise):
+            per_user = (np.log2(1.0 + legit_num / (legit_den + legit_noise))
+                        - np.log2(1.0 + eav_num / (eav_den + eav_noise)))
+            if clip:
+                per_user = np.maximum(per_user, 0.0)
+            per_trial = per_user.sum(axis=1)
+            row[:] = per_trial.sum(), per_trial @ per_trial
+        return out, rejected
+
+    return moments
+
+
+# n_t >= 8 pins the order in which the per-user terms are summed.
+@pytest.mark.parametrize("n_t", [2, 5, 8, 16])
+@pytest.mark.parametrize("mode", list(SimMode))
+@pytest.mark.parametrize("clip", [False, True])
+def test_reduction_matches_per_point_oracle(n_t, mode, clip):
+    # Three alphas (1 among them) per SNR, and two duplicated points.
+    points = [SystemParams(n_t=n_t, bits=2, alpha=a, snr_db=s)
+              for s in (-10.0, 4.0, 25.0) for a in (0.3, 1.0, 2.5)]
+    points += [points[4], points[0]]
+    n = 9_000 if mode is SimMode.QCA else 1_500
+    sums, rejected = np.zeros((len(points), 2)), 0
+    for chunk_sums, chunk_rejected in simulate._map_chunks(
+            points[0], mode, n, 14, 2, _per_point_moments(points, clip)):
+        sums += chunk_sums
+        rejected += chunk_rejected
+    oracle = [simulate._rate_estimate(total, total_sq, n, rejected)
+              for total, total_sq in sums.tolist()]
+    assert estimate_secrecy_rates(points, mode, n, seed=14, workers=2,
+                                  clip=clip) == oracle
+
+
+def test_worker_cap_is_checked_before_any_pool_exists(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was created")
+
+    monkeypatch.setattr(simulate, "ThreadPoolExecutor", no_pool)
+    # Three chunks: even without the cap at most three threads could start.
+    n = 3 * chunk_trials(P55, SimMode.QCA)
+    with pytest.raises(ValueError, match="workers"):
+        estimate_secrecy_rate(P55, SimMode.QCA, n, seed=1,
+                              workers=simulate.MAX_WORKERS + 1)
+
+
 def test_shared_draws_need_one_geometry():
     for points in ([P55, SystemParams(n_t=5, bits=3, alpha=1.0, snr_db=10.0)],
                    [P55, SystemParams(n_t=4, bits=4, alpha=1.0, snr_db=10.0)],
