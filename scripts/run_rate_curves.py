@@ -6,10 +6,10 @@ Writes three sweeps over -10..40 dB at n_t=5, B=4 for relative path gains
 
   results/rate_curve_analytic.csv   closed form only (dense grid)
   results/rate_curve_qca.csv        closed form + QCA Monte Carlo
-  results/rate_curve_full.csv       closed form + explicit-codebook MC
+  results/rate_curve_full.csv       closed form + FULL-mode MC
 
 The QCA curve sits on top of the closed form (that is the model it
-integrates); the explicit-codebook curve runs a few percent below it at
+integrates); the FULL-mode curve runs a few percent below it at
 low-to-mid SNR, which is the intrinsic accuracy of the cell approximation.
 Columns are gnuplot/spreadsheet-ready; see the README for the schema.
 """
@@ -27,7 +27,7 @@ def run(args=None):
     parser.add_argument("--seed", default="20250")
     parser.add_argument("--trials", default="100000")
     parser.add_argument("--full-trials", default="20000",
-                        help="trials for the slower explicit-codebook sweep")
+                        help="trials for the slower FULL-mode sweep")
     parser.add_argument("--workers", default="4")
     opts = parser.parse_args(args)
 

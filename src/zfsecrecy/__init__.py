@@ -1,9 +1,9 @@
 """Secrecy-rate analysis of a zero-forcing downlink with quantized feedback.
 
-A Monte Carlo link simulator (explicit codebooks and beams, or the faster
-quantization-cell approximation) and a closed-form analytic engine for the
-ergodic secrecy sum-rate and its interference- and noise-limited limits,
-each cross-validating the other.
+A Monte Carlo link simulator (explicit channels, RVQ codeword selection and
+beams, or the faster quantization-cell approximation) and a closed-form
+analytic engine for the ergodic secrecy sum-rate and its interference- and
+noise-limited limits, each cross-validating the other.
 """
 
 from .analytic import (Link, Regime, exp_integral_e1, exp_integral_e1_scaled,

@@ -132,10 +132,11 @@ class SweepConfig:
             raise UsageError("--nt entries must be >= 2")
         if min(self.bits) < 0:
             raise UsageError("--bits entries must be >= 0")
-        if self.mode == "full" and max(self.bits) > codebooks.MAX_CODEBOOK_BITS:
-            raise UsageError(f"--mode full searches explicit codebooks of at "
-                             f"most {codebooks.MAX_CODEBOOK_BITS} bits; use "
-                             f"--mode qca for larger --bits")
+        if (self.mode == "full" and self.fixed_codebook
+                and max(self.bits) > codebooks.MAX_CODEBOOK_BITS):
+            raise UsageError(f"--fixed-codebook searches explicit codebooks "
+                             f"of at most {codebooks.MAX_CODEBOOK_BITS} bits; "
+                             f"drop it for larger --bits")
         # alpha**2 scales the eavesdropper's noise level, so it must stay a
         # positive finite number too.
         if not all(a > 0 and 0 < a * a < math.inf for a in self.alpha):
@@ -299,7 +300,7 @@ def run_dist_check(config: SweepConfig, stream=None) -> bool:
 
     QCA samples (and the perfect-feedback user samples) follow their
     reference laws exactly and are held to the 1% critical value
-    1.63/sqrt(n).  Explicit-codebook samples follow them only
+    1.63/sqrt(n).  FULL-mode samples follow them only
     approximately — the cell approximation understates the quantization
     error and the eavesdropper law pretends the beams were orthonormal —
     so those are held to a documented loose threshold of 0.15, measured

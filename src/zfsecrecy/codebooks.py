@@ -14,8 +14,9 @@ import numpy as np
 from .linalg import (DegenerateInputError, as_generator, complex_gaussian_batch,
                      orthonormal_complement, unit_direction)
 
-# Exhaustive codeword search is O(2**bits * n_t) per draw; past this cap the
-# simulation has to run in QCA mode instead of materializing codebooks.
+# Exhaustive codeword search is O(2**bits * n_t) per draw, so no codebook
+# past this cap is materialized.  Fresh-codebook FULL mode never builds one:
+# it samples each user's selection from its law.
 MAX_CODEBOOK_BITS = 16
 
 
@@ -62,7 +63,8 @@ def generate_codebook(n_t: int, bits: int, rng) -> Codebook:
     if bits > MAX_CODEBOOK_BITS:
         raise CodebookSizeError(
             f"bits={bits} exceeds the exhaustive-search cap of "
-            f"{MAX_CODEBOOK_BITS}; use the QCA simulation mode instead")
+            f"{MAX_CODEBOOK_BITS}; use fresh-codebook FULL or QCA mode "
+            f"instead")
     gen = as_generator(rng)
     cw = complex_gaussian_batch(gen, (2 ** bits, n_t))
     cw /= np.linalg.norm(cw, axis=1, keepdims=True)

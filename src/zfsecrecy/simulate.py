@@ -6,8 +6,13 @@ num / (den + noise): received signal power over interference plus the
 link's noise level, all relative to the transmit power.  The three
 simulation modes differ only in how they draw num and den:
 
-FULL     draws channels, per-user random codebooks and ZF beams explicitly;
-         num and den are the beam gains.  The physical ground truth.
+FULL     draws channels and ZF beams explicitly; num and den are the beam
+         gains.  The physical ground truth.  Each user's quantized
+         direction is the codeword it selects from a fresh random codebook,
+         drawn from that codeword's exact RVQ law rather than by searching
+         2**bits codewords, so the cost does not grow with bits.  Explicit
+         codebooks remain for the fixed-codebook study mode, which
+         searches one shared set of them in every trial.
 QCA      draws them from the quantization-cell-approximation law: num
          Exp(1), den Gamma(n_t-1, distortion) for the users and
          Gamma(n_t-1, 1) for the eavesdropper.  Much faster, and exactly
@@ -40,8 +45,7 @@ import numpy as np
 from .linalg import (DegenerateInputError, RngStream, as_generator,
                      complex_gaussian_batch)
 from .params import SystemParams
-from .codebooks import (MAX_CODEBOOK_BITS, Codebook, CodebookSizeError,
-                       generate_codebook, quantize, zfbf_beams)
+from .codebooks import Codebook, generate_codebook, quantize, zfbf_beams
 
 # A direction this close to the span of the others makes a degenerate draw
 # (coincident quantized directions), which is resampled.
@@ -82,11 +86,16 @@ class RateEstimate:
     rejected: int
 
 
-def chunk_trials(params: SystemParams, mode: SimMode) -> int:
-    """Chunk size used for a given configuration (deterministic in params)."""
+def chunk_trials(params: SystemParams, mode: SimMode,
+                 fixed_codebooks: bool = False) -> int:
+    """Chunk size used for a given configuration (deterministic in params).
+
+    FULL chunks are sized by the bytes of one trial's K x K geometry, times
+    2**bits when fixed codebooks are searched."""
     if mode is not SimMode.FULL:
         return _CHUNK_TRIALS
-    per_trial = 16 * params.n_t ** 2 * 2 ** params.bits  # codebook bytes dominate
+    searched = 2 ** params.bits if fixed_codebooks else 1
+    per_trial = 16 * params.n_t ** 2 * searched
     return max(1, min(_CHUNK_TRIALS, _CHUNK_TARGET_BYTES // per_trial))
 
 
@@ -117,14 +126,11 @@ def _geometry_draw(params: SystemParams, gen: np.random.Generator, n: int,
     Returns the noise-free SINR parts (legit_num, legit_den, eav_num,
     eav_den), each (n, K), then the rejected count and the largest
     zero-forcing residual over kept draws.  PERFECT beams leave no
-    inter-user interference, so its legit_den is zero.
+    inter-user interference, so its legit_den is zero.  FULL users select
+    from ``fixed_codewords`` (K, 2**bits, K) when given, else from fresh
+    codebooks, sampled by :func:`_rvq_directions`.
     """
     k = params.n_t
-    if not perfect and fixed_codewords is None and params.bits > MAX_CODEBOOK_BITS:
-        raise CodebookSizeError(
-            f"bits={params.bits} exceeds the exhaustive-search cap of "
-            f"{MAX_CODEBOOK_BITS}; use QCA mode")
-
     parts = []
     rejected = 0
     zf_residual = 0.0
@@ -133,11 +139,11 @@ def _geometry_draw(params: SystemParams, gen: np.random.Generator, n: int,
         h = complex_gaussian_batch(gen, (remaining, k, k))      # rows: user channels
         g = complex_gaussian_batch(gen, (remaining, k))         # eavesdropper fading
         point_dirs = h / np.linalg.norm(h, axis=2, keepdims=True)
-        if not perfect:
-            cw = (complex_gaussian_batch(gen, (remaining, k, 2 ** params.bits, k))
-                  if fixed_codewords is None else np.broadcast_to(
-                      fixed_codewords, (remaining,) + fixed_codewords.shape))
-            point_dirs = _select_codewords(point_dirs, cw)
+        if fixed_codewords is not None:
+            point_dirs = _select_codewords(point_dirs, np.broadcast_to(
+                fixed_codewords, (remaining,) + fixed_codewords.shape))
+        elif not perfect:
+            point_dirs = _rvq_directions(point_dirs, params.bits, gen)
 
         beams, ok = _zf_beams_batch(point_dirs)
         n_bad = int(np.count_nonzero(~ok))
@@ -163,6 +169,31 @@ def _geometry_draw(params: SystemParams, gen: np.random.Generator, n: int,
         remaining -= signal.shape[0]
 
     return (*(np.concatenate(p) for p in zip(*parts)), rejected, zf_residual)
+
+
+def _rvq_directions(h_dir: np.ndarray, bits: int,
+                    gen: np.random.Generator) -> np.ndarray:
+    """The codeword each (trial, user) selects from a fresh codebook of
+    2**bits isotropic codewords, drawn from its exact law, not by search.
+
+    With ``h_dir`` (n, K, K) the unit channel directions (rows), the
+    selection is sqrt(1-z) h_dir + sqrt(z) e up to a phase, with e
+    isotropic in the complement of h_dir and
+    P(z <= x) = 1 - (1 - x**(K-1))**(2**bits) (Jindal, IEEE Trans. IT 2006;
+    Au-Yeung & Love, IEEE Trans. WC 2007).  No SINR part depends on a
+    direction's phase, so none is drawn.  The inverse CDF goes through
+    log1p/expm1, which keeps z accurate when 2**-bits is below epsilon.
+    """
+    n, k, _ = h_dir.shape
+    u = gen.random((n, k))
+    e = complex_gaussian_batch(gen, (n, k, k))
+    e -= h_dir * np.einsum("tkn,tkn->tk", np.conj(h_dir), e)[..., None]
+    z = -np.expm1(2.0 ** -bits * np.log1p(-u))
+    z **= 1.0 / (k - 1)
+    flat = e.view(float)
+    e *= np.sqrt(z / np.einsum("tkn,tkn->tk", flat, flat))[..., None]
+    e += np.sqrt(1.0 - z)[..., None] * h_dir
+    return e
 
 
 def _select_codewords(h_dir: np.ndarray, codewords: np.ndarray) -> np.ndarray:
@@ -214,11 +245,12 @@ def simulate_realization(params: SystemParams, mode: SimMode,
                          rng) -> SinrRealization:
     """One SINR draw through the reference (non-batched) construction.
 
-    FULL mode runs the explicit pipeline — channels, per-user codebooks,
-    codeword selection, ZF beams via the orthonormal-complement builder —
-    and resamples on degenerate beam sets.  QCA and PERFECT as in the
-    module docstring.  With an :class:`RngStream` argument the result is a
-    pure function of the stream.
+    FULL mode runs the explicit pipeline — channels, a fresh codebook
+    searched per user, ZF beams via the orthonormal-complement builder —
+    and resamples on degenerate beam sets; the engine samples the same
+    law.  QCA and PERFECT as in the module docstring.  With an
+    :class:`RngStream` argument the result is a pure function of the
+    stream.
     """
     gen = as_generator(rng)
     k = params.n_t
@@ -231,8 +263,8 @@ def simulate_realization(params: SystemParams, mode: SimMode,
                                params.eav_noise_over_power)[0])
 
     while True:
-        # Same draw layout as the batched kernel with n = 1, so both paths
-        # fed one stream produce identical channels and codebooks.
+        # Batched draw layout (channels, eavesdropper, codebooks) with
+        # n = 1, so a batched explicit draw fed one stream matches it.
         h = complex_gaussian_batch(gen, (1, k, k))[0]
         g = complex_gaussian_batch(gen, (1, k))[0]
         cw = complex_gaussian_batch(gen, (1, k, 2 ** params.bits, k))[0]
@@ -274,7 +306,7 @@ def _map_chunks(params: SystemParams, mode: SimMode, n: int, seed: int,
         raise ValueError(f"trial count must be >= 1, got {n}")
     if not 1 <= workers <= MAX_WORKERS:
         raise ValueError(f"workers must lie in [1, {MAX_WORKERS}], got {workers}")
-    chunk = chunk_trials(params, mode)
+    chunk = chunk_trials(params, mode, fixed_codewords is not None)
     n_chunks = (n + chunk - 1) // chunk
 
     def run_chunk(index: int):

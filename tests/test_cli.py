@@ -6,6 +6,8 @@ import pathlib
 
 import pytest
 
+from test_simulate import _explicit_directions
+from zfsecrecy import simulate
 from zfsecrecy.cli import (CSV_HEADER, EXIT_IO, EXIT_OK, EXIT_USAGE,
                            EXIT_VALIDATION, MAX_GRID_POINTS, MAX_TRIALS,
                            MAX_WORKERS, SweepConfig, UsageError, main, parse_curve_csv,
@@ -91,17 +93,20 @@ def test_full_mode_populates_rejection_column(tmp_path):
 
 # Digests of the per-point engine that drew every grid point afresh
 # (float64 on x86-64, numpy 2.4, scipy 1.17): sharing one draw per geometry
-# across the grid must leave every output byte unchanged.  The full,
+# across the grid must leave every output byte unchanged.  The
 # fixed-codebook and perfect digests are of the batched-inverse ZF beams,
 # which moved only the last digits of the Monte Carlo columns; their draws
-# match the QR construction in test_simulate's oracle test.
+# match the QR construction in test_simulate's oracle test.  The full
+# digest is of the RVQ sampler, statistically equivalent to the explicit
+# codebook search it replaced (test_simulate's equivalence gates); that
+# search reproduces the previous digest, PREVIOUS_FULL_DIGEST.
 @pytest.mark.parametrize("settings,digest", [
     (dict(mode="qca"),
      "988f449bbb590ba1880f3eee748f2284dfcc2226f02f4d3740ea10fef7e798b0"),
     (dict(mode="qca", clip=True),
      "2dab8ef8d8719f9ae21ede2dd3d0bf48729fa280ca1cf8f10976599602e5dde8"),
     (dict(mode="full"),
-     "32907c29e90cecbccf4e27f0fd1c5543488680339ab47f67287347bfd8605208"),
+     "e12263443ea4b942a61e3a46f81b11ab28b73f3cf2df859e3d7d630632fafbbe"),
     (dict(mode="full", fixed_codebook=True),
      "690f4d4a9d6db496add2980e613ace60bc687921a5902f7ecf05fc632227ec45"),
     (dict(mode="perfect"),
@@ -111,6 +116,20 @@ def test_rate_curve_csv_matches_recorded_digest(settings, digest):
     stream = io.StringIO()
     run_rate_curve(SweepConfig(**GOLDEN, **settings), stream=stream)
     assert sha256(stream.getvalue().encode()) == digest
+
+
+PREVIOUS_FULL_DIGEST = (
+    "32907c29e90cecbccf4e27f0fd1c5543488680339ab47f67287347bfd8605208")
+
+
+def test_explicit_search_oracle_reproduces_the_previous_full_digest(
+        monkeypatch):
+    # The equivalence gates compare the sampler with this oracle, so it must
+    # be exactly the explicit fresh-codebook engine the sampler replaced.
+    monkeypatch.setattr(simulate, "_rvq_directions", _explicit_directions)
+    stream = io.StringIO()
+    run_rate_curve(SweepConfig(**GOLDEN, mode="full"), stream=stream)
+    assert sha256(stream.getvalue().encode()) == PREVIOUS_FULL_DIGEST
 
 
 def test_validate_report_matches_recorded_digest(tmp_path):
@@ -142,7 +161,8 @@ def test_usage_errors_exit_one(capsys):
     assert main(["rate-curve", "--alpha", "nan"]) == EXIT_USAGE
     assert main(["rate-curve", "--snr", "nan:1:1"]) == EXIT_USAGE
     assert main(["selftest", "--seed", "abc"]) == EXIT_USAGE
-    assert main(["rate-curve", "--mode", "full", "--bits", "17"]) == EXIT_USAGE
+    assert main(["rate-curve", "--mode", "full", "--fixed-codebook",
+                 "--bits", "17"]) == EXIT_USAGE
     assert main(["rate-curve", "--alpha", "1e-200"]) == EXIT_USAGE  # alpha^2 underflows
     assert main(["rate-curve", "--alpha", "inf"]) == EXIT_USAGE
     capsys.readouterr()
@@ -173,6 +193,19 @@ def test_numeric_range_errors_exit_one(flags, capsys):
     err = capsys.readouterr().err
     assert err.startswith("usage error: input outside the float64 range")
     assert "Traceback" not in err
+
+
+def test_full_mode_runs_past_the_codebook_cap(tmp_path):
+    # Fresh codebooks are sampled, never built, so 2**24 codewords cost
+    # nothing; only --fixed-codebook is held to the cap.
+    out = tmp_path / "b24.csv"
+    assert main(["rate-curve", "--mode", "full", "--nt", "3", "--bits", "24",
+                 "--snr", "0:20:10", "--trials", "2000",
+                 "--out", str(out)]) == EXIT_OK
+    points = parse_curve_csv(read(out).decode())
+    assert len(points) == 9
+    assert all(math.isfinite(v) for p in points
+               for v in (p.r_analytic, p.r_mc_mean, p.r_mc_stderr))
 
 
 def test_interference_limit_at_distortion_below_float64_epsilon(tmp_path):

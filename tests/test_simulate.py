@@ -2,20 +2,36 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from zfsecrecy import simulate
 from zfsecrecy.analytic import Link, secrecy_rate_closed_form, sinr_cdf
-from zfsecrecy.linalg import RngStream
+from zfsecrecy.codebooks import CodebookSizeError
+from zfsecrecy.linalg import RngStream, complex_gaussian_batch
 from zfsecrecy.params import SystemParams
 from zfsecrecy.simulate import (SimMode, _draw_parts, _fixed_codewords,
-                                _select_codewords, _sinr, _zf_beams_batch,
-                                chunk_trials, collect_sinr_samples,
-                                estimate_secrecy_rate, estimate_secrecy_rates,
-                                ks_statistic, max_zf_residual,
-                                simulate_realization)
+                                _rvq_directions, _select_codewords, _sinr,
+                                _zf_beams_batch, chunk_trials,
+                                collect_sinr_samples, estimate_secrecy_rate,
+                                estimate_secrecy_rates, ks_statistic,
+                                max_zf_residual, simulate_realization)
 
 P55 = SystemParams(n_t=5, bits=4, alpha=1.0, snr_db=10.0)
+
+
+def _explicit_directions(h_dir, bits, gen):
+    """Oracle for ``_rvq_directions``: draw a fresh codebook of 2**bits
+    codewords per (trial, user) and search it."""
+    n, k, _ = h_dir.shape
+    return _select_codewords(
+        h_dir, complex_gaussian_batch(gen, (n, k, 2 ** bits, k)))
+
+
+def _explicit_draw(params, gen, n):
+    """n FULL draws with each user's codeword found by explicit search."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulate, "_rvq_directions", _explicit_directions)
+        return _draw_parts(params, SimMode.FULL, gen, n)
 
 
 # --------------------------------------------------------------------------
@@ -56,12 +72,12 @@ def test_realization_determinism():
 def test_batched_kernel_matches_reference_path():
     # Fed the same stream, the reference construction (per-user codebooks,
     # complement-based beams) and the vectorized kernel (one batched
-    # inverse) must produce the same SINRs; beams agree up to a physically
-    # irrelevant phase.
+    # inverse) searching the same codebooks must produce the same SINRs;
+    # beams agree up to a physically irrelevant phase.
     for seed in range(8):
         ref = simulate_realization(P55, SimMode.FULL, RngStream(seed, 0))
-        legit_num, legit_den, eav_num, eav_den, _, _ = _draw_parts(
-            P55, SimMode.FULL, RngStream(seed, 0).generator(), 1)
+        legit_num, legit_den, eav_num, eav_den, _, _ = _explicit_draw(
+            P55, RngStream(seed, 0).generator(), 1)
         legit = _sinr(legit_num, legit_den, P55.noise_over_power)
         eav = _sinr(eav_num, eav_den, P55.eav_noise_over_power)
         assert np.abs(ref.legitimate - legit[0]).max() < 1e-10
@@ -100,25 +116,31 @@ def test_chunk_matches_qr_and_normalized_codebook_oracle(monkeypatch, mode,
                                                          fixed, n_t, bits):
     # One whole chunk from one stream, drawn by the engine and again with
     # its beams and codeword selection swapped for the oracles above.
+    # Fresh codebooks are not searched: their codewords are sampled, the
+    # same in both draws, and only the beams face an oracle.
     params = SystemParams(n_t=n_t, bits=bits, alpha=1.0, snr_db=10.0)
     fixed_cw = _fixed_codewords(params, 3) if fixed else None
-    n = chunk_trials(params, mode)
+    n = chunk_trials(params, mode, fixed)
+    if fixed:
+        chooser, oracle_choice = "_select_codewords", _normalize_then_select
+    else:
+        chooser, oracle_choice = "_rvq_directions", _rvq_directions
 
-    def draw(select, beams):
+    def draw(choose, beams):
         chosen = []
 
-        def recording_select(h_dir, codewords):
-            chosen.append(select(h_dir, codewords))
+        def recording_choice(*args):
+            chosen.append(choose(*args))
             return chosen[-1]
 
-        monkeypatch.setattr(simulate, "_select_codewords", recording_select)
+        monkeypatch.setattr(simulate, chooser, recording_choice)
         monkeypatch.setattr(simulate, "_zf_beams_batch", beams)
         parts = _draw_parts(params, mode, RngStream(5, 0).generator(), n,
                             fixed_cw)
         return parts, chosen
 
-    engine, engine_chosen = draw(_select_codewords, _zf_beams_batch)
-    oracle, oracle_chosen = draw(_normalize_then_select, _qr_zf_beams)
+    engine, engine_chosen = draw(getattr(simulate, chooser), _zf_beams_batch)
+    oracle, oracle_chosen = draw(oracle_choice, _qr_zf_beams)
     selections = 1 if mode is SimMode.FULL else 0
     assert len(engine_chosen) == len(oracle_chosen) == selections
     for ours, theirs in zip(engine_chosen, oracle_chosen):
@@ -127,6 +149,89 @@ def test_chunk_matches_qr_and_normalized_codebook_oracle(monkeypatch, mode,
         assert ours.shape == theirs.shape == (n, n_t)
         assert np.abs(ours - theirs).max() <= 1e-12 * np.abs(theirs).max()
     assert engine[4] == oracle[4]
+
+
+def _sampled_errors(n_t, bits, n, seed):
+    """sin^2 between each unit channel direction and its sampled codeword,
+    read off the orthogonal residual: exact even where it is below epsilon."""
+    gen = RngStream(seed, 0).generator()
+    h = complex_gaussian_batch(gen, (n, n_t, n_t))
+    h_dir = h / np.linalg.norm(h, axis=2, keepdims=True)
+    cw = _rvq_directions(h_dir, bits, gen)
+    np.testing.assert_allclose(np.linalg.norm(cw, axis=2), 1.0, atol=1e-12)
+    along = np.einsum("tkn,tkn->tk", np.conj(h_dir), cw)[..., None] * h_dir
+    return (np.linalg.norm(cw - along, axis=2) ** 2).ravel()
+
+
+@pytest.mark.parametrize("n_t", [2, 3, 5, 8])
+@pytest.mark.parametrize("bits", [0, 1, 4, 8, 24, 60])
+def test_sampled_quantization_error_follows_the_rvq_law(n_t, bits):
+    # P(z <= x) = 1 - (1 - x^(n_t-1))^(2^bits); every (trial, user) draw is
+    # independent, so all users' errors enter one one-sample KS test.
+    z = _sampled_errors(n_t, bits, 2_000, seed=23)
+
+    def cdf(x):
+        return -np.expm1(2.0 ** bits * np.log1p(-x ** (n_t - 1)))
+
+    assert ks_statistic(z, cdf) < 1.63 / math.sqrt(z.size)
+
+
+def test_mean_quantization_error_is_the_readme_value():
+    # E[z] = 2^B Beta(2^B, n_t/(n_t-1)) (Jindal 2006): 0.449 at n_t=5, B=4.
+    exact = 16 * special.beta(16, 5 / 4)
+    assert round(exact, 3) == 0.449
+    z = _sampled_errors(5, 4, 20_000, seed=24)
+    assert abs(z.mean() - exact) < 4.0 * z.std() / math.sqrt(z.size)
+
+
+def test_codeword_phase_changes_no_sinr_part(monkeypatch):
+    # The sampler omits the codeword's phase: rotating every sampled
+    # direction by a random phase must leave every output as it was.
+    base = _draw_parts(P55, SimMode.FULL, RngStream(27, 0).generator(), 2_000)
+    phases = RngStream(27, 1).generator()
+
+    def rotated(h_dir, bits, gen):
+        cw = _rvq_directions(h_dir, bits, gen)
+        return cw * np.exp(2j * np.pi * phases.random(cw.shape[:2]))[..., None]
+
+    monkeypatch.setattr(simulate, "_rvq_directions", rotated)
+    turned = _draw_parts(P55, SimMode.FULL, RngStream(27, 0).generator(), 2_000)
+    for ours, theirs in zip(base[:4], turned[:4]):
+        assert np.abs(ours - theirs).max() <= 1e-12 * np.abs(ours).max()
+    assert base[4] == turned[4] == 0
+    assert turned[5] == pytest.approx(base[5], abs=1e-13)
+
+
+# Explicit draws per geometry: the search costs ~2**bits per trial, and
+# these counts keep the six cases to about 7 s.
+@pytest.mark.parametrize("n_t", [3, 5])
+@pytest.mark.parametrize("bits,n_explicit", [(1, 20_000), (4, 20_000),
+                                             (8, 6_000)])
+def test_sampler_matches_explicit_codebook_search(n_t, bits, n_explicit):
+    # Two-sample KS per SINR part on the first user's column only: the
+    # users of one trial share beams and eavesdropper, so their columns are
+    # dependent and pooling them would void the test.
+    params = SystemParams(n_t=n_t, bits=bits, alpha=1.0, snr_db=10.0)
+    sampled = [np.concatenate(c) for c in zip(*simulate._map_chunks(
+        params, SimMode.FULL, 40_000, 25, 1, lambda *parts: parts[:4]))]
+    explicit = [np.concatenate(c) for c in zip(*(
+        _explicit_draw(params, RngStream(26, i).generator(), 500)[:4]
+        for i in range(n_explicit // 500)))]
+    names = ("legit_num", "legit_den", "eav_num", "eav_den")
+    for name, ours, theirs in zip(names, sampled, explicit):
+        pvalue = stats.ks_2samp(ours[:, 0], theirs[:, 0]).pvalue
+        assert pvalue > 1e-3, f"{name}: two-sample KS p = {pvalue:.2g}"
+    # Each link's mean per-trial sum of log2(1 + SINR), at 4 combined sigma.
+    for link, num, noise in (("legitimate", 0, params.noise_over_power),
+                             ("eavesdropper", 2, params.eav_noise_over_power)):
+        ours, theirs = (np.log2(1.0 + _sinr(parts[num], parts[num + 1],
+                                            noise)).sum(axis=1)
+                        for parts in (sampled, explicit))
+        combined = math.hypot(stats.sem(ours), stats.sem(theirs))
+        gap = ours.mean() - theirs.mean()
+        assert abs(gap) < 4.0 * combined, (
+            f"{link}: sampled {ours.mean():.4f} explicit {theirs.mean():.4f} "
+            f"gap {gap:.4f} > 4 x {combined:.4f}")
 
 
 def test_singular_direction_set_is_rejected_not_raised():
@@ -275,6 +380,22 @@ def test_worker_cap_is_checked_before_any_pool_exists(monkeypatch):
                               workers=simulate.MAX_WORKERS + 1)
 
 
+def test_full_chunks_are_sized_by_the_arrays_they_hold():
+    # Sampled codewords add no codebook bytes; searched ones still do.
+    assert chunk_trials(P55, SimMode.FULL) == simulate._CHUNK_TRIALS
+    assert chunk_trials(P55, SimMode.FULL, fixed_codebooks=True) == 7_864
+    wide = SystemParams(n_t=64, bits=30, alpha=1.0, snr_db=10.0)
+    geometry_bytes = 16 * 64 ** 2 * chunk_trials(wide, SimMode.FULL)
+    assert geometry_bytes <= simulate._CHUNK_TARGET_BYTES
+
+
+def test_codebook_cap_binds_only_searched_codebooks():
+    p = SystemParams(n_t=2, bits=17, alpha=1.0, snr_db=10.0)
+    assert math.isfinite(estimate_secrecy_rate(p, SimMode.FULL, 100, 1).mean)
+    with pytest.raises(CodebookSizeError):
+        estimate_secrecy_rate(p, SimMode.FULL, 100, 1, fixed_codebooks=True)
+
+
 def test_shared_draws_need_one_geometry():
     for points in ([P55, SystemParams(n_t=5, bits=3, alpha=1.0, snr_db=10.0)],
                    [P55, SystemParams(n_t=4, bits=4, alpha=1.0, snr_db=10.0)],
@@ -356,7 +477,7 @@ def test_zero_forcing_residual_needs_draws():
 
 @pytest.mark.slow
 def test_degenerate_draws_have_probability_zero():
-    # One million explicit-codebook draws without a single degenerate
+    # One million FULL-mode draws without a single degenerate
     # beam set.
     worst, rejected = max_zf_residual(P55, 1_000_000, seed=17, workers=2)
     assert rejected == 0
