@@ -12,29 +12,22 @@ from .analytic import (Link, Regime, exp_integral_e1, exp_integral_e1_scaled,
                        secrecy_rate_closed_form,
                        secrecy_rate_interference_limited,
                        secrecy_rate_noise_limited, sinr_cdf)
-from .linalg import (DegenerateInputError, RngStream, inner_product,
-                     orthonormal_complement, sample_complex_gaussian,
-                     unit_direction)
+from .linalg import RngStream
 from .params import SystemParams, quantization_distortion
-from .codebooks import (Codebook, CodebookSizeError, QuantizationOutcome,
-                       generate_codebook, quantize, zfbf_beams)
-from .simulate import (RateEstimate, SimMode, SinrRealization,
-                       collect_sinr_samples, estimate_secrecy_rate,
-                       estimate_secrecy_rates, ks_statistic,
-                       simulate_realization)
+from .codebooks import CodebookSizeError, generate_codebook
+from .simulate import (RateEstimate, SimMode, collect_sinr_samples,
+                       estimate_secrecy_rate, estimate_secrecy_rates,
+                       ks_statistic)
 
 __all__ = [
-    "Codebook", "CodebookSizeError", "DegenerateInputError", "Link",
-    "QuantizationOutcome", "RateEstimate", "Regime", "RngStream", "SimMode",
-    "SinrRealization", "SystemParams", "collect_sinr_samples",
-    "estimate_secrecy_rate", "estimate_secrecy_rates", "exp_integral_e1", "exp_integral_e1_scaled",
-    "gauss_2f1", "generate_codebook", "inner_product", "ks_statistic",
-    "laplace_pole_integral", "laplace_two_pole_integral",
-    "orthonormal_complement", "quantization_distortion", "quantize",
-    "rate_from_cdf_quadrature", "sample_complex_gaussian",
-    "secrecy_rate_closed_form",
-    "secrecy_rate_interference_limited", "secrecy_rate_noise_limited",
-    "simulate_realization", "sinr_cdf", "unit_direction", "zfbf_beams",
+    "CodebookSizeError", "Link", "RateEstimate", "Regime", "RngStream",
+    "SimMode", "SystemParams", "collect_sinr_samples",
+    "estimate_secrecy_rate", "estimate_secrecy_rates", "exp_integral_e1",
+    "exp_integral_e1_scaled", "gauss_2f1", "generate_codebook",
+    "ks_statistic", "laplace_pole_integral", "laplace_two_pole_integral",
+    "quantization_distortion", "rate_from_cdf_quadrature",
+    "secrecy_rate_closed_form", "secrecy_rate_interference_limited",
+    "secrecy_rate_noise_limited", "sinr_cdf",
 ]
 
 __version__ = "0.1.0"

@@ -42,10 +42,9 @@ from enum import Enum
 
 import numpy as np
 
-from .linalg import (DegenerateInputError, RngStream, as_generator,
-                     complex_gaussian_batch)
+from .linalg import RngStream, complex_gaussian_batch
 from .params import SystemParams
-from .codebooks import Codebook, generate_codebook, quantize, zfbf_beams
+from .codebooks import generate_codebook
 
 # A direction this close to the span of the others makes a degenerate draw
 # (coincident quantized directions), which is resampled.
@@ -69,14 +68,6 @@ class SimMode(Enum):
 
 
 @dataclass(frozen=True)
-class SinrRealization:
-    """Per-user SINRs for one channel draw, both links."""
-
-    legitimate: np.ndarray   # shape (n_t,), served users
-    eavesdropper: np.ndarray  # shape (n_t,), eavesdropper tapping each stream
-
-
-@dataclass(frozen=True)
 class RateEstimate:
     """Monte Carlo mean of an ergodic rate with its standard error."""
 
@@ -90,9 +81,9 @@ def chunk_trials(params: SystemParams, mode: SimMode,
                  fixed_codebooks: bool = False) -> int:
     """Chunk size used for a given configuration (deterministic in params).
 
-    FULL chunks are sized by the bytes of one trial's K x K geometry, times
-    2**bits when fixed codebooks are searched."""
-    if mode is not SimMode.FULL:
+    FULL and PERFECT chunks are sized by the bytes of one trial's K x K
+    geometry, times 2**bits when fixed codebooks are searched."""
+    if mode is SimMode.QCA:
         return _CHUNK_TRIALS
     searched = 2 ** params.bits if fixed_codebooks else 1
     per_trial = 16 * params.n_t ** 2 * searched
@@ -241,55 +232,11 @@ def _sinr(num, den, noise: float, out=None):
     return np.divide(num, out, out)
 
 
-def simulate_realization(params: SystemParams, mode: SimMode,
-                         rng) -> SinrRealization:
-    """One SINR draw through the reference (non-batched) construction.
-
-    FULL mode runs the explicit pipeline — channels, a fresh codebook
-    searched per user, ZF beams via the orthonormal-complement builder —
-    and resamples on degenerate beam sets; the engine samples the same
-    law.  QCA and PERFECT as in the module docstring.  With an
-    :class:`RngStream` argument the result is a pure function of the
-    stream.
-    """
-    gen = as_generator(rng)
-    k = params.n_t
-    if mode is not SimMode.FULL:
-        legit_num, legit_den, eav_num, eav_den, _, _ = _draw_parts(
-            params, mode, gen, 1)
-        return SinrRealization(
-            legitimate=_sinr(legit_num, legit_den, params.noise_over_power)[0],
-            eavesdropper=_sinr(eav_num, eav_den,
-                               params.eav_noise_over_power)[0])
-
-    while True:
-        # Batched draw layout (channels, eavesdropper, codebooks) with
-        # n = 1, so a batched explicit draw fed one stream matches it.
-        h = complex_gaussian_batch(gen, (1, k, k))[0]
-        g = complex_gaussian_batch(gen, (1, k))[0]
-        cw = complex_gaussian_batch(gen, (1, k, 2 ** params.bits, k))[0]
-        cw = cw / np.linalg.norm(cw, axis=2, keepdims=True)
-        outcomes = [quantize(h[i], Codebook(codewords=cw[i], bits=params.bits))
-                    for i in range(k)]
-        try:
-            beams = zfbf_beams([o.codeword for o in outcomes])
-        except DegenerateInputError:
-            continue
-        cross = np.abs(np.conj(h) @ beams.T) ** 2  # [k, i] = |h_k^H w_i|^2
-        signal = np.diag(cross)
-        interference = cross.sum(axis=1) - signal
-        legit = signal / (interference + params.noise_over_power)
-        eav_amps = np.abs(beams @ np.conj(g)) ** 2
-        eav = eav_amps / (eav_amps.sum() - eav_amps + params.eav_noise_over_power)
-        return SinrRealization(legitimate=legit, eavesdropper=eav)
-
-
 def _fixed_codewords(params: SystemParams, seed: int):
     """Shared per-user codebooks for the fixed-codebook study mode."""
     gen = RngStream(seed, _FIXED_CODEBOOK_STREAM).generator()
-    books = [generate_codebook(params.n_t, params.bits, gen)
-             for _ in range(params.n_t)]
-    return np.stack([b.codewords for b in books])  # (K, 2**bits, K)
+    return np.stack([generate_codebook(params.n_t, params.bits, gen)
+                     for _ in range(params.n_t)])  # (K, 2**bits, K)
 
 
 def _map_chunks(params: SystemParams, mode: SimMode, n: int, seed: int,

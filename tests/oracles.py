@@ -1,0 +1,79 @@
+"""Reference constructions the engine's batched FULL and PERFECT stages are
+tested against: explicit fresh-codebook search, normalize-then-select
+codeword choice, QR zero-forcing beams, and a gain-by-gain assembly of the
+SINR parts."""
+
+import numpy as np
+
+from zfsecrecy import simulate
+from zfsecrecy.linalg import complex_gaussian_batch
+
+
+def explicit_directions(h_dir, bits, gen):
+    """Oracle for ``simulate._rvq_directions``: draw a fresh codebook of
+    2**bits codewords per (trial, user) and search it."""
+    n, k, _ = h_dir.shape
+    return simulate._select_codewords(
+        h_dir, complex_gaussian_batch(gen, (n, k, 2 ** bits, k)))
+
+
+def qr_zf_beams(directions):
+    """Oracle ZF beams: for each user, the trailing column of a complete
+    Householder QR of the other K-1 directions, with a set rejected when a
+    diagonal of R falls below the engine's rank tolerance."""
+    n, k, dim = directions.shape
+    others = np.empty((n, k, k - 1, dim), dtype=complex)
+    for i in range(k):
+        others[:, i] = directions[:, [j for j in range(k) if j != i], :]
+    q, r = np.linalg.qr(np.swapaxes(others, -1, -2), mode="complete")
+    diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
+    return q[..., -1], diag.min(axis=(1, 2)) > simulate._BEAM_RANK_TOL
+
+
+def normalize_then_select(h_dir, codewords):
+    """Oracle selection: normalize the whole codebook, then pick the
+    codeword of largest squared correlation."""
+    cw = codewords / np.linalg.norm(codewords, axis=3, keepdims=True)
+    ips = np.einsum("tkn,tkbn->tkb", np.conj(h_dir), cw)
+    idx = np.argmax(np.abs(ips) ** 2, axis=2)
+    return np.take_along_axis(cw, idx[:, :, None, None], axis=2)[:, :, 0, :]
+
+
+def assembled_parts(params, gen, n, perfect=False, fixed_codewords=None):
+    """Oracle for ``simulate._draw_parts`` in FULL and PERFECT mode.
+
+    Draws the channels h and the eavesdropper fading g from ``gen`` in the
+    engine's order, then each user's direction: its own (PERFECT), the best
+    of ``fixed_codewords`` by :func:`normalize_then_select`, or the RVQ
+    sampler's.  Beams come from :func:`qr_zf_beams`, and every gain
+    |h_k^H w_i|^2 and |g^H w_i|^2 is computed on its own, over all trials
+    at once, and summed term by term.  Returns (legit_num, legit_den,
+    eav_num, eav_den), each (n, K).  Rejected beam sets have probability
+    zero, so none may occur here.
+    """
+    k = params.n_t
+    h = complex_gaussian_batch(gen, (n, k, k))
+    g = complex_gaussian_batch(gen, (n, k))
+    dirs = h / np.linalg.norm(h, axis=2, keepdims=True)
+    if fixed_codewords is not None:
+        dirs = normalize_then_select(dirs, np.broadcast_to(
+            fixed_codewords, (n,) + fixed_codewords.shape))
+    elif not perfect:
+        dirs = simulate._rvq_directions(dirs, params.bits, gen)
+    beams, ok = qr_zf_beams(dirs)
+    assert ok.all(), "a beam set was rejected"
+
+    def gain(x, w):  # |x^H w|^2 per trial
+        return np.abs(np.sum(np.conj(x) * w, axis=1)) ** 2
+
+    parts = np.zeros((4, n, k))
+    for user in range(k):
+        for i in range(k):
+            if i == user:
+                parts[0, :, user] = gain(h[:, user], beams[:, i])
+                parts[2, :, user] = gain(g, beams[:, i])
+                continue
+            if not perfect:  # PERFECT beams leave no interference
+                parts[1, :, user] += gain(h[:, user], beams[:, i])
+            parts[3, :, user] += gain(g, beams[:, i])
+    return tuple(parts)

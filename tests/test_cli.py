@@ -6,7 +6,7 @@ import pathlib
 
 import pytest
 
-from test_simulate import _explicit_directions
+from oracles import explicit_directions
 from zfsecrecy import simulate
 from zfsecrecy.cli import (CSV_HEADER, EXIT_IO, EXIT_OK, EXIT_USAGE,
                            EXIT_VALIDATION, MAX_GRID_POINTS, MAX_TRIALS,
@@ -96,10 +96,10 @@ def test_full_mode_populates_rejection_column(tmp_path):
 # across the grid must leave every output byte unchanged.  The
 # fixed-codebook and perfect digests are of the batched-inverse ZF beams,
 # which moved only the last digits of the Monte Carlo columns; their draws
-# match the QR construction in test_simulate's oracle test.  The full
-# digest is of the RVQ sampler, statistically equivalent to the explicit
-# codebook search it replaced (test_simulate's equivalence gates); that
-# search reproduces the previous digest, PREVIOUS_FULL_DIGEST.
+# match the QR construction of the oracles module.  The full digest is of
+# the RVQ sampler, statistically equivalent to the explicit codebook search
+# it replaced (test_simulate's equivalence gates); that search reproduces
+# the previous digest, PREVIOUS_FULL_DIGEST.
 @pytest.mark.parametrize("settings,digest", [
     (dict(mode="qca"),
      "988f449bbb590ba1880f3eee748f2284dfcc2226f02f4d3740ea10fef7e798b0"),
@@ -126,7 +126,7 @@ def test_explicit_search_oracle_reproduces_the_previous_full_digest(
         monkeypatch):
     # The equivalence gates compare the sampler with this oracle, so it must
     # be exactly the explicit fresh-codebook engine the sampler replaced.
-    monkeypatch.setattr(simulate, "_rvq_directions", _explicit_directions)
+    monkeypatch.setattr(simulate, "_rvq_directions", explicit_directions)
     stream = io.StringIO()
     run_rate_curve(SweepConfig(**GOLDEN, mode="full"), stream=stream)
     assert sha256(stream.getvalue().encode()) == PREVIOUS_FULL_DIGEST

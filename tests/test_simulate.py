@@ -4,53 +4,46 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
+from oracles import assembled_parts, explicit_directions
 from zfsecrecy import simulate
 from zfsecrecy.analytic import Link, secrecy_rate_closed_form, sinr_cdf
 from zfsecrecy.codebooks import CodebookSizeError
 from zfsecrecy.linalg import RngStream, complex_gaussian_batch
 from zfsecrecy.params import SystemParams
 from zfsecrecy.simulate import (SimMode, _draw_parts, _fixed_codewords,
-                                _rvq_directions, _select_codewords, _sinr,
-                                _zf_beams_batch, chunk_trials,
-                                collect_sinr_samples, estimate_secrecy_rate,
-                                estimate_secrecy_rates, ks_statistic,
-                                max_zf_residual, simulate_realization)
+                                _rvq_directions, _sinr, _zf_beams_batch,
+                                chunk_trials, collect_sinr_samples,
+                                estimate_secrecy_rate, estimate_secrecy_rates,
+                                ks_statistic, max_zf_residual)
 
 P55 = SystemParams(n_t=5, bits=4, alpha=1.0, snr_db=10.0)
-
-
-def _explicit_directions(h_dir, bits, gen):
-    """Oracle for ``_rvq_directions``: draw a fresh codebook of 2**bits
-    codewords per (trial, user) and search it."""
-    n, k, _ = h_dir.shape
-    return _select_codewords(
-        h_dir, complex_gaussian_batch(gen, (n, k, 2 ** bits, k)))
 
 
 def _explicit_draw(params, gen, n):
     """n FULL draws with each user's codeword found by explicit search."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(simulate, "_rvq_directions", _explicit_directions)
+        patch.setattr(simulate, "_rvq_directions", explicit_directions)
         return _draw_parts(params, SimMode.FULL, gen, n)
 
 
 # --------------------------------------------------------------------------
-# Single realizations
+# Draws of the SINR parts
 # --------------------------------------------------------------------------
 
 def test_realizations_are_finite_and_nonnegative():
     for mode in SimMode:
-        r = simulate_realization(P55, mode, RngStream(1, 0))
-        for arr in (r.legitimate, r.eavesdropper):
-            assert arr.shape == (5,)
+        parts = _draw_parts(P55, mode, RngStream(1, 0).generator(), 200)
+        for arr in parts[:4]:
+            assert arr.shape == (200, 5)
             assert np.isfinite(arr).all()
             assert (arr >= 0).all()
 
 
 def test_vanishing_eavesdropper_gain_kills_its_sinr():
     p = SystemParams(n_t=5, bits=4, alpha=1e-9, snr_db=0.0)
-    r = simulate_realization(p, SimMode.FULL, RngStream(5, 0))
-    assert r.eavesdropper.max() < 1e-12
+    samples = collect_sinr_samples(p, SimMode.FULL, "eavesdropper", 1_000,
+                                   seed=5)
+    assert samples.max() < 1e-12
 
 
 def test_perfect_mode_mean_signal_power():
@@ -63,47 +56,10 @@ def test_perfect_mode_mean_signal_power():
 
 
 def test_realization_determinism():
-    a = simulate_realization(P55, SimMode.FULL, RngStream(2, 3))
-    b = simulate_realization(P55, SimMode.FULL, RngStream(2, 3))
-    np.testing.assert_array_equal(a.legitimate, b.legitimate)
-    np.testing.assert_array_equal(a.eavesdropper, b.eavesdropper)
-
-
-def test_batched_kernel_matches_reference_path():
-    # Fed the same stream, the reference construction (per-user codebooks,
-    # complement-based beams) and the vectorized kernel (one batched
-    # inverse) searching the same codebooks must produce the same SINRs;
-    # beams agree up to a physically irrelevant phase.
-    for seed in range(8):
-        ref = simulate_realization(P55, SimMode.FULL, RngStream(seed, 0))
-        legit_num, legit_den, eav_num, eav_den, _, _ = _explicit_draw(
-            P55, RngStream(seed, 0).generator(), 1)
-        legit = _sinr(legit_num, legit_den, P55.noise_over_power)
-        eav = _sinr(eav_num, eav_den, P55.eav_noise_over_power)
-        assert np.abs(ref.legitimate - legit[0]).max() < 1e-10
-        assert np.abs(ref.eavesdropper - eav[0]).max() < 1e-10
-
-
-def _qr_zf_beams(directions):
-    """Oracle ZF beams: for each user, the trailing column of a complete
-    Householder QR of the other K-1 directions, with a set rejected when a
-    diagonal of R falls below the engine's rank tolerance."""
-    n, k, dim = directions.shape
-    others = np.empty((n, k, k - 1, dim), dtype=complex)
-    for i in range(k):
-        others[:, i] = directions[:, [j for j in range(k) if j != i], :]
-    q, r = np.linalg.qr(np.swapaxes(others, -1, -2), mode="complete")
-    diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
-    return q[..., -1], diag.min(axis=(1, 2)) > simulate._BEAM_RANK_TOL
-
-
-def _normalize_then_select(h_dir, codewords):
-    """Oracle selection: normalize the whole codebook, then pick the
-    codeword of largest squared correlation."""
-    cw = codewords / np.linalg.norm(codewords, axis=3, keepdims=True)
-    ips = np.einsum("tkn,tkbn->tkb", np.conj(h_dir), cw)
-    idx = np.argmax(np.abs(ips) ** 2, axis=2)
-    return np.take_along_axis(cw, idx[:, :, None, None], axis=2)[:, :, 0, :]
+    a = _draw_parts(P55, SimMode.FULL, RngStream(2, 3).generator(), 50)
+    b = _draw_parts(P55, SimMode.FULL, RngStream(2, 3).generator(), 50)
+    for ours, theirs in zip(a, b):
+        np.testing.assert_array_equal(ours, theirs)
 
 
 @pytest.mark.parametrize("mode,fixed,n_t,bits", [
@@ -112,52 +68,33 @@ def _normalize_then_select(h_dir, codewords):
     (SimMode.PERFECT, False, 3, 0),
     (SimMode.PERFECT, False, 5, 0),
 ])
-def test_chunk_matches_qr_and_normalized_codebook_oracle(monkeypatch, mode,
-                                                         fixed, n_t, bits):
-    # One whole chunk from one stream, drawn by the engine and again with
-    # its beams and codeword selection swapped for the oracles above.
-    # Fresh codebooks are not searched: their codewords are sampled, the
-    # same in both draws, and only the beams face an oracle.
+def test_chunk_matches_qr_and_normalized_codebook_oracle(mode, fixed, n_t,
+                                                         bits):
+    # One whole chunk from one stream, drawn by the engine and again by the
+    # per-trial oracle: QR beams, normalize-then-select for fixed
+    # codebooks, and every gain summed term by term.  Fresh codebooks are
+    # not searched: their codewords are sampled, the same in both draws.
     params = SystemParams(n_t=n_t, bits=bits, alpha=1.0, snr_db=10.0)
     fixed_cw = _fixed_codewords(params, 3) if fixed else None
     n = chunk_trials(params, mode, fixed)
-    if fixed:
-        chooser, oracle_choice = "_select_codewords", _normalize_then_select
-    else:
-        chooser, oracle_choice = "_rvq_directions", _rvq_directions
-
-    def draw(choose, beams):
-        chosen = []
-
-        def recording_choice(*args):
-            chosen.append(choose(*args))
-            return chosen[-1]
-
-        monkeypatch.setattr(simulate, chooser, recording_choice)
-        monkeypatch.setattr(simulate, "_zf_beams_batch", beams)
-        parts = _draw_parts(params, mode, RngStream(5, 0).generator(), n,
-                            fixed_cw)
-        return parts, chosen
-
-    engine, engine_chosen = draw(getattr(simulate, chooser), _zf_beams_batch)
-    oracle, oracle_chosen = draw(oracle_choice, _qr_zf_beams)
-    selections = 1 if mode is SimMode.FULL else 0
-    assert len(engine_chosen) == len(oracle_chosen) == selections
-    for ours, theirs in zip(engine_chosen, oracle_chosen):
-        np.testing.assert_array_equal(ours, theirs)
-    for ours, theirs in zip(engine[:4], oracle[:4]):
+    engine = _draw_parts(params, mode, RngStream(5, 0).generator(), n,
+                         fixed_cw)
+    oracle = assembled_parts(params, RngStream(5, 0).generator(), n,
+                             mode is SimMode.PERFECT, fixed_cw)
+    for ours, theirs in zip(engine[:4], oracle):
         assert ours.shape == theirs.shape == (n, n_t)
         assert np.abs(ours - theirs).max() <= 1e-12 * np.abs(theirs).max()
-    assert engine[4] == oracle[4]
+    assert engine[4] == 0
 
 
-def _sampled_errors(n_t, bits, n, seed):
-    """sin^2 between each unit channel direction and its sampled codeword,
-    read off the orthogonal residual: exact even where it is below epsilon."""
+def _sampled_errors(n_t, bits, n, seed, directions=_rvq_directions):
+    """sin^2 between each unit channel direction and its codeword from
+    ``directions``, read off the orthogonal residual: exact even where it
+    is below epsilon."""
     gen = RngStream(seed, 0).generator()
     h = complex_gaussian_batch(gen, (n, n_t, n_t))
     h_dir = h / np.linalg.norm(h, axis=2, keepdims=True)
-    cw = _rvq_directions(h_dir, bits, gen)
+    cw = directions(h_dir, bits, gen)
     np.testing.assert_allclose(np.linalg.norm(cw, axis=2), 1.0, atol=1e-12)
     along = np.einsum("tkn,tkn->tk", np.conj(h_dir), cw)[..., None] * h_dir
     return (np.linalg.norm(cw - along, axis=2) ** 2).ravel()
@@ -167,13 +104,16 @@ def _sampled_errors(n_t, bits, n, seed):
 @pytest.mark.parametrize("bits", [0, 1, 4, 8, 24, 60])
 def test_sampled_quantization_error_follows_the_rvq_law(n_t, bits):
     # P(z <= x) = 1 - (1 - x^(n_t-1))^(2^bits); every (trial, user) draw is
-    # independent, so all users' errors enter one one-sample KS test.
-    z = _sampled_errors(n_t, bits, 2_000, seed=23)
-
+    # independent, so all users' errors enter one one-sample KS test.  The
+    # explicit search, the sampler's oracle, must obey the law too; its
+    # codebooks are materialized, so it runs at small bits only.
     def cdf(x):
         return -np.expm1(2.0 ** bits * np.log1p(-x ** (n_t - 1)))
 
-    assert ks_statistic(z, cdf) < 1.63 / math.sqrt(z.size)
+    samplers = [_rvq_directions] + ([explicit_directions] if bits <= 4 else [])
+    for directions in samplers:
+        z = _sampled_errors(n_t, bits, 2_000, 23, directions)
+        assert ks_statistic(z, cdf) < 1.63 / math.sqrt(z.size), directions
 
 
 def test_mean_quantization_error_is_the_readme_value():
@@ -382,11 +322,14 @@ def test_worker_cap_is_checked_before_any_pool_exists(monkeypatch):
 
 def test_full_chunks_are_sized_by_the_arrays_they_hold():
     # Sampled codewords add no codebook bytes; searched ones still do.
+    # PERFECT holds the same K x K arrays as fresh FULL.
     assert chunk_trials(P55, SimMode.FULL) == simulate._CHUNK_TRIALS
     assert chunk_trials(P55, SimMode.FULL, fixed_codebooks=True) == 7_864
     wide = SystemParams(n_t=64, bits=30, alpha=1.0, snr_db=10.0)
-    geometry_bytes = 16 * 64 ** 2 * chunk_trials(wide, SimMode.FULL)
-    assert geometry_bytes <= simulate._CHUNK_TARGET_BYTES
+    for mode in (SimMode.FULL, SimMode.PERFECT):
+        geometry_bytes = 16 * 64 ** 2 * chunk_trials(wide, mode)
+        assert geometry_bytes <= simulate._CHUNK_TARGET_BYTES
+    assert chunk_trials(wide, SimMode.QCA) == simulate._CHUNK_TRIALS
 
 
 def test_codebook_cap_binds_only_searched_codebooks():
