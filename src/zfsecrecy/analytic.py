@@ -268,14 +268,9 @@ def _2f1_log_form(m: int, z: float, neg_log_d: float) -> float:
 # SINR distributions
 # ---------------------------------------------------------------------------
 
-def sinr_survival(x, params: SystemParams, link: Link,
-                  regime: Regime = Regime.GENERAL):
-    """P(sinr > x) for the requested link and regime; x a float or an array."""
-    # A float skips numpy's reduction, which would cost the quadrature
-    # oracle microseconds per integrand call.
-    negative = (x < 0).any() if isinstance(x, np.ndarray) else x < 0
-    if negative:
-        raise ValueError(f"x must be >= 0, got {x}")
+def _survival_law(params: SystemParams, link: Link, regime: Regime):
+    """x -> P(sinr > x) for the requested link and regime, its constants
+    bound once: the one survival formula, for x >= 0."""
     if link is Link.LEGITIMATE:
         noise = params.noise_over_power
         interference = params.distortion
@@ -284,12 +279,21 @@ def sinr_survival(x, params: SystemParams, link: Link,
         interference = 1.0
     k = params.n_t - 1
     if regime is Regime.GENERAL:
-        return np.exp(-x * noise) / (1.0 + interference * x) ** k
+        return lambda x: np.exp(-x * noise) / (1.0 + interference * x) ** k
     if regime is Regime.INTERFERENCE_LIMITED:
-        return 1.0 / (1.0 + interference * x) ** k
+        return lambda x: 1.0 / (1.0 + interference * x) ** k
     if regime is Regime.NOISE_LIMITED:
-        return np.exp(-x * noise)
+        return lambda x: np.exp(-x * noise)
     raise ValueError(f"unknown regime {regime!r}")
+
+
+def sinr_survival(x, params: SystemParams, link: Link,
+                  regime: Regime = Regime.GENERAL):
+    """P(sinr > x) for the requested link and regime; x a float or an array."""
+    negative = (x < 0).any() if isinstance(x, np.ndarray) else x < 0
+    if negative:
+        raise ValueError(f"x must be >= 0, got {x}")
+    return _survival_law(params, link, regime)(x)
 
 
 def sinr_cdf(x, params: SystemParams, link: Link,
@@ -376,10 +380,11 @@ def rate_from_cdf_quadrature(params: SystemParams,
     truth for all three closed forms; absolute error below 1e-9 or it
     raises.
     """
+    legit = _survival_law(params, Link.LEGITIMATE, regime)
+    eav = _survival_law(params, Link.EAVESDROPPER, regime)
+
     def integrand(x):
-        return ((sinr_survival(x, params, Link.LEGITIMATE, regime)
-                 - sinr_survival(x, params, Link.EAVESDROPPER, regime))
-                / (1.0 + x))
+        return (legit(x) - eav(x)) / (1.0 + x)
 
     # Split at the sharpest exponential scale so low-SNR integrands whose
     # support collapses toward 0 are still resolved.

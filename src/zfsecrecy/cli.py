@@ -94,13 +94,6 @@ class SweepConfig:
         for n_t, b, a, snr_db in itertools.product(*axes):
             yield SystemParams(n_t=n_t, bits=b, alpha=a, snr_db=snr_db)
 
-    def geometries(self):
-        """The grid in its order, one list per (n_t, bits) geometry: the
-        points of a list share every Monte Carlo draw."""
-        for _, points in itertools.groupby(self.grid(),
-                                           lambda p: (p.n_t, p.bits)):
-            yield list(points)
-
     def validate(self):
         if not self.nt or not self.bits or not self.alpha:
             raise UsageError("--nt, --bits and --alpha must be non-empty")
@@ -195,20 +188,18 @@ def run_rate_curve(config: SweepConfig, stream=None):
     """Sweep the grid, returning CurvePoints and writing CSV when requested."""
     stream = stream if stream is not None else sys.stdout
     regime = _REGIMES[config.regime]
-    points = []
-    for group in config.geometries():
-        r_analytic = [analytic.secrecy_rate_for_regime(p, regime)
-                      for p in group]
-        if config.mode == "analytic-only":
-            estimates = [_NO_ESTIMATE] * len(group)
-        else:
-            estimates = simulate.estimate_secrecy_rates(
-                group, SimMode(config.mode), config.trials, config.seed,
-                workers=config.workers, clip=config.clip,
-                fixed_codebooks=config.fixed_codebook)
-        points += [CurvePoint(p.snr_db, p.alpha, p.n_t, p.bits, r, est.mean,
-                              est.std_err, est.n_trials, est.rejected)
-                   for p, r, est in zip(group, r_analytic, estimates)]
+    grid = list(config.grid())
+    r_analytic = [analytic.secrecy_rate_for_regime(p, regime) for p in grid]
+    if config.mode == "analytic-only":
+        estimates = [_NO_ESTIMATE] * len(grid)
+    else:
+        estimates = simulate.estimate_secrecy_rates(
+            grid, SimMode(config.mode), config.trials, config.seed,
+            workers=config.workers, clip=config.clip,
+            fixed_codebooks=config.fixed_codebook)
+    points = [CurvePoint(p.snr_db, p.alpha, p.n_t, p.bits, r, est.mean,
+                         est.std_err, est.n_trials, est.rejected)
+              for p, r, est in zip(grid, r_analytic, estimates)]
     body = CSV_HEADER + "\n" + "\n".join(pt.csv_row() for pt in points) + "\n"
     if config.out:
         with open(config.out, "w", newline="") as fh:
@@ -235,24 +226,23 @@ def run_validate(config: SweepConfig, stream=None) -> bool:
     stream = stream if stream is not None else sys.stdout
     report = []
     all_ok = True
-    for group in config.geometries():
-        estimates = simulate.estimate_secrecy_rates(
-            group, SimMode.QCA, config.trials, config.seed,
-            workers=config.workers)
-        for p, est in zip(group, estimates):
-            closed = analytic.secrecy_rate_closed_form(p)
-            quad = analytic.rate_from_cdf_quadrature(p, Regime.GENERAL)
-            rel = abs(closed - quad) / max(abs(quad), 1e-6)
-            all_ok &= _check(
-                f"triangle closed-vs-quadrature {_tag(p)}", rel < 1e-8,
-                f"closed={closed:.12g} quad={quad:.12g} rel={rel:.3e}",
-                report, stream)
-            gap = abs(est.mean - closed)
-            bound = config.mc_tol_sigmas * est.std_err
-            all_ok &= _check(
-                f"triangle mc-vs-closed {_tag(p)}", gap < bound,
-                f"mc={est.mean:.6g} closed={closed:.6g} "
-                f"|diff|={gap:.3g} bound={bound:.3g}", report, stream)
+    grid = list(config.grid())
+    estimates = simulate.estimate_secrecy_rates(
+        grid, SimMode.QCA, config.trials, config.seed, workers=config.workers)
+    for p, est in zip(grid, estimates):
+        closed = analytic.secrecy_rate_closed_form(p)
+        quad = analytic.rate_from_cdf_quadrature(p, Regime.GENERAL)
+        rel = abs(closed - quad) / max(abs(quad), 1e-6)
+        all_ok &= _check(
+            f"triangle closed-vs-quadrature {_tag(p)}", rel < 1e-8,
+            f"closed={closed:.12g} quad={quad:.12g} rel={rel:.3e}",
+            report, stream)
+        gap = abs(est.mean - closed)
+        bound = config.mc_tol_sigmas * est.std_err
+        all_ok &= _check(
+            f"triangle mc-vs-closed {_tag(p)}", gap < bound,
+            f"mc={est.mean:.6g} closed={closed:.6g} "
+            f"|diff|={gap:.3g} bound={bound:.3g}", report, stream)
 
     # Limit consistency: interference-limited at high SNR, noise-limited at
     # low SNR (ratio criterion; both terms vanish), and the exact zeros.

@@ -26,11 +26,14 @@ index), and hands every chunk's noise-free parts to a reduction.  Chunk
 results come back in index order, so the worker count can never change a
 result bit.
 
-The draws depend on (n_t, bits) alone, never on the SNR or alpha, which
-enter only through the noise levels.  So one draw per chunk serves every
-SNR x alpha point of an (n_t, bits) geometry: ``estimate_secrecy_rates``
-evaluates all of them from it, and each point's estimate is bit-identical
-to the one-point call.
+The draws never depend on the SNR or alpha, which enter only through the
+noise levels, and a point's draw key names all they do depend on: (n_t,
+bits) in FULL, n_t alone in QCA and PERFECT.  PERFECT beams ignore bits,
+and QCA's feedback enters only as the distortion d scaling the users'
+Gamma(n_t-1, d) interference, which is d times the unit-scale draw bit for
+bit.  So one draw per chunk serves every point of a key:
+``estimate_secrecy_rates`` evaluates all of them from it, and each point's
+estimate is bit-identical to the one-point call.
 """
 
 import contextlib
@@ -56,6 +59,10 @@ MAX_WORKERS = 256
 # Fixed chunking so worker count cannot influence the sample sequence.
 _CHUNK_TRIALS = 8192
 _CHUNK_TARGET_BYTES = 48 * 2 ** 20
+# K x K complex arrays one FULL or PERFECT chunk holds at its peak, per
+# trial: tracemalloc measured 6.5 of them plus four (n, K) reals in FULL
+# (h, g, sampler scratch, inverse, beams, gains), 5 in PERFECT.
+_PEAK_ARRAYS = 7
 
 # Reserved stream id for the shared codebooks of the fixed-codebook mode.
 _FIXED_CODEBOOK_STREAM = 2 ** 62
@@ -81,12 +88,14 @@ def chunk_trials(params: SystemParams, mode: SimMode,
                  fixed_codebooks: bool = False) -> int:
     """Chunk size used for a given configuration (deterministic in params).
 
-    FULL and PERFECT chunks are sized by the bytes of one trial's K x K
-    geometry, times 2**bits when fixed codebooks are searched."""
+    FULL and PERFECT chunks are sized so that the arrays one chunk holds at
+    its peak stay within _CHUNK_TARGET_BYTES: _PEAK_ARRAYS K x K complex
+    arrays per trial, or 2**bits of them when fixed codebooks are searched
+    at bits >= 3."""
     if mode is SimMode.QCA:
         return _CHUNK_TRIALS
     searched = 2 ** params.bits if fixed_codebooks else 1
-    per_trial = 16 * params.n_t ** 2 * searched
+    per_trial = 16 * params.n_t ** 2 * max(_PEAK_ARRAYS, searched)
     return max(1, min(_CHUNK_TRIALS, _CHUNK_TARGET_BYTES // per_trial))
 
 
@@ -291,30 +300,58 @@ def _rate_estimate(total: float, total_sq: float, n_trials: int,
 def estimate_secrecy_rates(points, mode: SimMode, n_trials: int, seed: int,
                            workers: int = 1, clip: bool = False,
                            fixed_codebooks: bool = False) -> list:
-    """Monte Carlo ergodic secrecy sum-rates at ``points`` (SystemParams
-    sharing one (n_t, bits)), each over the same ``n_trials`` channel draws.
+    """Monte Carlo ergodic secrecy sum-rates at ``points`` (any non-empty
+    list of SystemParams), each over the same ``n_trials`` channel draws.
 
-    Each chunk is drawn once and every point evaluated from it, so each
-    point's RateEstimate is bit-identical to the one-point call, whatever
-    the point order or the worker count.  Each trial contributes
-    sum_k [log2(1+sinr_k) - log2(1+eav_sinr_k)]; negative per-user terms
-    are kept unless ``clip`` applies a per-user positive part.
-    ``fixed_codebooks`` freezes one codebook set for all trials instead of
-    redrawing per realization.
+    Points are grouped by draw key, (n_t, bits) in FULL and n_t in QCA and
+    PERFECT; each chunk of a key is drawn once and every point of the key
+    evaluated from it, so each point's RateEstimate is bit-identical to the
+    one-point call, whatever the point order or the worker count.  Each
+    trial contributes sum_k [log2(1+sinr_k) - log2(1+eav_sinr_k)]; negative
+    per-user terms are kept unless ``clip`` applies a per-user positive
+    part.  ``fixed_codebooks`` freezes one codebook set for all trials
+    instead of redrawing per realization.
     """
     points = list(points)
-    geometries = {(p.n_t, p.bits) for p in points}
-    if len(geometries) != 1:
-        raise ValueError(f"points must share one (n_t, bits) geometry, got "
-                         f"{sorted(geometries) or 'none'}")
-    params = points[0]
-    fixed = (_fixed_codewords(params, seed)
+    if not points:
+        raise ValueError("points must be a non-empty list of SystemParams")
+    # Draw key: the (n_t, bits) of the draw that serves a point.  QCA and
+    # PERFECT draws do not depend on bits, so they are keyed at bits = 0,
+    # whose QCA draw has distortion 1: its users' interference is the
+    # unit-scale draw that each point scales by its own distortion.
+    keys = {}
+    for row, p in enumerate(points):
+        keys.setdefault((p.n_t, p.bits if mode is SimMode.FULL else 0),
+                        []).append(row)
+    estimates = [None] * len(points)
+    for (n_t, bits), rows in keys.items():
+        draw = SystemParams(n_t=n_t, bits=bits, alpha=1.0, snr_db=0.0)
+        for row, est in zip(rows, _estimates_of_one_draw(
+                draw, [points[r] for r in rows], mode, n_trials, seed,
+                workers, clip, fixed_codebooks)):
+            estimates[row] = est
+    return estimates
+
+
+def _estimates_of_one_draw(draw: SystemParams, points: list, mode: SimMode,
+                           n_trials: int, seed: int, workers: int, clip: bool,
+                           fixed_codebooks: bool) -> list:
+    """:func:`estimate_secrecy_rates` at ``points``, all served by the draws
+    of ``draw`` (their common draw key)."""
+    fixed = (_fixed_codewords(draw, seed)
              if fixed_codebooks and mode is SimMode.FULL else None)
-    # Only the eavesdropper noise depends on alpha, so group points by SNR.
+    # QCA points scale the users' unit-scale interference by their own
+    # distortion, and only the eavesdropper noise depends on alpha: group
+    # the points by (distortion, SNR).
     groups = {}
     for row, p in enumerate(points):
-        groups.setdefault(p.noise_over_power, []).append(
+        scale = p.distortion if mode is SimMode.QCA else 1.0
+        groups.setdefault((scale, p.noise_over_power), []).append(
             (row, p.eav_noise_over_power))
+    # One distortion scales each chunk's unit draw in place, once; several
+    # scale it into the legitimate-link scratch, group by group.
+    scales = {scale for scale, _ in groups}
+    once = scales.pop() if len(scales) == 1 else None
 
     def moments(legit_num, legit_den, eav_num, eav_den, rejected, _):
         # (sum, sum of squares) of the per-trial rate, one row per point.
@@ -322,8 +359,12 @@ def estimate_secrecy_rates(points, mode: SimMode, n_trials: int, seed: int,
         out = np.empty((len(points), 2))
         legit, per_user = np.empty_like(legit_num), np.empty_like(eav_num)
         per_trial = np.empty(legit_num.shape[0])
-        for legit_noise, members in groups.items():
-            _sinr(legit_num, legit_den, legit_noise, legit)
+        if once is not None and once != 1.0:
+            legit_den *= once
+        for (scale, legit_noise), members in groups.items():
+            den = (legit_den if once is not None or scale == 1.0
+                   else np.multiply(legit_den, scale, out=legit))
+            _sinr(legit_num, den, legit_noise, legit)
             legit += 1.0
             np.log2(legit, out=legit)
             for row, eav_noise in members:
@@ -342,7 +383,7 @@ def estimate_secrecy_rates(points, mode: SimMode, n_trials: int, seed: int,
     sums = np.zeros((len(points), 2))
     rejected = 0
     for chunk_sums, chunk_rejected in _map_chunks(
-            params, mode, n_trials, seed, workers, moments, fixed):
+            draw, mode, n_trials, seed, workers, moments, fixed):
         sums += chunk_sums
         rejected += chunk_rejected
     return [_rate_estimate(total, total_sq, n_trials, rejected)

@@ -16,7 +16,6 @@ notes):
   modeled at n_t=5, B=4), which exceeds the 5% envelope.
 """
 
-import itertools
 import math
 
 import numpy as np
@@ -58,20 +57,17 @@ def test_criterion_1_correctness_triangle():
     worst_sigma = 0.0
     points = [SystemParams(n_t=n_t, bits=bits, alpha=alpha, snr_db=snr_db)
               for n_t, bits, alpha, snr_db in GRID]
-    # GRID runs (n_t, bits) outermost: one shared-draw call per geometry.
-    for _, group in itertools.groupby(points, lambda p: (p.n_t, p.bits)):
-        group = list(group)
-        estimates = estimate_secrecy_rates(group, SimMode.QCA, 200_000,
-                                           seed=SEED)
-        for p, est in zip(group, estimates):
-            closed = secrecy_rate_closed_form(p)
-            quad = rate_from_cdf_quadrature(p)
-            rel = abs(closed - quad) / max(abs(quad), 1e-6)
-            worst_rel = max(worst_rel, rel)
-            assert rel < 1e-8, (p, closed, quad, rel)
-            gap = abs(est.mean - closed)
-            worst_sigma = max(worst_sigma, gap / est.std_err)
-            assert gap < 3.0 * est.std_err, (p, est, closed)
+    estimates = estimate_secrecy_rates(points, SimMode.QCA, 200_000,
+                                       seed=SEED)
+    for p, est in zip(points, estimates):
+        closed = secrecy_rate_closed_form(p)
+        quad = rate_from_cdf_quadrature(p)
+        rel = abs(closed - quad) / max(abs(quad), 1e-6)
+        worst_rel = max(worst_rel, rel)
+        assert rel < 1e-8, (p, closed, quad, rel)
+        gap = abs(est.mean - closed)
+        worst_sigma = max(worst_sigma, gap / est.std_err)
+        assert gap < 3.0 * est.std_err, (p, est, closed)
     _report(f"criterion 1 triangle over {len(GRID)} grid points: "
             f"worst closed-vs-quad rel {worst_rel:.2e}, "
             f"worst MC deviation {worst_sigma:.2f} sigma: PASS")

@@ -92,14 +92,14 @@ def test_full_mode_populates_rejection_column(tmp_path):
 
 
 # Digests of the per-point engine that drew every grid point afresh
-# (float64 on x86-64, numpy 2.4, scipy 1.17): sharing one draw per geometry
-# across the grid must leave every output byte unchanged.  The
-# fixed-codebook and perfect digests are of the batched-inverse ZF beams,
-# which moved only the last digits of the Monte Carlo columns; their draws
-# match the QR construction of the oracles module.  The full digest is of
-# the RVQ sampler, statistically equivalent to the explicit codebook search
-# it replaced (test_simulate's equivalence gates); that search reproduces
-# the previous digest, PREVIOUS_FULL_DIGEST.
+# (float64 on x86-64, numpy 2.4, scipy 1.17): sharing one draw per draw key
+# (n_t in QCA and PERFECT) across the grid must leave every output byte
+# unchanged.  The fixed-codebook and perfect digests are of the
+# batched-inverse ZF beams, which moved only the last digits of the Monte
+# Carlo columns; their draws match the QR construction of the oracles
+# module.  The full digest is of the RVQ sampler, statistically equivalent
+# to the explicit codebook search it replaced (test_simulate's equivalence
+# gates); that search reproduces the previous digest, PREVIOUS_FULL_DIGEST.
 @pytest.mark.parametrize("settings,digest", [
     (dict(mode="qca"),
      "988f449bbb590ba1880f3eee748f2284dfcc2226f02f4d3740ea10fef7e798b0"),
@@ -139,6 +139,36 @@ def test_validate_report_matches_recorded_digest(tmp_path):
         "4c256f81acfa81ac9377aacd3eed25d41f5c7ae0c690ce3c520609d6de92f648")
     assert sha256(read(report)) == (
         "2319c8b91861217f75f5f6d6ded106000267994038c9051aaef06c162170be35")
+
+
+def _count_draws(monkeypatch, name):
+    """(n_t, trials) of every call of the simulate draw ``name``."""
+    calls, draw = [], getattr(simulate, name)
+
+    def counted(params, gen, n, *args, **kwargs):
+        calls.append((params.n_t, n))
+        return draw(params, gen, n, *args, **kwargs)
+
+    monkeypatch.setattr(simulate, name, counted)
+    return calls
+
+
+# GOLDEN's 9,000 trials are two chunks at each of its two n_t.
+GOLDEN_CHUNKS = [(2, 808), (2, 8_192), (3, 808), (3, 8_192)]
+
+
+def test_validate_draws_once_per_antenna_count_and_chunk(monkeypatch):
+    # The QCA draw depends on n_t alone: every bits of GOLDEN shares it.
+    calls = _count_draws(monkeypatch, "_qca_draw")
+    run_validate(SweepConfig(**GOLDEN), stream=io.StringIO())
+    assert sorted(calls) == GOLDEN_CHUNKS
+
+
+def test_perfect_rate_curve_draws_once_per_antenna_count_and_chunk(
+        monkeypatch):
+    calls = _count_draws(monkeypatch, "_geometry_draw")
+    run_rate_curve(SweepConfig(**GOLDEN, mode="perfect"), stream=io.StringIO())
+    assert sorted(calls) == GOLDEN_CHUNKS
 
 
 def test_snr_grid_stop_is_inclusive_and_never_overshot():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -323,13 +324,30 @@ def test_worker_cap_is_checked_before_any_pool_exists(monkeypatch):
 def test_full_chunks_are_sized_by_the_arrays_they_hold():
     # Sampled codewords add no codebook bytes; searched ones still do.
     # PERFECT holds the same K x K arrays as fresh FULL.
-    assert chunk_trials(P55, SimMode.FULL) == simulate._CHUNK_TRIALS
+    for n_t in range(2, 8):
+        small = SystemParams(n_t=n_t, bits=4, alpha=1.0, snr_db=10.0)
+        for mode in (SimMode.FULL, SimMode.PERFECT):
+            assert chunk_trials(small, mode) == simulate._CHUNK_TRIALS
     assert chunk_trials(P55, SimMode.FULL, fixed_codebooks=True) == 7_864
     wide = SystemParams(n_t=64, bits=30, alpha=1.0, snr_db=10.0)
     for mode in (SimMode.FULL, SimMode.PERFECT):
         geometry_bytes = 16 * 64 ** 2 * chunk_trials(wide, mode)
         assert geometry_bytes <= simulate._CHUNK_TARGET_BYTES
     assert chunk_trials(wide, SimMode.QCA) == simulate._CHUNK_TRIALS
+
+
+@pytest.mark.parametrize("n_t", [8, 24])
+@pytest.mark.parametrize("mode", [SimMode.FULL, SimMode.PERFECT])
+def test_one_chunk_stays_within_the_chunk_memory_target(n_t, mode):
+    params = SystemParams(n_t=n_t, bits=4, alpha=1.0, snr_db=10.0)
+    n = chunk_trials(params, mode)
+    tracemalloc.start()
+    try:
+        _draw_parts(params, mode, RngStream(1, 0).generator(), n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= simulate._CHUNK_TARGET_BYTES, (n, peak)
 
 
 def test_codebook_cap_binds_only_searched_codebooks():
@@ -339,12 +357,47 @@ def test_codebook_cap_binds_only_searched_codebooks():
         estimate_secrecy_rate(p, SimMode.FULL, 100, 1, fixed_codebooks=True)
 
 
-def test_shared_draws_need_one_geometry():
-    for points in ([P55, SystemParams(n_t=5, bits=3, alpha=1.0, snr_db=10.0)],
-                   [P55, SystemParams(n_t=4, bits=4, alpha=1.0, snr_db=10.0)],
-                   []):
-        with pytest.raises(ValueError, match="geometry"):
-            estimate_secrecy_rates(points, SimMode.QCA, 100, seed=1)
+# Four (n_t, bits) geometries, two alphas x two SNRs each, in grid order.
+MIXED = [SystemParams(n_t=n_t, bits=b, alpha=a, snr_db=s)
+         for n_t in (2, 3) for b in (0, 2) for a in (0.5, 1.0)
+         for s in (-10.0, 10.0)]
+
+
+@pytest.mark.parametrize("mode,options", [
+    (SimMode.QCA, {}),
+    (SimMode.FULL, {}),
+    (SimMode.PERFECT, {}),
+    (SimMode.FULL, {"fixed_codebooks": True}),
+])
+def test_mixed_draw_keys_match_per_geometry_calls(mode, options):
+    # One call over several draw keys equals one call per (n_t, bits)
+    # geometry, point for point, in any order and at any worker count.
+    per_geometry = []
+    for i in range(0, len(MIXED), 4):
+        per_geometry += estimate_secrecy_rates(MIXED[i:i + 4], mode, 9_000,
+                                               seed=12, **options)
+    for workers in (1, 2, 4):
+        assert estimate_secrecy_rates(MIXED, mode, 9_000, seed=12,
+                                      workers=workers, **options) == per_geometry
+    order = np.random.default_rng(3).permutation(len(MIXED)).tolist()
+    assert estimate_secrecy_rates([MIXED[i] for i in order], mode, 9_000,
+                                  seed=12, workers=2, **options) == [
+        per_geometry[i] for i in order]
+    with pytest.raises(ValueError, match="non-empty"):
+        estimate_secrecy_rates([], mode, 100, seed=1, **options)
+
+
+def test_gamma_scale_is_a_product_with_the_unit_draw():
+    # QCA shares one unit-scale interference draw across every distortion
+    # d of an n_t: numpy's gamma(k, scale=d) must be d * gamma(k, 1.0) bit
+    # for bit, and consume the stream alike.
+    for k in (1, 2, 4, 15):
+        for d in (1.0, 0.5, 2.0 ** (-8 / 3), 2.0 ** -60, 3.7):
+            scaled, unit = (RngStream(4, k).generator() for _ in range(2))
+            assert np.array_equal(scaled.gamma(k, scale=d, size=(500, 3)),
+                                  d * unit.gamma(k, 1.0, size=(500, 3)))
+            np.testing.assert_equal(scaled.bit_generator.state,
+                                    unit.bit_generator.state)
 
 
 def test_trial_count_validation():
