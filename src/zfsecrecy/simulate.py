@@ -90,12 +90,12 @@ def chunk_trials(params: SystemParams, mode: SimMode,
 
     FULL and PERFECT chunks are sized so that the arrays one chunk holds at
     its peak stay within _CHUNK_TARGET_BYTES: _PEAK_ARRAYS K x K complex
-    arrays per trial, or 2**bits of them when fixed codebooks are searched
-    at bits >= 3."""
+    arrays per trial.  Fixed-codebook chunks keep their own sizing, 2**bits
+    K x K arrays per trial, so their draws do not move."""
     if mode is SimMode.QCA:
         return _CHUNK_TRIALS
-    searched = 2 ** params.bits if fixed_codebooks else 1
-    per_trial = 16 * params.n_t ** 2 * max(_PEAK_ARRAYS, searched)
+    arrays = 2 ** params.bits if fixed_codebooks else _PEAK_ARRAYS
+    per_trial = 16 * params.n_t ** 2 * arrays
     return max(1, min(_CHUNK_TRIALS, _CHUNK_TARGET_BYTES // per_trial))
 
 
@@ -348,10 +348,6 @@ def _estimates_of_one_draw(draw: SystemParams, points: list, mode: SimMode,
         scale = p.distortion if mode is SimMode.QCA else 1.0
         groups.setdefault((scale, p.noise_over_power), []).append(
             (row, p.eav_noise_over_power))
-    # One distortion scales each chunk's unit draw in place, once; several
-    # scale it into the legitimate-link scratch, group by group.
-    scales = {scale for scale, _ in groups}
-    once = scales.pop() if len(scales) == 1 else None
 
     def moments(legit_num, legit_den, eav_num, eav_den, rejected, _):
         # (sum, sum of squares) of the per-trial rate, one row per point.
@@ -359,10 +355,8 @@ def _estimates_of_one_draw(draw: SystemParams, points: list, mode: SimMode,
         out = np.empty((len(points), 2))
         legit, per_user = np.empty_like(legit_num), np.empty_like(eav_num)
         per_trial = np.empty(legit_num.shape[0])
-        if once is not None and once != 1.0:
-            legit_den *= once
         for (scale, legit_noise), members in groups.items():
-            den = (legit_den if once is not None or scale == 1.0
+            den = (legit_den if scale == 1.0
                    else np.multiply(legit_den, scale, out=legit))
             _sinr(legit_num, den, legit_noise, legit)
             legit += 1.0

@@ -329,6 +329,10 @@ def test_full_chunks_are_sized_by_the_arrays_they_hold():
         for mode in (SimMode.FULL, SimMode.PERFECT):
             assert chunk_trials(small, mode) == simulate._CHUNK_TRIALS
     assert chunk_trials(P55, SimMode.FULL, fixed_codebooks=True) == 7_864
+    # Fixed codebooks keep 2**bits arrays per trial at every n_t and bits.
+    for n_t, bits, trials in ((8, 2, 8_192), (24, 1, 2_730), (24, 2, 1_365)):
+        p = SystemParams(n_t=n_t, bits=bits, alpha=1.0, snr_db=10.0)
+        assert chunk_trials(p, SimMode.FULL, fixed_codebooks=True) == trials
     wide = SystemParams(n_t=64, bits=30, alpha=1.0, snr_db=10.0)
     for mode in (SimMode.FULL, SimMode.PERFECT):
         geometry_bytes = 16 * 64 ** 2 * chunk_trials(wide, mode)
@@ -347,6 +351,13 @@ def test_one_chunk_stays_within_the_chunk_memory_target(n_t, mode):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    # chunk_trials assumes at most _PEAK_ARRAYS K x K complex arrays per
+    # trial.  Measured with numpy 2.4: FULL 6.5 of them plus four (n, K)
+    # reals, 6.75 in all at n_t = 8 (about 4% headroom); PERFECT 5.2.  A
+    # failure here means the draw holds more than the sizing counts:
+    # trim the draw's temporaries or raise _PEAK_ARRAYS.
+    arrays_per_trial = peak / (16 * n_t ** 2 * n)
+    assert arrays_per_trial <= simulate._PEAK_ARRAYS, arrays_per_trial
     assert peak <= simulate._CHUNK_TARGET_BYTES, (n, peak)
 
 
