@@ -24,7 +24,6 @@ import enum
 import math
 
 import numpy as np
-from scipy import integrate
 
 from .params import SystemParams
 
@@ -166,6 +165,8 @@ def laplace_pole_integral(p: float, a: float, n: int) -> float:
 
 
 def _quad_two_pole(x: float, y: float, z: int) -> float:
+    from scipy import integrate  # lazy: it more than triples CLI start-up
+
     def integrand(t):
         return math.exp(-x * t) / ((t + 1.0) * (t + y) ** z)
 
@@ -380,6 +381,8 @@ def rate_from_cdf_quadrature(params: SystemParams,
     truth for all three closed forms; absolute error below 1e-9 or it
     raises.
     """
+    from scipy import integrate
+
     legit = _survival_law(params, Link.LEGITIMATE, regime)
     eav = _survival_law(params, Link.EAVESDROPPER, regime)
 

@@ -26,7 +26,7 @@ from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
-from . import analytic, codebooks, simulate
+from . import analytic, simulate
 from .analytic import Link, Regime
 from .params import SystemParams
 from .simulate import MAX_WORKERS, RateEstimate, SimMode
@@ -69,7 +69,6 @@ class SweepConfig:
     seed: int = 20250
     workers: int = 1
     clip: bool = False
-    fixed_codebook: bool = False
     out: str = ""
     mc_tol_sigmas: float = 3.0
 
@@ -125,11 +124,6 @@ class SweepConfig:
             raise UsageError("--nt entries must be >= 2")
         if min(self.bits) < 0:
             raise UsageError("--bits entries must be >= 0")
-        if (self.mode == "full" and self.fixed_codebook
-                and max(self.bits) > codebooks.MAX_CODEBOOK_BITS):
-            raise UsageError(f"--fixed-codebook searches explicit codebooks "
-                             f"of at most {codebooks.MAX_CODEBOOK_BITS} bits; "
-                             f"drop it for larger --bits")
         # alpha**2 scales the eavesdropper's noise level, so it must stay a
         # positive finite number too.
         if not all(a > 0 and 0 < a * a < math.inf for a in self.alpha):
@@ -195,8 +189,7 @@ def run_rate_curve(config: SweepConfig, stream=None):
     else:
         estimates = simulate.estimate_secrecy_rates(
             grid, SimMode(config.mode), config.trials, config.seed,
-            workers=config.workers, clip=config.clip,
-            fixed_codebooks=config.fixed_codebook)
+            workers=config.workers, clip=config.clip)
     points = [CurvePoint(p.snr_db, p.alpha, p.n_t, p.bits, r, est.mean,
                          est.std_err, est.n_trials, est.rejected)
               for p, r, est in zip(grid, r_analytic, estimates)]
@@ -485,9 +478,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="analytic regime for r_analytic")
     curve.add_argument("--clip", type=_boolean, nargs="?", const=True,
                        help="apply a per-user positive part to secrecy terms")
-    curve.add_argument("--fixed-codebook", type=_boolean, nargs="?",
-                       const=True, help="FULL mode: one codebook set for "
-                                        "every trial")
     curve.add_argument("--out", help="CSV output path (default stdout)")
 
     val = add("validate", "closed form vs quadrature vs MC")

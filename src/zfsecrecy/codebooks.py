@@ -4,9 +4,9 @@ Each user quantizes its channel direction onto the best codeword of a
 private random codebook and feeds back only the codeword index; the
 transmitter then points each user's beam into the null space of everyone
 else's quantized direction, so the only residual inter-user interference
-comes from the quantization error.  The simulator searches explicit
-codebooks only in the fixed-codebook study mode; fresh-codebook FULL mode
-samples each user's selection from its law instead.
+comes from the quantization error.  The simulator never builds a
+codebook: FULL mode samples each user's selection from its law, and
+``generate_codebook`` draws an explicit one for studies of the search.
 """
 
 import numpy as np
@@ -14,8 +14,7 @@ import numpy as np
 from .linalg import complex_gaussian_batch
 
 # Exhaustive codeword search is O(2**bits * n_t) per draw, so no codebook
-# past this cap is materialized.  Fresh-codebook FULL mode never builds one:
-# it samples each user's selection from its law.
+# past this cap is materialized.
 MAX_CODEBOOK_BITS = 16
 
 
@@ -34,8 +33,7 @@ def generate_codebook(n_t: int, bits: int,
     if bits > MAX_CODEBOOK_BITS:
         raise CodebookSizeError(
             f"bits={bits} exceeds the exhaustive-search cap of "
-            f"{MAX_CODEBOOK_BITS}; use fresh-codebook FULL or QCA mode "
-            f"instead")
+            f"{MAX_CODEBOOK_BITS}; use FULL or QCA mode instead")
     cw = complex_gaussian_batch(gen, (2 ** bits, n_t))
     cw /= np.linalg.norm(cw, axis=1, keepdims=True)
     return cw

@@ -10,9 +10,7 @@ FULL     draws channels and ZF beams explicitly; num and den are the beam
          gains.  The physical ground truth.  Each user's quantized
          direction is the codeword it selects from a fresh random codebook,
          drawn from that codeword's exact RVQ law rather than by searching
-         2**bits codewords, so the cost does not grow with bits.  Explicit
-         codebooks remain for the fixed-codebook study mode, which
-         searches one shared set of them in every trial.
+         2**bits codewords, so the cost does not grow with bits.
 QCA      draws them from the quantization-cell-approximation law: num
          Exp(1), den Gamma(n_t-1, distortion) for the users and
          Gamma(n_t-1, 1) for the eavesdropper.  Much faster, and exactly
@@ -47,7 +45,6 @@ import numpy as np
 
 from .linalg import RngStream, complex_gaussian_batch
 from .params import SystemParams
-from .codebooks import generate_codebook
 
 # A direction this close to the span of the others makes a degenerate draw
 # (coincident quantized directions), which is resampled.
@@ -63,9 +60,6 @@ _CHUNK_TARGET_BYTES = 48 * 2 ** 20
 # trial: tracemalloc measured 6.5 of them plus four (n, K) reals in FULL
 # (h, g, sampler scratch, inverse, beams, gains), 5 in PERFECT.
 _PEAK_ARRAYS = 7
-
-# Reserved stream id for the shared codebooks of the fixed-codebook mode.
-_FIXED_CODEBOOK_STREAM = 2 ** 62
 
 
 class SimMode(Enum):
@@ -84,18 +78,15 @@ class RateEstimate:
     rejected: int
 
 
-def chunk_trials(params: SystemParams, mode: SimMode,
-                 fixed_codebooks: bool = False) -> int:
+def chunk_trials(params: SystemParams, mode: SimMode) -> int:
     """Chunk size used for a given configuration (deterministic in params).
 
     FULL and PERFECT chunks are sized so that the arrays one chunk holds at
     its peak stay within _CHUNK_TARGET_BYTES: _PEAK_ARRAYS K x K complex
-    arrays per trial.  Fixed-codebook chunks keep their own sizing, 2**bits
-    K x K arrays per trial, so their draws do not move."""
+    arrays per trial."""
     if mode is SimMode.QCA:
         return _CHUNK_TRIALS
-    arrays = 2 ** params.bits if fixed_codebooks else _PEAK_ARRAYS
-    per_trial = 16 * params.n_t ** 2 * arrays
+    per_trial = 16 * params.n_t ** 2 * _PEAK_ARRAYS
     return max(1, min(_CHUNK_TRIALS, _CHUNK_TARGET_BYTES // per_trial))
 
 
@@ -120,15 +111,14 @@ def _zf_beams_batch(directions: np.ndarray):
 
 
 def _geometry_draw(params: SystemParams, gen: np.random.Generator, n: int,
-                   perfect: bool = False, fixed_codewords=None):
+                   perfect: bool = False):
     """n FULL- or PERFECT-mode draws, resampling degenerate beam sets.
 
     Returns the noise-free SINR parts (legit_num, legit_den, eav_num,
     eav_den), each (n, K), then the rejected count and the largest
     zero-forcing residual over kept draws.  PERFECT beams leave no
     inter-user interference, so its legit_den is zero.  FULL users select
-    from ``fixed_codewords`` (K, 2**bits, K) when given, else from fresh
-    codebooks, sampled by :func:`_rvq_directions`.
+    from fresh codebooks, sampled by :func:`_rvq_directions`.
     """
     k = params.n_t
     parts = []
@@ -139,10 +129,7 @@ def _geometry_draw(params: SystemParams, gen: np.random.Generator, n: int,
         h = complex_gaussian_batch(gen, (remaining, k, k))      # rows: user channels
         g = complex_gaussian_batch(gen, (remaining, k))         # eavesdropper fading
         point_dirs = h / np.linalg.norm(h, axis=2, keepdims=True)
-        if fixed_codewords is not None:
-            point_dirs = _select_codewords(point_dirs, np.broadcast_to(
-                fixed_codewords, (remaining,) + fixed_codewords.shape))
-        elif not perfect:
+        if not perfect:
             point_dirs = _rvq_directions(point_dirs, params.bits, gen)
 
         beams, ok = _zf_beams_batch(point_dirs)
@@ -196,15 +183,6 @@ def _rvq_directions(h_dir: np.ndarray, bits: int,
     return e
 
 
-def _select_codewords(h_dir: np.ndarray, codewords: np.ndarray) -> np.ndarray:
-    """Codeword of largest |h^H c|^2 / |c|^2 per (trial, user), normalized."""
-    gain = np.abs(np.einsum("tkn,tkbn->tkb", np.conj(h_dir), codewords)) ** 2
-    flat = codewords.view(float)
-    idx = np.argmax(gain / np.einsum("tkbn,tkbn->tkb", flat, flat), axis=2)
-    best = np.take_along_axis(codewords, idx[..., None, None], axis=2)[:, :, 0]
-    return best / np.linalg.norm(best, axis=2, keepdims=True)
-
-
 def _qca_draw(params: SystemParams, gen: np.random.Generator, n: int):
     """n QCA-mode draws of the noise-free SINR parts, as :func:`_geometry_draw`
     returns them: Exp(1) numerators over Gamma(n_t-1, distortion) (users)
@@ -217,8 +195,7 @@ def _qca_draw(params: SystemParams, gen: np.random.Generator, n: int):
     return legit_num, legit_den, eav_num, eav_den, 0, 0.0
 
 
-def _draw_parts(params: SystemParams, mode: SimMode, gen, n: int,
-                fixed_codewords=None):
+def _draw_parts(params: SystemParams, mode: SimMode, gen, n: int):
     """n draws of both links' noise-free SINR parts in any mode.
 
     Returns (legit_num, legit_den, eav_num, eav_den), each (n, K), then the
@@ -228,7 +205,7 @@ def _draw_parts(params: SystemParams, mode: SimMode, gen, n: int,
     if mode is SimMode.QCA:
         return _qca_draw(params, gen, n)
     if mode is SimMode.FULL:
-        return _geometry_draw(params, gen, n, fixed_codewords=fixed_codewords)
+        return _geometry_draw(params, gen, n)
     if mode is SimMode.PERFECT:
         return _geometry_draw(params, gen, n, perfect=True)
     raise ValueError(f"unknown mode {mode!r}")
@@ -241,15 +218,8 @@ def _sinr(num, den, noise: float, out=None):
     return np.divide(num, out, out)
 
 
-def _fixed_codewords(params: SystemParams, seed: int):
-    """Shared per-user codebooks for the fixed-codebook study mode."""
-    gen = RngStream(seed, _FIXED_CODEBOOK_STREAM).generator()
-    return np.stack([generate_codebook(params.n_t, params.bits, gen)
-                     for _ in range(params.n_t)])  # (K, 2**bits, K)
-
-
 def _map_chunks(params: SystemParams, mode: SimMode, n: int, seed: int,
-                workers: int, fn, fixed_codewords=None):
+                workers: int, fn):
     """Yields ``fn(legit_num, legit_den, eav_num, eav_den, rejected,
     zf_residual)`` of each chunk of n draws, in chunk order.
 
@@ -262,13 +232,13 @@ def _map_chunks(params: SystemParams, mode: SimMode, n: int, seed: int,
         raise ValueError(f"trial count must be >= 1, got {n}")
     if not 1 <= workers <= MAX_WORKERS:
         raise ValueError(f"workers must lie in [1, {MAX_WORKERS}], got {workers}")
-    chunk = chunk_trials(params, mode, fixed_codewords is not None)
+    chunk = chunk_trials(params, mode)
     n_chunks = (n + chunk - 1) // chunk
 
     def run_chunk(index: int):
         gen = RngStream(seed, index).generator()
         m = min(chunk, n - index * chunk)
-        return fn(*_draw_parts(params, mode, gen, m, fixed_codewords))
+        return fn(*_draw_parts(params, mode, gen, m))
 
     if workers == 1 or n_chunks == 1:
         yield from map(run_chunk, range(n_chunks))
@@ -298,8 +268,7 @@ def _rate_estimate(total: float, total_sq: float, n_trials: int,
 
 
 def estimate_secrecy_rates(points, mode: SimMode, n_trials: int, seed: int,
-                           workers: int = 1, clip: bool = False,
-                           fixed_codebooks: bool = False) -> list:
+                           workers: int = 1, clip: bool = False) -> list:
     """Monte Carlo ergodic secrecy sum-rates at ``points`` (any non-empty
     list of SystemParams), each over the same ``n_trials`` channel draws.
 
@@ -308,9 +277,7 @@ def estimate_secrecy_rates(points, mode: SimMode, n_trials: int, seed: int,
     evaluated from it, so each point's RateEstimate is bit-identical to the
     one-point call, whatever the point order or the worker count.  Each
     trial contributes sum_k [log2(1+sinr_k) - log2(1+eav_sinr_k)]; negative
-    per-user terms are kept unless ``clip`` applies a per-user positive
-    part.  ``fixed_codebooks`` freezes one codebook set for all trials
-    instead of redrawing per realization.
+    per-user terms are kept unless ``clip`` applies a per-user positive part.
     """
     points = list(points)
     if not points:
@@ -328,18 +295,16 @@ def estimate_secrecy_rates(points, mode: SimMode, n_trials: int, seed: int,
         draw = SystemParams(n_t=n_t, bits=bits, alpha=1.0, snr_db=0.0)
         for row, est in zip(rows, _estimates_of_one_draw(
                 draw, [points[r] for r in rows], mode, n_trials, seed,
-                workers, clip, fixed_codebooks)):
+                workers, clip)):
             estimates[row] = est
     return estimates
 
 
 def _estimates_of_one_draw(draw: SystemParams, points: list, mode: SimMode,
-                           n_trials: int, seed: int, workers: int, clip: bool,
-                           fixed_codebooks: bool) -> list:
+                           n_trials: int, seed: int, workers: int,
+                           clip: bool) -> list:
     """:func:`estimate_secrecy_rates` at ``points``, all served by the draws
     of ``draw`` (their common draw key)."""
-    fixed = (_fixed_codewords(draw, seed)
-             if fixed_codebooks and mode is SimMode.FULL else None)
     # QCA points scale the users' unit-scale interference by their own
     # distortion, and only the eavesdropper noise depends on alpha: group
     # the points by (distortion, SNR).
@@ -377,7 +342,7 @@ def _estimates_of_one_draw(draw: SystemParams, points: list, mode: SimMode,
     sums = np.zeros((len(points), 2))
     rejected = 0
     for chunk_sums, chunk_rejected in _map_chunks(
-            draw, mode, n_trials, seed, workers, moments, fixed):
+            draw, mode, n_trials, seed, workers, moments):
         sums += chunk_sums
         rejected += chunk_rejected
     return [_rate_estimate(total, total_sq, n_trials, rejected)
@@ -385,13 +350,13 @@ def _estimates_of_one_draw(draw: SystemParams, points: list, mode: SimMode,
 
 
 def estimate_secrecy_rate(params: SystemParams, mode: SimMode, n_trials: int,
-                          seed: int, workers: int = 1, clip: bool = False,
-                          fixed_codebooks: bool = False) -> RateEstimate:
+                          seed: int, workers: int = 1,
+                          clip: bool = False) -> RateEstimate:
     """Monte Carlo ergodic secrecy sum-rate over ``n_trials`` channel draws:
     :func:`estimate_secrecy_rates` at one point.  For a fixed seed the
     result is bit-identical across worker counts."""
     return estimate_secrecy_rates([params], mode, n_trials, seed, workers,
-                                  clip, fixed_codebooks)[0]
+                                  clip)[0]
 
 
 def collect_sinr_samples(params: SystemParams, mode: SimMode, link: str,

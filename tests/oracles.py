@@ -1,7 +1,6 @@
 """Reference constructions the engine's batched FULL and PERFECT stages are
-tested against: explicit fresh-codebook search, normalize-then-select
-codeword choice, QR zero-forcing beams, and a gain-by-gain assembly of the
-SINR parts."""
+tested against: explicit fresh-codebook search, QR zero-forcing beams, and
+a gain-by-gain assembly of the SINR parts."""
 
 import numpy as np
 
@@ -9,11 +8,20 @@ from zfsecrecy import simulate
 from zfsecrecy.linalg import complex_gaussian_batch
 
 
+def select_codewords(h_dir, codewords):
+    """Codeword of largest |h^H c|^2 / |c|^2 per (trial, user), normalized."""
+    gain = np.abs(np.einsum("tkn,tkbn->tkb", np.conj(h_dir), codewords)) ** 2
+    flat = codewords.view(float)
+    idx = np.argmax(gain / np.einsum("tkbn,tkbn->tkb", flat, flat), axis=2)
+    best = np.take_along_axis(codewords, idx[..., None, None], axis=2)[:, :, 0]
+    return best / np.linalg.norm(best, axis=2, keepdims=True)
+
+
 def explicit_directions(h_dir, bits, gen):
     """Oracle for ``simulate._rvq_directions``: draw a fresh codebook of
     2**bits codewords per (trial, user) and search it."""
     n, k, _ = h_dir.shape
-    return simulate._select_codewords(
+    return select_codewords(
         h_dir, complex_gaussian_batch(gen, (n, k, 2 ** bits, k)))
 
 
@@ -30,22 +38,12 @@ def qr_zf_beams(directions):
     return q[..., -1], diag.min(axis=(1, 2)) > simulate._BEAM_RANK_TOL
 
 
-def normalize_then_select(h_dir, codewords):
-    """Oracle selection: normalize the whole codebook, then pick the
-    codeword of largest squared correlation."""
-    cw = codewords / np.linalg.norm(codewords, axis=3, keepdims=True)
-    ips = np.einsum("tkn,tkbn->tkb", np.conj(h_dir), cw)
-    idx = np.argmax(np.abs(ips) ** 2, axis=2)
-    return np.take_along_axis(cw, idx[:, :, None, None], axis=2)[:, :, 0, :]
-
-
-def assembled_parts(params, gen, n, perfect=False, fixed_codewords=None):
+def assembled_parts(params, gen, n, perfect=False):
     """Oracle for ``simulate._draw_parts`` in FULL and PERFECT mode.
 
     Draws the channels h and the eavesdropper fading g from ``gen`` in the
-    engine's order, then each user's direction: its own (PERFECT), the best
-    of ``fixed_codewords`` by :func:`normalize_then_select`, or the RVQ
-    sampler's.  Beams come from :func:`qr_zf_beams`, and every gain
+    engine's order, then each user's direction: its own (PERFECT) or the
+    RVQ sampler's.  Beams come from :func:`qr_zf_beams`, and every gain
     |h_k^H w_i|^2 and |g^H w_i|^2 is computed on its own, over all trials
     at once, and summed term by term.  Returns (legit_num, legit_den,
     eav_num, eav_den), each (n, K).  Rejected beam sets have probability
@@ -55,10 +53,7 @@ def assembled_parts(params, gen, n, perfect=False, fixed_codewords=None):
     h = complex_gaussian_batch(gen, (n, k, k))
     g = complex_gaussian_batch(gen, (n, k))
     dirs = h / np.linalg.norm(h, axis=2, keepdims=True)
-    if fixed_codewords is not None:
-        dirs = normalize_then_select(dirs, np.broadcast_to(
-            fixed_codewords, (n,) + fixed_codewords.shape))
-    elif not perfect:
+    if not perfect:
         dirs = simulate._rvq_directions(dirs, params.bits, gen)
     beams, ok = qr_zf_beams(dirs)
     assert ok.all(), "a beam set was rejected"

@@ -3,11 +3,11 @@ import pytest
 from scipy import stats
 
 import zfsecrecy
+from oracles import select_codewords
 from zfsecrecy.linalg import RngStream, complex_gaussian_batch
 from zfsecrecy.params import SystemParams, quantization_distortion
 from zfsecrecy.codebooks import CodebookSizeError, generate_codebook
-from zfsecrecy.simulate import (_qca_draw, _select_codewords,
-                                _zf_beams_batch, ks_statistic)
+from zfsecrecy.simulate import _qca_draw, _zf_beams_batch, ks_statistic
 
 
 def test_every_public_name_resolves():
@@ -75,7 +75,7 @@ def test_codeword_pairwise_isotropy():
 
 
 # --------------------------------------------------------------------------
-# Codeword selection from fixed codebooks
+# Codeword selection by explicit search (the tests' oracle)
 # --------------------------------------------------------------------------
 
 def test_quantize_picks_exact_match():
@@ -83,7 +83,7 @@ def test_quantize_picks_exact_match():
     # scale and phase or the codewords' norms, and comes back normalized.
     book = generate_codebook(4, 3, RngStream(3, 0).generator())
     scaled = book * np.arange(1.0, 9.0)[:, None]
-    chosen = _select_codewords(2j * book[None, 5:6], scaled[None, None])
+    chosen = select_codewords(2j * book[None, 5:6], scaled[None, None])
     np.testing.assert_allclose(chosen[0, 0], book[5], atol=1e-15)
 
 
@@ -91,7 +91,7 @@ def test_quantize_zero_bits_always_index_zero():
     gen = RngStream(4, 0).generator()
     book = generate_codebook(4, 0, gen)
     h = complex_gaussian_batch(gen, (10, 1, 4))
-    chosen = _select_codewords(h, np.broadcast_to(book, (10, 1, 1, 4)))
+    chosen = select_codewords(h, np.broadcast_to(book, (10, 1, 1, 4)))
     np.testing.assert_allclose(chosen[:, 0], np.broadcast_to(book, (10, 4)),
                                atol=1e-15)
 

@@ -42,7 +42,8 @@ def test_mean_square_norm_matches_dimension():
     assert np.mean(norms) == pytest.approx(5.0, abs=0.1)
 
 
-# 1-D, a channel matrix stack, and a FULL codebook stack (n, K, 2**B, K).
+# 1-D, a channel matrix stack, and the codebook stack (n, K, 2**B, K) that
+# the tests' explicit-search oracle draws.
 @pytest.mark.parametrize("shape", [(1,), (9,), (4, 3), (6, 5, 5),
                                    (3, 5, 16, 5)])
 def test_complex_draw_is_all_real_parts_then_all_imaginary(shape):
