@@ -347,15 +347,22 @@ def test_config_file_is_read_and_flags_override(tmp_path):
     assert point.snr_db == 5.0
 
 
-def test_removed_fixed_codebook_flag_and_config_key_exit_one(tmp_path, capsys):
+def _assert_usage_error(argv, capsys):
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:")
+    assert "Traceback" not in err
+
+
+def test_removed_fixed_codebook_flag_is_a_usage_error(capsys):
+    _assert_usage_error(["rate-curve", "--mode", "full", "--fixed-codebook"],
+                       capsys)
+
+
+def test_removed_fixed_codebook_config_key_is_a_usage_error(tmp_path, capsys):
     cfg = tmp_path / "fixed.cfg"
     cfg.write_text("mode = full\nfixed_codebook = true\n")
-    for argv in (["rate-curve", "--mode", "full", "--fixed-codebook"],
-                 ["rate-curve", "--config", str(cfg)]):
-        assert main(argv) == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert err.startswith("usage error:")
-        assert "Traceback" not in err
+    _assert_usage_error(["rate-curve", "--config", str(cfg)], capsys)
 
 
 def test_clip_flag_matches_clipped_config(tmp_path):
