@@ -29,8 +29,8 @@ def run():
         return code
 
     print("\n== dist-check (QCA sampling laws) ==")
-    return cli_main(["dist-check", "--nt", "3,5", "--bits", "1,4",
-                     "--alpha", "0.5,1", "--snr", "0:10:10",
+    return cli_main(["dist-check", "--workers", "4", "--nt", "3,5",
+                     "--bits", "1,4", "--alpha", "0.5,1", "--snr", "0:10:10",
                      "--trials", "10000", "--mode", "qca"])
 
 

@@ -30,8 +30,9 @@ bits) in FULL, n_t alone in QCA and PERFECT.  PERFECT beams ignore bits,
 and QCA's feedback enters only as the distortion d scaling the users'
 Gamma(n_t-1, d) interference, which is d times the unit-scale draw bit for
 bit.  So one draw per chunk serves every point of a key:
-``estimate_secrecy_rates`` evaluates all of them from it, and each point's
-estimate is bit-identical to the one-point call.
+``estimate_secrecy_rates`` evaluates all of them from it, and
+``collect_sinr_samples`` takes every point's samples from it, each point's
+result bit-identical to the one-point call.
 """
 
 import contextlib
@@ -111,14 +112,14 @@ def _zf_beams_batch(directions: np.ndarray):
 
 
 def _geometry_draw(params: SystemParams, gen: np.random.Generator, n: int,
-                   perfect: bool = False):
+                   perfect: bool = False, user_major: bool = False):
     """n FULL- or PERFECT-mode draws, resampling degenerate beam sets.
 
     Returns the noise-free SINR parts (legit_num, legit_den, eav_num,
-    eav_den), each (n, K), then the rejected count and the largest
-    zero-forcing residual over kept draws.  PERFECT beams leave no
-    inter-user interference, so its legit_den is zero.  FULL users select
-    from fresh codebooks, sampled by :func:`_rvq_directions`.
+    eav_den), each (n, K), or (K, n) if ``user_major``, then the rejected
+    count and the largest zero-forcing residual over kept draws.  PERFECT
+    beams leave no inter-user interference, so its legit_den is zero.  FULL
+    users select from fresh codebooks, sampled by :func:`_rvq_directions`.
     """
     k = params.n_t
     parts = []
@@ -155,7 +156,10 @@ def _geometry_draw(params: SystemParams, gen: np.random.Generator, n: int,
         parts.append((signal, interference, eav_amps, eav_den))
         remaining -= signal.shape[0]
 
-    return (*(np.concatenate(p) for p in zip(*parts)), rejected, zf_residual)
+    if user_major:  # the one copy the concatenation makes anyway
+        parts = [[arr.T for arr in piece] for piece in parts]
+    return (*(np.concatenate(p, axis=int(user_major)) for p in zip(*parts)),
+            rejected, zf_residual)
 
 
 def _rvq_directions(h_dir: np.ndarray, bits: int,
@@ -183,31 +187,42 @@ def _rvq_directions(h_dir: np.ndarray, bits: int,
     return e
 
 
-def _qca_draw(params: SystemParams, gen: np.random.Generator, n: int):
+def _qca_draw(params: SystemParams, gen: np.random.Generator, n: int,
+              user_major: bool = False):
     """n QCA-mode draws of the noise-free SINR parts, as :func:`_geometry_draw`
     returns them: Exp(1) numerators over Gamma(n_t-1, distortion) (users)
-    and Gamma(n_t-1, 1) (eavesdropper) interference."""
+    and Gamma(n_t-1, 1) (eavesdropper) interference.
+
+    Each part is drawn (n, K), the stream's order.  A user-major part is
+    transposed as it is drawn, so the (n, K) original is freed at once."""
+    def part(draw):
+        return np.ascontiguousarray(draw.T) if user_major else draw
+
     k = params.n_t
-    legit_num = gen.exponential(size=(n, k))
-    legit_den = gen.gamma(shape=k - 1, scale=params.distortion, size=(n, k))
-    eav_num = gen.exponential(size=(n, k))
-    eav_den = gen.gamma(shape=k - 1, scale=1.0, size=(n, k))
+    legit_num = part(gen.exponential(size=(n, k)))
+    legit_den = part(gen.gamma(shape=k - 1, scale=params.distortion,
+                               size=(n, k)))
+    eav_num = part(gen.exponential(size=(n, k)))
+    eav_den = part(gen.gamma(shape=k - 1, scale=1.0, size=(n, k)))
     return legit_num, legit_den, eav_num, eav_den, 0, 0.0
 
 
-def _draw_parts(params: SystemParams, mode: SimMode, gen, n: int):
+def _draw_parts(params: SystemParams, mode: SimMode, gen, n: int,
+                user_major: bool = False):
     """n draws of both links' noise-free SINR parts in any mode.
 
-    Returns (legit_num, legit_den, eav_num, eav_den), each (n, K), then the
-    rejected count and the largest zero-forcing residual.  They depend on
-    ``params`` only through (n_t, bits).
+    Returns (legit_num, legit_den, eav_num, eav_den), each (n, K), or
+    (K, n) if ``user_major``, then the rejected count and the largest
+    zero-forcing residual.  They depend on ``params`` only through (n_t,
+    bits).
     """
     if mode is SimMode.QCA:
-        return _qca_draw(params, gen, n)
+        return _qca_draw(params, gen, n, user_major)
     if mode is SimMode.FULL:
-        return _geometry_draw(params, gen, n)
+        return _geometry_draw(params, gen, n, user_major=user_major)
     if mode is SimMode.PERFECT:
-        return _geometry_draw(params, gen, n, perfect=True)
+        return _geometry_draw(params, gen, n, perfect=True,
+                              user_major=user_major)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -219,9 +234,10 @@ def _sinr(num, den, noise: float, out=None):
 
 
 def _map_chunks(params: SystemParams, mode: SimMode, n: int, seed: int,
-                workers: int, fn):
+                workers: int, fn, user_major: bool = False):
     """Yields ``fn(legit_num, legit_den, eav_num, eav_den, rejected,
-    zf_residual)`` of each chunk of n draws, in chunk order.
+    zf_residual)`` of each chunk of n draws, in chunk order, the parts laid
+    out as :func:`_draw_parts` returns them.
 
     Chunk i holds :func:`chunk_trials` draws (the last chunk the rest),
     all from substream ``RngStream(seed, i)``, so neither the worker count
@@ -238,7 +254,7 @@ def _map_chunks(params: SystemParams, mode: SimMode, n: int, seed: int,
     def run_chunk(index: int):
         gen = RngStream(seed, index).generator()
         m = min(chunk, n - index * chunk)
-        return fn(*_draw_parts(params, mode, gen, m))
+        return fn(*_draw_parts(params, mode, gen, m, user_major))
 
     if workers == 1 or n_chunks == 1:
         yield from map(run_chunk, range(n_chunks))
@@ -267,82 +283,125 @@ def _rate_estimate(total: float, total_sq: float, n_trials: int,
                         rejected=rejected)
 
 
+def _by_draw_key(points, mode: SimMode) -> list:
+    """``points`` grouped by the draw that serves them, in order of first
+    appearance: [(draw, [(row, point, scale), ...]), ...].
+
+    ``draw`` is the SystemParams of the group's draw key: (n_t, bits) in
+    FULL, n_t in QCA and PERFECT, whose draws do not depend on bits and are
+    keyed at bits = 0.  There the QCA draw has distortion 1: its users'
+    interference is the unit-scale draw that ``scale``, the point's
+    distortion (1 outside QCA), turns into the point's own, bit for bit.
+    ``row`` is the point's index in ``points``.
+    """
+    if not points:
+        raise ValueError("points must be a non-empty list of SystemParams")
+    keys = {}
+    for row, p in enumerate(points):
+        keys.setdefault((p.n_t, p.bits if mode is SimMode.FULL else 0),
+                        []).append(
+            (row, p, p.distortion if mode is SimMode.QCA else 1.0))
+    return [(SystemParams(n_t=n_t, bits=bits, alpha=1.0, snr_db=0.0), members)
+            for (n_t, bits), members in keys.items()]
+
+
+def _row_sums(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The sums over the K rows of ``rows`` (K, n) into ``out`` (n,), bit
+    for bit as ``rows.T.sum(axis=1)`` on a C-ordered (n, K) copy.
+
+    numpy adds each trial's K terms to 0 in pairwise order: fewer than 8 in
+    sequence; up to 128 in eight accumulators, combined as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the leftover terms in
+    sequence; more than 128 by halves, the first rounded down to a multiple
+    of 8.  Here each step adds whole rows, so the cost is per term, not per
+    trial.
+    """
+    k = rows.shape[0]
+    if k < 8:
+        np.add(rows[0], 0.0, out=out)
+        for row in rows[1:]:
+            out += row
+        return out
+    if k > 128:
+        half = k // 2 - k // 2 % 8
+        _row_sums(rows[:half], out)
+        out += _row_sums(rows[half:], np.empty_like(out))
+        return out
+    acc = rows[:8].copy()
+    tail = k - k % 8
+    for i in range(8, tail, 8):
+        acc += rows[i:i + 8]
+    pairs = acc[0::2] + acc[1::2]
+    np.add(pairs[0] + pairs[1], pairs[2] + pairs[3], out=out)
+    for row in rows[tail:]:
+        out += row
+    out += 0.0  # the sum's start: turns an all -0.0 sum into 0.0
+    return out
+
+
 def estimate_secrecy_rates(points, mode: SimMode, n_trials: int, seed: int,
                            workers: int = 1, clip: bool = False) -> list:
     """Monte Carlo ergodic secrecy sum-rates at ``points`` (any non-empty
     list of SystemParams), each over the same ``n_trials`` channel draws.
 
-    Points are grouped by draw key, (n_t, bits) in FULL and n_t in QCA and
-    PERFECT; each chunk of a key is drawn once and every point of the key
-    evaluated from it, so each point's RateEstimate is bit-identical to the
-    one-point call, whatever the point order or the worker count.  Each
-    trial contributes sum_k [log2(1+sinr_k) - log2(1+eav_sinr_k)]; negative
-    per-user terms are kept unless ``clip`` applies a per-user positive part.
+    Points are grouped by draw key (:func:`_by_draw_key`); each chunk of a
+    key is drawn once and every point of the key evaluated from it, so each
+    point's RateEstimate is bit-identical to the one-point call, whatever
+    the point order or the worker count.  Each trial contributes
+    sum_k [log2(1+sinr_k) - log2(1+eav_sinr_k)]; negative per-user terms
+    are kept unless ``clip`` applies a per-user positive part.
     """
     points = list(points)
-    if not points:
-        raise ValueError("points must be a non-empty list of SystemParams")
-    # Draw key: the (n_t, bits) of the draw that serves a point.  QCA and
-    # PERFECT draws do not depend on bits, so they are keyed at bits = 0,
-    # whose QCA draw has distortion 1: its users' interference is the
-    # unit-scale draw that each point scales by its own distortion.
-    keys = {}
-    for row, p in enumerate(points):
-        keys.setdefault((p.n_t, p.bits if mode is SimMode.FULL else 0),
-                        []).append(row)
     estimates = [None] * len(points)
-    for (n_t, bits), rows in keys.items():
-        draw = SystemParams(n_t=n_t, bits=bits, alpha=1.0, snr_db=0.0)
-        for row, est in zip(rows, _estimates_of_one_draw(
-                draw, [points[r] for r in rows], mode, n_trials, seed,
-                workers, clip)):
+    for draw, members in _by_draw_key(points, mode):
+        for (row, _, _), est in zip(members, _estimates_of_one_draw(
+                draw, members, mode, n_trials, seed, workers, clip)):
             estimates[row] = est
     return estimates
 
 
-def _estimates_of_one_draw(draw: SystemParams, points: list, mode: SimMode,
+def _estimates_of_one_draw(draw: SystemParams, members: list, mode: SimMode,
                            n_trials: int, seed: int, workers: int,
                            clip: bool) -> list:
-    """:func:`estimate_secrecy_rates` at ``points``, all served by the draws
-    of ``draw`` (their common draw key)."""
-    # QCA points scale the users' unit-scale interference by their own
-    # distortion, and only the eavesdropper noise depends on alpha: group
-    # the points by (distortion, SNR).
+    """:func:`estimate_secrecy_rates` at the points of ``members``, one
+    draw key's (row, point, scale) triples, all served by the draws of
+    ``draw``."""
+    # Only the users' interference scale and noise, and the eavesdropper
+    # noise, tell points apart: group them by (scale, SNR).
     groups = {}
-    for row, p in enumerate(points):
-        scale = p.distortion if mode is SimMode.QCA else 1.0
+    for i, (_, p, scale) in enumerate(members):
         groups.setdefault((scale, p.noise_over_power), []).append(
-            (row, p.eav_noise_over_power))
+            (i, p.eav_noise_over_power))
 
     def moments(legit_num, legit_den, eav_num, eav_den, rejected, _):
-        # (sum, sum of squares) of the per-trial rate, one row per point.
-        # The scratch is per call: chunks run concurrently on threads.
-        out = np.empty((len(points), 2))
+        # (sum, sum of squares) of the per-trial rate, one row per point,
+        # from user-major (K, n) parts.  The scratch is per call: chunks
+        # run concurrently on threads.
+        out = np.empty((len(members), 2))
         legit, per_user = np.empty_like(legit_num), np.empty_like(eav_num)
-        per_trial = np.empty(legit_num.shape[0])
-        for (scale, legit_noise), members in groups.items():
+        per_trial = np.empty(legit_num.shape[1])
+        for (scale, legit_noise), rows in groups.items():
             den = (legit_den if scale == 1.0
                    else np.multiply(legit_den, scale, out=legit))
             _sinr(legit_num, den, legit_noise, legit)
             legit += 1.0
             np.log2(legit, out=legit)
-            for row, eav_noise in members:
+            for i, eav_noise in rows:
                 _sinr(eav_num, eav_den, eav_noise, per_user)
                 per_user += 1.0
                 np.log2(per_user, out=per_user)
                 np.subtract(legit, per_user, out=per_user)
                 if clip:
                     np.maximum(per_user, 0.0, out=per_user)
-                # (n, K) rows summed per trial: a user-major layout would
-                # change numpy's summation order, and the bits, at K >= 8.
-                per_user.sum(axis=1, out=per_trial)
-                out[row] = per_trial.sum(), per_trial @ per_trial
+                # Users are rows; the sum keeps numpy's order, and bits.
+                _row_sums(per_user, per_trial)
+                out[i] = per_trial.sum(), per_trial @ per_trial
         return out, rejected
 
-    sums = np.zeros((len(points), 2))
+    sums = np.zeros((len(members), 2))
     rejected = 0
     for chunk_sums, chunk_rejected in _map_chunks(
-            draw, mode, n_trials, seed, workers, moments):
+            draw, mode, n_trials, seed, workers, moments, user_major=True):
         sums += chunk_sums
         rejected += chunk_rejected
     return [_rate_estimate(total, total_sq, n_trials, rejected)
@@ -359,26 +418,32 @@ def estimate_secrecy_rate(params: SystemParams, mode: SimMode, n_trials: int,
                                   clip)[0]
 
 
-def collect_sinr_samples(params: SystemParams, mode: SimMode, link: str,
-                         n: int, seed: int, workers: int = 1) -> np.ndarray:
-    """n i.i.d. samples of the first user's (or eavesdropper's) SINR.
+def collect_sinr_samples(points, mode: SimMode, n: int, seed: int,
+                         workers: int = 1):
+    """n i.i.d. samples of the first user's and of the eavesdropper's
+    first-stream SINR at each of ``points`` (a non-empty list of
+    SystemParams).
 
-    ``link`` is "legitimate" or "eavesdropper".  Chunked exactly like
-    :func:`estimate_secrecy_rate`, so results are reproducible and
-    worker-count independent.
+    Yields (row, legit, eav) per point, ``row`` its index in ``points``,
+    key by key (:func:`_by_draw_key`) and in order within a key.  Each
+    chunk of a key is drawn once, chunked as in
+    :func:`estimate_secrecy_rates`, and the first user's four parts are
+    kept: 32 bytes per trial.  A point's samples are made from them only as
+    it is handed out, so memory does not grow with the points per key.
+    Each point's samples are bit-identical to a one-point collection,
+    whatever the worker count.
     """
-    # Position of the link's numerator among the parts, and its noise level.
-    links = {"legitimate": (0, params.noise_over_power),
-             "eavesdropper": (2, params.eav_noise_over_power)}
-    if link not in links:
-        raise ValueError(f"link must be 'legitimate' or 'eavesdropper', got {link!r}")
-    num, noise = links[link]
-
-    def first_user(*parts):
-        return _sinr(parts[num][:, 0], parts[num + 1][:, 0], noise)
-
-    return np.concatenate(list(_map_chunks(params, mode, n, seed, workers,
-                                           first_user)))
+    for draw, members in _by_draw_key(list(points), mode):
+        first, start = np.empty((4, n)), 0
+        for block in _map_chunks(draw, mode, n, seed, workers, lambda *parts:
+                                 np.array([part[:, 0] for part in parts[:4]])):
+            first[:, start:start + block.shape[1]] = block
+            start += block.shape[1]
+        legit_num, legit_den, eav_num, eav_den = first
+        for row, p, scale in members:
+            legit = np.multiply(legit_den, scale)
+            yield (row, _sinr(legit_num, legit, p.noise_over_power, legit),
+                   _sinr(eav_num, eav_den, p.eav_noise_over_power))
 
 
 def max_zf_residual(params: SystemParams, n: int, seed: int,

@@ -1,6 +1,6 @@
-"""Reference constructions the engine's batched FULL and PERFECT stages are
-tested against: explicit fresh-codebook search, QR zero-forcing beams, and
-a gain-by-gain assembly of the SINR parts."""
+"""Reference constructions the engine's batched stages are tested against:
+explicit fresh-codebook search, QR zero-forcing beams, a gain-by-gain
+assembly of the SINR parts, and one sample collection per (point, link)."""
 
 import numpy as np
 
@@ -72,3 +72,21 @@ def assembled_parts(params, gen, n, perfect=False):
                 parts[1, :, user] += gain(h[:, user], beams[:, i])
             parts[3, :, user] += gain(g, beams[:, i])
     return tuple(parts)
+
+
+def one_link_samples(params, mode, link, n, seed, workers=1):
+    """Oracle for ``simulate.collect_sinr_samples``: n samples of the first
+    user's (or eavesdropper's) SINR at one point, each point and link drawn
+    on its own from the engine's chunks, at the point's own distortion.
+
+    ``link`` is "legitimate" or "eavesdropper".
+    """
+    # Position of the link's numerator among the parts, and its noise level.
+    num, noise = {"legitimate": (0, params.noise_over_power),
+                  "eavesdropper": (2, params.eav_noise_over_power)}[link]
+
+    def first_user(*parts):
+        return simulate._sinr(parts[num][:, 0], parts[num + 1][:, 0], noise)
+
+    return np.concatenate(list(simulate._map_chunks(params, mode, n, seed,
+                                                    workers, first_user)))

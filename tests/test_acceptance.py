@@ -165,15 +165,15 @@ def test_criterion_3_asymptotes():
 
 def test_criterion_4_distributions():
     crit = 1.63 / math.sqrt(10_000)
-    for alpha in (0.5, 1.0):
-        p = SystemParams(5, 4, alpha, 10.0)
-        for link, enum_link in (("legitimate", Link.LEGITIMATE),
-                                ("eavesdropper", Link.EAVESDROPPER)):
-            samples = collect_sinr_samples(p, SimMode.QCA, link, 10_000,
-                                           seed=SEED)
+    points = [SystemParams(5, 4, alpha, 10.0) for alpha in (0.5, 1.0)]
+    for row, legit, eav in collect_sinr_samples(points, SimMode.QCA, 10_000,
+                                                seed=SEED):
+        p = points[row]
+        for enum_link, samples in ((Link.LEGITIMATE, legit),
+                                   (Link.EAVESDROPPER, eav)):
             stat = ks_statistic(samples,
                                 lambda x: sinr_cdf(x, p, enum_link))
-            assert stat < crit, (alpha, link, stat)
+            assert stat < crit, (p.alpha, enum_link, stat)
     # Gamma x Beta product collapses to a scaled exponential (n_t >= 3;
     # the beta factor is degenerate at n_t = 2).
     for n_t in (3, 5):

@@ -15,7 +15,8 @@ from zfsecrecy import simulate
 from zfsecrecy.cli import (CSV_HEADER, EXIT_IO, EXIT_OK, EXIT_USAGE,
                            EXIT_VALIDATION, MAX_GRID_POINTS, MAX_TRIALS,
                            MAX_WORKERS, SweepConfig, UsageError, build_parser, main,
-                           parse_curve_csv, run_rate_curve, run_validate)
+                           parse_curve_csv, run_dist_check, run_rate_curve,
+                           run_validate)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
@@ -163,6 +164,13 @@ def test_validate_draws_once_per_antenna_count_and_chunk(monkeypatch):
     # The QCA draw depends on n_t alone: every bits of GOLDEN shares it.
     calls = _count_draws(monkeypatch, "_qca_draw")
     run_validate(SweepConfig(**GOLDEN), stream=io.StringIO())
+    assert sorted(calls) == GOLDEN_CHUNKS
+
+
+def test_dist_check_draws_once_per_antenna_count_and_chunk(monkeypatch):
+    # Both links of every point of an n_t come from one QCA draw per chunk.
+    calls = _count_draws(monkeypatch, "_qca_draw")
+    run_dist_check(SweepConfig(**GOLDEN, mode="qca"), stream=io.StringIO())
     assert sorted(calls) == GOLDEN_CHUNKS
 
 

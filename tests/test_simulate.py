@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from oracles import assembled_parts, explicit_directions
+from oracles import assembled_parts, explicit_directions, one_link_samples
 from zfsecrecy import simulate
 from zfsecrecy.analytic import Link, secrecy_rate_closed_form, sinr_cdf
 from zfsecrecy.linalg import RngStream, complex_gaussian_batch
@@ -17,6 +17,12 @@ from zfsecrecy.simulate import (SimMode, _draw_parts, _rvq_directions, _sinr,
                                 max_zf_residual)
 
 P55 = SystemParams(n_t=5, bits=4, alpha=1.0, snr_db=10.0)
+
+
+def _samples(params, mode, n, seed):
+    """(legitimate, eavesdropper) SINR samples at one point."""
+    [(_, legit, eav)] = collect_sinr_samples([params], mode, n, seed)
+    return legit, eav
 
 
 def _explicit_draw(params, gen, n):
@@ -41,8 +47,7 @@ def test_realizations_are_finite_and_nonnegative():
 
 def test_vanishing_eavesdropper_gain_kills_its_sinr():
     p = SystemParams(n_t=5, bits=4, alpha=1e-9, snr_db=0.0)
-    samples = collect_sinr_samples(p, SimMode.FULL, "eavesdropper", 1_000,
-                                   seed=5)
+    _, samples = _samples(p, SimMode.FULL, 1_000, seed=5)
     assert samples.max() < 1e-12
 
 
@@ -50,8 +55,7 @@ def test_perfect_mode_mean_signal_power():
     # With beams independent of the user's own channel, |h^H w|^2 is unit
     # exponential, so at 0 dB the perfect-feedback SINR has mean 1.
     p = SystemParams(n_t=2, bits=0, alpha=1.0, snr_db=0.0)
-    samples = collect_sinr_samples(p, SimMode.PERFECT, "legitimate", 100_000,
-                                   seed=4)
+    samples, _ = _samples(p, SimMode.PERFECT, 100_000, seed=4)
     assert samples.mean() == pytest.approx(1.0, abs=0.02)
 
 
@@ -415,24 +419,23 @@ def test_full_and_qca_modes_agree_loosely(snr_db):
 # --------------------------------------------------------------------------
 
 def test_samples_are_nonnegative_and_deterministic():
-    a = collect_sinr_samples(P55, SimMode.QCA, "legitimate", 5_000, seed=8)
-    b = collect_sinr_samples(P55, SimMode.QCA, "legitimate", 5_000, seed=8)
-    np.testing.assert_array_equal(a, b)
-    assert (a >= 0).all()
-    with pytest.raises(ValueError):
-        collect_sinr_samples(P55, SimMode.QCA, "nobody", 10, seed=8)
+    a = _samples(P55, SimMode.QCA, 5_000, seed=8)
+    b = _samples(P55, SimMode.QCA, 5_000, seed=8)
+    for ours, theirs in zip(a, b):
+        np.testing.assert_array_equal(ours, theirs)
+        assert (ours >= 0).all()
+    with pytest.raises(ValueError, match="non-empty"):
+        next(collect_sinr_samples([], SimMode.QCA, 10, seed=8))
 
 
 def test_qca_legitimate_samples_match_their_cdf():
-    samples = collect_sinr_samples(P55, SimMode.QCA, "legitimate", 10_000,
-                                   seed=9)
+    samples, _ = _samples(P55, SimMode.QCA, 10_000, seed=9)
     stat = ks_statistic(samples, lambda x: sinr_cdf(x, P55, Link.LEGITIMATE))
     assert stat < 0.0163
 
 
 def test_qca_eavesdropper_samples_match_their_cdf():
-    samples = collect_sinr_samples(P55, SimMode.QCA, "eavesdropper", 10_000,
-                                   seed=10)
+    _, samples = _samples(P55, SimMode.QCA, 10_000, seed=10)
     stat = ks_statistic(samples, lambda x: sinr_cdf(x, P55, Link.EAVESDROPPER))
     assert stat < 0.0163
 
@@ -440,9 +443,69 @@ def test_qca_eavesdropper_samples_match_their_cdf():
 def test_zero_feedback_equal_path_links_identically_distributed():
     # Two-sample KS at the 1% critical value for n = m = 1e4.
     p = SystemParams(n_t=5, bits=0, alpha=1.0, snr_db=10.0)
-    legit = collect_sinr_samples(p, SimMode.QCA, "legitimate", 10_000, seed=21)
-    eav = collect_sinr_samples(p, SimMode.QCA, "eavesdropper", 10_000, seed=22)
+    legit, _ = _samples(p, SimMode.QCA, 10_000, seed=21)
+    _, eav = _samples(p, SimMode.QCA, 10_000, seed=22)
     assert stats.ks_2samp(legit, eav).statistic < 0.023
+
+
+@pytest.mark.parametrize("mode", list(SimMode))
+def test_keyed_collection_matches_per_link_oracle(mode):
+    # One draw per key serves every point: each point's samples equal its
+    # own per-link collection, in any point order and at any worker count.
+    oracle = [[one_link_samples(p, mode, link, 9_000, 12)
+               for link in ("legitimate", "eavesdropper")] for p in MIXED]
+    order = np.random.default_rng(4).permutation(len(MIXED)).tolist()
+    for workers, rows in ((1, range(len(MIXED))), (2, range(len(MIXED))),
+                          (4, range(len(MIXED))), (2, order)):
+        points = [MIXED[i] for i in rows]
+        seen = []
+        for row, legit, eav in collect_sinr_samples(points, mode, 9_000,
+                                                    seed=12, workers=workers):
+            seen.append(row)
+            for ours, theirs in zip((legit, eav), oracle[rows[row]]):
+                assert np.array_equal(ours, theirs), (workers, points[row])
+        assert sorted(seen) == list(range(len(points)))
+
+
+def test_collection_memory_does_not_grow_with_points_per_key():
+    # The key's four parts are held once, and each point's two sample
+    # arrays are made only as the point is handed out.
+    n = 50_000
+
+    def peak(n_points):
+        points = [SystemParams(n_t=5, bits=4, alpha=1.0, snr_db=float(s))
+                  for s in range(n_points)]
+        tracemalloc.start()
+        try:
+            for _ in collect_sinr_samples(points, SimMode.QCA, n, seed=3):
+                pass
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    few, many = peak(2), peak(16)
+    assert few >= 32 * n  # the parts are really held
+    assert many <= few + 2 * n, (few / n, many / n)
+
+
+@pytest.mark.parametrize("k", [*range(2, 18), 64, 127, 128, 129, 256])
+def test_row_sums_follow_numpy_summation_order(k):
+    # The engine sums user-major rows by column adds in numpy's pairwise
+    # order.  If a numpy release changes that order, this fails by name
+    # instead of every digest drifting.
+    gen = RngStream(40, k).generator()
+    terms = (gen.standard_normal((1_000, k))
+             * np.exp(gen.uniform(-30.0, 30.0, (1_000, k))))
+    terms[0] = -0.0  # a sum of negative zeros is 0.0
+    expected = terms.sum(axis=1)
+    got = simulate._row_sums(np.ascontiguousarray(terms.T), np.empty(1_000))
+    assert np.array_equal(got, expected)
+    assert np.array_equal(np.signbit(got), np.signbit(expected))
+    if k >= 8:  # the data tell pairwise from sequential order apart
+        sequential = np.zeros(1_000)
+        for column in terms.T:
+            sequential += column
+        assert not np.array_equal(got, sequential)
 
 
 def test_rejection_free_and_zero_forcing_residual():
