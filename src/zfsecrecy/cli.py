@@ -43,9 +43,9 @@ _REGIMES = {"general": Regime.GENERAL,
 
 # Largest sweep grid accepted, in points; checked before the grid is built.
 MAX_GRID_POINTS = 1_000_000
-# Most trials per point.  dist-check peaks at 88 B per trial (tracemalloc:
-# a draw key's four first-user parts 32 B, one point's two sample arrays
-# 16 B, ks_statistic 40 B), 8.8 GB at this cap, whatever the points per key.
+# Most trials per point.  dist-check peaks at 80 B per trial (tracemalloc:
+# a draw key's four first-user parts 32 B, one link's samples 8 B,
+# ks_statistic 40 B), 8 GB at this cap, whatever the points per key.
 MAX_TRIALS = 10**8
 # Relative slack that keeps an SNR stop reached up to rounding inside the grid.
 _SNR_REL_TOL = 1e-9
@@ -306,26 +306,24 @@ def run_dist_check(config: SweepConfig, stream=None) -> bool:
               "interference beta factor is degenerate there and the "
               "product-distribution identity needs nt >= 3", file=stream)
     points = list(config.grid())
-    # Samples come key by key; the check lines are printed in grid order.
+    # Samples come key by key, one link at a time; the check lines are
+    # printed in grid order.
     lines = [[] for _ in points]
-    for row, legit, eav in simulate.collect_sinr_samples(
+    for row, link, samples in simulate.collect_sinr_samples(
             points, mode, n=n, seed=config.seed, workers=config.workers):
         p = points[row]
-        for link, enum_link, samples in (
-                ("legitimate", Link.LEGITIMATE, legit),
-                ("eavesdropper", Link.EAVESDROPPER, eav)):
-            regime = Regime.GENERAL
-            if mode is SimMode.PERFECT and link == "legitimate":
-                regime = Regime.NOISE_LIMITED
-            thr = threshold
-            if mode is SimMode.PERFECT and link == "eavesdropper":
-                thr = loose  # beams from real geometry, approximate law
-            stat = simulate.ks_statistic(
-                samples, lambda x: analytic.sinr_cdf(x, p, enum_link, regime))
-            ok = stat < thr
-            all_ok &= ok
-            lines[row].append(f"{'PASS' if ok else 'FAIL'}  ks {link} "
-                              f"{_tag(p)}: stat={stat:.5f} threshold={thr:.5f}")
+        regime = Regime.GENERAL
+        if mode is SimMode.PERFECT and link is Link.LEGITIMATE:
+            regime = Regime.NOISE_LIMITED
+        thr = threshold
+        if mode is SimMode.PERFECT and link is Link.EAVESDROPPER:
+            thr = loose  # beams from real geometry, approximate law
+        stat = simulate.ks_statistic(
+            samples, lambda x: analytic.sinr_cdf(x, p, link, regime))
+        ok = stat < thr
+        all_ok &= ok
+        lines[row].append(f"{'PASS' if ok else 'FAIL'}  ks {link.value} "
+                          f"{_tag(p)}: stat={stat:.5f} threshold={thr:.5f}")
     for line in itertools.chain.from_iterable(lines):
         print(line, file=stream)
     print(f"dist-check: {'all below threshold' if all_ok else 'FAILURES present'}",

@@ -44,6 +44,7 @@ from enum import Enum
 
 import numpy as np
 
+from .analytic import Link
 from .linalg import RngStream, complex_gaussian_batch
 from .params import SystemParams
 
@@ -112,14 +113,16 @@ def _zf_beams_batch(directions: np.ndarray):
 
 
 def _geometry_draw(params: SystemParams, gen: np.random.Generator, n: int,
-                   perfect: bool = False, user_major: bool = False):
+                   perfect: bool = False):
     """n FULL- or PERFECT-mode draws, resampling degenerate beam sets.
 
     Returns the noise-free SINR parts (legit_num, legit_den, eav_num,
-    eav_den), each (n, K), or (K, n) if ``user_major``, then the rejected
-    count and the largest zero-forcing residual over kept draws.  PERFECT
-    beams leave no inter-user interference, so its legit_den is zero.  FULL
-    users select from fresh codebooks, sampled by :func:`_rvq_directions`.
+    eav_den), each user-major (K, n), then the rejected count and the
+    largest zero-forcing residual over kept draws.  A part is a transposed
+    view of the (n, K) concatenation of its pieces, so its rows are
+    strided.  PERFECT beams leave no inter-user interference, so its
+    legit_den is zero.  FULL users select from fresh codebooks, sampled by
+    :func:`_rvq_directions`.
     """
     k = params.n_t
     parts = []
@@ -156,10 +159,8 @@ def _geometry_draw(params: SystemParams, gen: np.random.Generator, n: int,
         parts.append((signal, interference, eav_amps, eav_den))
         remaining -= signal.shape[0]
 
-    if user_major:  # the one copy the concatenation makes anyway
-        parts = [[arr.T for arr in piece] for piece in parts]
-    return (*(np.concatenate(p, axis=int(user_major)) for p in zip(*parts)),
-            rejected, zf_residual)
+    return (*(np.concatenate(p).T for p in zip(*parts)), rejected,
+            zf_residual)
 
 
 def _rvq_directions(h_dir: np.ndarray, bits: int,
@@ -187,16 +188,15 @@ def _rvq_directions(h_dir: np.ndarray, bits: int,
     return e
 
 
-def _qca_draw(params: SystemParams, gen: np.random.Generator, n: int,
-              user_major: bool = False):
+def _qca_draw(params: SystemParams, gen: np.random.Generator, n: int):
     """n QCA-mode draws of the noise-free SINR parts, as :func:`_geometry_draw`
     returns them: Exp(1) numerators over Gamma(n_t-1, distortion) (users)
     and Gamma(n_t-1, 1) (eavesdropper) interference.
 
-    Each part is drawn (n, K), the stream's order.  A user-major part is
-    transposed as it is drawn, so the (n, K) original is freed at once."""
+    Each part is drawn (n, K), the stream's order, and copied to contiguous
+    (K, n) rows as it is drawn, so the (n, K) original is freed at once."""
     def part(draw):
-        return np.ascontiguousarray(draw.T) if user_major else draw
+        return np.ascontiguousarray(draw.T)
 
     k = params.n_t
     legit_num = part(gen.exponential(size=(n, k)))
@@ -207,22 +207,20 @@ def _qca_draw(params: SystemParams, gen: np.random.Generator, n: int,
     return legit_num, legit_den, eav_num, eav_den, 0, 0.0
 
 
-def _draw_parts(params: SystemParams, mode: SimMode, gen, n: int,
-                user_major: bool = False):
+def _draw_parts(params: SystemParams, mode: SimMode, gen, n: int):
     """n draws of both links' noise-free SINR parts in any mode.
 
-    Returns (legit_num, legit_den, eav_num, eav_den), each (n, K), or
-    (K, n) if ``user_major``, then the rejected count and the largest
-    zero-forcing residual.  They depend on ``params`` only through (n_t,
-    bits).
+    Returns (legit_num, legit_den, eav_num, eav_den), each user-major
+    (K, n): row k is user k's (or stream k's) n trials.  Then the rejected
+    count and the largest zero-forcing residual.  They depend on ``params``
+    only through (n_t, bits).
     """
     if mode is SimMode.QCA:
-        return _qca_draw(params, gen, n, user_major)
+        return _qca_draw(params, gen, n)
     if mode is SimMode.FULL:
-        return _geometry_draw(params, gen, n, user_major=user_major)
+        return _geometry_draw(params, gen, n)
     if mode is SimMode.PERFECT:
-        return _geometry_draw(params, gen, n, perfect=True,
-                              user_major=user_major)
+        return _geometry_draw(params, gen, n, perfect=True)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -233,8 +231,16 @@ def _sinr(num, den, noise: float, out=None):
     return np.divide(num, out, out)
 
 
+def _check_counts(n: int, workers: int) -> None:
+    """Raises ValueError unless n >= 1 and workers lies in [1, MAX_WORKERS]."""
+    if n < 1:
+        raise ValueError(f"trial count must be >= 1, got {n}")
+    if not 1 <= workers <= MAX_WORKERS:
+        raise ValueError(f"workers must lie in [1, {MAX_WORKERS}], got {workers}")
+
+
 def _map_chunks(params: SystemParams, mode: SimMode, n: int, seed: int,
-                workers: int, fn, user_major: bool = False):
+                workers: int, fn):
     """Yields ``fn(legit_num, legit_den, eav_num, eav_den, rejected,
     zf_residual)`` of each chunk of n draws, in chunk order, the parts laid
     out as :func:`_draw_parts` returns them.
@@ -244,17 +250,14 @@ def _map_chunks(params: SystemParams, mode: SimMode, n: int, seed: int,
     nor thread scheduling can change a result bit.  At most
     ``2 * workers`` chunks are in flight, so memory does not grow with n.
     """
-    if n < 1:
-        raise ValueError(f"trial count must be >= 1, got {n}")
-    if not 1 <= workers <= MAX_WORKERS:
-        raise ValueError(f"workers must lie in [1, {MAX_WORKERS}], got {workers}")
+    _check_counts(n, workers)
     chunk = chunk_trials(params, mode)
     n_chunks = (n + chunk - 1) // chunk
 
     def run_chunk(index: int):
         gen = RngStream(seed, index).generator()
         m = min(chunk, n - index * chunk)
-        return fn(*_draw_parts(params, mode, gen, m, user_major))
+        return fn(*_draw_parts(params, mode, gen, m))
 
     if workers == 1 or n_chunks == 1:
         yield from map(run_chunk, range(n_chunks))
@@ -374,9 +377,8 @@ def _estimates_of_one_draw(draw: SystemParams, members: list, mode: SimMode,
             (i, p.eav_noise_over_power))
 
     def moments(legit_num, legit_den, eav_num, eav_den, rejected, _):
-        # (sum, sum of squares) of the per-trial rate, one row per point,
-        # from user-major (K, n) parts.  The scratch is per call: chunks
-        # run concurrently on threads.
+        # (sum, sum of squares) of the per-trial rate, one row per point.
+        # The scratch is per call: chunks run concurrently on threads.
         out = np.empty((len(members), 2))
         legit, per_user = np.empty_like(legit_num), np.empty_like(eav_num)
         per_trial = np.empty(legit_num.shape[1])
@@ -401,7 +403,7 @@ def _estimates_of_one_draw(draw: SystemParams, members: list, mode: SimMode,
     sums = np.zeros((len(members), 2))
     rejected = 0
     for chunk_sums, chunk_rejected in _map_chunks(
-            draw, mode, n_trials, seed, workers, moments, user_major=True):
+            draw, mode, n_trials, seed, workers, moments):
         sums += chunk_sums
         rejected += chunk_rejected
     return [_rate_estimate(total, total_sq, n_trials, rejected)
@@ -424,26 +426,39 @@ def collect_sinr_samples(points, mode: SimMode, n: int, seed: int,
     first-stream SINR at each of ``points`` (a non-empty list of
     SystemParams).
 
-    Yields (row, legit, eav) per point, ``row`` its index in ``points``,
-    key by key (:func:`_by_draw_key`) and in order within a key.  Each
-    chunk of a key is drawn once, chunked as in
+    Returns an iterator of (row, link, samples), ``row`` the point's index
+    in ``points`` and ``link`` a :class:`Link`: a point's legitimate
+    samples, then its eavesdropper's, key by key (:func:`_by_draw_key`)
+    and in order within a key.  The arguments are checked at the call.
+    Each chunk of a key is drawn once, chunked as in
     :func:`estimate_secrecy_rates`, and the first user's four parts are
-    kept: 32 bytes per trial.  A point's samples are made from them only as
-    it is handed out, so memory does not grow with the points per key.
-    Each point's samples are bit-identical to a one-point collection,
-    whatever the worker count.
+    kept: 32 bytes per trial.  Each sample array is made only as it is
+    handed out, so memory does not grow with the points per key, and a
+    caller that drops each array before taking the next holds one link's
+    samples at a time.  Each point's samples are bit-identical to a
+    one-point collection, whatever the worker count.
     """
-    for draw, members in _by_draw_key(list(points), mode):
+    keys = _by_draw_key(list(points), mode)
+    _check_counts(n, workers)
+    return _keyed_samples(keys, mode, n, seed, workers)
+
+
+def _keyed_samples(keys: list, mode: SimMode, n: int, seed: int,
+                   workers: int):
+    """The iterator :func:`collect_sinr_samples` returns, over the
+    :func:`_by_draw_key` groups ``keys``."""
+    for draw, members in keys:
         first, start = np.empty((4, n)), 0
         for block in _map_chunks(draw, mode, n, seed, workers, lambda *parts:
-                                 np.array([part[:, 0] for part in parts[:4]])):
+                                 np.array([part[0] for part in parts[:4]])):
             first[:, start:start + block.shape[1]] = block
             start += block.shape[1]
         legit_num, legit_den, eav_num, eav_den = first
         for row, p, scale in members:
-            legit = np.multiply(legit_den, scale)
-            yield (row, _sinr(legit_num, legit, p.noise_over_power, legit),
-                   _sinr(eav_num, eav_den, p.eav_noise_over_power))
+            yield row, Link.LEGITIMATE, _sinr(legit_num, legit_den * scale,
+                                              p.noise_over_power)
+            yield row, Link.EAVESDROPPER, _sinr(eav_num, eav_den,
+                                                p.eav_noise_over_power)
 
 
 def max_zf_residual(params: SystemParams, n: int, seed: int,

@@ -86,7 +86,7 @@ def one_link_samples(params, mode, link, n, seed, workers=1):
                   "eavesdropper": (2, params.eav_noise_over_power)}[link]
 
     def first_user(*parts):
-        return simulate._sinr(parts[num][:, 0], parts[num + 1][:, 0], noise)
+        return simulate._sinr(parts[num][0], parts[num + 1][0], noise)
 
     return np.concatenate(list(simulate._map_chunks(params, mode, n, seed,
                                                     workers, first_user)))

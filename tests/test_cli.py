@@ -7,6 +7,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -172,6 +173,23 @@ def test_dist_check_draws_once_per_antenna_count_and_chunk(monkeypatch):
     calls = _count_draws(monkeypatch, "_qca_draw")
     run_dist_check(SweepConfig(**GOLDEN, mode="qca"), stream=io.StringIO())
     assert sorted(calls) == GOLDEN_CHUNKS
+
+
+def test_dist_check_memory_stays_within_the_trial_cap_estimate():
+    # MAX_TRIALS' comment: a QCA dist-check holds 80 B per trial at its
+    # peak, the same at one point and at four points of one draw key.
+    n = 200_000
+    for snr_stop in (10.0, 13.0):
+        config = SweepConfig(nt=[5], bits=[4], alpha=[1.0], snr_start=10.0,
+                             snr_stop=snr_stop, snr_step=1.0, trials=n,
+                             seed=3)
+        tracemalloc.start()
+        try:
+            run_dist_check(config, stream=io.StringIO())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 80 * n + 2 ** 20, (snr_stop, peak / n)
 
 
 def test_perfect_rate_curve_draws_once_per_antenna_count_and_chunk(

@@ -103,7 +103,7 @@ def test_quantize_zero_bits_always_index_zero():
 def qca_interference(p, gen, n):
     """n draws of the first user's QCA interference term."""
     _, legit_den, _, _, _, _ = _qca_draw(p, gen, n)
-    return legit_den[:, 0]
+    return legit_den[0]
 
 
 def test_qca_gain_mean_matches_gamma_law():

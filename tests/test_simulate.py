@@ -21,15 +21,18 @@ P55 = SystemParams(n_t=5, bits=4, alpha=1.0, snr_db=10.0)
 
 def _samples(params, mode, n, seed):
     """(legitimate, eavesdropper) SINR samples at one point."""
-    [(_, legit, eav)] = collect_sinr_samples([params], mode, n, seed)
+    (_, legit_link, legit), (_, eav_link, eav) = collect_sinr_samples(
+        [params], mode, n, seed)
+    assert (legit_link, eav_link) == (Link.LEGITIMATE, Link.EAVESDROPPER)
     return legit, eav
 
 
 def _explicit_draw(params, gen, n):
-    """n FULL draws with each user's codeword found by explicit search."""
+    """n FULL draws with each user's codeword found by explicit search,
+    their four SINR parts trial-major, (n, K)."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(simulate, "_rvq_directions", explicit_directions)
-        return _draw_parts(params, SimMode.FULL, gen, n)
+        return [part.T for part in _draw_parts(params, SimMode.FULL, gen, n)[:4]]
 
 
 # --------------------------------------------------------------------------
@@ -40,7 +43,7 @@ def test_realizations_are_finite_and_nonnegative():
     for mode in SimMode:
         parts = _draw_parts(P55, mode, RngStream(1, 0).generator(), 200)
         for arr in parts[:4]:
-            assert arr.shape == (200, 5)
+            assert arr.shape == (5, 200)  # user-major
             assert np.isfinite(arr).all()
             assert (arr >= 0).all()
 
@@ -80,7 +83,7 @@ def test_chunk_matches_qr_beam_oracle(mode, n_t, bits):
     engine = _draw_parts(params, mode, RngStream(5, 0).generator(), n)
     oracle = assembled_parts(params, RngStream(5, 0).generator(), n,
                              mode is SimMode.PERFECT)
-    for ours, theirs in zip(engine[:4], oracle):
+    for ours, theirs in zip((part.T for part in engine[:4]), oracle):
         assert ours.shape == theirs.shape == (n, n_t)
         assert np.abs(ours - theirs).max() <= 1e-12 * np.abs(theirs).max()
     assert engine[4] == 0
@@ -152,9 +155,10 @@ def test_sampler_matches_explicit_codebook_search(n_t, bits, n_explicit):
     # dependent and pooling them would void the test.
     params = SystemParams(n_t=n_t, bits=bits, alpha=1.0, snr_db=10.0)
     sampled = [np.concatenate(c) for c in zip(*simulate._map_chunks(
-        params, SimMode.FULL, 40_000, 25, 1, lambda *parts: parts[:4]))]
+        params, SimMode.FULL, 40_000, 25, 1,
+        lambda *parts: [part.T for part in parts[:4]]))]
     explicit = [np.concatenate(c) for c in zip(*(
-        _explicit_draw(params, RngStream(26, i).generator(), 500)[:4]
+        _explicit_draw(params, RngStream(26, i).generator(), 500)
         for i in range(n_explicit // 500)))]
     names = ("legit_num", "legit_den", "eav_num", "eav_den")
     for name, ours, theirs in zip(names, sampled, explicit):
@@ -258,10 +262,15 @@ def test_shared_draws_reproduce_each_single_point_estimate(mode, options):
 
 def _per_point_moments(points, clip):
     """The plain per-point reduction, two fresh log passes per point: the
-    oracle for the engine's grouped, in-place one."""
+    oracle for the engine's grouped, in-place one.  It copies the engine's
+    user-major parts to C-ordered (n, K) arrays and sums each trial's row
+    with numpy's own ``sum(axis=1)``."""
     noise = [(p.noise_over_power, p.eav_noise_over_power) for p in points]
 
-    def moments(legit_num, legit_den, eav_num, eav_den, rejected, _):
+    def moments(*parts):
+        legit_num, legit_den, eav_num, eav_den = (
+            np.ascontiguousarray(part.T) for part in parts[:4])
+        rejected = parts[4]
         out = np.empty((len(noise), 2))
         for row, (legit_noise, eav_noise) in zip(out, noise):
             per_user = (np.log2(1.0 + legit_num / (legit_den + legit_noise))
@@ -424,8 +433,19 @@ def test_samples_are_nonnegative_and_deterministic():
     for ours, theirs in zip(a, b):
         np.testing.assert_array_equal(ours, theirs)
         assert (ours >= 0).all()
+
+
+
+def test_sample_collection_checks_its_arguments_at_the_call():
+    # No iteration: the errors come from the call itself.
     with pytest.raises(ValueError, match="non-empty"):
-        next(collect_sinr_samples([], SimMode.QCA, 10, seed=8))
+        collect_sinr_samples([], SimMode.QCA, 10, seed=8)
+    with pytest.raises(ValueError, match="trial count"):
+        collect_sinr_samples([P55], SimMode.QCA, 0, seed=8)
+    for workers in (0, simulate.MAX_WORKERS + 1):
+        with pytest.raises(ValueError, match="workers"):
+            collect_sinr_samples([P55], SimMode.QCA, 10, seed=8,
+                                 workers=workers)
 
 
 def test_qca_legitimate_samples_match_their_cdf():
@@ -452,39 +472,44 @@ def test_zero_feedback_equal_path_links_identically_distributed():
 def test_keyed_collection_matches_per_link_oracle(mode):
     # One draw per key serves every point: each point's samples equal its
     # own per-link collection, in any point order and at any worker count.
-    oracle = [[one_link_samples(p, mode, link, 9_000, 12)
-               for link in ("legitimate", "eavesdropper")] for p in MIXED]
+    oracle = [{link: one_link_samples(p, mode, link.value, 9_000, 12)
+               for link in Link} for p in MIXED]
     order = np.random.default_rng(4).permutation(len(MIXED)).tolist()
     for workers, rows in ((1, range(len(MIXED))), (2, range(len(MIXED))),
                           (4, range(len(MIXED))), (2, order)):
         points = [MIXED[i] for i in rows]
         seen = []
-        for row, legit, eav in collect_sinr_samples(points, mode, 9_000,
+        for row, link, ours in collect_sinr_samples(points, mode, 9_000,
                                                     seed=12, workers=workers):
-            seen.append(row)
-            for ours, theirs in zip((legit, eav), oracle[rows[row]]):
-                assert np.array_equal(ours, theirs), (workers, points[row])
-        assert sorted(seen) == list(range(len(points)))
+            seen.append((row, link))
+            assert np.array_equal(ours, oracle[rows[row]][link]), (
+                workers, points[row], link)
+        # Every point once: its legitimate samples, then its eavesdropper's.
+        assert seen == [(row, link) for row, _ in seen[::2] for link in Link]
+        assert sorted(row for row, _ in seen[::2]) == list(range(len(points)))
 
 
 def test_collection_memory_does_not_grow_with_points_per_key():
-    # The key's four parts are held once, and each point's two sample
-    # arrays are made only as the point is handed out.
+    # The key's four first-user parts are held once, 32 B per trial, and
+    # each link's samples are made only as they are handed out: a caller
+    # holding one array at a time holds 40 B per trial in all.
     n = 50_000
 
-    def peak(n_points):
+    def peaks(n_points):
         points = [SystemParams(n_t=5, bits=4, alpha=1.0, snr_db=float(s))
                   for s in range(n_points)]
         tracemalloc.start()
         try:
+            held = 0
             for _ in collect_sinr_samples(points, SimMode.QCA, n, seed=3):
-                pass
-            return tracemalloc.get_traced_memory()[1]
+                held = max(held, tracemalloc.get_traced_memory()[0])
+            return held, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    few, many = peak(2), peak(16)
-    assert few >= 32 * n  # the parts are really held
+    (few_held, few), (many_held, many) = peaks(2), peaks(16)
+    for held in (few_held, many_held):
+        assert 40 * n <= held <= 41 * n, held / n
     assert many <= few + 2 * n, (few / n, many / n)
 
 
