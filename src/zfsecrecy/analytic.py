@@ -140,6 +140,30 @@ def _en_scaled(n: int, x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Quadrature
+# ---------------------------------------------------------------------------
+
+def integrate_half_line(integrand, scale: float) -> float:
+    """integral_0^inf integrand(t) dt by adaptive quadrature, to an absolute
+    error of 1e-9 or ArithmeticError.
+
+    ``scale`` is the sharpest exponential decay rate of the integrand: the
+    range splits at 1/max(1, scale), so an integrand whose support collapses
+    toward 0 is still resolved.
+    """
+    from scipy import integrate  # lazy: it more than triples CLI start-up
+
+    split = 1.0 / max(1.0, scale)
+    head, err_h = integrate.quad(integrand, 0.0, split, **_QUAD_OPTS)
+    tail, err_t = integrate.quad(integrand, split, math.inf, **_QUAD_OPTS)
+    if err_h + err_t > 1e-9:
+        raise ArithmeticError(
+            f"quadrature did not converge (split {split:.6g}, "
+            f"error estimate {err_h + err_t:.2e})")
+    return head + tail
+
+
+# ---------------------------------------------------------------------------
 # Laplace-type pole integrals
 # ---------------------------------------------------------------------------
 
@@ -164,22 +188,6 @@ def laplace_pole_integral(p: float, a: float, n: int) -> float:
     return a ** (1.0 - n) * _en_scaled(n, a * p)
 
 
-def _quad_two_pole(x: float, y: float, z: int) -> float:
-    from scipy import integrate  # lazy: it more than triples CLI start-up
-
-    def integrand(t):
-        return math.exp(-x * t) / ((t + 1.0) * (t + y) ** z)
-
-    split = 1.0 / max(1.0, x)
-    head, err_h = integrate.quad(integrand, 0.0, split, **_QUAD_OPTS)
-    tail, err_t = integrate.quad(integrand, split, math.inf, **_QUAD_OPTS)
-    if err_h + err_t > 1e-9:
-        raise ArithmeticError(
-            f"two-pole quadrature did not converge (x={x}, y={y}, z={z}, "
-            f"error estimate {err_h + err_t:.2e})")
-    return head + tail
-
-
 def laplace_two_pole_integral(x: float, y: float, z: int) -> float:
     """integral_0^inf exp(-x t) / ((t + 1)(t + y)^z) dt for x >= 0, y > 0.
 
@@ -200,25 +208,24 @@ def laplace_two_pole_integral(x: float, y: float, z: int) -> float:
 
     if abs(y - 1.0) < 1e-6:
         return laplace_pole_integral(x, 1.0, z + 1)
-    if abs(y - 1.0) < 1e-4:
-        return _quad_two_pole(x, y, z)
-
-    terms = []
-    if x == 0.0:
-        terms.append((y - 1.0) ** (-z) * math.log(y))
-        for i in range(1, z):
-            terms.append((-1.0) ** (i - 1) * (1.0 - y) ** (-i)
-                         * laplace_pole_integral(0.0, y, z - i + 1))
-    else:
-        terms.append((y - 1.0) ** (-z) * laplace_pole_integral(x, 1.0, 1))
-        for i in range(1, z + 1):
-            terms.append((-1.0) ** (i - 1) * (1.0 - y) ** (-i)
-                         * laplace_pole_integral(x, y, z - i + 1))
-    total = math.fsum(terms)
-    largest = max(abs(t) for t in terms)
-    if largest > 1e6 * max(abs(total), 1e-300):
-        return _quad_two_pole(x, y, z)
-    return total
+    if abs(y - 1.0) >= 1e-4:
+        terms = []
+        if x == 0.0:
+            terms.append((y - 1.0) ** (-z) * math.log(y))
+            for i in range(1, z):
+                terms.append((-1.0) ** (i - 1) * (1.0 - y) ** (-i)
+                             * laplace_pole_integral(0.0, y, z - i + 1))
+        else:
+            terms.append((y - 1.0) ** (-z) * laplace_pole_integral(x, 1.0, 1))
+            for i in range(1, z + 1):
+                terms.append((-1.0) ** (i - 1) * (1.0 - y) ** (-i)
+                             * laplace_pole_integral(x, y, z - i + 1))
+        total = math.fsum(terms)
+        largest = max(abs(t) for t in terms)
+        if not largest > 1e6 * max(abs(total), 1e-300):
+            return total
+    return integrate_half_line(
+        lambda t: math.exp(-x * t) / ((t + 1.0) * (t + y) ** z), x)
 
 
 # ---------------------------------------------------------------------------
@@ -288,15 +295,6 @@ def _survival_law(params: SystemParams, link: Link, regime: Regime):
     raise ValueError(f"unknown regime {regime!r}")
 
 
-def sinr_survival(x, params: SystemParams, link: Link,
-                  regime: Regime = Regime.GENERAL):
-    """P(sinr > x) for the requested link and regime; x a float or an array."""
-    negative = (x < 0).any() if isinstance(x, np.ndarray) else x < 0
-    if negative:
-        raise ValueError(f"x must be >= 0, got {x}")
-    return _survival_law(params, link, regime)(x)
-
-
 def sinr_cdf(x, params: SystemParams, link: Link,
              regime: Regime = Regime.GENERAL):
     """CDF of a served user's (or the eavesdropper's) SINR; x a float or an
@@ -304,7 +302,10 @@ def sinr_cdf(x, params: SystemParams, link: Link,
 
     Monotone non-decreasing, 0 at x = 0, tending to 1 as x grows.
     """
-    return 1.0 - sinr_survival(x, params, link, regime)
+    negative = (x < 0).any() if isinstance(x, np.ndarray) else x < 0
+    if negative:
+        raise ValueError(f"x must be >= 0, got {x}")
+    return 1.0 - _survival_law(params, link, regime)(x)
 
 
 # ---------------------------------------------------------------------------
@@ -381,23 +382,8 @@ def rate_from_cdf_quadrature(params: SystemParams,
     truth for all three closed forms; absolute error below 1e-9 or it
     raises.
     """
-    from scipy import integrate
-
     legit = _survival_law(params, Link.LEGITIMATE, regime)
     eav = _survival_law(params, Link.EAVESDROPPER, regime)
-
-    def integrand(x):
-        return (legit(x) - eav(x)) / (1.0 + x)
-
-    # Split at the sharpest exponential scale so low-SNR integrands whose
-    # support collapses toward 0 are still resolved.
-    sharpest = max(1.0, params.noise_over_power, params.eav_noise_over_power)
-    split = 1.0 / sharpest
-    head, err_h = integrate.quad(integrand, 0.0, split, **_QUAD_OPTS)
-    tail, err_t = integrate.quad(integrand, split, math.inf, **_QUAD_OPTS)
-    err = err_h + err_t
-    if err > 1e-9:
-        raise ArithmeticError(
-            f"rate quadrature did not converge for {params}, {regime}: "
-            f"error estimate {err:.2e}")
-    return params.n_t * LOG2_E * (head + tail)
+    return params.n_t * LOG2_E * integrate_half_line(
+        lambda x: (legit(x) - eav(x)) / (1.0 + x),
+        max(params.noise_over_power, params.eav_noise_over_power))

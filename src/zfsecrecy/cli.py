@@ -43,9 +43,9 @@ _REGIMES = {"general": Regime.GENERAL,
 
 # Largest sweep grid accepted, in points; checked before the grid is built.
 MAX_GRID_POINTS = 1_000_000
-# Most trials per point.  dist-check peaks at 80 B per trial (tracemalloc:
+# Most trials per point.  dist-check peaks at 72 B per trial (tracemalloc:
 # a draw key's four first-user parts 32 B, one link's samples 8 B,
-# ks_statistic 40 B), 8 GB at this cap, whatever the points per key.
+# ks_statistic 32 B), 7.2 GB at this cap, whatever the points per key.
 MAX_TRIALS = 10**8
 # Relative slack that keeps an SNR stop reached up to rounding inside the grid.
 _SNR_REL_TOL = 1e-9
@@ -83,16 +83,10 @@ class SweepConfig:
         n = math.floor(self._snr_span()) + 1
         return [self.snr_start + i * self.snr_step for i in range(n)]
 
-    def grid(self, nt=None, bits=None, alpha=None, snr=None):
-        """SystemParams of the sweep: n_t outermost, then bits, alpha, SNR.
-
-        A list passed for an axis replaces that axis's configured values.
-        """
-        axes = (self.nt if nt is None else nt,
-                self.bits if bits is None else bits,
-                self.alpha if alpha is None else alpha,
-                self.snr_values() if snr is None else snr)
-        for n_t, b, a, snr_db in itertools.product(*axes):
+    def grid(self):
+        """SystemParams of the sweep: n_t outermost, then bits, alpha, SNR."""
+        for n_t, b, a, snr_db in itertools.product(
+                self.nt, self.bits, self.alpha, self.snr_values()):
             yield SystemParams(n_t=n_t, bits=b, alpha=a, snr_db=snr_db)
 
     def validate(self):
@@ -245,25 +239,28 @@ def run_validate(config: SweepConfig, stream=None) -> bool:
     # by then, i.e. distortion scale >= 0.5 (noise 1e-5 << interference);
     # for tiny distortion the ceiling is approached too slowly (for two
     # antennas only like noise*log(1/noise)) for a fixed-SNR check.
-    for zero_fb in config.grid(bits=[0], alpha=[0.5], snr=[0.0]):
-        n_t = zero_fb.n_t
-        for p_hi in config.grid(nt=[n_t], alpha=[1.0], snr=[50.0]):
+    for n_t in config.nt:
+        for bits in config.bits:
+            p_hi = SystemParams(n_t=n_t, bits=bits, alpha=1.0, snr_db=50.0)
             if p_hi.distortion >= 0.5:
                 il = analytic.secrecy_rate_interference_limited(p_hi)
                 gap = abs(analytic.secrecy_rate_closed_form(p_hi) - il)
                 all_ok &= _check(
-                    f"limit interference nt={n_t} bits={p_hi.bits}",
+                    f"limit interference nt={n_t} bits={bits}",
                     gap < 1e-3, f"|closed(50dB) - R_IL| = {gap:.3e}",
                     report, stream)
-            for p_lo in config.grid(nt=[n_t], bits=[p_hi.bits], snr=[-40.0]):
-                if p_lo.alpha == 1.0:
+            for alpha in config.alpha:
+                if alpha == 1.0:
                     continue  # noise-limited rate is exactly 0 there
+                p_lo = SystemParams(n_t=n_t, bits=bits, alpha=alpha,
+                                    snr_db=-40.0)
                 nl = analytic.secrecy_rate_noise_limited(p_lo)
                 ratio = analytic.secrecy_rate_closed_form(p_lo) / nl
                 all_ok &= _check(
-                    f"limit noise nt={n_t} bits={p_lo.bits} "
-                    f"alpha={p_lo.alpha:g}", abs(ratio - 1.0) < 0.01,
+                    f"limit noise nt={n_t} bits={bits} "
+                    f"alpha={alpha:g}", abs(ratio - 1.0) < 0.01,
                     f"closed(-40dB)/R_NL = {ratio:.6f}", report, stream)
+        zero_fb = SystemParams(n_t=n_t, bits=0, alpha=0.5, snr_db=0.0)
         il0 = analytic.secrecy_rate_interference_limited(zero_fb)
         all_ok &= _check(f"limit il-zero-feedback nt={n_t}", il0 == 0.0,
                          f"R_IL(bits=0) = {il0!r}", report, stream)
@@ -351,16 +348,13 @@ def run_selftest(seed: int = 20250, stream=None) -> bool:
                  "e^-x/(x+1) < E1(x) < e^-x/x at x in {0.5, 1, 5}",
                  report, stream)
 
-    from scipy import integrate as _integrate
     worst = 0.0
     for p, a, n in [(0.5, 1.0, 1), (1.0, 1.0, 3), (2.0, 0.5, 5),
                     (0.1, 2.0, 8), (10.0, 1.0, 10)]:
         val = analytic.laplace_pole_integral(p, a, n)
-        ref, _ = _integrate.quad(lambda t: math.exp(-p * t) * (t + a) ** (-n),
-                                 0, 1.0 / p, epsabs=1e-14, epsrel=1e-13)
-        ref2, _ = _integrate.quad(lambda t: math.exp(-p * t) * (t + a) ** (-n),
-                                  1.0 / p, math.inf, epsabs=1e-14, epsrel=1e-13)
-        worst = max(worst, abs(val - (ref + ref2)) / abs(ref + ref2))
+        ref = analytic.integrate_half_line(
+            lambda t: math.exp(-p * t) * (t + a) ** (-n), p)
+        worst = max(worst, abs(val - ref) / abs(ref))
     ok &= _check("pole-integral-vs-quadrature", worst < 1e-9,
                  f"worst relative error {worst:.2e}", report, stream)
 

@@ -483,5 +483,9 @@ def ks_statistic(samples, cdf) -> float:
     if n == 0:
         raise ValueError("samples must be non-empty")
     f = np.asarray(cdf(x), dtype=float)
-    steps = np.arange(1, n + 1) / n
-    return float(max((steps - f).max(), (f - (steps - 1.0 / n)).max()))
+    # Steps in place: at most four n-arrays are live, x and f included.
+    steps = np.arange(1, n + 1, dtype=float)
+    steps /= n
+    d_plus = (steps - f).max()
+    steps -= 1.0 / n
+    return float(max(d_plus, np.subtract(f, steps, out=steps).max()))

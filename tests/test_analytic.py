@@ -6,7 +6,8 @@ from scipy import integrate
 
 from zfsecrecy.analytic import (Link, Regime, exp_integral_e1,
                                 exp_integral_e1_scaled,
-                                gauss_2f1, laplace_pole_integral,
+                                gauss_2f1, integrate_half_line,
+                                laplace_pole_integral,
                                 laplace_two_pole_integral,
                                 rate_from_cdf_quadrature,
                                 secrecy_rate_closed_form,
@@ -160,11 +161,19 @@ def test_two_pole_log_case():
 
 def test_two_pole_vs_quadrature():
     cases = [(1.0, 0.5, 4), (0.1, 2.0, 4), (0.0, 2.0, 4), (2.0, 8.0, 1),
-             (0.01, 1.0001, 3), (10.0, 3.0, 7)]
+             (0.01, 1.0001, 3), (10.0, 3.0, 7),
+             (0.5, 1 + 5e-5, 3)]  # the last inside the 1e-4 guard band
     for x, y, z in cases:
         ref = quad_two_pole(x, y, z)
         got = laplace_two_pole_integral(x, y, z)
         assert abs(got - ref) / abs(ref) < 1e-8, (x, y, z)
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_integrate_half_line_raises_when_it_cannot_converge():
+    # sin has no integral over the half line; the error estimate is huge.
+    with pytest.raises(ArithmeticError, match="did not converge"):
+        integrate_half_line(math.sin, 1.0)
 
 
 def test_two_pole_domain():

@@ -176,7 +176,7 @@ def test_dist_check_draws_once_per_antenna_count_and_chunk(monkeypatch):
 
 
 def test_dist_check_memory_stays_within_the_trial_cap_estimate():
-    # MAX_TRIALS' comment: a QCA dist-check holds 80 B per trial at its
+    # MAX_TRIALS' comment: a QCA dist-check holds 72 B per trial at its
     # peak, the same at one point and at four points of one draw key.
     n = 200_000
     for snr_stop in (10.0, 13.0):
@@ -189,7 +189,7 @@ def test_dist_check_memory_stays_within_the_trial_cap_estimate():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 80 * n + 2 ** 20, (snr_stop, peak / n)
+        assert peak <= 72 * n + 2 ** 20, (snr_stop, peak / n)
 
 
 def test_perfect_rate_curve_draws_once_per_antenna_count_and_chunk(
@@ -463,6 +463,16 @@ def test_readme_command_line_names_exactly_the_parser_flags():
     offered = {flag for sub in subcommands.choices.values()
                for action in sub._actions for flag in action.option_strings}
     assert documented == offered - {"-h", "--help"}
+
+
+def test_readme_python_example_runs_and_its_value_comment_holds():
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(block, namespace)
+    digits = re.search(r"exact = .*# ([0-9.]+)\.\.\.", block).group(1)
+    assert repr(namespace["exact"]).startswith(digits)
+    assert abs(namespace["oracle"] - namespace["exact"]) < 1e-10
 
 
 def test_importing_the_cli_leaves_scipy_integrate_unloaded():

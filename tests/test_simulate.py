@@ -582,3 +582,9 @@ def test_ks_agrees_with_scipy():
     ours = ks_statistic(samples, lambda x: 1.0 - np.exp(-x))
     theirs = stats.kstest(samples, stats.expon.cdf).statistic
     assert ours == pytest.approx(theirs, abs=1e-12)
+    # A CDF that hands back the sorted array itself must survive the
+    # statistic's in-place work; these samples make the lower side decide.
+    samples = np.sqrt(gen.random(size=2_000))
+    ours = ks_statistic(samples, lambda x: x)
+    theirs = stats.kstest(samples, stats.uniform.cdf).statistic
+    assert ours == pytest.approx(theirs, abs=1e-12)
