@@ -58,10 +58,17 @@ MAX_WORKERS = 256
 # Fixed chunking so worker count cannot influence the sample sequence.
 _CHUNK_TRIALS = 8192
 _CHUNK_TARGET_BYTES = 48 * 2 ** 20
-# K x K complex arrays one FULL or PERFECT chunk holds at its peak, per
-# trial: tracemalloc measured 6.5 of them plus four (n, K) reals in FULL
-# (h, g, sampler scratch, inverse, beams, gains), 5 in PERFECT.
+# K x K complex arrays per trial that chunk_trials budgets for one FULL or
+# PERFECT chunk.  The draw runs its per-trial steps block by block, so a
+# chunk holds its whole-round arrays (h, directions, the sampler's draw)
+# and one block's temporaries: tracemalloc (numpy 2.4) measures 3.6-4.1 in
+# FULL and 2.2-3.6 in PERFECT at n_t >= 3, 5.5 and 5.0 at n_t = 2, where
+# the (n, K) reals weigh most.  The budget stays at 7 so that no chunk
+# boundary, and so no output bit, moves.
 _PEAK_ARRAYS = 7
+# Bytes of one K x K complex array over a block of trials: each per-trial
+# step of a geometry draw runs on blocks this size, not on the whole chunk.
+_BLOCK_TARGET_BYTES = 2 ** 18
 
 
 class SimMode(Enum):
@@ -92,13 +99,23 @@ def chunk_trials(params: SystemParams, mode: SimMode) -> int:
     return max(1, min(_CHUNK_TRIALS, _CHUNK_TARGET_BYTES // per_trial))
 
 
+def _trial_blocks(n: int, k: int) -> list:
+    """Consecutive slices that cover range(n), each of as many trials as
+    fill _BLOCK_TARGET_BYTES with one K x K complex array (at least one)."""
+    step = max(1, _BLOCK_TARGET_BYTES // (16 * k * k))
+    return [slice(start, start + step) for start in range(0, n, step)]
+
+
 def _zf_beams_batch(directions: np.ndarray):
     """Vectorized zero-forcing beams for a batch of direction sets.
 
     ``directions`` has shape (n, K, K), rows = unit directions.  Beam i is
     column i of the set's inverse, conjugated and normalized: orthogonal to
     every direction but the i-th, its norm is 1 / (distance of direction i
-    from the others' span).  Returns (beams (n, K, K), ok (n,) mask).
+    from the others' span).  Returns (beams (n, K, K), ok (n,) mask).  Each
+    set's beams depend on that set alone, so :func:`_geometry_draw` calls
+    this on one block of trials at a time, and the inverse, its norms and
+    the beams are temporaries of that block.
     """
     try:
         inv = np.linalg.inv(directions)
@@ -123,6 +140,14 @@ def _geometry_draw(params: SystemParams, gen: np.random.Generator, n: int,
     strided.  PERFECT beams leave no inter-user interference, so its
     legit_den is zero.  FULL users select from fresh codebooks, sampled by
     :func:`_rvq_directions`.
+
+    Each round draws h and g, then the sampler's draws, for all its trials
+    at once in the stream's order, and the sampler sees the round's whole
+    stack of directions.  Every other step (normalize, beams, gains,
+    residual, rejection) runs on :func:`_trial_blocks`, their pieces kept
+    in order.  No trial's arithmetic depends on its block, so the bits are
+    those of a whole-round computation, and beyond one block's temporaries
+    a chunk holds only h, the directions and the sampler's draw.
     """
     k = params.n_t
     parts = []
@@ -132,35 +157,54 @@ def _geometry_draw(params: SystemParams, gen: np.random.Generator, n: int,
     while remaining > 0:
         h = complex_gaussian_batch(gen, (remaining, k, k))      # rows: user channels
         g = complex_gaussian_batch(gen, (remaining, k))         # eavesdropper fading
-        point_dirs = h / np.linalg.norm(h, axis=2, keepdims=True)
+        blocks = _trial_blocks(remaining, k)
+        point_dirs = np.empty_like(h)
+        for b in blocks:
+            np.divide(h[b], np.linalg.norm(h[b], axis=2, keepdims=True),
+                      out=point_dirs[b])
         if not perfect:
             point_dirs = _rvq_directions(point_dirs, params.bits, gen)
-
-        beams, ok = _zf_beams_batch(point_dirs)
-        n_bad = int(np.count_nonzero(~ok))
-        if n_bad:
+        for b in blocks:
+            piece, n_bad, residual = _block_parts(h[b], g[b], point_dirs[b],
+                                                  perfect)
+            parts.append(piece)
             rejected += n_bad
-            h, g, beams, point_dirs = (arr[ok] for arr in (h, g, beams, point_dirs))
-
-        # cross[t, k, i] = h_k^H w_i;  eav[t, i] = g^H w_i
-        cross = np.einsum("tkn,tin->tki", np.conj(h), beams)
-        power = np.abs(cross) ** 2
-        signal = np.einsum("tkk->tk", power).copy()
-        if perfect:
-            interference = np.zeros_like(signal)
-        else:
-            interference = power.sum(axis=2) - signal
-            zf = np.abs(np.einsum("tkn,tin->tki", np.conj(point_dirs), beams))
-            zf[:, np.arange(k), np.arange(k)] = 0.0
-            zf_residual = max(zf_residual, float(zf.max(initial=0.0)))
-
-        eav_amps = np.abs(np.einsum("tn,tin->ti", np.conj(g), beams)) ** 2
-        eav_den = eav_amps.sum(axis=1, keepdims=True) - eav_amps
-        parts.append((signal, interference, eav_amps, eav_den))
-        remaining -= signal.shape[0]
+            remaining -= piece[0].shape[0]
+            zf_residual = max(zf_residual, residual)
+        # Free the round's whole arrays before the next round's draws and
+        # the concatenation below.
+        del h, g, point_dirs
 
     return (*(np.concatenate(p).T for p in zip(*parts)), rejected,
             zf_residual)
+
+
+def _block_parts(h, g, point_dirs, perfect: bool):
+    """One block's pieces of :func:`_geometry_draw`: its kept trials'
+    (signal, interference, eav_amps, eav_den), each (n, K), then the
+    block's rejected count and its largest zero-forcing residual."""
+    k = h.shape[1]
+    beams, ok = _zf_beams_batch(point_dirs)
+    n_bad = int(np.count_nonzero(~ok))
+    if n_bad:
+        h, g, beams, point_dirs = (arr[ok] for arr in (h, g, beams, point_dirs))
+
+    # cross[t, k, i] = h_k^H w_i;  eav[t, i] = g^H w_i
+    cross = np.einsum("tkn,tin->tki", np.conj(h), beams)
+    power = np.abs(cross) ** 2
+    signal = np.einsum("tkk->tk", power).copy()
+    zf_residual = 0.0
+    if perfect:
+        interference = np.zeros_like(signal)
+    else:
+        interference = power.sum(axis=2) - signal
+        zf = np.abs(np.einsum("tkn,tin->tki", np.conj(point_dirs), beams))
+        zf[:, np.arange(k), np.arange(k)] = 0.0
+        zf_residual = float(zf.max(initial=0.0))
+
+    eav_amps = np.abs(np.einsum("tn,tin->ti", np.conj(g), beams)) ** 2
+    eav_den = eav_amps.sum(axis=1, keepdims=True) - eav_amps
+    return (signal, interference, eav_amps, eav_den), n_bad, zf_residual
 
 
 def _rvq_directions(h_dir: np.ndarray, bits: int,
@@ -175,16 +219,21 @@ def _rvq_directions(h_dir: np.ndarray, bits: int,
     Au-Yeung & Love, IEEE Trans. WC 2007).  No SINR part depends on a
     direction's phase, so none is drawn.  The inverse CDF goes through
     log1p/expm1, which keeps z accurate when 2**-bits is below epsilon.
+    The draws of u and e cover the whole stack; the projection and the
+    scaling, which are per trial, run on :func:`_trial_blocks` and write
+    only into e, which is returned.  ``h_dir`` is not modified.
     """
     n, k, _ = h_dir.shape
     u = gen.random((n, k))
     e = complex_gaussian_batch(gen, (n, k, k))
-    e -= h_dir * np.einsum("tkn,tkn->tk", np.conj(h_dir), e)[..., None]
     z = -np.expm1(2.0 ** -bits * np.log1p(-u))
     z **= 1.0 / (k - 1)
-    flat = e.view(float)
-    e *= np.sqrt(z / np.einsum("tkn,tkn->tk", flat, flat))[..., None]
-    e += np.sqrt(1.0 - z)[..., None] * h_dir
+    for b in _trial_blocks(n, k):
+        h_b, e_b, z_b = h_dir[b], e[b], z[b]
+        e_b -= h_b * np.einsum("tkn,tkn->tk", np.conj(h_b), e_b)[..., None]
+        flat = e_b.view(float)
+        e_b *= np.sqrt(z_b / np.einsum("tkn,tkn->tk", flat, flat))[..., None]
+        e_b += np.sqrt(1.0 - z_b)[..., None] * h_b
     return e
 
 
