@@ -12,8 +12,9 @@ Each subcommand accepts only the flags it reads, and each value is converted
 once, by its flag's argparse type.  ``--config`` reads key=value lines as
 more such flags (keys are flag names), placed before the command line's.
 
-Exit codes: 0 success, 1 usage error (also a trial count over MAX_TRIALS or
-an input past the engine's float64 range), 2 I/O error, 3 validation failure.
+Exit codes: 0 success, 1 usage error (also a trial count over MAX_TRIALS, an
+antenna count over MAX_NT, or an input past the engine's float64 range),
+2 I/O error, 3 validation failure.
 Every subcommand honors --seed; there are no hidden entropy sources.
 """
 
@@ -47,6 +48,10 @@ MAX_GRID_POINTS = 1_000_000
 # a draw key's four first-user parts 32 B, one link's samples 8 B,
 # ks_statistic 32 B), 7.2 GB at this cap, whatever the points per key.
 MAX_TRIALS = 10**8
+# Most antennas (and users).  A QCA chunk holds 8,192 * n_t float64 per
+# draw part, 16 MiB each at this cap, and the draws come before any
+# analytic call, so the cap is checked before any of them.
+MAX_NT = 256
 # Relative slack that keeps an SNR stop reached up to rounding inside the grid.
 _SNR_REL_TOL = 1e-9
 
@@ -118,6 +123,8 @@ class SweepConfig:
             raise UsageError(f"--regime must be one of {tuple(_REGIMES)}")
         if min(self.nt) < 2:
             raise UsageError("--nt entries must be >= 2")
+        if max(self.nt) > MAX_NT:
+            raise UsageError(f"antenna cap hit: --nt entries must be <= {MAX_NT}")
         if min(self.bits) < 0:
             raise UsageError("--bits entries must be >= 0")
         # alpha**2 scales the eavesdropper's noise level, so it must stay a
@@ -442,7 +449,8 @@ def _add_sweep_flags(sub):
     ``parents=`` would share the actions, and one subcommand's
     ``set_defaults`` would then change the others' defaults."""
     ints, reals = _list_of(int, "integers"), _list_of(float, "reals")
-    sub.add_argument("--nt", type=ints, help="antenna/user counts: a,b,...")
+    sub.add_argument("--nt", type=ints,
+                     help=f"antenna/user counts: a,b,..., each at most {MAX_NT}")
     sub.add_argument("--bits", type=ints, help="feedback bit budgets: a,b,...")
     sub.add_argument("--alpha", type=reals,
                      help="relative path gains: a,b,...")

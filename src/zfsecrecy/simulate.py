@@ -33,6 +33,13 @@ bit.  So one draw per chunk serves every point of a key:
 ``estimate_secrecy_rates`` evaluates all of them from it, and
 ``collect_sinr_samples`` takes every point's samples from it, each point's
 result bit-identical to the one-point call.
+
+Within a chunk, ``estimate_secrecy_rates`` computes the users'
+log2(1 + SINR) once per (distortion, SNR) and the eavesdropper's once per
+distinct eavesdropper noise level, which does not depend on bits: points
+that differ only in their distortion share it.  A term with uses still to
+come is kept until its last one, at most _LIVE_EAV_TERMS of them at a time;
+past that bound a term is recomputed for its point.
 """
 
 import contextlib
@@ -66,6 +73,10 @@ _CHUNK_TARGET_BYTES = 48 * 2 ** 20
 # the (n, K) reals weigh most.  The budget stays at 7 so that no chunk
 # boundary, and so no output bit, moves.
 _PEAK_ARRAYS = 7
+# Most eavesdropper log terms one chunk's rate reduction holds for later
+# points, each a (K, n) array: as many as the draw has parts, so no grid
+# (hundreds of alphas at one SNR, say) grows a chunk's memory beyond that.
+_LIVE_EAV_TERMS = 4
 # Bytes of one K x K complex array over a block of trials: each per-trial
 # step of a geometry draw runs on blocks this size, not on the whole chunk.
 _BLOCK_TARGET_BYTES = 2 ** 18
@@ -419,11 +430,16 @@ def _estimates_of_one_draw(draw: SystemParams, members: list, mode: SimMode,
     draw key's (row, point, scale) triples, all served by the draws of
     ``draw``."""
     # Only the users' interference scale and noise, and the eavesdropper
-    # noise, tell points apart: group them by (scale, SNR).
-    groups = {}
+    # noise, tell points apart: group them by (scale, SNR), visited in
+    # order of the users' noise, so that the points of one SNR and alpha,
+    # which share an eavesdropper noise level, come close together.
+    groups, uses = {}, {}
     for i, (_, p, scale) in enumerate(members):
+        eav_noise = p.eav_noise_over_power
         groups.setdefault((scale, p.noise_over_power), []).append(
-            (i, p.eav_noise_over_power))
+            (i, eav_noise))
+        uses[eav_noise] = uses.get(eav_noise, 0) + 1
+    groups = sorted(groups.items(), key=lambda group: group[0][1])
 
     def moments(legit_num, legit_den, eav_num, eav_den, rejected, _):
         # (sum, sum of squares) of the per-trial rate, one row per point.
@@ -431,17 +447,31 @@ def _estimates_of_one_draw(draw: SystemParams, members: list, mode: SimMode,
         out = np.empty((len(members), 2))
         legit, per_user = np.empty_like(legit_num), np.empty_like(eav_num)
         per_trial = np.empty(legit_num.shape[1])
-        for (scale, legit_noise), rows in groups.items():
+        # Eavesdropper terms with uses still to come in this chunk, by
+        # noise level, each freed after its last use.
+        left, live = dict(uses), {}
+        for (scale, legit_noise), rows in groups:
             den = (legit_den if scale == 1.0
                    else np.multiply(legit_den, scale, out=legit))
             _sinr(legit_num, den, legit_noise, legit)
             legit += 1.0
             np.log2(legit, out=legit)
             for i, eav_noise in rows:
-                _sinr(eav_num, eav_den, eav_noise, per_user)
-                per_user += 1.0
-                np.log2(per_user, out=per_user)
-                np.subtract(legit, per_user, out=per_user)
+                term = live.get(eav_noise)
+                if term is None:
+                    # Kept for later points while a live slot is free;
+                    # otherwise computed into the point's own scratch.
+                    keep = left[eav_noise] > 1 and len(live) < _LIVE_EAV_TERMS
+                    term = np.empty_like(per_user) if keep else per_user
+                    _sinr(eav_num, eav_den, eav_noise, term)
+                    term += 1.0
+                    np.log2(term, out=term)
+                    if keep:
+                        live[eav_noise] = term
+                left[eav_noise] -= 1
+                if not left[eav_noise]:
+                    live.pop(eav_noise, None)
+                np.subtract(legit, term, out=per_user)
                 if clip:
                     np.maximum(per_user, 0.0, out=per_user)
                 # Users are rows; the sum keeps numpy's order, and bits.

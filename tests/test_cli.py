@@ -14,8 +14,9 @@ import pytest
 from oracles import explicit_directions
 from zfsecrecy import simulate
 from zfsecrecy.cli import (CSV_HEADER, EXIT_IO, EXIT_OK, EXIT_USAGE,
-                           EXIT_VALIDATION, MAX_GRID_POINTS, MAX_TRIALS,
-                           MAX_WORKERS, SweepConfig, UsageError, build_parser, main,
+                           EXIT_VALIDATION, MAX_GRID_POINTS, MAX_NT,
+                           MAX_TRIALS, MAX_WORKERS, SweepConfig, UsageError,
+                           build_parser, main,
                            parse_curve_csv, run_dist_check, run_rate_curve,
                            run_validate)
 
@@ -209,7 +210,7 @@ def test_snr_grid_stop_is_inclusive_and_never_overshot():
     assert len(snrs(0.0, 0.3, 0.1)) == 4  # 0.3 / 0.1 rounds below 3
 
 
-def test_usage_errors_exit_one(capsys):
+def test_usage_errors_exit_one(capsys, monkeypatch):
     assert main(["rate-curve", "--snr", "10:0:2"]) == EXIT_USAGE     # stop < start
     assert main(["rate-curve", "--snr", "0:10:0"]) == EXIT_USAGE     # step 0
     assert main(["rate-curve", "--snr", "nonsense"]) == EXIT_USAGE
@@ -232,6 +233,20 @@ def test_usage_errors_exit_one(capsys):
     assert main(["rate-curve", "--workers", "1000000",
                  "--trials", str(MAX_TRIALS)]) == EXIT_USAGE
     assert capsys.readouterr().err.count("usage error: worker cap hit") == 2
+    # Refused by validate() too, before the first chunk is drawn: one QCA
+    # chunk at n_t = 100,000 would hold 6.5 GB per draw part.
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a chunk was drawn")
+
+    monkeypatch.setattr(simulate, "_draw_parts", no_draw)
+    assert MAX_NT >= 128
+    SweepConfig(nt=[MAX_NT]).validate()  # the cap itself is accepted
+    for command in ("rate-curve", "validate", "dist-check"):
+        assert main([command, "--nt", f"5,{MAX_NT + 1}"]) == EXIT_USAGE
+    assert main(["dist-check", "--nt", "100000", "--trials", "8192"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("usage error: antenna cap hit") == 4
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("flags", [

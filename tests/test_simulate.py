@@ -372,6 +372,27 @@ def _per_point_moments(points, clip):
     return moments
 
 
+def _oracle_estimates(points, mode, n, seed, clip):
+    """RateEstimates of :func:`_per_point_moments` at ``points``: one chunk
+    loop per feedback budget, each drawn at that budget's own params, so a
+    QCA draw holds the points' own Gamma(n_t-1, distortion) interference."""
+    by_bits = {}
+    for row, p in enumerate(points):
+        by_bits.setdefault(p.bits, []).append(row)
+    estimates = [None] * len(points)
+    for rows in by_bits.values():
+        group = [points[row] for row in rows]
+        sums, rejected = np.zeros((len(group), 2)), 0
+        for chunk_sums, chunk_rejected in simulate._map_chunks(
+                group[0], mode, n, seed, 1, _per_point_moments(group, clip)):
+            sums += chunk_sums
+            rejected += chunk_rejected
+        for row, (total, total_sq) in zip(rows, sums.tolist()):
+            estimates[row] = simulate._rate_estimate(total, total_sq, n,
+                                                     rejected)
+    return estimates
+
+
 # n_t >= 8 pins the order in which the per-user terms are summed.
 @pytest.mark.parametrize("n_t", [2, 5, 8, 16])
 @pytest.mark.parametrize("mode", list(SimMode))
@@ -382,15 +403,93 @@ def test_reduction_matches_per_point_oracle(n_t, mode, clip):
               for s in (-10.0, 4.0, 25.0) for a in (0.3, 1.0, 2.5)]
     points += [points[4], points[0]]
     n = 9_000 if mode is SimMode.QCA else 1_500
-    sums, rejected = np.zeros((len(points), 2)), 0
-    for chunk_sums, chunk_rejected in simulate._map_chunks(
-            points[0], mode, n, 14, 2, _per_point_moments(points, clip)):
-        sums += chunk_sums
-        rejected += chunk_rejected
-    oracle = [simulate._rate_estimate(total, total_sq, n, rejected)
-              for total, total_sq in sums.tolist()]
     assert estimate_secrecy_rates(points, mode, n, seed=14, workers=2,
-                                  clip=clip) == oracle
+                                  clip=clip) == _oracle_estimates(
+        points, mode, n, 14, clip)
+
+
+def _shared_noise_grid(n_t):
+    """Three feedback budgets (distortion 1 among them) x three alphas x
+    three SNRs, and three duplicated points.  Every eavesdropper noise
+    level serves one (distortion, SNR) group per budget, and one of them
+    serves two SNRs: -20 dB at alpha 1 and -18 dB at alpha 10**-0.1."""
+    points = [SystemParams(n_t=n_t, bits=b, alpha=a, snr_db=s)
+              for b in (0, 2, 6) for a in (0.3, 1.0, 10 ** -0.1)
+              for s in (-20.0, -18.0, 25.0)]
+    return points + [points[13], points[0], points[26]]
+
+
+@pytest.mark.parametrize("n_t", [3, 8])
+@pytest.mark.parametrize("mode", list(SimMode))
+@pytest.mark.parametrize("clip", [False, True])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_shared_eavesdropper_terms_match_per_point_oracle(n_t, mode, clip,
+                                                          workers):
+    points = _shared_noise_grid(n_t)
+    levels = {}
+    for p in points:
+        levels.setdefault(p.eav_noise_over_power, set()).add(p.snr_db)
+    assert len(levels) == 8 and max(map(len, levels.values())) == 2
+    n = 9_000 if mode is SimMode.QCA else 1_500
+    assert estimate_secrecy_rates(points, mode, n, seed=15, workers=workers,
+                                  clip=clip) == _oracle_estimates(
+        points, mode, n, 15, clip)
+
+
+def _count_sinr_calls(monkeypatch, points, n):
+    """simulate._sinr calls of one estimate_secrecy_rates run."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return _sinr(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "_sinr", counted)
+    estimate_secrecy_rates(points, SimMode.QCA, n, seed=16)
+    return len(calls)
+
+
+def test_each_eavesdropper_noise_level_is_computed_once_per_chunk(
+        monkeypatch):
+    # Two chunks of one QCA key shaped like the default validate's:
+    # 4 budgets x 3 alphas x 4 SNRs.  Each chunk computes the users' term
+    # once per (distortion, SNR), 16, and the eavesdropper's once per
+    # noise level, 12: 28, where one eavesdropper term per point makes 64.
+    n = chunk_trials(P55, SimMode.QCA) + 8
+    verify = [SystemParams(n_t=5, bits=b, alpha=a, snr_db=s)
+              for b in (0, 1, 4, 8) for a in (0.25, 0.5, 1.0)
+              for s in (-10.0, 0.0, 10.0, 20.0)]
+    assert _count_sinr_calls(monkeypatch, verify, n) == 2 * (16 + 12)
+    # The default rate-curve's key shares no noise level: 21 SNRs, one
+    # users' term each, and one eavesdropper term per point, 63.
+    curve = [SystemParams(n_t=5, bits=4, alpha=a, snr_db=s)
+             for a in (0.25, 0.5, 1.0) for s in range(-10, 31, 2)]
+    assert len({p.eav_noise_over_power for p in curve}) == 63
+    assert _count_sinr_calls(monkeypatch, curve, n) == 2 * (21 + 63)
+
+
+def test_live_eavesdropper_terms_stay_within_their_bound(monkeypatch):
+    # 40 alphas x 3 budgets at one SNR: each of 40 eavesdropper terms
+    # serves three groups, but a chunk holds at most 4 of them at a time.
+    points = [SystemParams(n_t=5, bits=b, alpha=0.1 + 0.05 * i, snr_db=0.0)
+              for b in (0, 1, 3) for i in range(40)]
+    n = chunk_trials(P55, SimMode.QCA)  # one chunk
+    oracle = _oracle_estimates(points, SimMode.QCA, n, 17, False)
+    key = SystemParams(n_t=5, bits=0, alpha=1.0, snr_db=0.0)
+    parts = _draw_parts(key, SimMode.QCA, RngStream(17, 0).generator(), n)
+    monkeypatch.setattr(simulate, "_draw_parts", lambda *args: parts)
+    tracemalloc.start()
+    try:
+        shared = estimate_secrecy_rates(points, SimMode.QCA, n, seed=17)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert shared == oracle
+    # Beyond the drawn parts the reduction holds two (K, n) scratch arrays,
+    # the per-trial sums (1/K of one) and at most 4 eavesdropper terms;
+    # 128 KiB covers the small objects.  Measured: 6.30 arrays of 320 KiB.
+    array = parts[0].nbytes
+    assert peak <= (2 + 1 / 5 + 4) * array + 2 ** 17, peak / array
 
 
 def test_worker_cap_is_checked_before_any_pool_exists(monkeypatch):
