@@ -37,10 +37,8 @@ EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_VALIDATION = 3
 
-_MODES = ("full", "qca", "perfect", "analytic-only")
-_REGIMES = {"general": Regime.GENERAL,
-            "il": Regime.INTERFERENCE_LIMITED,
-            "nl": Regime.NOISE_LIMITED}
+_MODES = (*(m.value for m in SimMode), "analytic-only")
+_REGIME_NAMES = tuple(r.value for r in Regime)
 
 # Largest sweep grid accepted, in points; checked before the grid is built.
 MAX_GRID_POINTS = 1_000_000
@@ -48,9 +46,9 @@ MAX_GRID_POINTS = 1_000_000
 # a draw key's four first-user parts 32 B, one link's samples 8 B,
 # ks_statistic 32 B), 7.2 GB at this cap, whatever the points per key.
 MAX_TRIALS = 10**8
-# Most antennas (and users).  A QCA chunk holds 8,192 * n_t float64 per
-# draw part, 16 MiB each at this cap, and the draws come before any
-# analytic call, so the cap is checked before any of them.
+# Most antennas (and users).  Chunks shrink with n_t, down to one trial,
+# but one FULL trial's K x K arrays do not: about 4.7 MB at this cap.  The
+# draws come before any analytic call, so the cap is checked before both.
 MAX_NT = 256
 # Relative slack that keeps an SNR stop reached up to rounding inside the grid.
 _SNR_REL_TOL = 1e-9
@@ -119,14 +117,17 @@ class SweepConfig:
             raise UsageError(f"worker cap hit: --workers must be <= {MAX_WORKERS}")
         if self.mode not in _MODES:
             raise UsageError(f"--mode must be one of {_MODES}")
-        if self.regime not in _REGIMES:
-            raise UsageError(f"--regime must be one of {tuple(_REGIMES)}")
+        if self.regime not in _REGIME_NAMES:
+            raise UsageError(f"--regime must be one of {_REGIME_NAMES}")
         if min(self.nt) < 2:
             raise UsageError("--nt entries must be >= 2")
         if max(self.nt) > MAX_NT:
             raise UsageError(f"antenna cap hit: --nt entries must be <= {MAX_NT}")
         if min(self.bits) < 0:
             raise UsageError("--bits entries must be >= 0")
+        # The random streams key on 64 bits: any other seed would alias one.
+        if not 0 <= self.seed < 2 ** 64:
+            raise UsageError("--seed must lie in [0, 2**64)")
         # alpha**2 scales the eavesdropper's noise level, so it must stay a
         # positive finite number too.
         if not all(a > 0 and 0 < a * a < math.inf for a in self.alpha):
@@ -184,7 +185,7 @@ def parse_curve_csv(text: str):
 def run_rate_curve(config: SweepConfig, stream=None):
     """Sweep the grid, returning CurvePoints and writing CSV when requested."""
     stream = stream if stream is not None else sys.stdout
-    regime = _REGIMES[config.regime]
+    regime = Regime(config.regime)
     grid = list(config.grid())
     r_analytic = [analytic.secrecy_rate_for_regime(p, regime) for p in grid]
     if config.mode == "analytic-only":
@@ -482,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     curve = add("rate-curve", "sweep the grid and emit CSV")
     curve.add_argument("--mode", choices=_MODES, help="simulation mode")
-    curve.add_argument("--regime", choices=tuple(_REGIMES),
+    curve.add_argument("--regime", choices=_REGIME_NAMES,
                        help="analytic regime for r_analytic")
     curve.add_argument("--clip", type=_boolean, nargs="?", const=True,
                        help="apply a per-user positive part to secrecy terms")
@@ -497,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
                      snr_stop=20.0, snr_step=10.0, trials=200_000)
 
     dist = add("dist-check", "KS tests of SINR samples")
-    dist.add_argument("--mode", choices=("full", "qca", "perfect"),
+    dist.add_argument("--mode", choices=tuple(m.value for m in SimMode),
                       help="sampling mode")
     dist.set_defaults(snr_start=10.0, snr_stop=10.0, snr_step=1.0,
                       trials=10_000)

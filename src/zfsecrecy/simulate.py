@@ -65,14 +65,6 @@ MAX_WORKERS = 256
 # Fixed chunking so worker count cannot influence the sample sequence.
 _CHUNK_TRIALS = 8192
 _CHUNK_TARGET_BYTES = 48 * 2 ** 20
-# K x K complex arrays per trial that chunk_trials budgets for one FULL or
-# PERFECT chunk.  The draw runs its per-trial steps block by block, so a
-# chunk holds its whole-round arrays (h, directions, the sampler's draw)
-# and one block's temporaries: tracemalloc (numpy 2.4) measures 3.6-4.1 in
-# FULL and 2.2-3.6 in PERFECT at n_t >= 3, 5.5 and 5.0 at n_t = 2, where
-# the (n, K) reals weigh most.  The budget stays at 7 so that no chunk
-# boundary, and so no output bit, moves.
-_PEAK_ARRAYS = 7
 # Most eavesdropper log terms one chunk's rate reduction holds for later
 # points, each a (K, n) array: as many as the draw has parts, so no grid
 # (hundreds of alphas at one SNR, say) grows a chunk's memory beyond that.
@@ -99,14 +91,19 @@ class RateEstimate:
 
 
 def chunk_trials(params: SystemParams, mode: SimMode) -> int:
-    """Chunk size used for a given configuration (deterministic in params).
+    """Trials per chunk (deterministic in params): as many as keep one
+    chunk's arrays within _CHUNK_TARGET_BYTES, at most _CHUNK_TRIALS.
 
-    FULL and PERFECT chunks are sized so that the arrays one chunk holds at
-    its peak stay within _CHUNK_TARGET_BYTES: _PEAK_ARRAYS K x K complex
-    arrays per trial."""
-    if mode is SimMode.QCA:
-        return _CHUNK_TRIALS
-    per_trial = 16 * params.n_t ** 2 * _PEAK_ARRAYS
+    Per trial, every mode's rate reduction holds (K,) float64 rows: the
+    draw's 4 parts, 2 scratch rows and up to _LIVE_EAV_TERMS eavesdropper
+    terms, plus one row for the per-trial sums and small objects.  A FULL
+    or PERFECT draw holds K x K complex arrays on top, budgeted at 4.5: h,
+    the directions, the sampler's draw and one block's temporaries
+    (tracemalloc, numpy 2.4: 3.5-4.1 in FULL, 2.1-3.6 in PERFECT at
+    n_t >= 3).  Every mode gets _CHUNK_TRIALS up to n_t = 7."""
+    k = params.n_t
+    per_trial = (8 * k * (7 + _LIVE_EAV_TERMS)
+                 + (0 if mode is SimMode.QCA else 72 * k * k))
     return max(1, min(_CHUNK_TRIALS, _CHUNK_TARGET_BYTES // per_trial))
 
 

@@ -220,6 +220,13 @@ def test_usage_errors_exit_one(capsys, monkeypatch):
     assert main(["rate-curve", "--alpha", "nan"]) == EXIT_USAGE
     assert main(["rate-curve", "--snr", "nan:1:1"]) == EXIT_USAGE
     assert main(["selftest", "--seed", "abc"]) == EXIT_USAGE
+    # The random streams key on 64 bits; a seed outside them would alias.
+    capsys.readouterr()
+    for command in ("rate-curve", "validate", "dist-check", "selftest"):
+        assert main([command, "--seed", "-1"]) == EXIT_USAGE
+        assert main([command, "--seed", str(2 ** 64)]) == EXIT_USAGE
+    assert capsys.readouterr().err.count(
+        "usage error: --seed must lie in [0, 2**64)") == 8
     assert main(["rate-curve", "--alpha", "1e-200"]) == EXIT_USAGE  # alpha^2 underflows
     assert main(["rate-curve", "--alpha", "inf"]) == EXIT_USAGE
     capsys.readouterr()
@@ -233,8 +240,8 @@ def test_usage_errors_exit_one(capsys, monkeypatch):
     assert main(["rate-curve", "--workers", "1000000",
                  "--trials", str(MAX_TRIALS)]) == EXIT_USAGE
     assert capsys.readouterr().err.count("usage error: worker cap hit") == 2
-    # Refused by validate() too, before the first chunk is drawn: one QCA
-    # chunk at n_t = 100,000 would hold 6.5 GB per draw part.
+    # Refused by validate() too, before the first chunk is drawn: one FULL
+    # trial at n_t = 100,000 would hold 720 GB of K x K arrays.
     def no_draw(*args, **kwargs):
         raise AssertionError("a chunk was drawn")
 

@@ -100,10 +100,15 @@ DRAW_DIGESTS = {
 }
 
 
+# The chunk lengths the digests were recorded at, fixed here so that a
+# change of chunk size cannot move them.
+DRAW_TRIALS = {5: 8_192, 8: 7_021, 24: 780}
+
+
 @pytest.mark.parametrize("mode,n_t", list(DRAW_DIGESTS))
 def test_chunk_draw_bits_are_pinned(mode, n_t):
     params = SystemParams(n_t=n_t, bits=4, alpha=1.0, snr_db=10.0)
-    digest, rejected = _draw_digest(params, mode, chunk_trials(params, mode))
+    digest, rejected = _draw_digest(params, mode, DRAW_TRIALS[n_t])
     assert rejected == 0
     assert digest == DRAW_DIGESTS[mode, n_t]
 
@@ -509,35 +514,51 @@ def test_full_chunks_are_sized_by_the_arrays_they_hold():
     # PERFECT holds the same K x K arrays as FULL.
     for n_t in range(2, 8):
         small = SystemParams(n_t=n_t, bits=4, alpha=1.0, snr_db=10.0)
-        for mode in (SimMode.FULL, SimMode.PERFECT):
+        for mode in SimMode:
             assert chunk_trials(small, mode) == simulate._CHUNK_TRIALS
     wide = SystemParams(n_t=64, bits=30, alpha=1.0, snr_db=10.0)
     for mode in (SimMode.FULL, SimMode.PERFECT):
         geometry_bytes = 16 * 64 ** 2 * chunk_trials(wide, mode)
         assert geometry_bytes <= simulate._CHUNK_TARGET_BYTES
     assert chunk_trials(wide, SimMode.QCA) == simulate._CHUNK_TRIALS
+    # Past n_t = 69 the (K,) rows of a QCA chunk (4 parts, 2 scratch rows
+    # and the live terms) outgrow the target at _CHUNK_TRIALS trials.
+    rows = 6 + simulate._LIVE_EAV_TERMS
+    for n_t in (128, 256):
+        qca = chunk_trials(SystemParams(n_t=n_t, bits=4, alpha=1.0,
+                                        snr_db=10.0), SimMode.QCA)
+        assert qca < simulate._CHUNK_TRIALS
+        assert 8 * n_t * rows * qca <= simulate._CHUNK_TARGET_BYTES
 
 
-@pytest.mark.parametrize("n_t", [3, 5, 8, 24])
-@pytest.mark.parametrize("mode", [SimMode.FULL, SimMode.PERFECT])
-def test_one_chunk_stays_within_the_chunk_memory_target(n_t, mode):
-    params = SystemParams(n_t=n_t, bits=4, alpha=1.0, snr_db=10.0)
-    n = chunk_trials(params, mode)
+@pytest.mark.parametrize("mode,n_t", [
+    *((mode, n_t) for mode in (SimMode.FULL, SimMode.PERFECT)
+      for n_t in (3, 5, 8, 24)),
+    *((SimMode.QCA, n_t) for n_t in (5, 64, 128, 256)),
+])
+def test_one_chunk_stays_within_the_chunk_memory_target(mode, n_t):
+    # One whole chunk, draw and rate reduction.  Each of 5 eavesdropper
+    # noise levels serves two points, so the reduction keeps as many live
+    # terms as it may.
+    points = [SystemParams(n_t=n_t, bits=4, alpha=a, snr_db=10.0)
+              for a in (0.25, 0.5, 0.75, 1.0, 1.5)] * 2
+    n = chunk_trials(points[0], mode)
     tracemalloc.start()
     try:
-        _draw_parts(params, mode, RngStream(1, 0).generator(), n)
+        estimate_secrecy_rates(points, mode, n, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # chunk_trials budgets _PEAK_ARRAYS = 7 K x K complex arrays per trial.
-    # The draw's per-trial steps run block by block, so a chunk holds h,
-    # the directions and the sampler's draw beyond one block's
-    # temporaries.  Measured with numpy 2.4: FULL 4.08 at n_t = 3, 3.80 at
-    # 5, 3.69 at 8, 3.56 at 24; PERFECT 3.60, 2.84, 2.50, 2.25.  A failure
-    # here means some step again spans the whole chunk.
-    arrays_per_trial = peak / (16 * n_t ** 2 * n)
-    assert arrays_per_trial <= 4.5, arrays_per_trial
     assert peak <= simulate._CHUNK_TARGET_BYTES, (n, peak)
+    # chunk_trials budgets 4.5 K x K complex arrays per trial in FULL and
+    # PERFECT.  The draw's per-trial steps run block by block, so a chunk
+    # holds h, the directions and the sampler's draw beyond one block's
+    # temporaries.  Measured with numpy 2.4: FULL 4.08 at n_t = 3, 3.80 at
+    # 5, 3.69 at 8, 3.56 at 24; PERFECT 3.60, 2.84, 2.48, 2.21.  A failure
+    # here means some step again spans the whole chunk.
+    if mode is not SimMode.QCA:
+        arrays_per_trial = peak / (16 * n_t ** 2 * n)
+        assert arrays_per_trial <= 4.5, arrays_per_trial
 
 
 # Four (n_t, bits) geometries, two alphas x two SNRs each, in grid order.
