@@ -37,9 +37,12 @@ result bit-identical to the one-point call.
 Within a chunk, ``estimate_secrecy_rates`` computes the users'
 log2(1 + SINR) once per (distortion, SNR) and the eavesdropper's once per
 distinct eavesdropper noise level, which does not depend on bits: points
-that differ only in their distortion share it.  A term with uses still to
-come is kept until its last one, at most _LIVE_EAV_TERMS of them at a time;
-past that bound a term is recomputed for its point.
+that differ only in their distortion share it.  Each term is summed over
+the users once, so a point's per-trial rates are one difference of (n,)
+rows, the users' sum minus the eavesdropper's.  An eavesdropper sum with
+uses still to come is kept until its last one, at most _LIVE_EAV_TERMS at
+a time; past that bound it is recomputed for its point.  ``clip`` keeps
+(K, n) terms instead, to sum each user's positive part.
 """
 
 import contextlib
@@ -66,8 +69,9 @@ MAX_WORKERS = 256
 _CHUNK_TRIALS = 8192
 _CHUNK_TARGET_BYTES = 48 * 2 ** 20
 # Most eavesdropper log terms one chunk's rate reduction holds for later
-# points, each a (K, n) array: as many as the draw has parts, so no grid
-# (hundreds of alphas at one SNR, say) grows a chunk's memory beyond that.
+# points: (n,) sums over the users, or under clip (K, n) arrays, as many
+# as the draw has parts, so no grid (hundreds of alphas at one SNR, say)
+# grows a chunk's memory beyond that.
 _LIVE_EAV_TERMS = 4
 # Bytes of one K x K complex array over a block of trials: each per-trial
 # step of a geometry draw runs on blocks this size, not on the whole chunk.
@@ -94,9 +98,10 @@ def chunk_trials(params: SystemParams, mode: SimMode) -> int:
     """Trials per chunk (deterministic in params): as many as keep one
     chunk's arrays within _CHUNK_TARGET_BYTES, at most _CHUNK_TRIALS.
 
-    Per trial, every mode's rate reduction holds (K,) float64 rows: the
-    draw's 4 parts, 2 scratch rows and up to _LIVE_EAV_TERMS eavesdropper
-    terms, plus one row for the per-trial sums and small objects.  A FULL
+    Per trial, the rate reduction holds (K,) float64 rows, at most as
+    many as under clip: the draw's 4 parts, 2 scratch rows and up to
+    _LIVE_EAV_TERMS eavesdropper terms, plus one row for the per-trial
+    sums and small objects (without clip, 5 rows and 6 scalars).  A FULL
     or PERFECT draw holds K x K complex arrays on top, budgeted at 4.5: h,
     the directions, the sampler's draw and one block's temporaries
     (tracemalloc, numpy 2.4: 3.5-4.1 in FULL, 2.1-3.6 in PERFECT at
@@ -142,10 +147,10 @@ def _geometry_draw(params: SystemParams, gen: np.random.Generator, n: int,
     """n FULL- or PERFECT-mode draws, resampling degenerate beam sets.
 
     Returns the noise-free SINR parts (legit_num, legit_den, eav_num,
-    eav_den), each user-major (K, n), then the rejected count and the
-    largest zero-forcing residual over kept draws.  A part is a transposed
-    view of the (n, K) concatenation of its pieces, so its rows are
-    strided.  PERFECT beams leave no inter-user interference, so its
+    eav_den), each C-ordered user-major (K, n), then the rejected count
+    and the largest zero-forcing residual over kept draws.  Each part is
+    its (n, K) pieces, transposed into rows as they are concatenated.
+    PERFECT beams leave no inter-user interference, so its
     legit_den is zero.  FULL users select from fresh codebooks, sampled by
     :func:`_rvq_directions`.
 
@@ -183,8 +188,9 @@ def _geometry_draw(params: SystemParams, gen: np.random.Generator, n: int,
         # the concatenation below.
         del h, g, point_dirs
 
-    return (*(np.concatenate(p).T for p in zip(*parts)), rejected,
-            zf_residual)
+    return (*(np.concatenate([piece.T for piece in p], axis=1,
+                             out=np.empty((k, n))) for p in zip(*parts)),
+            rejected, zf_residual)
 
 
 def _block_parts(h, g, point_dirs, perfect: bool):
@@ -267,8 +273,9 @@ def _qca_draw(params: SystemParams, gen: np.random.Generator, n: int):
 def _draw_parts(params: SystemParams, mode: SimMode, gen, n: int):
     """n draws of both links' noise-free SINR parts in any mode.
 
-    Returns (legit_num, legit_den, eav_num, eav_den), each user-major
-    (K, n): row k is user k's (or stream k's) n trials.  Then the rejected
+    Returns (legit_num, legit_den, eav_num, eav_den), each C-ordered
+    user-major (K, n): row k is user k's (or stream k's) n trials, so a
+    sum over axis 0 adds the users one after another.  Then the rejected
     count and the largest zero-forcing residual.  They depend on ``params``
     only through (n_t, bits).
     """
@@ -286,6 +293,13 @@ def _sinr(num, den, noise: float, out=None):
     noise level, all relative to the transmit power (into ``out`` if given)."""
     out = np.add(den, noise, out)
     return np.divide(num, out, out)
+
+
+def _log_rate(num, den, noise: float, out):
+    """log2(1 + SINR), the link's rate per trial and user, into ``out``."""
+    _sinr(num, den, noise, out)
+    out += 1.0
+    return np.log2(out, out=out)
 
 
 def _check_counts(n: int, workers: int) -> None:
@@ -343,13 +357,18 @@ def _rate_estimate(total: float, total_sq: float, n_trials: int,
                         rejected=rejected)
 
 
+def draw_key(params: SystemParams, mode: SimMode) -> tuple:
+    """(n_t, bits) of the draw that serves ``params``: QCA and PERFECT
+    draws do not depend on bits and are keyed at bits = 0."""
+    return params.n_t, params.bits if mode is SimMode.FULL else 0
+
+
 def _by_draw_key(points, mode: SimMode) -> list:
     """``points`` grouped by the draw that serves them, in order of first
     appearance: [(draw, [(row, point, scale), ...]), ...].
 
-    ``draw`` is the SystemParams of the group's draw key: (n_t, bits) in
-    FULL, n_t in QCA and PERFECT, whose draws do not depend on bits and are
-    keyed at bits = 0.  There the QCA draw has distortion 1: its users'
+    ``draw`` is the SystemParams of the group's :func:`draw_key`.  In QCA
+    it has bits = 0, so distortion 1: its users'
     interference is the unit-scale draw that ``scale``, the point's
     distortion (1 outside QCA), turns into the point's own, bit for bit.
     ``row`` is the point's index in ``points``.
@@ -358,45 +377,10 @@ def _by_draw_key(points, mode: SimMode) -> list:
         raise ValueError("points must be a non-empty list of SystemParams")
     keys = {}
     for row, p in enumerate(points):
-        keys.setdefault((p.n_t, p.bits if mode is SimMode.FULL else 0),
-                        []).append(
+        keys.setdefault(draw_key(p, mode), []).append(
             (row, p, p.distortion if mode is SimMode.QCA else 1.0))
     return [(SystemParams(n_t=n_t, bits=bits, alpha=1.0, snr_db=0.0), members)
             for (n_t, bits), members in keys.items()]
-
-
-def _row_sums(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The sums over the K rows of ``rows`` (K, n) into ``out`` (n,), bit
-    for bit as ``rows.T.sum(axis=1)`` on a C-ordered (n, K) copy.
-
-    numpy adds each trial's K terms to 0 in pairwise order: fewer than 8 in
-    sequence; up to 128 in eight accumulators, combined as
-    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the leftover terms in
-    sequence; more than 128 by halves, the first rounded down to a multiple
-    of 8.  Here each step adds whole rows, so the cost is per term, not per
-    trial.
-    """
-    k = rows.shape[0]
-    if k < 8:
-        np.add(rows[0], 0.0, out=out)
-        for row in rows[1:]:
-            out += row
-        return out
-    if k > 128:
-        half = k // 2 - k // 2 % 8
-        _row_sums(rows[:half], out)
-        out += _row_sums(rows[half:], np.empty_like(out))
-        return out
-    acc = rows[:8].copy()
-    tail = k - k % 8
-    for i in range(8, tail, 8):
-        acc += rows[i:i + 8]
-    pairs = acc[0::2] + acc[1::2]
-    np.add(pairs[0] + pairs[1], pairs[2] + pairs[3], out=out)
-    for row in rows[tail:]:
-        out += row
-    out += 0.0  # the sum's start: turns an all -0.0 sum into 0.0
-    return out
 
 
 def estimate_secrecy_rates(points, mode: SimMode, n_trials: int, seed: int,
@@ -442,37 +426,46 @@ def _estimates_of_one_draw(draw: SystemParams, members: list, mode: SimMode,
         # (sum, sum of squares) of the per-trial rate, one row per point.
         # The scratch is per call: chunks run concurrently on threads.
         out = np.empty((len(members), 2))
-        legit, per_user = np.empty_like(legit_num), np.empty_like(eav_num)
+        terms = np.empty_like(legit_num)
         per_trial = np.empty(legit_num.shape[1])
+        if clip:
+            per_user = np.empty_like(terms)
+        else:
+            legit_sum = np.empty_like(per_trial)
         # Eavesdropper terms with uses still to come in this chunk, by
-        # noise level, each freed after its last use.
+        # noise level, each freed after its last use: (n,) sums over the
+        # users, or under clip the (K, n) terms themselves.
         left, live = dict(uses), {}
         for (scale, legit_noise), rows in groups:
             den = (legit_den if scale == 1.0
-                   else np.multiply(legit_den, scale, out=legit))
-            _sinr(legit_num, den, legit_noise, legit)
-            legit += 1.0
-            np.log2(legit, out=legit)
+                   else np.multiply(legit_den, scale, out=terms))
+            legit = _log_rate(legit_num, den, legit_noise, terms)
+            if not clip:  # from here on terms is scratch
+                legit = terms.sum(axis=0, out=legit_sum)
             for i, eav_noise in rows:
-                term = live.get(eav_noise)
-                if term is None:
+                eav = live.get(eav_noise)
+                if eav is None:
                     # Kept for later points while a live slot is free;
                     # otherwise computed into the point's own scratch.
                     keep = left[eav_noise] > 1 and len(live) < _LIVE_EAV_TERMS
-                    term = np.empty_like(per_user) if keep else per_user
-                    _sinr(eav_num, eav_den, eav_noise, term)
-                    term += 1.0
-                    np.log2(term, out=term)
+                    if clip:
+                        eav = _log_rate(eav_num, eav_den, eav_noise,
+                                        np.empty_like(terms) if keep
+                                        else per_user)
+                    else:
+                        eav = _log_rate(eav_num, eav_den, eav_noise,
+                                        terms).sum(
+                            axis=0, out=np.empty_like(per_trial) if keep
+                            else per_trial)
                     if keep:
-                        live[eav_noise] = term
+                        live[eav_noise] = eav
                 left[eav_noise] -= 1
                 if not left[eav_noise]:
                     live.pop(eav_noise, None)
-                np.subtract(legit, term, out=per_user)
+                np.subtract(legit, eav, out=per_user if clip else per_trial)
                 if clip:
-                    np.maximum(per_user, 0.0, out=per_user)
-                # Users are rows; the sum keeps numpy's order, and bits.
-                _row_sums(per_user, per_trial)
+                    np.maximum(per_user, 0.0, out=per_user).sum(
+                        axis=0, out=per_trial)
                 out[i] = per_trial.sum(), per_trial @ per_trial
         return out, rejected
 

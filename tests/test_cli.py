@@ -107,15 +107,19 @@ def test_full_mode_populates_rejection_column(tmp_path):
 # the QR construction of the oracles module.  The full digest is of the RVQ sampler, statistically equivalent
 # to the explicit codebook search it replaced (test_simulate's equivalence
 # gates); that search reproduces the previous digest, PREVIOUS_FULL_DIGEST.
+# The qca, full, perfect and previous digests are of the per-link
+# reduction, the users' sum minus the eavesdropper's, which moved only the
+# last digits of the Monte Carlo columns (test_simulate's rounding gate);
+# clip still sums per-user positive parts, at these n_t in the same order.
 @pytest.mark.parametrize("settings,digest", [
     (dict(mode="qca"),
-     "988f449bbb590ba1880f3eee748f2284dfcc2226f02f4d3740ea10fef7e798b0"),
+     "67559d8882baf2725fd514a7efa8cb8f7b254a3130eb928230c3d711bd74084b"),
     (dict(mode="qca", clip=True),
      "2dab8ef8d8719f9ae21ede2dd3d0bf48729fa280ca1cf8f10976599602e5dde8"),
     (dict(mode="full"),
-     "e12263443ea4b942a61e3a46f81b11ab28b73f3cf2df859e3d7d630632fafbbe"),
+     "adba787ee8a14a418cb72b3172b0bd846b191d806091eb79d703e998ac8cc50e"),
     (dict(mode="perfect"),
-     "5ebe277b50393dfe6a92d567a5e06936f764dcef1977045a5ce55114f28ba2c9"),
+     "f2968e0cf44ed4cb1e8fca17bd783dbaee16f240afe3f10bb90939b6d116bd56"),
 ])
 def test_rate_curve_csv_matches_recorded_digest(settings, digest):
     stream = io.StringIO()
@@ -124,7 +128,7 @@ def test_rate_curve_csv_matches_recorded_digest(settings, digest):
 
 
 PREVIOUS_FULL_DIGEST = (
-    "32907c29e90cecbccf4e27f0fd1c5543488680339ab47f67287347bfd8605208")
+    "0166d56ddcbc54cc5c10ef7274fdf99f6194c65cfc9b3a5db81af680f4e3fa18")
 
 
 def test_explicit_search_oracle_reproduces_the_previous_full_digest(
@@ -174,6 +178,33 @@ def test_dist_check_draws_once_per_antenna_count_and_chunk(monkeypatch):
     calls = _count_draws(monkeypatch, "_qca_draw")
     run_dist_check(SweepConfig(**GOLDEN, mode="qca"), stream=io.StringIO())
     assert sorted(calls) == GOLDEN_CHUNKS
+
+
+# GOLDEN has 24 points, 12 per bits value.  Outside FULL the eavesdropper's
+# samples do not depend on bits, so its 12 distinct sample sets are each
+# tested once; FULL draws them per (n_t, bits).  The digests, recorded
+# when every eavesdropper line ran its own test, pin the printed lines.
+@pytest.mark.parametrize("mode,ks_calls,digest", [
+    ("qca", 24 + 12,
+     "33380b42cf53b58e8f480265befbe2129f36f8191d49e2d144c5e04d7e2e2dad"),
+    ("perfect", 24 + 12,
+     "2f25574161828255a4bffd1009a31c92d6677e52b9f8a79569acf75c1dcb12f1"),
+    ("full", 24 + 24,
+     "b3476e2af7debeac8fa922d3181b4eb7be7c78575afb863f91fa5316c64be4ca"),
+])
+def test_dist_check_tests_each_eavesdropper_sample_set_once(
+        monkeypatch, mode, ks_calls, digest):
+    calls, ks_statistic = [], simulate.ks_statistic
+
+    def counted(samples, cdf):
+        calls.append(None)
+        return ks_statistic(samples, cdf)
+
+    monkeypatch.setattr(simulate, "ks_statistic", counted)
+    stream = io.StringIO()
+    assert run_dist_check(SweepConfig(**GOLDEN, mode=mode), stream=stream)
+    assert len(calls) == ks_calls
+    assert sha256(stream.getvalue().encode()) == digest
 
 
 def test_dist_check_memory_stays_within_the_trial_cap_estimate():

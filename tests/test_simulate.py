@@ -353,11 +353,40 @@ def test_shared_draws_reproduce_each_single_point_estimate(mode, options):
                                                  for i in (4, 0, 5, 2, 1, 3)]
 
 
-def _per_point_moments(points, clip):
+def _user_sums(terms):
+    """Each trial's sum over the K columns of ``terms`` (n, K), user by user
+    from 0.0: the order of numpy's ``sum(axis=0)`` over C-ordered (K, n)
+    rows, which the engine runs."""
+    total = np.zeros(terms.shape[0])
+    for column in terms.T:
+        total += column
+    return total
+
+
+def _link_sums(legit, eav, clip):
+    """The engine's per-trial rate from both links' (n, K) log terms: the
+    users' sum minus the eavesdropper's, or under ``clip`` the sum of the
+    per-user positive parts."""
+    if clip:
+        return _user_sums(np.maximum(legit - eav, 0.0))
+    return _user_sums(legit) - _user_sums(eav)
+
+
+def _pairwise_sums(legit, eav, clip):
+    """The per-trial rate summed as before per-link sums: each trial's K
+    differences (positive parts under ``clip``) by numpy's pairwise
+    ``sum(axis=1)``."""
+    per_user = legit - eav
+    if clip:
+        per_user = np.maximum(per_user, 0.0)
+    return per_user.sum(axis=1)
+
+
+def _per_point_moments(points, clip, rates):
     """The plain per-point reduction, two fresh log passes per point: the
     oracle for the engine's grouped, in-place one.  It copies the engine's
-    user-major parts to C-ordered (n, K) arrays and sums each trial's row
-    with numpy's own ``sum(axis=1)``."""
+    user-major parts to C-ordered (n, K) arrays and forms each trial's rate
+    with ``rates`` (:func:`_link_sums` or :func:`_pairwise_sums`)."""
     noise = [(p.noise_over_power, p.eav_noise_over_power) for p in points]
 
     def moments(*parts):
@@ -366,18 +395,16 @@ def _per_point_moments(points, clip):
         rejected = parts[4]
         out = np.empty((len(noise), 2))
         for row, (legit_noise, eav_noise) in zip(out, noise):
-            per_user = (np.log2(1.0 + legit_num / (legit_den + legit_noise))
-                        - np.log2(1.0 + eav_num / (eav_den + eav_noise)))
-            if clip:
-                per_user = np.maximum(per_user, 0.0)
-            per_trial = per_user.sum(axis=1)
+            per_trial = rates(
+                np.log2(1.0 + legit_num / (legit_den + legit_noise)),
+                np.log2(1.0 + eav_num / (eav_den + eav_noise)), clip)
             row[:] = per_trial.sum(), per_trial @ per_trial
         return out, rejected
 
     return moments
 
 
-def _oracle_estimates(points, mode, n, seed, clip):
+def _oracle_estimates(points, mode, n, seed, clip, rates=_link_sums):
     """RateEstimates of :func:`_per_point_moments` at ``points``: one chunk
     loop per feedback budget, each drawn at that budget's own params, so a
     QCA draw holds the points' own Gamma(n_t-1, distortion) interference."""
@@ -389,7 +416,8 @@ def _oracle_estimates(points, mode, n, seed, clip):
         group = [points[row] for row in rows]
         sums, rejected = np.zeros((len(group), 2)), 0
         for chunk_sums, chunk_rejected in simulate._map_chunks(
-                group[0], mode, n, seed, 1, _per_point_moments(group, clip)):
+                group[0], mode, n, seed, 1,
+                _per_point_moments(group, clip, rates)):
             sums += chunk_sums
             rejected += chunk_rejected
         for row, (total, total_sq) in zip(rows, sums.tolist()):
@@ -398,19 +426,41 @@ def _oracle_estimates(points, mode, n, seed, clip):
     return estimates
 
 
+def _reduction_grid(n_t):
+    """Three alphas (1 among them) per SNR, and two duplicated points."""
+    points = [SystemParams(n_t=n_t, bits=2, alpha=a, snr_db=s)
+              for s in (-10.0, 4.0, 25.0) for a in (0.3, 1.0, 2.5)]
+    return points + [points[4], points[0]]
+
+
 # n_t >= 8 pins the order in which the per-user terms are summed.
 @pytest.mark.parametrize("n_t", [2, 5, 8, 16])
 @pytest.mark.parametrize("mode", list(SimMode))
 @pytest.mark.parametrize("clip", [False, True])
 def test_reduction_matches_per_point_oracle(n_t, mode, clip):
-    # Three alphas (1 among them) per SNR, and two duplicated points.
-    points = [SystemParams(n_t=n_t, bits=2, alpha=a, snr_db=s)
-              for s in (-10.0, 4.0, 25.0) for a in (0.3, 1.0, 2.5)]
-    points += [points[4], points[0]]
+    points = _reduction_grid(n_t)
     n = 9_000 if mode is SimMode.QCA else 1_500
     assert estimate_secrecy_rates(points, mode, n, seed=14, workers=2,
                                   clip=clip) == _oracle_estimates(
         points, mode, n, 14, clip)
+
+
+@pytest.mark.parametrize("n_t", [2, 5, 8, 16])
+@pytest.mark.parametrize("mode", list(SimMode))
+@pytest.mark.parametrize("clip", [False, True])
+def test_per_link_sums_change_only_rounding(n_t, mode, clip):
+    # The engine sums each link's terms over the users and subtracts the
+    # sums; before, it summed each trial's K differences pairwise.  The
+    # two orders may differ in the last bits of a sum, never beyond.
+    points = _reduction_grid(n_t)
+    n = 9_000 if mode is SimMode.QCA else 1_500
+    engine = estimate_secrecy_rates(points, mode, n, seed=14, clip=clip)
+    pairwise = _oracle_estimates(points, mode, n, 14, clip, _pairwise_sums)
+    for got, old in zip(engine, pairwise):
+        assert (got.n_trials, got.rejected) == (old.n_trials, old.rejected)
+        assert math.isclose(got.mean, old.mean, rel_tol=1e-13), (got, old)
+        assert math.isclose(got.std_err, old.std_err, rel_tol=1e-13), (
+            got, old)
 
 
 def _shared_noise_grid(n_t):
@@ -479,22 +529,28 @@ def test_live_eavesdropper_terms_stay_within_their_bound(monkeypatch):
     points = [SystemParams(n_t=5, bits=b, alpha=0.1 + 0.05 * i, snr_db=0.0)
               for b in (0, 1, 3) for i in range(40)]
     n = chunk_trials(P55, SimMode.QCA)  # one chunk
-    oracle = _oracle_estimates(points, SimMode.QCA, n, 17, False)
     key = SystemParams(n_t=5, bits=0, alpha=1.0, snr_db=0.0)
     parts = _draw_parts(key, SimMode.QCA, RngStream(17, 0).generator(), n)
-    monkeypatch.setattr(simulate, "_draw_parts", lambda *args: parts)
-    tracemalloc.start()
-    try:
-        shared = estimate_secrecy_rates(points, SimMode.QCA, n, seed=17)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert shared == oracle
-    # Beyond the drawn parts the reduction holds two (K, n) scratch arrays,
-    # the per-trial sums (1/K of one) and at most 4 eavesdropper terms;
-    # 128 KiB covers the small objects.  Measured: 6.30 arrays of 320 KiB.
     array = parts[0].nbytes
-    assert peak <= (2 + 1 / 5 + 4) * array + 2 ** 17, peak / array
+    # Beyond the drawn parts the reduction holds one (K, n) scratch array
+    # and (n,) rows, 1/K of one each: the users' sum, the per-trial sums
+    # and at most 4 eavesdropper sums.  Under clip it holds two scratch
+    # arrays, the per-trial sums and at most 4 (K, n) eavesdropper terms.
+    # 128 KiB covers the small objects.  Measured, in arrays of 320 KiB:
+    # 2.30, and 6.25 under clip.
+    for clip, arrays in ((False, 1 + 6 / 5), (True, 2 + 1 / 5 + 4)):
+        oracle = _oracle_estimates(points, SimMode.QCA, n, 17, clip)
+        with monkeypatch.context() as patch:
+            patch.setattr(simulate, "_draw_parts", lambda *args: parts)
+            tracemalloc.start()
+            try:
+                shared = estimate_secrecy_rates(points, SimMode.QCA, n,
+                                                seed=17, clip=clip)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert shared == oracle
+        assert peak <= arrays * array + 2 ** 17, (clip, peak / array)
 
 
 def test_worker_cap_is_checked_before_any_pool_exists(monkeypatch):
@@ -724,22 +780,26 @@ def test_collection_memory_does_not_grow_with_points_per_key():
 
 @pytest.mark.parametrize("k", [*range(2, 18), 64, 127, 128, 129, 256])
 def test_row_sums_follow_numpy_summation_order(k):
-    # The engine sums user-major rows by column adds in numpy's pairwise
-    # order.  If a numpy release changes that order, this fails by name
-    # instead of every digest drifting.
+    # The engine sums each link's user-major rows with sum(axis=0), which
+    # adds C-ordered rows one after another (on strided rows numpy would
+    # sum each trial pairwise, ten times slower).  If a numpy release
+    # changes that order, or a draw its layout, this fails by name instead
+    # of every digest drifting.
+    params = SystemParams(n_t=k, bits=4, alpha=1.0, snr_db=0.0)
+    for mode in SimMode:
+        parts = _draw_parts(params, mode, RngStream(40, k).generator(), 3)
+        for part in parts[:4]:
+            assert part.shape == (k, 3) and part.flags.c_contiguous
     gen = RngStream(40, k).generator()
     terms = (gen.standard_normal((1_000, k))
              * np.exp(gen.uniform(-30.0, 30.0, (1_000, k))))
     terms[0] = -0.0  # a sum of negative zeros is 0.0
-    expected = terms.sum(axis=1)
-    got = simulate._row_sums(np.ascontiguousarray(terms.T), np.empty(1_000))
+    expected = _user_sums(terms)
+    got = np.ascontiguousarray(terms.T).sum(axis=0)
     assert np.array_equal(got, expected)
     assert np.array_equal(np.signbit(got), np.signbit(expected))
-    if k >= 8:  # the data tell pairwise from sequential order apart
-        sequential = np.zeros(1_000)
-        for column in terms.T:
-            sequential += column
-        assert not np.array_equal(got, sequential)
+    if k >= 8:  # the data tell sequential from pairwise order apart
+        assert not np.array_equal(got, terms.sum(axis=1))
 
 
 def test_rejection_free_and_zero_forcing_residual():
