@@ -367,7 +367,7 @@ def run_selftest(seed: int = 20250, stream=None) -> bool:
                     (0.1, 2.0, 8), (10.0, 1.0, 10)]:
         val = analytic.laplace_pole_integral(p, a, n)
         ref = analytic.integrate_half_line(
-            lambda t: math.exp(-p * t) * (t + a) ** (-n), p)
+            lambda t: np.exp(-p * t) * (t + a) ** (-n))
         worst = max(worst, abs(val - ref) / abs(ref))
     ok &= _check("pole-integral-vs-quadrature", worst < 1e-9,
                  f"worst relative error {worst:.2e}", report, stream)

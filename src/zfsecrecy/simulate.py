@@ -40,9 +40,9 @@ distinct eavesdropper noise level, which does not depend on bits: points
 that differ only in their distortion share it.  Each term is summed over
 the users once, so a point's per-trial rates are one difference of (n,)
 rows, the users' sum minus the eavesdropper's.  An eavesdropper sum with
-uses still to come is kept until its last one, at most _LIVE_EAV_TERMS at
-a time; past that bound it is recomputed for its point.  ``clip`` keeps
-(K, n) terms instead, to sum each user's positive part.
+uses still to come is kept until its last one, at most _LIVE_EAV_TERMS * K
+(the bytes of _LIVE_EAV_TERMS (K, n) terms) at a time; past that bound it
+is recomputed for its point.  ``clip`` keeps (K, n) terms instead.
 """
 
 import contextlib
@@ -68,10 +68,10 @@ MAX_WORKERS = 256
 # Fixed chunking so worker count cannot influence the sample sequence.
 _CHUNK_TRIALS = 8192
 _CHUNK_TARGET_BYTES = 48 * 2 ** 20
-# Most eavesdropper log terms one chunk's rate reduction holds for later
-# points: (n,) sums over the users, or under clip (K, n) arrays, as many
-# as the draw has parts, so no grid (hundreds of alphas at one SNR, say)
-# grows a chunk's memory beyond that.
+# Most (K, n) eavesdropper log terms one chunk's rate reduction holds for
+# later points, as many as the draw has parts, or K times as many (n,)
+# sums over the users without clip: no grid (hundreds of alphas at one
+# SNR, say) grows a chunk's memory beyond that.
 _LIVE_EAV_TERMS = 4
 # Bytes of one K x K complex array over a block of trials: each per-trial
 # step of a geometry draw runs on blocks this size, not on the whole chunk.
@@ -101,7 +101,7 @@ def chunk_trials(params: SystemParams, mode: SimMode) -> int:
     Per trial, the rate reduction holds (K,) float64 rows, at most as
     many as under clip: the draw's 4 parts, 2 scratch rows and up to
     _LIVE_EAV_TERMS eavesdropper terms, plus one row for the per-trial
-    sums and small objects (without clip, 5 rows and 6 scalars).  A FULL
+    sums and small objects (without clip, 9 rows and 2 scalars).  A FULL
     or PERFECT draw holds K x K complex arrays on top, budgeted at 4.5: h,
     the directions, the sampler's draw and one block's temporaries
     (tracemalloc, numpy 2.4: 3.5-4.1 in FULL, 2.1-3.6 in PERFECT at
@@ -447,7 +447,8 @@ def _estimates_of_one_draw(draw: SystemParams, members: list, mode: SimMode,
                 if eav is None:
                     # Kept for later points while a live slot is free;
                     # otherwise computed into the point's own scratch.
-                    keep = left[eav_noise] > 1 and len(live) < _LIVE_EAV_TERMS
+                    keep = left[eav_noise] > 1 and len(live) < (
+                        _LIVE_EAV_TERMS * (1 if clip else len(terms)))
                     if clip:
                         eav = _log_rate(eav_num, eav_den, eav_noise,
                                         np.empty_like(terms) if keep

@@ -169,11 +169,32 @@ def test_two_pole_vs_quadrature():
         assert abs(got - ref) / abs(ref) < 1e-8, (x, y, z)
 
 
-@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 def test_integrate_half_line_raises_when_it_cannot_converge():
     # sin has no integral over the half line; the error estimate is huge.
     with pytest.raises(ArithmeticError, match="did not converge"):
-        integrate_half_line(math.sin, 1.0)
+        integrate_half_line(np.sin)
+
+
+def _mpmath_half_line(mpmath, integrand) -> float:
+    """integral_0^inf integrand(x) dx at 40 digits, by Gauss-Legendre in
+    u = ln x on intervals of width 8 over u in [-48, 48] (x from 1e-21 to
+    1e21): an independent rule, and one that resolves every scale there."""
+    with mpmath.workdps(40):
+        return mpmath.quad(lambda u: integrand(mpmath.exp(u)) * mpmath.exp(u),
+                           mpmath.linspace(-48, 48, 13),
+                           method="gauss-legendre")
+
+
+@pytest.mark.parametrize("x,y,z", [
+    (0.5, 1 + 5e-5, 3), (0.0, 1 - 3e-5, 5), (2.0, 1 + 2e-6, 1),
+    (1e-3, 1 - 9e-5, 20), (10.0, 1 + 1e-5, 60), (1e-6, 1 - 1.5e-6, 127)])
+def test_two_pole_guard_band_matches_mpmath(x, y, z):
+    # 1e-6 <= |y - 1| < 1e-4: the partial fractions are skipped for the
+    # quadrature fallback.
+    mpmath = pytest.importorskip("mpmath")
+    want = float(_mpmath_half_line(mpmath, lambda t: mpmath.exp(-x * t) / (
+        (t + 1) * (t + mpmath.mpf(y)) ** z)))
+    assert abs(laplace_two_pole_integral(x, y, z) - want) <= 1e-9 * want
 
 
 def test_two_pole_domain():
@@ -362,6 +383,52 @@ def test_interference_limited_matches_mpmath_at_tiny_distortion(n_t, bits):
     got = secrecy_rate_interference_limited(
         SystemParams(n_t=n_t, bits=bits, alpha=1.0, snr_db=0.0))
     assert got == pytest.approx(want, rel=1e-14)
+
+
+# The rate arbiter's grid; the closed form raises OverflowError at n_t >= 128
+# where its partial fractions leave the float64 range.
+ARBITER_GRID = [(n_t, bits, alpha, snr_db)
+                for n_t in (2, 5, 16, 64, 128, 256) for bits in (0, 4, 16)
+                for alpha in (1e-3, 0.5, 1.0)
+                for snr_db in (-60, -20, 0, 20, 80)]
+
+
+def _assert_rates_match_mpmath(mpmath, n_t, bits, alpha, snr_db):
+    """Quadrature oracle and closed form within 1e-9 * max(1, |R|) of the
+    rate at 40 digits, or ArithmeticError."""
+    p = SystemParams(n_t=n_t, bits=bits, alpha=alpha, snr_db=snr_db)
+    with mpmath.workdps(40):
+        s = mpmath.mpf(p.noise_over_power)
+        s_eav = mpmath.mpf(p.eav_noise_over_power)
+        d = mpmath.mpf(2) ** (-mpmath.mpf(bits) / (n_t - 1))
+        want = float(n_t / mpmath.log(2) * _mpmath_half_line(
+            mpmath, lambda x: (mpmath.exp(-x * s) / (1 + d * x) ** (n_t - 1)
+                               - mpmath.exp(-x * s_eav) / (1 + x) ** (n_t - 1))
+            / (1 + x)))
+    for rate in (rate_from_cdf_quadrature, secrecy_rate_closed_form):
+        try:
+            got = rate(p)
+        except ArithmeticError:
+            continue
+        assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), (
+            rate.__name__, got, want)
+
+
+@pytest.mark.parametrize("n_t,bits,alpha,snr_db", [
+    (5, 4, 0.5, -60), (2, 0, 1e-3, 20), (16, 16, 1e-3, 0),
+    (64, 4, 1e-3, -20), (128, 16, 0.5, -60), (256, 16, 1.0, 80)])
+def test_rates_match_mpmath(n_t, bits, alpha, snr_db):
+    # The first point's mass lies a few multiples past 1e-6, where a split
+    # QUADPACK rule read 4.557e-7 for 5.410e-6 and reported no error.
+    _assert_rates_match_mpmath(pytest.importorskip("mpmath"),
+                               n_t, bits, alpha, snr_db)
+
+
+@pytest.mark.slow
+def test_rates_match_mpmath_on_the_wide_grid():
+    mpmath = pytest.importorskip("mpmath")
+    for point in ARBITER_GRID:
+        _assert_rates_match_mpmath(mpmath, *point)
 
 
 def test_interference_limited_rejects_underflowing_distortion():

@@ -145,9 +145,9 @@ def test_validate_report_matches_recorded_digest(tmp_path):
     report, stream = tmp_path / "report.json", io.StringIO()
     assert run_validate(SweepConfig(**GOLDEN, out=str(report)), stream=stream)
     assert sha256(stream.getvalue().encode()) == (
-        "4c256f81acfa81ac9377aacd3eed25d41f5c7ae0c690ce3c520609d6de92f648")
+        "1dcf810f670a2ffb4395cb94942edd0783e526fcfdeba3c63bba48ed51949885")
     assert sha256(read(report)) == (
-        "2319c8b91861217f75f5f6d6ded106000267994038c9051aaef06c162170be35")
+        "dfcfcbf2dc0722c0dc116fc5ed510a618a4b4cad4f6ab9c5e4587b59b78e986d")
 
 
 def _count_draws(monkeypatch, name):
@@ -528,9 +528,14 @@ def test_readme_python_example_runs_and_its_value_comment_holds():
     assert abs(namespace["oracle"] - namespace["exact"]) < 1e-10
 
 
-def test_importing_the_cli_leaves_scipy_integrate_unloaded():
-    # scipy.integrate costs most of a start-up; only quadrature loads it.
-    code = (f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); "
+def test_cli_selftest_and_quadrature_load_no_scipy():
+    # numpy is the one runtime dependency, the quadrature rule included.
+    code = (f"import io, sys; sys.path.insert(0, {str(ROOT / 'src')!r}); "
             f"import zfsecrecy.cli; "
-            f"assert 'scipy.integrate' not in sys.modules")
+            f"from zfsecrecy import analytic, params; "
+            f"assert zfsecrecy.cli.run_selftest(stream=io.StringIO()); "
+            f"analytic.rate_from_cdf_quadrature(params.SystemParams("
+            f"n_t=5, bits=4, alpha=0.5, snr_db=-60.0)); "
+            f"loaded = [m for m in sys.modules if m.startswith('scipy')]; "
+            f"assert not loaded, loaded")
     subprocess.run([sys.executable, "-c", code], check=True)

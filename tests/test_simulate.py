@@ -525,7 +525,8 @@ def test_each_eavesdropper_noise_level_is_computed_once_per_chunk(
 
 def test_live_eavesdropper_terms_stay_within_their_bound(monkeypatch):
     # 40 alphas x 3 budgets at one SNR: each of 40 eavesdropper terms
-    # serves three groups, but a chunk holds at most 4 of them at a time.
+    # serves three groups, but a chunk holds at most 4 (K, n) terms, or
+    # without clip 4 * K = 20 (n,) sums, at a time.
     points = [SystemParams(n_t=5, bits=b, alpha=0.1 + 0.05 * i, snr_db=0.0)
               for b in (0, 1, 3) for i in range(40)]
     n = chunk_trials(P55, SimMode.QCA)  # one chunk
@@ -534,14 +535,26 @@ def test_live_eavesdropper_terms_stay_within_their_bound(monkeypatch):
     array = parts[0].nbytes
     # Beyond the drawn parts the reduction holds one (K, n) scratch array
     # and (n,) rows, 1/K of one each: the users' sum, the per-trial sums
-    # and at most 4 eavesdropper sums.  Under clip it holds two scratch
+    # and at most 4 * K eavesdropper sums.  Under clip it holds two scratch
     # arrays, the per-trial sums and at most 4 (K, n) eavesdropper terms.
     # 128 KiB covers the small objects.  Measured, in arrays of 320 KiB:
-    # 2.30, and 6.25 under clip.
-    for clip, arrays in ((False, 1 + 6 / 5), (True, 2 + 1 / 5 + 4)):
+    # 5.51, and 6.25 under clip.
+    # SINR passes: 3 for the users' groups, and for the eavesdropper 40 in
+    # the first group, then 20 in each of the other two without clip; under
+    # clip 36 in each of those two, as 4 of the 40 terms stay live.
+    sinr, calls = simulate._sinr, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return sinr(*args, **kwargs)
+
+    for clip, arrays, passes in ((False, 1 + 2 / 5 + 4, 83),
+                                 (True, 2 + 1 / 5 + 4, 115)):
         oracle = _oracle_estimates(points, SimMode.QCA, n, 17, clip)
+        calls.clear()
         with monkeypatch.context() as patch:
             patch.setattr(simulate, "_draw_parts", lambda *args: parts)
+            patch.setattr(simulate, "_sinr", counted)
             tracemalloc.start()
             try:
                 shared = estimate_secrecy_rates(points, SimMode.QCA, n,
@@ -550,6 +563,7 @@ def test_live_eavesdropper_terms_stay_within_their_bound(monkeypatch):
             finally:
                 tracemalloc.stop()
         assert shared == oracle
+        assert len(calls) == passes, clip
         assert peak <= arrays * array + 2 ** 17, (clip, peak / array)
 
 
