@@ -10,7 +10,11 @@ Writes three sweeps over -10..40 dB at n_t=5, B=4 for relative path gains
 
 The QCA curve sits on top of the closed form (that is the model it
 integrates); the FULL-mode curve runs a few percent below it at
-low-to-mid SNR, which is the intrinsic accuracy of the cell approximation.
+low-to-mid SNR.  The closed form models the users' interference with the
+quantization-cell approximation and the eavesdropper's with orthonormal
+beams; FULL makes neither simplification, so the gap has an RVQ-error-law
+part and a beam non-orthogonality part (see the README's analysis of the
+expected test failures).
 Columns are gnuplot/spreadsheet-ready; see the README for the schema.
 """
 

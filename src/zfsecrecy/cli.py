@@ -50,6 +50,8 @@ MAX_TRIALS = 10**8
 # but one FULL trial's K x K arrays do not: about 4.7 MB at this cap.  The
 # draws come before any analytic call, so the cap is checked before both.
 MAX_NT = 256
+# Most characters read from a --config file; a longer file is refused.
+_CONFIG_CAP = 2 ** 20
 # Relative slack that keeps an SNR stop reached up to rounding inside the grid.
 _SNR_REL_TOL = 1e-9
 
@@ -431,11 +433,14 @@ def _read_config_file(path: str) -> list:
     and keys are flag names, spelled with '_' or '-'."""
     try:
         with open(path) as fh:
-            lines = fh.readlines()
+            text = fh.read(_CONFIG_CAP + 1)
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
+    if len(text) > _CONFIG_CAP:
+        raise UsageError(f"config file cap hit: {path} is longer than "
+                         f"{_CONFIG_CAP} characters")
     tokens = []
-    for lineno, raw in enumerate(lines, 1):
+    for lineno, raw in enumerate(text.split("\n"), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -57,5 +57,11 @@ class SystemParams:
 
     @property
     def eav_noise_over_power(self) -> float:
-        """sigma^2 / (alpha^2 P), the effective noise level at the eavesdropper."""
-        return self.noise_over_power / (self.alpha * self.alpha)
+        """sigma^2 / (alpha^2 P), the effective noise level at the eavesdropper.
+
+        Raises OverflowError where it is not a finite float."""
+        level = self.noise_over_power / (self.alpha * self.alpha)
+        if math.isinf(level):
+            raise OverflowError(f"eavesdropper noise level overflows at "
+                                f"alpha={self.alpha!r}, snr_db={self.snr_db!r}")
+        return level

@@ -103,9 +103,9 @@ def chunk_trials(params: SystemParams, mode: SimMode) -> int:
     _LIVE_EAV_TERMS eavesdropper terms, plus one row for the per-trial
     sums and small objects (without clip, 9 rows and 2 scalars).  A FULL
     or PERFECT draw holds K x K complex arrays on top, budgeted at 4.5: h,
-    the directions, the sampler's draw and one block's temporaries
-    (tracemalloc, numpy 2.4: 3.5-4.1 in FULL, 2.1-3.6 in PERFECT at
-    n_t >= 3).  Every mode gets _CHUNK_TRIALS up to n_t = 7."""
+    the sampler's draw and one block's temporaries (tracemalloc, numpy
+    2.4, rows included: 2.6-4.3 in FULL, 1.6-3.2 in PERFECT at n_t >= 3,
+    the most at n_t = 3).  Every mode gets _CHUNK_TRIALS up to n_t = 7."""
     k = params.n_t
     per_trial = (8 * k * (7 + _LIVE_EAV_TERMS)
                  + (0 if mode is SimMode.QCA else 72 * k * k))
@@ -148,49 +148,42 @@ def _geometry_draw(params: SystemParams, gen: np.random.Generator, n: int,
 
     Returns the noise-free SINR parts (legit_num, legit_den, eav_num,
     eav_den), each C-ordered user-major (K, n), then the rejected count
-    and the largest zero-forcing residual over kept draws.  Each part is
-    its (n, K) pieces, transposed into rows as they are concatenated.
-    PERFECT beams leave no inter-user interference, so its
-    legit_den is zero.  FULL users select from fresh codebooks, sampled by
-    :func:`_rvq_directions`.
+    and the largest zero-forcing residual over kept draws.  PERFECT beams
+    leave no inter-user interference, so its legit_den is zero.  FULL
+    users select from fresh codebooks, sampled by :func:`_rvq_directions`.
 
     Each round draws h and g, then the sampler's draws, for all its trials
     at once in the stream's order, and the sampler sees the round's whole
-    stack of directions.  Every other step (normalize, beams, gains,
-    residual, rejection) runs on :func:`_trial_blocks`, their pieces kept
-    in order.  No trial's arithmetic depends on its block, so the bits are
-    those of a whole-round computation, and beyond one block's temporaries
-    a chunk holds only h, the directions and the sampler's draw.
+    stack of channels.  Every other step (directions, beams, gains,
+    residual, rejection) runs in one pass over :func:`_trial_blocks`, and
+    each block's kept trials are copied into the parts after the last ones.
+    No trial's arithmetic depends on its block, so the bits are those of a
+    whole-round computation, and beyond one block's temporaries a chunk
+    holds only the parts, h, g and the sampler's draw.
     """
     k = params.n_t
-    parts = []
-    rejected = 0
-    zf_residual = 0.0
-    remaining = n
-    while remaining > 0:
-        h = complex_gaussian_batch(gen, (remaining, k, k))      # rows: user channels
-        g = complex_gaussian_batch(gen, (remaining, k))         # eavesdropper fading
-        blocks = _trial_blocks(remaining, k)
-        point_dirs = np.empty_like(h)
-        for b in blocks:
-            np.divide(h[b], np.linalg.norm(h[b], axis=2, keepdims=True),
-                      out=point_dirs[b])
+    parts = np.empty((4, k, n))
+    filled, rejected, zf_residual = 0, 0, 0.0
+    while filled < n:
+        m = n - filled
+        h = complex_gaussian_batch(gen, (m, k, k))  # rows: user channels
+        g = complex_gaussian_batch(gen, (m, k))     # eavesdropper fading
         if not perfect:
-            point_dirs = _rvq_directions(point_dirs, params.bits, gen)
-        for b in blocks:
-            piece, n_bad, residual = _block_parts(h[b], g[b], point_dirs[b],
-                                                  perfect)
-            parts.append(piece)
+            selected = _rvq_directions(h, params.bits, gen)
+        for b in _trial_blocks(m, k):
+            dirs = _unit_rows(h[b]) if perfect else selected[b]
+            pieces, n_bad, residual = _block_parts(h[b], g[b], dirs, perfect)
+            kept = len(pieces[0])
+            parts[:, :, filled:filled + kept] = np.swapaxes(pieces, 1, 2)
+            filled += kept
             rejected += n_bad
-            remaining -= piece[0].shape[0]
             zf_residual = max(zf_residual, residual)
-        # Free the round's whole arrays before the next round's draws and
-        # the concatenation below.
-        del h, g, point_dirs
+    return (*parts, rejected, zf_residual)
 
-    return (*(np.concatenate([piece.T for piece in p], axis=1,
-                             out=np.empty((k, n))) for p in zip(*parts)),
-            rejected, zf_residual)
+
+def _unit_rows(x: np.ndarray) -> np.ndarray:
+    """``x`` with each row (last axis) scaled to unit norm."""
+    return x / np.linalg.norm(x, axis=-1, keepdims=True)
 
 
 def _block_parts(h, g, point_dirs, perfect: bool):
@@ -221,29 +214,30 @@ def _block_parts(h, g, point_dirs, perfect: bool):
     return (signal, interference, eav_amps, eav_den), n_bad, zf_residual
 
 
-def _rvq_directions(h_dir: np.ndarray, bits: int,
+def _rvq_directions(h: np.ndarray, bits: int,
                     gen: np.random.Generator) -> np.ndarray:
     """The codeword each (trial, user) selects from a fresh codebook of
     2**bits isotropic codewords, drawn from its exact law, not by search.
 
-    With ``h_dir`` (n, K, K) the unit channel directions (rows), the
-    selection is sqrt(1-z) h_dir + sqrt(z) e up to a phase, with e
-    isotropic in the complement of h_dir and
+    With ``h`` (n, K, K) the channels (rows) and h_dir their unit
+    directions, the selection is sqrt(1-z) h_dir + sqrt(z) e up to a
+    phase, with e isotropic in the complement of h_dir and
     P(z <= x) = 1 - (1 - x**(K-1))**(2**bits) (Jindal, IEEE Trans. IT 2006;
     Au-Yeung & Love, IEEE Trans. WC 2007).  No SINR part depends on a
     direction's phase, so none is drawn.  The inverse CDF goes through
     log1p/expm1, which keeps z accurate when 2**-bits is below epsilon.
-    The draws of u and e cover the whole stack; the projection and the
-    scaling, which are per trial, run on :func:`_trial_blocks` and write
-    only into e, which is returned.  ``h_dir`` is not modified.
+    The draws of u and e cover the whole stack; the directions, the
+    projection and the scaling, which are per trial, run on
+    :func:`_trial_blocks` and write only into e, which is returned.
+    ``h`` is not modified.
     """
-    n, k, _ = h_dir.shape
+    n, k, _ = h.shape
     u = gen.random((n, k))
     e = complex_gaussian_batch(gen, (n, k, k))
     z = -np.expm1(2.0 ** -bits * np.log1p(-u))
     z **= 1.0 / (k - 1)
     for b in _trial_blocks(n, k):
-        h_b, e_b, z_b = h_dir[b], e[b], z[b]
+        h_b, e_b, z_b = _unit_rows(h[b]), e[b], z[b]
         e_b -= h_b * np.einsum("tkn,tkn->tk", np.conj(h_b), e_b)[..., None]
         flat = e_b.view(float)
         e_b *= np.sqrt(z_b / np.einsum("tkn,tkn->tk", flat, flat))[..., None]

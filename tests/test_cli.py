@@ -19,6 +19,7 @@ from zfsecrecy.cli import (CSV_HEADER, EXIT_IO, EXIT_OK, EXIT_USAGE,
                            build_parser, main,
                            parse_curve_csv, run_dist_check, run_rate_curve,
                            run_validate)
+from zfsecrecy.params import SystemParams
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
@@ -401,6 +402,22 @@ def test_selftest_passes():
     assert main(["selftest", "--seed", "99"]) == EXIT_OK
 
 
+def test_overflowing_eavesdropper_noise_level_exits_one(capsys):
+    # validate() accepts alpha = 1e-160, as alpha**2 = 1e-320 is positive,
+    # but the eavesdropper's noise level 1 / alpha**2 leaves float64: every
+    # subcommand must say so, not fail a KS test on NaNs or a continued
+    # fraction at x = inf.
+    point = SystemParams(n_t=3, bits=1, alpha=1e-160, snr_db=0.0)
+    with pytest.raises(OverflowError, match=r"alpha=1e-160, snr_db=0\.0"):
+        point.eav_noise_over_power
+    for command in ("rate-curve", "validate", "dist-check"):
+        assert main([command, "--alpha", "1e-160", "--nt", "3", "--bits", "1",
+                     "--snr", "0:0:1", "--trials", "100"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: input outside the float64 range")
+        assert "eavesdropper noise level overflows" in err
+
+
 def test_config_file_is_read_and_flags_override(tmp_path):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(
@@ -461,6 +478,21 @@ def test_config_file_unknown_key_is_usage_error(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("frobnicate = 12\n")
     assert main(["rate-curve", "--config", str(cfg)]) == EXIT_USAGE
+
+
+def test_config_file_longer_than_its_cap_is_usage_error(tmp_path, capsys):
+    # The file is read up to a fixed cap of 2**20 characters, so no file
+    # (/dev/zero, say) can make the reader allocate without bound.  Up to
+    # the cap it is read.
+    cap = 2 ** 20
+    cfg = tmp_path / "long.cfg"
+    setting = "mode = analytic-only\n"
+    argv = ["rate-curve", "--config", str(cfg), "--snr", "0:0:1",
+            "--out", str(tmp_path / "out.csv")]
+    for padding, code in ((0, EXIT_OK), (1, EXIT_USAGE)):
+        cfg.write_text(setting + "#" * (cap - len(setting) + padding))
+        assert main(argv) == code
+    assert "usage error: config file cap hit" in capsys.readouterr().err
 
 
 def test_reals_carry_seventeen_significant_digits(tmp_path):

@@ -136,21 +136,25 @@ def test_resampled_draw_bits_are_pinned(mode, monkeypatch):
 def test_sampler_sees_each_round_whole(monkeypatch):
     # The explicit-search oracle and the phase test replace the sampler
     # hook; they test nothing unless every round calls it once, on the
-    # round's whole stack of unit channel directions, and uses its result.
+    # round's whole stack of raw channels, and uses its result.  A replay
+    # of the stream (h, g, u, e per round) redraws each round's channels.
     monkeypatch.setattr(simulate, "_BEAM_RANK_TOL", FORCED_REJECTION_TOL)
     params = SystemParams(n_t=5, bits=2, alpha=1.0, snr_db=10.0)
     n = 3_000
+    replay = RngStream(11, 0).generator()
     rounds = []  # (trials, sets the round's directions leave degenerate)
 
-    def recorded(h_dir, bits, gen):
-        before = h_dir.copy()
-        cw = _rvq_directions(h_dir, bits, gen)
-        np.testing.assert_array_equal(h_dir, before)
-        if not rounds:
-            h = complex_gaussian_batch(RngStream(11, 0).generator(), (n, 5, 5))
-            np.testing.assert_array_equal(
-                h_dir, h / np.linalg.norm(h, axis=2, keepdims=True))
-        rounds.append((h_dir.shape[0], int((~_zf_beams_batch(cw)[1]).sum())))
+    def recorded(h, bits, gen):
+        m = h.shape[0]
+        np.testing.assert_array_equal(
+            h, complex_gaussian_batch(replay, (m, 5, 5)))
+        complex_gaussian_batch(replay, (m, 5))
+        replay.random((m, 5))
+        complex_gaussian_batch(replay, (m, 5, 5))
+        before = h.copy()
+        cw = _rvq_directions(h, bits, gen)
+        np.testing.assert_array_equal(h, before)
+        rounds.append((m, int((~_zf_beams_batch(cw)[1]).sum())))
         return cw
 
     monkeypatch.setattr(simulate, "_rvq_directions", recorded)
@@ -621,14 +625,19 @@ def test_one_chunk_stays_within_the_chunk_memory_target(mode, n_t):
         tracemalloc.stop()
     assert peak <= simulate._CHUNK_TARGET_BYTES, (n, peak)
     # chunk_trials budgets 4.5 K x K complex arrays per trial in FULL and
-    # PERFECT.  The draw's per-trial steps run block by block, so a chunk
-    # holds h, the directions and the sampler's draw beyond one block's
-    # temporaries.  Measured with numpy 2.4: FULL 4.08 at n_t = 3, 3.80 at
-    # 5, 3.69 at 8, 3.56 at 24; PERFECT 3.60, 2.84, 2.48, 2.21.  A failure
-    # here means some step again spans the whole chunk.
+    # PERFECT.  The draw's per-trial steps run in one pass over blocks, so
+    # beyond one block's temporaries a chunk holds the (K, n) parts, h, g
+    # and, in FULL, the sampler's draw.  Measured with numpy 2.4: FULL 4.23
+    # at n_t = 3, 3.20 at 5, 2.94 at 8, 2.65 at 24; PERFECT 3.19, 2.00,
+    # 1.75, 1.58.  At n_t = 3 the (K, n) rows dominate.  A failure here
+    # means some step again spans the whole chunk; a whole-round array of
+    # unit directions reads 3.80 (FULL) and 2.84 (PERFECT) at n_t = 5.
     if mode is not SimMode.QCA:
         arrays_per_trial = peak / (16 * n_t ** 2 * n)
         assert arrays_per_trial <= 4.5, arrays_per_trial
+        if n_t >= 5:
+            assert arrays_per_trial <= (3.4 if mode is SimMode.FULL
+                                        else 2.2), arrays_per_trial
 
 
 # Four (n_t, bits) geometries, two alphas x two SNRs each, in grid order.
