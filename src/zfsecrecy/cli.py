@@ -434,7 +434,7 @@ def _read_config_file(path: str) -> list:
     try:
         with open(path) as fh:
             text = fh.read(_CONFIG_CAP + 1)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     if len(text) > _CONFIG_CAP:
         raise UsageError(f"config file cap hit: {path} is longer than "

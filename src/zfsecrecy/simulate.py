@@ -22,7 +22,10 @@ One function, ``_map_chunks``, partitions the trials into fixed-size chunks,
 each drawn from its own counter-based substream keyed by (seed, chunk
 index), and hands every chunk's noise-free parts to a reduction.  Chunk
 results come back in index order, so the worker count can never change a
-result bit.
+result bit.  Below n_t = 5 a chunk holds more trials than its usual 8,192,
+as many (trial, user) pairs as an n_t = 5 chunk: numpy calls on fewer
+elements lose more to two threads handing over the interpreter lock than
+the second thread gains (:func:`chunk_trials`).
 
 The draws never depend on the SNR or alpha, which enter only through the
 noise levels, and a point's draw key names all they do depend on: (n_t,
@@ -67,6 +70,8 @@ MAX_WORKERS = 256
 
 # Fixed chunking so worker count cannot influence the sample sequence.
 _CHUNK_TRIALS = 8192
+# Fewest (trial, user) pairs in a chunk, those of an n_t = 5 chunk.
+_CHUNK_PAIRS = 5 * _CHUNK_TRIALS
 _CHUNK_TARGET_BYTES = 48 * 2 ** 20
 # Most (K, n) eavesdropper log terms one chunk's rate reduction holds for
 # later points, as many as the draw has parts, or K times as many (n,)
@@ -95,8 +100,16 @@ class RateEstimate:
 
 
 def chunk_trials(params: SystemParams, mode: SimMode) -> int:
-    """Trials per chunk (deterministic in params): as many as keep one
-    chunk's arrays within _CHUNK_TARGET_BYTES, at most _CHUNK_TRIALS.
+    """Trials per chunk (deterministic in params): _CHUNK_TRIALS, or more
+    below n_t = 5, as many as hold _CHUNK_PAIRS (trial, user) pairs; then
+    at most as many as keep one chunk's arrays within _CHUNK_TARGET_BYTES.
+
+    The pair floor sizes the rate reduction's numpy calls, each over a
+    chunk's (K, n) pairs or its n trials, for two worker threads: a bare
+    np.add loop on two threads (2 shared cores) reaches about 0.5x, 0.6x,
+    1.0x and 1.6x one thread's throughput at 2,048, 8,192, 16,384 and
+    40,960 elements per call.  So chunks hold 20,480, 13,653 and 10,240
+    trials at n_t = 2, 3 and 4.
 
     Per trial, the rate reduction holds (K,) float64 rows, at most as
     many as under clip: the draw's 4 parts, 2 scratch rows and up to
@@ -104,12 +117,13 @@ def chunk_trials(params: SystemParams, mode: SimMode) -> int:
     sums and small objects (without clip, 9 rows and 2 scalars).  A FULL
     or PERFECT draw holds K x K complex arrays on top, budgeted at 4.5: h,
     the sampler's draw and one block's temporaries (tracemalloc, numpy
-    2.4, rows included: 2.6-4.3 in FULL, 1.6-3.2 in PERFECT at n_t >= 3,
-    the most at n_t = 3).  Every mode gets _CHUNK_TRIALS up to n_t = 7."""
+    2.4, rows included: 2.6-4.7 in FULL, 1.6-3.7 in PERFECT, the most at
+    n_t = 2).  Every mode gets _CHUNK_TRIALS from n_t = 5 to 7."""
     k = params.n_t
     per_trial = (8 * k * (7 + _LIVE_EAV_TERMS)
                  + (0 if mode is SimMode.QCA else 72 * k * k))
-    return max(1, min(_CHUNK_TRIALS, _CHUNK_TARGET_BYTES // per_trial))
+    return max(1, min(max(_CHUNK_TRIALS, _CHUNK_PAIRS // k),
+                      _CHUNK_TARGET_BYTES // per_trial))
 
 
 def _trial_blocks(n: int, k: int) -> list:

@@ -28,7 +28,7 @@ TINY = dict(nt=[5], bits=[4], alpha=[1.0], snr_start=10.0, snr_stop=10.0,
             snr_step=1.0, trials=2_000, seed=3)
 
 
-# Two chunks per point (8,192 + 808 trials) on two workers, four geometries.
+# One chunk per point (9,000 trials) on two workers, four geometries.
 GOLDEN = dict(nt=[2, 3], bits=[0, 2], alpha=[0.5, 1.0], snr_start=-10.0,
               snr_stop=10.0, snr_step=10.0, trials=9_000, seed=11, workers=2)
 
@@ -112,16 +112,20 @@ def test_full_mode_populates_rejection_column(tmp_path):
 # reduction, the users' sum minus the eavesdropper's, which moved only the
 # last digits of the Monte Carlo columns (test_simulate's rounding gate);
 # clip still sums per-user positive parts, at these n_t in the same order.
+# All four are of chunks that hold the (trial, user) pairs of an n_t = 5
+# chunk, one chunk per point here, statistically equivalent to the
+# 8,192-trial chunks PREVIOUS_FULL_DIGEST keeps (test_simulate's
+# pair-floor gate).
 @pytest.mark.parametrize("settings,digest", [
     (dict(mode="qca"),
-     "67559d8882baf2725fd514a7efa8cb8f7b254a3130eb928230c3d711bd74084b"),
+     "067810e96e51654d9c34a703353e4f70bd1d873fe8c4a93061eb8305678ebc1c"),
     (dict(mode="qca", clip=True),
-     "2dab8ef8d8719f9ae21ede2dd3d0bf48729fa280ca1cf8f10976599602e5dde8"),
+     "71d42dd2615ca1871a20b35e17d6f8469c6257b1825ee90275cee49626406d96"),
     (dict(mode="full"),
-     "adba787ee8a14a418cb72b3172b0bd846b191d806091eb79d703e998ac8cc50e"),
+     "09bf22b0ec5507f74cf4593e1e83ccb6f618ea4be547cfd9706d8519642dc8d5"),
     (dict(mode="perfect"),
-     "f2968e0cf44ed4cb1e8fca17bd783dbaee16f240afe3f10bb90939b6d116bd56"),
-])
+     "ec8c78a8bd2d9e0c62d2e314cb382c2043f6dececee0360f172691f3ed9e95fd"),
+], ids=["qca", "qca-clip", "full", "perfect"])
 def test_rate_curve_csv_matches_recorded_digest(settings, digest):
     stream = io.StringIO()
     run_rate_curve(SweepConfig(**GOLDEN, **settings), stream=stream)
@@ -136,7 +140,9 @@ def test_explicit_search_oracle_reproduces_the_previous_full_digest(
         monkeypatch):
     # The equivalence gates compare the sampler with this oracle, so it must
     # be exactly the explicit fresh-codebook engine the sampler replaced.
+    # That engine chunked by the 8,192-trial rule, which has no pair floor.
     monkeypatch.setattr(simulate, "_rvq_directions", explicit_directions)
+    monkeypatch.setattr(simulate, "_CHUNK_PAIRS", 0)
     stream = io.StringIO()
     run_rate_curve(SweepConfig(**GOLDEN, mode="full"), stream=stream)
     assert sha256(stream.getvalue().encode()) == PREVIOUS_FULL_DIGEST
@@ -146,9 +152,9 @@ def test_validate_report_matches_recorded_digest(tmp_path):
     report, stream = tmp_path / "report.json", io.StringIO()
     assert run_validate(SweepConfig(**GOLDEN, out=str(report)), stream=stream)
     assert sha256(stream.getvalue().encode()) == (
-        "1dcf810f670a2ffb4395cb94942edd0783e526fcfdeba3c63bba48ed51949885")
+        "1eed6ae3de3b027491c44809e9682acb6d904b93e1b6c26a7b374a6cae995de8")
     assert sha256(read(report)) == (
-        "dfcfcbf2dc0722c0dc116fc5ed510a618a4b4cad4f6ab9c5e4587b59b78e986d")
+        "07c83c6cc8cd385f4c6e2868a887ff38197624f32fa064b02f498748f1b13cbf")
 
 
 def _count_draws(monkeypatch, name):
@@ -163,36 +169,37 @@ def _count_draws(monkeypatch, name):
     return calls
 
 
-# GOLDEN's 9,000 trials are two chunks at each of its two n_t.
-GOLDEN_CHUNKS = [(2, 808), (2, 8_192), (3, 808), (3, 8_192)]
+# GOLDEN at 21,000 trials: two chunks at each of its two n_t.
+CHUNKED = {**GOLDEN, "trials": 21_000}
+GOLDEN_CHUNKS = [(2, 520), (2, 20_480), (3, 7_347), (3, 13_653)]
 
 
 def test_validate_draws_once_per_antenna_count_and_chunk(monkeypatch):
     # The QCA draw depends on n_t alone: every bits of GOLDEN shares it.
     calls = _count_draws(monkeypatch, "_qca_draw")
-    run_validate(SweepConfig(**GOLDEN), stream=io.StringIO())
+    run_validate(SweepConfig(**CHUNKED), stream=io.StringIO())
     assert sorted(calls) == GOLDEN_CHUNKS
 
 
 def test_dist_check_draws_once_per_antenna_count_and_chunk(monkeypatch):
     # Both links of every point of an n_t come from one QCA draw per chunk.
     calls = _count_draws(monkeypatch, "_qca_draw")
-    run_dist_check(SweepConfig(**GOLDEN, mode="qca"), stream=io.StringIO())
+    run_dist_check(SweepConfig(**CHUNKED, mode="qca"), stream=io.StringIO())
     assert sorted(calls) == GOLDEN_CHUNKS
 
 
 # GOLDEN has 24 points, 12 per bits value.  Outside FULL the eavesdropper's
 # samples do not depend on bits, so its 12 distinct sample sets are each
-# tested once; FULL draws them per (n_t, bits).  The digests, recorded
-# when every eavesdropper line ran its own test, pin the printed lines.
+# tested once; FULL draws them per (n_t, bits).  The digests pin the
+# printed lines, from the chunks of the rate-curve digests above.
 @pytest.mark.parametrize("mode,ks_calls,digest", [
     ("qca", 24 + 12,
-     "33380b42cf53b58e8f480265befbe2129f36f8191d49e2d144c5e04d7e2e2dad"),
+     "6036ad39de14bcc28c3a5f12f2b8ccada0799d4c59db2b31d5a7057c8392f831"),
     ("perfect", 24 + 12,
-     "2f25574161828255a4bffd1009a31c92d6677e52b9f8a79569acf75c1dcb12f1"),
+     "f97d01e8dde43c03c8a5b79fdb23e3c00672ee266f878bb04a2bf31dc46b4ea8"),
     ("full", 24 + 24,
-     "b3476e2af7debeac8fa922d3181b4eb7be7c78575afb863f91fa5316c64be4ca"),
-])
+     "3a6b72cd00a357b6a3e89cc14a311dba0d7a5d86c01662459eef8ab63b3a4553"),
+], ids=["qca", "perfect", "full"])
 def test_dist_check_tests_each_eavesdropper_sample_set_once(
         monkeypatch, mode, ks_calls, digest):
     calls, ks_statistic = [], simulate.ks_statistic
@@ -228,7 +235,8 @@ def test_dist_check_memory_stays_within_the_trial_cap_estimate():
 def test_perfect_rate_curve_draws_once_per_antenna_count_and_chunk(
         monkeypatch):
     calls = _count_draws(monkeypatch, "_geometry_draw")
-    run_rate_curve(SweepConfig(**GOLDEN, mode="perfect"), stream=io.StringIO())
+    run_rate_curve(SweepConfig(**CHUNKED, mode="perfect"),
+                   stream=io.StringIO())
     assert sorted(calls) == GOLDEN_CHUNKS
 
 
@@ -242,7 +250,7 @@ def test_snr_grid_stop_is_inclusive_and_never_overshot():
     assert len(snrs(0.0, 0.3, 0.1)) == 4  # 0.3 / 0.1 rounds below 3
 
 
-def test_usage_errors_exit_one(capsys, monkeypatch):
+def test_usage_errors_exit_one(capsys, monkeypatch, tmp_path):
     assert main(["rate-curve", "--snr", "10:0:2"]) == EXIT_USAGE     # stop < start
     assert main(["rate-curve", "--snr", "0:10:0"]) == EXIT_USAGE     # step 0
     assert main(["rate-curve", "--snr", "nonsense"]) == EXIT_USAGE
@@ -286,6 +294,14 @@ def test_usage_errors_exit_one(capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.count("usage error: antenna cap hit") == 4
     assert "Traceback" not in err
+    # A config file that is not text; selftest takes no config file at all.
+    cfg = tmp_path / "binary.cfg"
+    cfg.write_bytes(b"mode = \xff\xfe")
+    for command in ("rate-curve", "validate", "dist-check", "selftest"):
+        assert main([command, "--config", str(cfg)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count(f"usage error: cannot read config file {cfg}") == 3
+    assert err.count("usage error:") == 4
 
 
 @pytest.mark.parametrize("flags", [
