@@ -379,15 +379,26 @@ def secrecy_rate_for_regime(params: SystemParams, regime: Regime) -> float:
 
 
 def rate_from_cdf_quadrature(params: SystemParams,
-                             regime: Regime = Regime.GENERAL) -> float:
+                             regime: Regime = Regime.GENERAL,
+                             clip: bool = False) -> float:
     """Independent oracle: the rate by quadrature of the SINR laws.
 
     Integrates n_t * log2(e) * [(1-F) - (1-G)] / (1+x) over x >= 0, where F
     and G are the two links' CDFs for the given regime.  Serves as ground
     truth for all three closed forms; error below 1e-9 * max(1, |rate|) or
     it raises.
+
+    With ``clip``, the rate of per-user positive parts,
+    E sum_k [log2(1+sinr_k) - log2(1+eav_sinr_k)]^+, for independent links
+    as in QCA: E[(A-B)^+] = integral of P(A > t) P(B <= t) dt, so the
+    integrand is (1-F) * G / (1+x).
     """
     legit = _survival_law(params, Link.LEGITIMATE, regime)
     eav = _survival_law(params, Link.EAVESDROPPER, regime)
-    return params.n_t * LOG2_E * integrate_half_line(
-        lambda x: (legit(x) - eav(x)) / (1.0 + x))
+    if clip:
+        def integrand(x):
+            return legit(x) * (1.0 - eav(x)) / (1.0 + x)
+    else:
+        def integrand(x):
+            return (legit(x) - eav(x)) / (1.0 + x)
+    return params.n_t * LOG2_E * integrate_half_line(integrand)

@@ -37,19 +37,33 @@ bit.  So one draw per chunk serves every point of a key:
 ``collect_sinr_samples`` takes every point's samples from it, each point's
 result bit-identical to the one-point call.
 
-Within a chunk, ``estimate_secrecy_rates`` computes the users'
-log2(1 + SINR) once per (distortion, SNR) and the eavesdropper's once per
+Within a chunk, ``estimate_secrecy_rates`` computes the users' factors
+1 + SINR once per (distortion, SNR) and the eavesdropper's once per
 distinct eavesdropper noise level, which does not depend on bits: points
-that differ only in their distortion share it.  Each term is summed over
-the users once, so a point's per-trial rates are one difference of (n,)
-rows, the users' sum minus the eavesdropper's.  An eavesdropper sum with
-uses still to come is kept until its last one, at most _LIVE_EAV_TERMS * K
-(the bytes of _LIVE_EAV_TERMS (K, n) terms) at a time; past that bound it
-is recomputed for its point.  ``clip`` keeps (K, n) terms instead.
+that differ only in their distortion share it.  Every factor is at least
+1, so a link's sum over the users of log2(1 + SINR) is the log2 of the
+product of its factors: one log2 per trial, not one per (trial, user).
+The product is taken over groups of G users that cannot overflow, G = K
+unless K log2(1 + top / noise) reaches 1000, top the chunk's largest
+numerator (:func:`_group_size`), and the groups' logs are added.  This
+moves a result by rounding only (tests/test_simulate.py derives the
+bound).  A point's per-trial rates are one difference of (n,) rows, the
+users' sum minus the eavesdropper's.  An eavesdropper sum with uses still
+to come is kept until its last one, at most _LIVE_EAV_TERMS * K (the
+bytes of _LIVE_EAV_TERMS (K, n) arrays) at a time; past that bound it is
+recomputed for its point.  ``clip`` keeps (K, n) factors instead, and
+takes sum_k max(log2 a_k - log2 b_k, 0) as log2 prod_k max(a_k / b_k, 1)
+in the users' groups: a ratio is at most its factor a_k.
+
+On two threads (2 shared cores) a log2 over a (5, 8,192) array reaches
+1.9x one thread's throughput, prod(axis=0) over it 1.2x and a subtraction
+of (n,) rows 0.7x, so two workers gain about half as much from the
+product form as one.
 """
 
 import contextlib
 import math
+import sys
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -73,11 +87,15 @@ _CHUNK_TRIALS = 8192
 # Fewest (trial, user) pairs in a chunk, those of an n_t = 5 chunk.
 _CHUNK_PAIRS = 5 * _CHUNK_TRIALS
 _CHUNK_TARGET_BYTES = 48 * 2 ** 20
-# Most (K, n) eavesdropper log terms one chunk's rate reduction holds for
-# later points, as many as the draw has parts, or K times as many (n,)
-# sums over the users without clip: no grid (hundreds of alphas at one
-# SNR, say) grows a chunk's memory beyond that.
+# Most (K, n) eavesdropper factors one chunk's rate reduction holds for
+# later points under clip, as many as the draw has parts, or K times as
+# many (n,) sums over the users without clip: no grid (hundreds of alphas
+# at one SNR, say) grows a chunk's memory beyond that.
 _LIVE_EAV_TERMS = 4
+# A product of factors 1 + SINR stays below 2**_PRODUCT_BITS, inside
+# float64's 2**1024 with room for the rounding of the factors and their
+# bound (:func:`_group_size`).
+_PRODUCT_BITS = 1000
 # Bytes of one K x K complex array over a block of trials: each per-trial
 # step of a geometry draw runs on blocks this size, not on the whole chunk.
 _BLOCK_TARGET_BYTES = 2 ** 18
@@ -117,7 +135,7 @@ def chunk_trials(params: SystemParams, mode: SimMode) -> int:
     sums and small objects (without clip, 9 rows and 2 scalars).  A FULL
     or PERFECT draw holds K x K complex arrays on top, budgeted at 4.5: h,
     the sampler's draw and one block's temporaries (tracemalloc, numpy
-    2.4, rows included: 2.6-4.7 in FULL, 1.6-3.7 in PERFECT, the most at
+    2.4, rows included: 2.6-4.5 in FULL, 1.6-3.5 in PERFECT, the most at
     n_t = 2).  Every mode gets _CHUNK_TRIALS from n_t = 5 to 7."""
     k = params.n_t
     per_trial = (8 * k * (7 + _LIVE_EAV_TERMS)
@@ -189,6 +207,7 @@ def _geometry_draw(params: SystemParams, gen: np.random.Generator, n: int,
             pieces, n_bad, residual = _block_parts(h[b], g[b], dirs, perfect)
             kept = len(pieces[0])
             parts[:, :, filled:filled + kept] = np.swapaxes(pieces, 1, 2)
+            del pieces  # not alive while the next block's are made
             filled += kept
             rejected += n_bad
             zf_residual = max(zf_residual, residual)
@@ -249,6 +268,7 @@ def _rvq_directions(h: np.ndarray, bits: int,
     u = gen.random((n, k))
     e = complex_gaussian_batch(gen, (n, k, k))
     z = -np.expm1(2.0 ** -bits * np.log1p(-u))
+    del u  # not alive through the block loop
     z **= 1.0 / (k - 1)
     for b in _trial_blocks(n, k):
         h_b, e_b, z_b = _unit_rows(h[b]), e[b], z[b]
@@ -303,11 +323,47 @@ def _sinr(num, den, noise: float, out=None):
     return np.divide(num, out, out)
 
 
-def _log_rate(num, den, noise: float, out):
-    """log2(1 + SINR), the link's rate per trial and user, into ``out``."""
+def _factors(num, den, noise: float, out):
+    """1 + SINR, the factor whose log2 is the link's rate per trial and
+    user, into ``out``."""
     _sinr(num, den, noise, out)
     out += 1.0
-    return np.log2(out, out=out)
+    return out
+
+
+def _group_size(k: int, top: float, noise: float) -> int:
+    """Users per product in :func:`_log2_products` for a link whose factors
+    1 + num / (den + noise) have numerators at most ``top``.
+
+    Each factor is at most 1 + top / noise, so a product of G of them is
+    below 2**_PRODUCT_BITS while G log2(1 + top / noise) is: G = K when
+    that holds for all K users, otherwise as many as it holds for, and at
+    least 1, where a product is one factor.  A zero or subnormal noise
+    bounds nothing and gets 1."""
+    if not noise >= sys.float_info.min:
+        return 1
+    factor_bits = math.log2(top + noise) - math.log2(noise)
+    if k * factor_bits < _PRODUCT_BITS:
+        return k
+    return max(1, int(_PRODUCT_BITS // factor_bits))
+
+
+def _log2_products(factors, g: int, out):
+    """sum_k log2(factors[k]) of the (K, n) ``factors``, every factor
+    >= 1, into the (n,) row ``out``: the log2 of the product of each g
+    consecutive rows, the logs added group after group.
+
+    ``prod(axis=0)`` multiplies C-ordered rows one after another.  Every
+    group's product but the first is formed in the row before the group,
+    the previous group's last, which its own product no longer needs: no
+    array is allocated, and for g < K ``factors`` is overwritten."""
+    np.prod(factors[:g], axis=0, out=out)
+    np.log2(out, out=out)
+    for start in range(g, len(factors), g):
+        row = factors[start - 1]
+        np.prod(factors[start:start + g], axis=0, out=row)
+        out += np.log2(row, out=row)
+    return out
 
 
 def _check_counts(n: int, workers: int) -> None:
@@ -433,48 +489,57 @@ def _estimates_of_one_draw(draw: SystemParams, members: list, mode: SimMode,
     def moments(legit_num, legit_den, eav_num, eav_den, rejected, _):
         # (sum, sum of squares) of the per-trial rate, one row per point.
         # The scratch is per call: chunks run concurrently on threads.
+        k = len(legit_num)
         out = np.empty((len(members), 2))
-        terms = np.empty_like(legit_num)
+        factors = np.empty_like(legit_num)
         per_trial = np.empty(legit_num.shape[1])
         if clip:
-            per_user = np.empty_like(terms)
+            ratios = np.empty_like(factors)
         else:
             legit_sum = np.empty_like(per_trial)
+        # Every factor of a link is at most 1 + top / noise (_group_size);
+        # under clip a ratio is at most its legitimate factor.
+        legit_top, eav_top = float(legit_num.max()), float(eav_num.max())
         # Eavesdropper terms with uses still to come in this chunk, by
-        # noise level, each freed after its last use: (n,) sums over the
-        # users, or under clip the (K, n) terms themselves.
+        # noise level, each freed after its last use: (n,) sums of log2
+        # over the users, or under clip the (K, n) factors themselves.
         left, live = dict(uses), {}
         for (scale, legit_noise), rows in groups:
             den = (legit_den if scale == 1.0
-                   else np.multiply(legit_den, scale, out=terms))
-            legit = _log_rate(legit_num, den, legit_noise, terms)
-            if not clip:  # from here on terms is scratch
-                legit = terms.sum(axis=0, out=legit_sum)
+                   else np.multiply(legit_den, scale, out=factors))
+            legit = _factors(legit_num, den, legit_noise, factors)
+            g = _group_size(k, legit_top, legit_noise)
+            if not clip:  # from here on factors is scratch
+                legit = _log2_products(factors, g, legit_sum)
             for i, eav_noise in rows:
                 eav = live.get(eav_noise)
                 if eav is None:
                     # Kept for later points while a live slot is free;
                     # otherwise computed into the point's own scratch.
                     keep = left[eav_noise] > 1 and len(live) < (
-                        _LIVE_EAV_TERMS * (1 if clip else len(terms)))
+                        _LIVE_EAV_TERMS * (1 if clip else k))
                     if clip:
-                        eav = _log_rate(eav_num, eav_den, eav_noise,
-                                        np.empty_like(terms) if keep
-                                        else per_user)
+                        eav = _factors(eav_num, eav_den, eav_noise,
+                                       np.empty_like(factors) if keep
+                                       else ratios)
                     else:
-                        eav = _log_rate(eav_num, eav_den, eav_noise,
-                                        terms).sum(
-                            axis=0, out=np.empty_like(per_trial) if keep
-                            else per_trial)
+                        eav = _log2_products(
+                            _factors(eav_num, eav_den, eav_noise, factors),
+                            _group_size(k, eav_top, eav_noise),
+                            np.empty_like(per_trial) if keep else per_trial)
                     if keep:
                         live[eav_noise] = eav
                 left[eav_noise] -= 1
                 if not left[eav_noise]:
                     live.pop(eav_noise, None)
-                np.subtract(legit, eav, out=per_user if clip else per_trial)
                 if clip:
-                    np.maximum(per_user, 0.0, out=per_user).sum(
-                        axis=0, out=per_trial)
+                    # sum_k max(log2 a_k - log2 b_k, 0)
+                    #     = log2 prod_k max(a_k / b_k, 1)
+                    np.divide(legit, eav, out=ratios)
+                    _log2_products(np.maximum(ratios, 1.0, out=ratios), g,
+                                   per_trial)
+                else:
+                    np.subtract(legit, eav, out=per_trial)
                 out[i] = per_trial.sum(), per_trial @ per_trial
         return out, rejected
 

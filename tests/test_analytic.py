@@ -424,6 +424,35 @@ def test_rates_match_mpmath(n_t, bits, alpha, snr_db):
                                n_t, bits, alpha, snr_db)
 
 
+def _mpmath_clipped_rate(mpmath, p):
+    """The clipped rate at 40 digits: n_t log2(e) times the integral of
+    S_L (1 - S_E) / (1 + x), the links' survival functions S_L and S_E."""
+    with mpmath.workdps(40):
+        s = mpmath.mpf(p.noise_over_power)
+        s_eav = mpmath.mpf(p.eav_noise_over_power)
+        d = mpmath.mpf(2) ** (-mpmath.mpf(p.bits) / (p.n_t - 1))
+        return float(p.n_t / mpmath.log(2) * _mpmath_half_line(
+            mpmath, lambda x: mpmath.exp(-x * s) / (1 + d * x) ** (p.n_t - 1)
+            * (1 - mpmath.exp(-x * s_eav) / (1 + x) ** (p.n_t - 1))
+            / (1 + x)))
+
+
+# A sample of the arbiter grid: every n_t, bits and alpha, SNRs from
+# noise- to interference-limited.
+@pytest.mark.parametrize("n_t,bits,alpha,snr_db", [
+    (2, 0, 1.0, -20), (2, 16, 1e-3, 80), (5, 4, 0.5, 0), (16, 4, 1e-3, 20),
+    (64, 0, 0.5, -60), (64, 16, 1.0, 0), (128, 4, 1.0, 20),
+    (256, 16, 0.5, 80)])
+def test_clipped_quadrature_matches_mpmath(n_t, bits, alpha, snr_db):
+    mpmath = pytest.importorskip("mpmath")
+    p = SystemParams(n_t=n_t, bits=bits, alpha=alpha, snr_db=snr_db)
+    want = _mpmath_clipped_rate(mpmath, p)
+    got = rate_from_cdf_quadrature(p, clip=True)
+    assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), (got, want)
+    # Clipping drops only negative per-user parts.
+    assert got >= rate_from_cdf_quadrature(p) - 1e-9 * max(1.0, abs(want))
+
+
 @pytest.mark.slow
 def test_rates_match_mpmath_on_the_wide_grid():
     mpmath = pytest.importorskip("mpmath")

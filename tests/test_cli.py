@@ -109,22 +109,23 @@ def test_full_mode_populates_rejection_column(tmp_path):
 # to the explicit codebook search it replaced (test_simulate's equivalence
 # gates); that search reproduces the previous digest, PREVIOUS_FULL_DIGEST.
 # The qca, full, perfect and previous digests are of the per-link
-# reduction, the users' sum minus the eavesdropper's, which moved only the
-# last digits of the Monte Carlo columns (test_simulate's rounding gate);
-# clip still sums per-user positive parts, at these n_t in the same order.
+# reduction, the users' sum minus the eavesdropper's, each the log2 of a
+# product of the users' factors 1 + SINR (clip: of their ratios, at least
+# 1): both moved only the last digits of the Monte Carlo columns
+# (test_simulate's rounding gates).
 # All four are of chunks that hold the (trial, user) pairs of an n_t = 5
 # chunk, one chunk per point here, statistically equivalent to the
 # 8,192-trial chunks PREVIOUS_FULL_DIGEST keeps (test_simulate's
 # pair-floor gate).
 @pytest.mark.parametrize("settings,digest", [
     (dict(mode="qca"),
-     "067810e96e51654d9c34a703353e4f70bd1d873fe8c4a93061eb8305678ebc1c"),
+     "c70be4e09cfb9e750b7aafacb5e83e8366a823dc7413dda28dc18da25727b69d"),
     (dict(mode="qca", clip=True),
-     "71d42dd2615ca1871a20b35e17d6f8469c6257b1825ee90275cee49626406d96"),
+     "60c62d3e19323dda9d520a346fa264e98cd7f81a78aa663ec2383b49405d7fd2"),
     (dict(mode="full"),
-     "09bf22b0ec5507f74cf4593e1e83ccb6f618ea4be547cfd9706d8519642dc8d5"),
+     "d2cbd4055a145773b917f0d2b3ecb06506146eac4066c045c7bc1433e0106d9c"),
     (dict(mode="perfect"),
-     "ec8c78a8bd2d9e0c62d2e314cb382c2043f6dececee0360f172691f3ed9e95fd"),
+     "4d9db5a87ba12f2b59b00c69f9d3834eb59d398bb75b69626fa16285ec101298"),
 ], ids=["qca", "qca-clip", "full", "perfect"])
 def test_rate_curve_csv_matches_recorded_digest(settings, digest):
     stream = io.StringIO()
@@ -133,7 +134,7 @@ def test_rate_curve_csv_matches_recorded_digest(settings, digest):
 
 
 PREVIOUS_FULL_DIGEST = (
-    "0166d56ddcbc54cc5c10ef7274fdf99f6194c65cfc9b3a5db81af680f4e3fa18")
+    "7ee035296c3193b372391d6906682333f00ebe4a13d00d79b3ddbbe5909871ae")
 
 
 def test_explicit_search_oracle_reproduces_the_previous_full_digest(

@@ -8,7 +8,8 @@ from scipy import special, stats
 
 from oracles import assembled_parts, explicit_directions, one_link_samples
 from zfsecrecy import simulate
-from zfsecrecy.analytic import Link, secrecy_rate_closed_form, sinr_cdf
+from zfsecrecy.analytic import (Link, rate_from_cdf_quadrature,
+                                secrecy_rate_closed_form, sinr_cdf)
 from zfsecrecy.cli import MAX_NT
 from zfsecrecy.linalg import RngStream, complex_gaussian_batch
 from zfsecrecy.params import SystemParams
@@ -354,6 +355,19 @@ def test_std_err_scales_as_inverse_root_n():
     assert small.std_err / large.std_err == pytest.approx(2.0, rel=0.2)
 
 
+@pytest.mark.parametrize("seed", [20250, 7])
+@pytest.mark.parametrize("n_t", [2, 3, 5, 8])
+def test_clipped_qca_estimates_match_the_clipped_quadrature(n_t, seed):
+    # QCA draws each user's two SINRs independently, which the clipped
+    # oracle assumes; FULL users' SINRs share their beams.
+    points = [SystemParams(n_t=n_t, bits=b, alpha=a, snr_db=s)
+              for b in (1, 4) for a in (0.5, 1.0) for s in (0.0, 10.0)]
+    for p, est in zip(points, estimate_secrecy_rates(
+            points, SimMode.QCA, 60_000, seed, clip=True)):
+        want = rate_from_cdf_quadrature(p, clip=True)
+        assert abs(est.mean - want) < 4.0 * est.std_err, (p, est, want)
+
+
 def test_clip_only_raises_the_mean():
     plain = estimate_secrecy_rate(P55, SimMode.QCA, 50_000, seed=32)
     clipped = estimate_secrecy_rate(P55, SimMode.QCA, 50_000, seed=32,
@@ -395,48 +409,82 @@ def _user_sums(terms):
     return total
 
 
-def _link_sums(legit, eav, clip):
-    """The engine's per-trial rate from both links' (n, K) log terms: the
-    users' sum minus the eavesdropper's, or under ``clip`` the sum of the
-    per-user positive parts."""
+def _log2_group_sums(factors, g):
+    """Each trial's sum of log2 over the K columns of ``factors`` (n, K) as
+    the engine forms it: the product of each g consecutive columns,
+    multiplied column by column from the group's first, then the groups'
+    log2 added one after another."""
+    total = None
+    for start in range(0, factors.shape[1], g):
+        product = factors[:, start].copy()
+        for column in factors[:, start + 1:start + g].T:
+            product *= column
+        log = np.log2(product)
+        total = log if total is None else total + log
+    return total
+
+
+def _product_sums(legit, eav, clip, groups):
+    """The engine's per-trial rate from both links' (n, K) factors
+    1 + SINR, multiplied in groups of ``groups`` = (legitimate,
+    eavesdropper) users: the difference of the links' log2 sums, or under
+    ``clip`` the log2 sum of the per-user ratios, each at least 1, in the
+    legitimate link's groups."""
+    g_legit, g_eav = groups
+    if clip:
+        return _log2_group_sums(np.maximum(legit / eav, 1.0), g_legit)
+    return _log2_group_sums(legit, g_legit) - _log2_group_sums(eav, g_eav)
+
+
+def _link_sums(legit, eav, clip, groups=None):
+    """The per-trial rate of the per-user log-sum reduction the product
+    form replaced: the users' log2 terms summed user by user, minus the
+    eavesdropper's, or under ``clip`` the sum of the per-user positive
+    parts.  ``groups`` is ignored."""
+    legit, eav = np.log2(legit), np.log2(eav)
     if clip:
         return _user_sums(np.maximum(legit - eav, 0.0))
     return _user_sums(legit) - _user_sums(eav)
 
 
-def _pairwise_sums(legit, eav, clip):
+def _pairwise_sums(legit, eav, clip, groups=None):
     """The per-trial rate summed as before per-link sums: each trial's K
-    differences (positive parts under ``clip``) by numpy's pairwise
-    ``sum(axis=1)``."""
-    per_user = legit - eav
+    log2 differences (positive parts under ``clip``) by numpy's pairwise
+    ``sum(axis=1)``.  ``groups`` is ignored."""
+    per_user = np.log2(legit) - np.log2(eav)
     if clip:
         per_user = np.maximum(per_user, 0.0)
     return per_user.sum(axis=1)
 
 
 def _per_point_moments(points, clip, rates):
-    """The plain per-point reduction, two fresh log passes per point: the
-    oracle for the engine's grouped, in-place one.  It copies the engine's
-    user-major parts to C-ordered (n, K) arrays and forms each trial's rate
-    with ``rates`` (:func:`_link_sums` or :func:`_pairwise_sums`)."""
+    """The plain per-point reduction, two fresh factor passes per point:
+    the oracle for the engine's grouped, in-place one.  It copies the
+    engine's user-major parts to C-ordered (n, K) arrays and forms each
+    trial's rate with ``rates`` (:func:`_product_sums`, :func:`_link_sums`
+    or :func:`_pairwise_sums`), in groups of the engine's size for each
+    link's largest numerator in the chunk."""
     noise = [(p.noise_over_power, p.eav_noise_over_power) for p in points]
 
     def moments(*parts):
         legit_num, legit_den, eav_num, eav_den = (
             np.ascontiguousarray(part.T) for part in parts[:4])
         rejected = parts[4]
+        k = legit_num.shape[1]
         out = np.empty((len(noise), 2))
         for row, (legit_noise, eav_noise) in zip(out, noise):
-            per_trial = rates(
-                np.log2(1.0 + legit_num / (legit_den + legit_noise)),
-                np.log2(1.0 + eav_num / (eav_den + eav_noise)), clip)
+            groups = (simulate._group_size(k, legit_num.max(), legit_noise),
+                      simulate._group_size(k, eav_num.max(), eav_noise))
+            per_trial = rates(1.0 + legit_num / (legit_den + legit_noise),
+                              1.0 + eav_num / (eav_den + eav_noise), clip,
+                              groups)
             row[:] = per_trial.sum(), per_trial @ per_trial
         return out, rejected
 
     return moments
 
 
-def _oracle_estimates(points, mode, n, seed, clip, rates=_link_sums):
+def _oracle_estimates(points, mode, n, seed, clip, rates=_product_sums):
     """RateEstimates of :func:`_per_point_moments` at ``points``: one chunk
     loop per feedback budget, each drawn at that budget's own params, so a
     QCA draw holds the points' own Gamma(n_t-1, distortion) interference."""
@@ -493,6 +541,120 @@ def test_per_link_sums_change_only_rounding(n_t, mode, clip):
         assert math.isclose(got.mean, old.mean, rel_tol=1e-13), (got, old)
         assert math.isclose(got.std_err, old.std_err, rel_tol=1e-13), (
             got, old)
+
+
+# The product reduction moves a per-trial rate by rounding only.  Both
+# reductions take the same factors f_k = 1 + SINR_k >= 1 (bit for bit) and
+# differ only in how they reach T = sum_k log2 f_k >= 0 for each link, u
+# being float64's unit roundoff 2**-53 and log2 assumed within 4u of its
+# result plus u:
+# - per-user log sum: K logs, added in order: within (K + 4) u T + K u;
+# - product: K / G products of G factors, each within (G - 1) u relative,
+#   (G - 1) u / ln 2 in its log, then K / G logs added in order: within
+#   (K + 4) u T + 1.45 K u.
+# With both links, the final difference, or under clip the ratios (u / ln 2
+# each in the log) and positive parts, a trial's rate moves by at most
+# delta = 3 (K + 5) u (2 + T_legit + T_eav).  A mean moves by at most the
+# mean delta, plus the rounding of numpy's pairwise sum over the trials,
+# (24 + log2 n) u of sum |r|, in each reduction; a sum of squares by
+# sum delta (2 |r| + delta), plus n u of itself in each (any order).
+_U = 2.0 ** -53
+
+
+def _assert_moved_by_rounding_only(got, old, r, delta, n):
+    """``got`` within the bound above of ``old``, the RateEstimate of the
+    log-sum per-trial rates ``r`` (n,) with per-trial bounds ``delta``."""
+    assert (got.n_trials, got.rejected) == (old.n_trials, old.rejected)
+    assert math.isfinite(got.mean) and math.isfinite(got.std_err), got
+    abs_r = np.abs(r).sum() + delta.sum()  # bounds both reductions' sum |r|
+    mean_bound = ((delta.sum() + 2.0 * (24 + math.log2(n)) * _U * abs_r) / n
+                  + 3.0 * _U * abs(old.mean))
+    assert abs(got.mean - old.mean) <= mean_bound, (got, old, mean_bound)
+    moved_sq = (delta * (2.0 * np.abs(r) + delta)).sum()
+    sum_sq = r @ r + moved_sq
+    var_bound = (moved_sq + 2.1 * n * _U * sum_sq
+                 + n * (2.0 * abs(old.mean) + mean_bound) * mean_bound
+                 + 8.0 * _U * (sum_sq + n * old.mean ** 2)) / (n - 1)
+    # sqrt(a / n) - sqrt(b / n) = (a - b) / (n (sqrt(a / n) + sqrt(b / n)))
+    spread = got.std_err + old.std_err
+    se_bound = var_bound / (n * spread) + 4.0 * _U * old.std_err
+    assert abs(got.std_err - old.std_err) <= se_bound, (got, old, se_bound)
+
+
+def _assert_rounding_only_reduction(points, mode, n, seed):
+    """Every estimate at ``points``, one chunk of n trials, against the
+    per-user log-sum reduction of the same chunk, with and without clip.
+    Returns the chunk's parts, by feedback budget."""
+    assert n <= chunk_trials(points[0], mode)
+    k = points[0].n_t
+    by_bits = {}
+    for row, p in enumerate(points):
+        by_bits.setdefault(p.bits, []).append(row)
+    drawn = {bits: _draw_parts(points[rows[0]], mode,
+                               RngStream(seed, 0).generator(), n)
+             for bits, rows in by_bits.items()}
+    for clip in (False, True):
+        engine = estimate_secrecy_rates(points, mode, n, seed, clip=clip)
+        for bits, rows in by_bits.items():
+            parts = drawn[bits]
+            legit_num, legit_den, eav_num, eav_den = (
+                np.ascontiguousarray(part.T) for part in parts[:4])
+            for row in rows:
+                p = points[row]
+                legit = 1.0 + legit_num / (legit_den + p.noise_over_power)
+                eav = 1.0 + eav_num / (eav_den + p.eav_noise_over_power)
+                r = _link_sums(legit, eav, clip)
+                old = simulate._rate_estimate(r.sum(), r @ r, n, parts[4])
+                scale = (2.0 + _user_sums(np.log2(legit))
+                         + _user_sums(np.log2(eav)))
+                _assert_moved_by_rounding_only(
+                    engine[row], old, r, 3 * (k + 5) * _U * scale, n)
+    return drawn
+
+
+@pytest.mark.parametrize("n_t", [2, 5, 8, 16, 64])
+@pytest.mark.parametrize("mode", list(SimMode))
+def test_product_reduction_changes_only_rounding(n_t, mode):
+    # Feedback budgets, alphas and SNRs from noise- to interference-limited
+    # and beyond, where products of K factors would overflow (3000 dB
+    # makes every group one user).
+    points = [SystemParams(n_t=n_t, bits=b, alpha=a, snr_db=s)
+              for b in (2, 12) for a in (0.3, 1.0, 3.0)
+              for s in (-40.0, 0.0, 30.0, 100.0, 300.0, 3000.0)]
+    n = min(chunk_trials(points[0], mode), 2_000)
+    _assert_rounding_only_reduction(points, mode, n, seed=18)
+
+
+def test_products_split_into_groups_where_they_would_overflow():
+    # A factor is at most 1 + top / noise, so K factors overflow float64
+    # once K log2(1 + top / noise) nears 1024: groups of G < K users then.
+    # PERFECT leaves the users no interference, so its factors reach that
+    # bound: at 30 dB, n_t = 64 still takes all its users in one product
+    # (64 x 13.5 bits), n_t = 256 does not (77 x 12.9); at 100 dB n_t = 64
+    # does not (27 x 36.8), and at 3000 dB no product holds two factors.
+    cases = [(SimMode.PERFECT, 64, {30.0: 64, 100.0: 27}),
+             (SimMode.PERFECT, 256, {30.0: 77})]
+    cases += [(mode, 5, {3000.0: 1}) for mode in SimMode]
+    for mode, n_t, groups in cases:
+        points = [SystemParams(n_t=n_t, bits=4, alpha=a, snr_db=snr_db)
+                  for snr_db in groups for a in (0.5, 1.0)]
+        n = min(chunk_trials(points[0], mode), 2_000)
+        top = _assert_rounding_only_reduction(points, mode, n, 19)[4][0].max()
+        for snr_db, g in groups.items():
+            noise = 10.0 ** (-snr_db / 10.0)
+            assert simulate._group_size(n_t, top, noise) == g, (
+                mode, n_t, snr_db)
+    # The rule itself: no product of K factors whose bound stays below
+    # 2**1000, else the most that do, and one factor at a zero or
+    # subnormal noise.
+    assert simulate._group_size(5, 10.0, 1e-3) == 5
+    assert simulate._group_size(249, 15.0, 1.0) == 249  # 4 bits a factor
+    assert simulate._group_size(250, 15.0, 1.0) == 250
+    assert simulate._group_size(251, 15.0, 1.0) == 250
+    assert simulate._group_size(8, 1.0, 1e-300) == 1
+    assert simulate._group_size(8, 0.0, 1e-300) == 8
+    assert simulate._group_size(8, 1.0, 5e-324) == 1
+    assert simulate._group_size(8, 1.0, 0.0) == 1
 
 
 def _shared_noise_grid(n_t):
@@ -671,16 +833,17 @@ def test_one_chunk_stays_within_the_chunk_memory_target(mode, n_t):
     # PERFECT on top of the (K,) rows.  The draw's per-trial steps run in
     # one pass over blocks, so beyond one block's temporaries a chunk holds
     # the (K, n) parts, h, g and, in FULL, the sampler's draw.  Measured
-    # with numpy 2.4, rows included: FULL 4.71 at n_t = 2, 3.74 at 3, 3.20
-    # at 5, 2.94 at 8, 2.65 at 24; PERFECT 3.71, 2.71, 2.00, 1.75, 1.58.
+    # with numpy 2.4, rows included: FULL 4.51 at n_t = 2, 3.67 at 3, 3.20
+    # at 5, 2.94 at 8, 2.65 at 24; PERFECT 3.51, 2.63, 1.97, 1.75, 1.58.
     # The smaller n_t, the more the rows weigh: at n_t = 2 the parts alone
-    # are one array, so FULL is held to 4.8 there.  A failure here means
+    # are one array, so FULL is held to 4.6 there.  A failure here means
     # some step again spans the whole chunk; a whole-round array of unit
-    # directions reads 3.80 (FULL) and 2.84 (PERFECT) at n_t = 5.
+    # directions reads 3.80 (FULL) and 2.84 (PERFECT) at n_t = 5, and a
+    # block's pieces alive through the next block 4.71 at n_t = 2.
     if mode is not SimMode.QCA:
         arrays_per_trial = peak / (16 * n_t ** 2 * n)
         assert arrays_per_trial <= (
-            4.8 if (mode, n_t) == (SimMode.FULL, 2) else 4.5), arrays_per_trial
+            4.6 if (mode, n_t) == (SimMode.FULL, 2) else 4.5), arrays_per_trial
         if n_t >= 5:
             assert arrays_per_trial <= (3.4 if mode is SimMode.FULL
                                         else 2.2), arrays_per_trial
@@ -852,11 +1015,12 @@ def test_collection_memory_does_not_grow_with_points_per_key():
 
 @pytest.mark.parametrize("k", [*range(2, 18), 64, 127, 128, 129, 256])
 def test_row_sums_follow_numpy_summation_order(k):
-    # The engine sums each link's user-major rows with sum(axis=0), which
-    # adds C-ordered rows one after another (on strided rows numpy would
-    # sum each trial pairwise, ten times slower).  If a numpy release
-    # changes that order, or a draw its layout, this fails by name instead
-    # of every digest drifting.
+    # The engine multiplies each link's user-major factor rows with
+    # prod(axis=0), which takes C-ordered rows one after another, as
+    # sum(axis=0) adds them (on strided rows numpy would sum each trial
+    # pairwise, ten times slower); the oracles rely on both orders.
+    # If a numpy release changes it, or a draw its layout, this fails by
+    # name instead of every digest drifting.
     params = SystemParams(n_t=k, bits=4, alpha=1.0, snr_db=0.0)
     for mode in SimMode:
         parts = _draw_parts(params, mode, RngStream(40, k).generator(), 3)
@@ -872,6 +1036,13 @@ def test_row_sums_follow_numpy_summation_order(k):
     assert np.array_equal(np.signbit(got), np.signbit(expected))
     if k >= 8:  # the data tell sequential from pairwise order apart
         assert not np.array_equal(got, terms.sum(axis=1))
+    factors = 1.0 + gen.exponential(size=(1_000, k))
+    got = np.ascontiguousarray(factors.T).prod(axis=0)
+    expected = factors[:, 0].copy()
+    for column in factors[:, 1:].T:
+        expected *= column
+    assert np.array_equal(got, expected)
+    assert np.array_equal(np.log2(got), _log2_group_sums(factors, k))
 
 
 def test_rejection_free_and_zero_forcing_residual():
