@@ -72,7 +72,10 @@ def _en_scaled_cf(n: int, x: float) -> float:
     """exp(x) * E_n(x) by the Stieltjes continued fraction (modified Lentz).
 
     E_n(x) = e^-x / (x+n - 1*n/(x+n+2 - 2*(n+1)/(x+n+4 - ...))); converges
-    quickly for x >= 1.
+    quickly for x >= 1.  It stops once a step's factor is 1.0, or, where
+    b + 2 rounds to b (x past about 3.6e16), within one ulp of 1: there d
+    and c are 1/b and b at every step, and their product can settle at
+    1 - 2**-53 or 1 + 2**-52 for good.
     """
     tiny = 1e-300
     b = x + n
@@ -91,7 +94,8 @@ def _en_scaled_cf(n: int, x: float) -> float:
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < 1e-16:
+        if abs(delta - 1.0) < 1e-16 or (b + 2.0 == b
+                                         and abs(delta - 1.0) <= 2.0 ** -52):
             return h
     raise ArithmeticError(
         f"continued fraction failed to converge at n={n}, x={x}")

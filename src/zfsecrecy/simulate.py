@@ -27,6 +27,14 @@ as many (trial, user) pairs as an n_t = 5 chunk: numpy calls on fewer
 elements lose more to two threads handing over the interpreter lock than
 the second thread gains (:func:`chunk_trials`).
 
+A FULL or PERFECT draw forms the zero-forcing residual, the largest
+|d_k^H w_i| over i != k of its kept trials, only when
+:func:`max_zf_residual` asks for it through ``_map_chunks``' private
+``residual`` flag: the rate and sample reductions never read it, so their
+draws skip its (n, K, K) product and hand on None, never a perfect-looking
+0.0.  The draws' row and column norms are sums of squares over float64
+views (:func:`_norms`), not np.linalg.norm.
+
 The draws never depend on the SNR or alpha, which enter only through the
 noise levels, and a point's draw key names all they do depend on: (n_t,
 bits) in FULL, n_t alone in QCA and PERFECT.  PERFECT beams ignore bits,
@@ -135,8 +143,9 @@ def chunk_trials(params: SystemParams, mode: SimMode) -> int:
     sums and small objects (without clip, 9 rows and 2 scalars).  A FULL
     or PERFECT draw holds K x K complex arrays on top, budgeted at 4.5: h,
     the sampler's draw and one block's temporaries (tracemalloc, numpy
-    2.4, rows included: 2.6-4.5 in FULL, 1.6-3.5 in PERFECT, the most at
-    n_t = 2).  Every mode gets _CHUNK_TRIALS from n_t = 5 to 7."""
+    2.4, rows included: 2.6-4.4 in FULL, 1.6-3.5 in PERFECT, the most at
+    n_t = 2; no zero-forcing residual is formed).  Every mode gets
+    _CHUNK_TRIALS from n_t = 5 to 7."""
     k = params.n_t
     per_trial = (8 * k * (7 + _LIVE_EAV_TERMS)
                  + (0 if mode is SimMode.QCA else 72 * k * k))
@@ -169,18 +178,21 @@ def _zf_beams_batch(directions: np.ndarray):
         for t, matrix in enumerate(directions):
             with contextlib.suppress(np.linalg.LinAlgError):
                 inv[t] = np.linalg.inv(matrix)
-    distance = 1.0 / np.linalg.norm(inv, axis=1)  # (n, K), one per column
+    distance = 1.0 / _norms(inv, axis=1)  # (n, K), one per column
     beams = np.conj(np.swapaxes(inv, 1, 2)) * distance[:, :, None]
     return beams, (distance > _BEAM_RANK_TOL).all(axis=1)
 
 
 def _geometry_draw(params: SystemParams, gen: np.random.Generator, n: int,
-                   perfect: bool = False):
+                   perfect: bool = False, residual: bool = False):
     """n FULL- or PERFECT-mode draws, resampling degenerate beam sets.
 
     Returns the noise-free SINR parts (legit_num, legit_den, eav_num,
     eav_den), each C-ordered user-major (K, n), then the rejected count
-    and the largest zero-forcing residual over kept draws.  PERFECT beams
+    and, if ``residual``, the largest zero-forcing residual over kept
+    draws (:func:`_zf_residual`), else None: only :func:`max_zf_residual`
+    reads it, and the rate and sample paths skip its (n, K, K) product.
+    The parts do not depend on ``residual``, bit for bit.  PERFECT beams
     leave no inter-user interference, so its legit_den is zero.  FULL
     users select from fresh codebooks, sampled by :func:`_rvq_directions`.
 
@@ -195,7 +207,8 @@ def _geometry_draw(params: SystemParams, gen: np.random.Generator, n: int,
     """
     k = params.n_t
     parts = np.empty((4, k, n))
-    filled, rejected, zf_residual = 0, 0, 0.0
+    filled, rejected = 0, 0
+    worst = 0.0 if residual else None
     while filled < n:
         m = n - filled
         h = complex_gaussian_batch(gen, (m, k, k))  # rows: user channels
@@ -204,26 +217,44 @@ def _geometry_draw(params: SystemParams, gen: np.random.Generator, n: int,
             selected = _rvq_directions(h, params.bits, gen)
         for b in _trial_blocks(m, k):
             dirs = _unit_rows(h[b]) if perfect else selected[b]
-            pieces, n_bad, residual = _block_parts(h[b], g[b], dirs, perfect)
+            pieces, n_bad, block_worst = _block_parts(h[b], g[b], dirs,
+                                                      perfect, residual)
             kept = len(pieces[0])
             parts[:, :, filled:filled + kept] = np.swapaxes(pieces, 1, 2)
             del pieces  # not alive while the next block's are made
             filled += kept
             rejected += n_bad
-            zf_residual = max(zf_residual, residual)
-    return (*parts, rejected, zf_residual)
+            if residual:
+                worst = max(worst, block_worst)
+    return (*parts, rejected, worst)
+
+
+def _norms(x: np.ndarray, axis: int) -> np.ndarray:
+    """Euclidean norms of the rows (``axis`` 2) or columns (1) of the
+    complex (n, K, K) ``x``: square roots of sums of squares over its
+    float64 view, where np.linalg.norm on complex input takes about 8x as
+    long.  A column's real and imaginary parts are summed apart, then
+    added.  Only a unit-stride last axis has such a view: an ``x`` without
+    one (a swapped-axes view, say) is copied first."""
+    if x.strides[-1] != x.itemsize:
+        x = np.ascontiguousarray(x)
+    flat = x.view(float)
+    if axis == 2:
+        return np.sqrt(np.einsum("tkn,tkn->tk", flat, flat))
+    squares = np.einsum("tkn,tkn->tn", flat, flat)
+    return np.sqrt(squares[:, 0::2] + squares[:, 1::2])
 
 
 def _unit_rows(x: np.ndarray) -> np.ndarray:
-    """``x`` with each row (last axis) scaled to unit norm."""
-    return x / np.linalg.norm(x, axis=-1, keepdims=True)
+    """The (n, K, K) ``x`` with each row (last axis) scaled to unit norm."""
+    return x / _norms(x, axis=2)[..., None]
 
 
-def _block_parts(h, g, point_dirs, perfect: bool):
+def _block_parts(h, g, point_dirs, perfect: bool, residual: bool):
     """One block's pieces of :func:`_geometry_draw`: its kept trials'
     (signal, interference, eav_amps, eav_den), each (n, K), then the
-    block's rejected count and its largest zero-forcing residual."""
-    k = h.shape[1]
+    block's rejected count and, if ``residual``, its largest zero-forcing
+    residual (:func:`_zf_residual`), else None."""
     beams, ok = _zf_beams_batch(point_dirs)
     n_bad = int(np.count_nonzero(~ok))
     if n_bad:
@@ -233,18 +264,26 @@ def _block_parts(h, g, point_dirs, perfect: bool):
     cross = np.einsum("tkn,tin->tki", np.conj(h), beams)
     power = np.abs(cross) ** 2
     signal = np.einsum("tkk->tk", power).copy()
-    zf_residual = 0.0
     if perfect:
         interference = np.zeros_like(signal)
     else:
         interference = power.sum(axis=2) - signal
-        zf = np.abs(np.einsum("tkn,tin->tki", np.conj(point_dirs), beams))
-        zf[:, np.arange(k), np.arange(k)] = 0.0
-        zf_residual = float(zf.max(initial=0.0))
+    del cross, power  # not alive while the eavesdropper's gains are made
 
     eav_amps = np.abs(np.einsum("tn,tin->ti", np.conj(g), beams)) ** 2
     eav_den = eav_amps.sum(axis=1, keepdims=True) - eav_amps
-    return (signal, interference, eav_amps, eav_den), n_bad, zf_residual
+    worst = _zf_residual(point_dirs, beams) if residual else None
+    return (signal, interference, eav_amps, eav_den), n_bad, worst
+
+
+def _zf_residual(dirs, beams) -> float:
+    """Largest |d_k^H w_i| over i != k and the trials of (n, K, K)
+    ``dirs`` and ``beams``: how far the beams are from zero-forcing the
+    directions they were built from (0 for exact ones)."""
+    k = dirs.shape[1]
+    zf = np.abs(np.einsum("tkn,tin->tki", np.conj(dirs), beams))
+    zf[:, np.arange(k), np.arange(k)] = 0.0
+    return float(zf.max(initial=0.0))
 
 
 def _rvq_directions(h: np.ndarray, bits: int,
@@ -295,24 +334,26 @@ def _qca_draw(params: SystemParams, gen: np.random.Generator, n: int):
                                size=(n, k)))
     eav_num = part(gen.exponential(size=(n, k)))
     eav_den = part(gen.gamma(shape=k - 1, scale=1.0, size=(n, k)))
-    return legit_num, legit_den, eav_num, eav_den, 0, 0.0
+    return legit_num, legit_den, eav_num, eav_den, 0, None
 
 
-def _draw_parts(params: SystemParams, mode: SimMode, gen, n: int):
+def _draw_parts(params: SystemParams, mode: SimMode, gen, n: int,
+                residual: bool = False):
     """n draws of both links' noise-free SINR parts in any mode.
 
     Returns (legit_num, legit_den, eav_num, eav_den), each C-ordered
     user-major (K, n): row k is user k's (or stream k's) n trials, so a
     sum over axis 0 adds the users one after another.  Then the rejected
-    count and the largest zero-forcing residual.  They depend on ``params``
-    only through (n_t, bits).
+    count and, in FULL and PERFECT with ``residual``, the largest
+    zero-forcing residual, otherwise None (QCA has no beams).  They depend
+    on ``params`` only through (n_t, bits).
     """
     if mode is SimMode.QCA:
         return _qca_draw(params, gen, n)
     if mode is SimMode.FULL:
-        return _geometry_draw(params, gen, n)
+        return _geometry_draw(params, gen, n, residual=residual)
     if mode is SimMode.PERFECT:
-        return _geometry_draw(params, gen, n, perfect=True)
+        return _geometry_draw(params, gen, n, perfect=True, residual=residual)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -375,10 +416,12 @@ def _check_counts(n: int, workers: int) -> None:
 
 
 def _map_chunks(params: SystemParams, mode: SimMode, n: int, seed: int,
-                workers: int, fn):
+                workers: int, fn, residual: bool = False):
     """Yields ``fn(legit_num, legit_den, eav_num, eav_den, rejected,
     zf_residual)`` of each chunk of n draws, in chunk order, the parts laid
-    out as :func:`_draw_parts` returns them.
+    out as :func:`_draw_parts` returns them.  ``zf_residual`` is computed
+    only if ``residual`` (:func:`max_zf_residual`), and None otherwise:
+    the rate and sample reductions do not read it.
 
     Chunk i holds :func:`chunk_trials` draws (the last chunk the rest),
     all from substream ``RngStream(seed, i)``, so neither the worker count
@@ -392,7 +435,7 @@ def _map_chunks(params: SystemParams, mode: SimMode, n: int, seed: int,
     def run_chunk(index: int):
         gen = RngStream(seed, index).generator()
         m = min(chunk, n - index * chunk)
-        return fn(*_draw_parts(params, mode, gen, m))
+        return fn(*_draw_parts(params, mode, gen, m, residual))
 
     if workers == 1 or n_chunks == 1:
         yield from map(run_chunk, range(n_chunks))
@@ -609,7 +652,8 @@ def max_zf_residual(params: SystemParams, n: int, seed: int,
     """(max zero-forcing residual, rejected count) over n FULL-mode draws."""
     worst, rejected = 0.0, 0
     for chunk_rejected, resid in _map_chunks(
-            params, SimMode.FULL, n, seed, workers, lambda *parts: parts[4:]):
+            params, SimMode.FULL, n, seed, workers, lambda *parts: parts[4:],
+            residual=True):
         worst = max(worst, resid)
         rejected += chunk_rejected
     return worst, rejected

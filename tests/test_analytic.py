@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from zfsecrecy import analytic
 from zfsecrecy.analytic import (Link, Regime, exp_integral_e1,
                                 exp_integral_e1_scaled,
                                 gauss_2f1, integrate_half_line,
@@ -86,6 +87,45 @@ def test_e1_domain():
         exp_integral_e1(0.0)
     with pytest.raises(ValueError):
         exp_integral_e1(-1.0)
+
+
+def _mpmath_en_scaled(mpmath, n: int, x: float) -> float:
+    """exp(x) E_n(x) = int_1^inf exp(-x (t - 1)) t^-n dt by 40-digit
+    quadrature, in the variable s = x (t - 1), which resolves the
+    integrand's 1/x width at any x: (1/x) int_0^inf e^-s (1 + s/x)^-n ds."""
+    with mpmath.workdps(40):
+        x = mpmath.mpf(x)
+        return float(mpmath.quad(lambda s: mpmath.exp(-s) * (1 + s / x) ** -n,
+                                 [0, 1, 10, 50, mpmath.inf]) / x)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 64])
+def test_scaled_continued_fraction_matches_mpmath(n):
+    # From moderate x to the edge of float64; past x ~ 7e16 the fraction's
+    # b + 2 rounds to b.  Near x = 1 the fraction's rounding reaches about
+    # 6e-15; from x = 1e4 on, 4e-16.  (40-digit mpmath.expint is itself
+    # wrong at large n, so the reference is the defining integral.)
+    mpmath = pytest.importorskip("mpmath")
+    for x in (1.5, 10.0, 141.42, 1e4, 7e16, 1e17, 3.7e100, 1.4e200, 7.1e307):
+        want = _mpmath_en_scaled(mpmath, n, x)
+        got = analytic._en_scaled_cf(n, x)
+        assert abs(got - want) <= (8e-15 if x < 1e4 else 1e-15) * want, (
+            n, x, got, want)
+
+
+def test_scaled_continued_fraction_converges_up_to_the_float64_limit():
+    # Once x + n + 2i rounds to x + n, each step's delta settles at
+    # 1 - 2**-53 or 1 + 2**-52: a stopping test of delta == 1.0 alone never
+    # held there, and 476 points of this grid raised ArithmeticError.
+    # Every value lies between the bounds 1 / (x + n) and 1 / (x + n - 1),
+    # up to the fraction's rounding: at most 1.5e-15 below, 4.5e-16 above.
+    for m in (1.0, math.sqrt(2.0), 3.7, 7.1):
+        for e in range(1, 308):
+            x = m * 10.0 ** e
+            for n in (1, 2, 5):
+                got = analytic._en_scaled_cf(n, x)
+                assert (1.0 - 2e-15) / (x + n) <= got, (n, x)
+                assert got <= (1.0 + 1e-15) / (x + n - 1), (n, x)
 
 
 # --------------------------------------------------------------------------

@@ -92,6 +92,24 @@ def test_analytic_only_rows_roundtrip_with_nan(tmp_path):
     assert math.isfinite(point.r_analytic)
 
 
+def test_analytic_only_runs_at_noise_levels_up_to_1e300(capsys):
+    # Noise levels of 1e30 (-300 dB) and, for the eavesdropper, 1e300
+    # (alpha 1e-150 at 0 dB) lie inside float64: the closed form's
+    # exp(x) E_n(x) terms must converge there, not raise.  Below alpha
+    # 1e-100 the eavesdropper's term no longer shows in the rate.
+    def r_analytic(*flags):
+        assert main(["rate-curve", "--mode", "analytic-only", *flags]) == (
+            EXIT_OK)
+        out, err = capsys.readouterr()
+        assert err == "" and out.startswith(CSV_HEADER)
+        return float(out.splitlines()[1].split(",")[4])
+
+    assert math.isfinite(r_analytic("--nt", "3", "--bits", "1", "--alpha", "1",
+                                    "--snr", "-300:-300:1"))
+    assert r_analytic("--alpha", "1e-150", "--snr", "0:0:1") == r_analytic(
+        "--alpha", "1e-100", "--snr", "0:0:1")
+
+
 def test_full_mode_populates_rejection_column(tmp_path):
     out = tmp_path / "e.csv"
     config = SweepConfig(**{**TINY, "trials": 500}, mode="full", out=str(out))
@@ -113,6 +131,10 @@ def test_full_mode_populates_rejection_column(tmp_path):
 # product of the users' factors 1 + SINR (clip: of their ratios, at least
 # 1): both moved only the last digits of the Monte Carlo columns
 # (test_simulate's rounding gates).
+# The full, perfect and previous digests are of row and column norms taken
+# as sums of squares over the arrays' float64 views, not np.linalg.norm:
+# only the last digits of the Monte Carlo columns moved (test_simulate's
+# norm gate).
 # All four are of chunks that hold the (trial, user) pairs of an n_t = 5
 # chunk, one chunk per point here, statistically equivalent to the
 # 8,192-trial chunks PREVIOUS_FULL_DIGEST keeps (test_simulate's
@@ -123,9 +145,9 @@ def test_full_mode_populates_rejection_column(tmp_path):
     (dict(mode="qca", clip=True),
      "60c62d3e19323dda9d520a346fa264e98cd7f81a78aa663ec2383b49405d7fd2"),
     (dict(mode="full"),
-     "d2cbd4055a145773b917f0d2b3ecb06506146eac4066c045c7bc1433e0106d9c"),
+     "eb8f8d3cba61fb1eb5157f00bc9c8121dbedfb2fb4097241f4f486cccbb2f2b4"),
     (dict(mode="perfect"),
-     "4d9db5a87ba12f2b59b00c69f9d3834eb59d398bb75b69626fa16285ec101298"),
+     "927badb55160265071b50000bb58e1b045ce5d64bca436ad15f3a3225687106c"),
 ], ids=["qca", "qca-clip", "full", "perfect"])
 def test_rate_curve_csv_matches_recorded_digest(settings, digest):
     stream = io.StringIO()
@@ -134,7 +156,7 @@ def test_rate_curve_csv_matches_recorded_digest(settings, digest):
 
 
 PREVIOUS_FULL_DIGEST = (
-    "7ee035296c3193b372391d6906682333f00ebe4a13d00d79b3ddbbe5909871ae")
+    "864123c5bbe4bac54e7df75e2fbac323f0cc6c5e888194fea0724febb74560b8")
 
 
 def test_explicit_search_oracle_reproduces_the_previous_full_digest(
@@ -310,7 +332,7 @@ def test_usage_errors_exit_one(capsys, monkeypatch, tmp_path):
     ["--nt", "3", "--bits", "2000"],
     ["--snr", "-4000:-4000:1"],
     ["--alpha", "1e-150", "--snr", "-100:-100:1"],
-    ["--alpha", "1e-150", "--snr", "0:0:1"],
+    ["--alpha", "1e-160", "--snr", "0:0:1"],  # eavesdropper noise 1e320
     ["--bits", "5000"],
     ["--regime", "il", "--nt", "2", "--bits", "1075"],  # distortion underflows
 ])

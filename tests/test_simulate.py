@@ -73,9 +73,11 @@ def test_realization_determinism():
 
 
 def _draw_digest(params, mode, n, seed=11):
-    """sha256 of one _draw_parts call: its four parts' bytes, then the
-    rejected count and the repr of the zero-forcing residual."""
-    out = _draw_parts(params, mode, RngStream(seed, 0).generator(), n)
+    """sha256 of one _draw_parts call with the residual computed: its four
+    parts' bytes, then the rejected count and the repr of the zero-forcing
+    residual."""
+    out = _draw_parts(params, mode, RngStream(seed, 0).generator(), n,
+                      residual=True)
     digest = hashlib.sha256()
     for part in out[:4]:
         digest.update(np.ascontiguousarray(part).tobytes())
@@ -88,17 +90,17 @@ def _draw_digest(params, mode, n, seed=11):
 # steps (28 trials each at n_t = 24); the digests pin their bits.
 DRAW_DIGESTS = {
     (SimMode.FULL, 5):
-        "a526d23a0bdaf3549b2d92f0007b8eb23be04e8ffd7920e2cddd447a013cbca7",
+        "666e9c68aee497ebd036c7729fc7aca7de080aa134ef91cbc9c0a5c2c51d21c9",
     (SimMode.FULL, 8):
-        "fbfa64007733cffd624b57f96eb90f8148c46a656571f064a601ba1790f4817a",
+        "1a434465af8f194fe63cd68acd7644d0319d0279b88c1c787b04bb50232ed52e",
     (SimMode.FULL, 24):
-        "0b35aa08d86a989eed2bb887b6cdfcac32170573f26d8733f381bc6e2e3f556b",
+        "4afc34201d315c7b237485dc9ff4491325ebddf942c4a8e239a9465d4a7c82e6",
     (SimMode.PERFECT, 5):
-        "92347191cf9c67916137385808f4af6e90b91275dcb9664fe4461fd43fe5c446",
+        "1a2ddbf291dd14a5f4dc6159211ea634115dcabd6dbf14c78ea15a79ebfe8384",
     (SimMode.PERFECT, 8):
-        "49f99b593818555cf4bd7ce8627906b9545ecefabe8e1c79b7a448b12e5d2aff",
+        "c0e54b22d47fd1dbde1cc695477d085b3d6a5744f575838546d6c4e19da517de",
     (SimMode.PERFECT, 24):
-        "054e2b465272a7f7a9aab6e09da52d4835aef80ac6ae477123e4f4551798f847",
+        "09a82ff997028aec3c663c14379ddff98c51f12e6a101fb397df7b3e602c225d",
 }
 
 
@@ -120,10 +122,10 @@ def test_chunk_draw_bits_are_pinned(mode, n_t):
 FORCED_REJECTION_TOL = 0.2
 REJECTION_DIGESTS = {
     SimMode.FULL: (
-        "7c98fce322ef49522262b174eb80502c0a3aa171fce99ee20c53e6462c5c2fc9",
+        "8a7f9538cb170b0516af9a36bf7321e1e04e600730715370404ca34b4e89db87",
         1177),
     SimMode.PERFECT: (
-        "c88c3e17b7a864c1269a01a8798d9cb5d56b22638d2aed2229f7a1878d205625",
+        "d93988b5aee4a54e160fb23500dc448b2c8764c0c4c50ec22f900333b9b122bb",
         1133),
 }
 
@@ -228,7 +230,8 @@ def test_mean_quantization_error_is_the_readme_value():
 def test_codeword_phase_changes_no_sinr_part(monkeypatch):
     # The sampler omits the codeword's phase: rotating every sampled
     # direction by a random phase must leave every output as it was.
-    base = _draw_parts(P55, SimMode.FULL, RngStream(27, 0).generator(), 2_000)
+    base = _draw_parts(P55, SimMode.FULL, RngStream(27, 0).generator(), 2_000,
+                       residual=True)
     phases = RngStream(27, 1).generator()
 
     def rotated(h_dir, bits, gen):
@@ -236,7 +239,8 @@ def test_codeword_phase_changes_no_sinr_part(monkeypatch):
         return cw * np.exp(2j * np.pi * phases.random(cw.shape[:2]))[..., None]
 
     monkeypatch.setattr(simulate, "_rvq_directions", rotated)
-    turned = _draw_parts(P55, SimMode.FULL, RngStream(27, 0).generator(), 2_000)
+    turned = _draw_parts(P55, SimMode.FULL, RngStream(27, 0).generator(), 2_000,
+                         residual=True)
     for ours, theirs in zip(base[:4], turned[:4]):
         assert np.abs(ours - theirs).max() <= 1e-12 * np.abs(ours).max()
     assert base[4] == turned[4] == 0
@@ -657,6 +661,171 @@ def test_products_split_into_groups_where_they_would_overflow():
     assert simulate._group_size(8, 1.0, 0.0) == 1
 
 
+# --------------------------------------------------------------------------
+# Row and column norms over float64 views
+# --------------------------------------------------------------------------
+
+def _linalg_norms(x, axis):
+    """Oracle for ``simulate._norms``: np.linalg.norm of the complex array."""
+    return np.linalg.norm(x, axis=axis)
+
+
+def test_norms_accept_any_layout():
+    # Each way a norm is within (2K + 1) u of the exact one: 2K squares and
+    # 2K - 1 additions of non-negative terms, in any order, then a sqrt.
+    x = complex_gaussian_batch(RngStream(41, 0).generator(), (9, 4, 4))
+    swapped = np.swapaxes(x, 1, 2)  # strided last axis: no float64 view
+    with pytest.raises(ValueError):
+        swapped.view(float)
+    for axis in (1, 2):
+        got = simulate._norms(x, axis)
+        np.testing.assert_allclose(got, _linalg_norms(x, axis),
+                                   rtol=2 * 9 * _U, atol=0)
+        assert np.array_equal(simulate._norms(swapped, axis), simulate._norms(
+            np.ascontiguousarray(swapped), axis))
+        assert np.array_equal(simulate._norms(x[::2], axis), got[::2])
+
+
+def _norm_gate_bounds(params, mode, seed, n, dirs):
+    """Bounds on how far each SINR part of one rejection-free chunk moves
+    when only the draw's norms change by rounding: (users' parts,
+    eavesdropper's parts), each (n, K).  They are computed from the
+    chunk's replayed draws and ``dirs`` (n, K, K), the direction sets the
+    oracle built its beams from.  u is float64's unit roundoff.
+
+    - A norm either way is within nu = (2K + 1) u of the exact one, so a
+      unit row moves by at most delta = 2 nu + 2 u, in norm.
+    - PERFECT: each direction moves by delta.  FULL: the projection of e
+      off the unit channel moves by at most (2 delta + (4K + 8) u) |e|,
+      twice that relative to |e_perp| once scaled to sqrt(z), and the rest
+      by delta: eta = 2 sqrt(z) (2 delta + (4K + 8) u) |e| / |e_perp|
+      + 2 delta per direction.
+    - The inverse A of the set D moves by at most
+      |A|_F^2 eta_F / (1 - |A|_F eta_F) (eta_F = |dD|_F), plus each
+      inverse's own rounding, taken as K^2 kappa_F u |A|_F with
+      kappa_F = |D|_F |A|_F = sqrt(K) |A|_F (LU with partial pivoting;
+      the K^2 covers its growth factor at these sizes).
+    - A beam, column i of A normalized, moves by eps = 2 |dA|_F / |a_i|
+      + 2 nu + 4 u; a gain |x^H w|^2 by (2 + eps) eps |x|^2, plus
+      (4K + 6) u |x|^2 of rounding in each draw; a part is at most K
+      gains and their sum, within (K + 1) K u |x|^2 each way (the K gains
+      of x add to at most K |x|^2: the beams are unit rows).
+    So a part moves by at most K ((2 + eps) eps + (10K + 14) u) |x|^2,
+    x the user's channel h_k or the eavesdropper's g.
+    """
+    k = params.n_t
+    nu = (2 * k + 1) * _U
+    delta = 2 * nu + 2 * _U
+    gen = RngStream(seed, 0).generator()
+    h = complex_gaussian_batch(gen, (n, k, k))
+    g = complex_gaussian_batch(gen, (n, k))
+    if mode is SimMode.PERFECT:
+        eta = np.full((n, k), delta)
+    else:
+        z = -np.expm1(2.0 ** -params.bits * np.log1p(-gen.random((n, k))))
+        z **= 1.0 / (k - 1)
+        e = complex_gaussian_batch(gen, (n, k, k))
+        h_dir = h / np.linalg.norm(h, axis=2, keepdims=True)
+        along = np.einsum("tkn,tkn->tk", np.conj(h_dir), e)[..., None] * h_dir
+        lean = np.linalg.norm(e, axis=2) / np.linalg.norm(e - along, axis=2)
+        eta = (2.0 * np.sqrt(z) * (2 * delta + (4 * k + 8) * _U) * lean
+               + 2 * delta)
+    eta_f = np.sqrt((eta ** 2).sum(axis=1))
+    inv = np.linalg.inv(dirs)
+    inv_f = np.linalg.norm(inv, axis=(1, 2))
+    assert (inv_f * eta_f < 0.5).all()
+    moved_inv = (inv_f ** 2 * eta_f / (1.0 - inv_f * eta_f)
+                 + 2 * k ** 2.5 * inv_f ** 2 * _U)
+    eps = (2.0 * moved_inv / np.linalg.norm(inv, axis=1).min(axis=1)
+           + 2 * nu + 4 * _U)
+    per_gain = (k * ((2.0 + eps) * eps + (10 * k + 14) * _U))[:, None]
+    return (per_gain * np.linalg.norm(h, axis=2) ** 2,
+            per_gain * np.linalg.norm(g, axis=1)[:, None] ** 2)
+
+
+def _log2_factor_moved(num, den, noise, moved):
+    """Bound on |log2 f' - log2 f| for f = 1 + num / (den + noise) >= 1
+    when num and den each move by at most ``moved``: |f' - f| / ln 2."""
+    floor = den + noise - moved
+    assert (floor > 0).all()
+    return ((moved * (den + noise) + (num + moved) * moved)
+            / ((den + noise) * floor * math.log(2.0)))
+
+
+@pytest.mark.parametrize("n_t", [2, 5, 8])
+@pytest.mark.parametrize("mode,bits", [(SimMode.FULL, 2), (SimMode.FULL, 12),
+                                       (SimMode.PERFECT, 0)])
+def test_real_view_norms_change_only_rounding(n_t, mode, bits, monkeypatch):
+    # The engine takes row and column norms as sums of squares over float64
+    # views; the oracle is the same engine with np.linalg.norm.  Every part
+    # stays within _norm_gate_bounds of the oracle's, and every estimate,
+    # with and without clip, within the rounding gate of the per-user
+    # log-sum reduction of the oracle's parts, each trial's rate allowed
+    # the reduction's own delta plus what its parts' bounds move it by.
+    points = [SystemParams(n_t=n_t, bits=bits, alpha=a, snr_db=s)
+              for a in (0.5, 1.0) for s in (-10.0, 10.0, 30.0)]
+    params, seed = points[0], 33
+    n = min(chunk_trials(params, mode), 2_000)
+    engine = _draw_parts(params, mode, RngStream(seed, 0).generator(), n)
+    rates = {clip: estimate_secrecy_rates(points, mode, n, seed, clip=clip)
+             for clip in (False, True)}
+    dirs, zf_beams = [], simulate._zf_beams_batch
+
+    def recorded(point_dirs):
+        dirs.append(point_dirs.copy())
+        return zf_beams(point_dirs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(simulate, "_norms", _linalg_norms)
+        patch.setattr(simulate, "_zf_beams_batch", recorded)
+        oracle = _draw_parts(params, mode, RngStream(seed, 0).generator(), n)
+    assert engine[4] == oracle[4] == 0
+    legit_moved, eav_moved = _norm_gate_bounds(params, mode, seed, n,
+                                               np.concatenate(dirs))
+    moved = False
+    for ours, theirs, bound in zip(engine[:4], oracle[:4], (
+            legit_moved, legit_moved, eav_moved, eav_moved)):
+        gap = np.abs(ours - theirs).T
+        assert (gap <= bound).all(), (gap / bound).max()
+        moved |= not np.array_equal(ours, theirs)
+    assert moved  # the gate holds something
+
+    k = n_t
+    legit_num, legit_den, eav_num, eav_den = (
+        np.ascontiguousarray(part.T) for part in oracle[:4])
+    for clip, estimates in rates.items():
+        for p, got in zip(points, estimates):
+            legit = 1.0 + legit_num / (legit_den + p.noise_over_power)
+            eav = 1.0 + eav_num / (eav_den + p.eav_noise_over_power)
+            r = _link_sums(legit, eav, clip)
+            old = simulate._rate_estimate(r.sum(), r @ r, n, 0)
+            parts_moved = _user_sums(
+                _log2_factor_moved(legit_num, legit_den, p.noise_over_power,
+                                   legit_moved)
+                + _log2_factor_moved(eav_num, eav_den,
+                                     p.eav_noise_over_power, eav_moved))
+            reduction = 3 * (k + 5) * _U * (2.0 + _user_sums(np.log2(legit))
+                                            + _user_sums(np.log2(eav)))
+            _assert_moved_by_rounding_only(got, old, r,
+                                           parts_moved + reduction, n)
+
+
+@pytest.mark.parametrize("mode", list(REJECTION_DIGESTS))
+def test_real_view_norms_move_no_rejected_count(mode, monkeypatch):
+    # The beam rank test reads the column norms: at a tolerance that
+    # rejects about a quarter of the sets, the engine and the
+    # np.linalg.norm oracle still reject the same ones, round after round.
+    monkeypatch.setattr(simulate, "_BEAM_RANK_TOL", FORCED_REJECTION_TOL)
+    params = SystemParams(n_t=5, bits=2, alpha=1.0, snr_db=10.0)
+    counts = []
+    for norms in (simulate._norms, _linalg_norms):
+        monkeypatch.setattr(simulate, "_norms", norms)
+        counts.append([_draw_parts(params, mode, RngStream(seed, 0).generator(),
+                                   3_000)[4] for seed in (11, 12, 13)])
+    assert counts[0] == counts[1]
+    assert counts[0][0] == REJECTION_DIGESTS[mode][1]
+
+
 def _shared_noise_grid(n_t):
     """Three feedback budgets (distortion 1 among them) x three alphas x
     three SNRs, and three duplicated points.  Every eavesdropper noise
@@ -833,17 +1002,18 @@ def test_one_chunk_stays_within_the_chunk_memory_target(mode, n_t):
     # PERFECT on top of the (K,) rows.  The draw's per-trial steps run in
     # one pass over blocks, so beyond one block's temporaries a chunk holds
     # the (K, n) parts, h, g and, in FULL, the sampler's draw.  Measured
-    # with numpy 2.4, rows included: FULL 4.51 at n_t = 2, 3.67 at 3, 3.20
-    # at 5, 2.94 at 8, 2.65 at 24; PERFECT 3.51, 2.63, 1.97, 1.75, 1.58.
+    # with numpy 2.4, rows included: FULL 4.36 at n_t = 2, 3.67 at 3, 3.20
+    # at 5, 2.94 at 8, 2.65 at 24; PERFECT 3.46, 2.63, 1.97, 1.75, 1.58.
     # The smaller n_t, the more the rows weigh: at n_t = 2 the parts alone
-    # are one array, so FULL is held to 4.6 there.  A failure here means
-    # some step again spans the whole chunk; a whole-round array of unit
-    # directions reads 3.80 (FULL) and 2.84 (PERFECT) at n_t = 5, and a
-    # block's pieces alive through the next block 4.71 at n_t = 2.
+    # are one array.  A failure here means some step again spans the whole
+    # chunk; a whole-round array of unit directions reads 3.80 (FULL) and
+    # 2.84 (PERFECT) at n_t = 5, a block's pieces alive through the next
+    # block 4.71 at n_t = 2, and the zero-forcing residual's temporaries
+    # 4.51 there.
     if mode is not SimMode.QCA:
         arrays_per_trial = peak / (16 * n_t ** 2 * n)
-        assert arrays_per_trial <= (
-            4.6 if (mode, n_t) == (SimMode.FULL, 2) else 4.5), arrays_per_trial
+        assert arrays_per_trial <= (4.4 if n_t == 2 else 4.5), (
+            arrays_per_trial)
         if n_t >= 5:
             assert arrays_per_trial <= (3.4 if mode is SimMode.FULL
                                         else 2.2), arrays_per_trial
@@ -1055,6 +1225,79 @@ def test_zero_forcing_residual_needs_draws():
     # Zero draws would pass any residual check vacuously.
     with pytest.raises(ValueError):
         max_zf_residual(P55, 0, seed=7)
+
+
+def test_rates_and_samples_never_compute_the_residual(monkeypatch):
+    # Only max_zf_residual reads the zero-forcing residual; the rate and
+    # sample paths report None for it, never a perfect-looking 0.0.
+    def refused(*args):
+        raise AssertionError("the zero-forcing residual was computed")
+
+    monkeypatch.setattr(simulate, "_zf_residual", refused)
+    for mode in (SimMode.FULL, SimMode.PERFECT):
+        for clip in (False, True):
+            estimate_secrecy_rates(GRID6, mode, 14_000, seed=12, workers=2,
+                                   clip=clip)
+        for _ in collect_sinr_samples(GRID6, mode, 14_000, seed=12,
+                                      workers=2):
+            pass
+    for mode in SimMode:
+        assert _draw_parts(P55, mode, RngStream(1, 0).generator(),
+                           100)[5] is None
+    with pytest.raises(AssertionError, match="residual was computed"):
+        max_zf_residual(P55, 100, seed=1)
+
+
+@pytest.mark.parametrize("mode", [SimMode.FULL, SimMode.PERFECT])
+@pytest.mark.parametrize("tol", [simulate._BEAM_RANK_TOL,
+                                 FORCED_REJECTION_TOL])
+def test_residual_leaves_the_draw_bit_identical(mode, tol, monkeypatch):
+    monkeypatch.setattr(simulate, "_BEAM_RANK_TOL", tol)
+    params = SystemParams(n_t=5, bits=2, alpha=1.0, snr_db=10.0)
+    plain, with_residual = (
+        _draw_parts(params, mode, RngStream(11, 0).generator(), 3_000,
+                    residual) for residual in (False, True))
+    for ours, theirs in zip(plain[:4], with_residual[:4]):
+        assert ours.tobytes() == theirs.tobytes()
+    assert plain[4] == with_residual[4]
+    assert plain[5] is None and 0.0 <= with_residual[5] < 1e-10
+
+
+def test_largest_residual_covers_every_kept_draw(monkeypatch):
+    # Beams tilted toward another direction by a per-trial 1e-3 |d_00| give
+    # every kept set a residual of about that size, and rejected sets one
+    # above 1e-2.  Over two chunks of several resample rounds, each of many
+    # blocks, the engine's largest residual must be the largest over every
+    # kept set, computed here on its own with a matrix product.
+    monkeypatch.setattr(simulate, "_BEAM_RANK_TOL", FORCED_REJECTION_TOL)
+    zf_beams, zf_residual = simulate._zf_beams_batch, simulate._zf_residual
+    kept_sets, residual_trials = [], []
+
+    def tilted(dirs):
+        beams, ok = zf_beams(dirs)
+        tilt = 1e-3 * np.abs(dirs[:, 0, 0]) + 1e-2 * ~ok
+        beams = beams + tilt[:, None, None] * np.roll(dirs, 1, axis=1)
+        kept_sets.append((dirs[ok].copy(), beams[ok]))
+        return beams, ok
+
+    def counted(dirs, beams):
+        residual_trials.append(len(dirs))
+        return zf_residual(dirs, beams)
+
+    monkeypatch.setattr(simulate, "_zf_beams_batch", tilted)
+    monkeypatch.setattr(simulate, "_zf_residual", counted)
+    params = SystemParams(n_t=5, bits=2, alpha=1.0, snr_db=10.0)
+    n = chunk_trials(params, SimMode.FULL) + 3_000
+    worst, rejected = max_zf_residual(params, n, seed=13, workers=2)
+    kept = sum(len(dirs) for dirs, _ in kept_sets)
+    assert kept == sum(residual_trials) == n and rejected > n // 10
+    off_diagonal = ~np.eye(5, dtype=bool)
+    independent = max(
+        np.abs(np.conj(dirs) @ np.swapaxes(beams, 1, 2))[:, off_diagonal]
+        .max(initial=0.0)
+        for dirs, beams in kept_sets)
+    assert 1e-4 < independent < 2e-3
+    assert worst == pytest.approx(independent, rel=1e-12)
 
 
 @pytest.mark.slow
