@@ -7,10 +7,11 @@ The SINR of a served user, with quantized feedback, has survival function
 
 where d is the quantization-distortion scale; the eavesdropper's SINR obeys
 the same law with d = 1 and its own noise level.  Every rate here is the
-difference of the two expected log terms, evaluated either exactly (via
-exponential-integral machinery), in the interference-limited limit (drop the
-exponential), in the noise-limited limit (drop the polynomial), or by
-double-exponential quadrature as an independent oracle.
+difference of the two expected log terms, evaluated either exactly (one
+two-pole kernel over scaled exponential integrals), in the
+interference-limited limit (drop the exponential: the same kernel at s = 0),
+in the noise-limited limit (drop the polynomial), or by double-exponential
+quadrature as an independent oracle.
 
 All chi-square-style variates follow the complex-variate convention: the
 two-degree case is Exp(1) with density exp(-x), and the 2k-degree case is
@@ -31,8 +32,6 @@ EULER_GAMMA = 0.5772156649015328606
 LOG2_E = math.log2(math.e)
 
 _CF_MAX_ITER = 10_000
-# gauss_2f1 sums its series up to this z and uses the logarithmic form above.
-_2F1_SERIES_MAX_Z = 0.9
 
 
 class Regime(enum.Enum):
@@ -200,13 +199,9 @@ def laplace_pole_integral(p: float, a: float, n: int) -> float:
 def laplace_two_pole_integral(x: float, y: float, z: int) -> float:
     """integral_0^inf exp(-x t) / ((t + 1)(t + y)^z) dt for x >= 0, y > 0.
 
-    Evaluated by partial fractions over :func:`laplace_pole_integral`: a
-    (y-1)^(-z) coefficient on the simple pole plus descending powers on the
-    order-z pole.  The two would-be divergent single-pole pieces at x = 0
-    combine into (y-1)^(-z) ln(y).  Near the pole confluence y -> 1 the
-    coefficients blow up, so |y-1| < 1e-6 switches to the exact merged form
-    and a thin guard band falls back to quadrature; the same fallback fires
-    whenever the summed terms cancel by more than six digits.
+    y^(-z) times the two-pole kernel at d = 1/y; at y = 1 the poles merge
+    and its series is the one term exp(x) E_{z+1}(x) of
+    :func:`laplace_pole_integral`.
     """
     if x < 0:
         raise ValueError(f"x must be >= 0, got {x}")
@@ -214,27 +209,51 @@ def laplace_two_pole_integral(x: float, y: float, z: int) -> float:
         raise ValueError(f"y must be > 0, got {y}")
     if z < 1:
         raise ValueError(f"z must be >= 1, got {z}")
+    return y ** -z * _two_pole(x, 1.0 / y, z)
 
-    if abs(y - 1.0) < 1e-6:
-        return laplace_pole_integral(x, 1.0, z + 1)
-    if abs(y - 1.0) >= 1e-4:
-        terms = []
-        if x == 0.0:
-            terms.append((y - 1.0) ** (-z) * math.log(y))
-            for i in range(1, z):
-                terms.append((-1.0) ** (i - 1) * (1.0 - y) ** (-i)
-                             * laplace_pole_integral(0.0, y, z - i + 1))
-        else:
-            terms.append((y - 1.0) ** (-z) * laplace_pole_integral(x, 1.0, 1))
-            for i in range(1, z + 1):
-                terms.append((-1.0) ** (i - 1) * (1.0 - y) ** (-i)
-                             * laplace_pole_integral(x, y, z - i + 1))
-        total = math.fsum(terms)
-        largest = max(abs(t) for t in terms)
-        if not largest > 1e6 * max(abs(total), 1e-300):
-            return total
-    return integrate_half_line(
-        lambda t: np.exp(-x * t) / ((t + 1.0) * (t + y) ** z))
+
+def _en_scaled_run(lo: int, hi: int, w: float) -> list:
+    """[exp(w) E_n(w) for n = lo..hi], from one :func:`_en_scaled` call at
+    the order nearest w: f_{n+1} = (1 - w f_n) / n scales errors by w/n,
+    so it runs upward above that order and downward below it."""
+    n0 = min(max(round(w), lo), hi)
+    f = [0.0] * (hi - lo + 1)
+    f[n0 - lo] = _en_scaled(n0, w)
+    for n in range(n0, hi):
+        f[n + 1 - lo] = (1.0 - w * f[n - lo]) / n
+    for n in range(n0 - 1, lo - 1, -1):
+        f[n - lo] = (1.0 - n * f[n + 1 - lo]) / w
+    return f
+
+
+def _two_pole(x: float, d: float, z: int) -> float:
+    """integral_0^inf exp(-x t) / ((1 + t)(1 + d t)^z) dt for x >= 0, d > 0.
+
+    With r = 1 - d and w = x/d, and f_n = exp(w) E_n(w):
+    - close poles: the series sum_j r^j f_{z+1+j}, its terms positive for
+      d <= 1, summed to the J = 1 + ceil(38 / ln(1/|r|)) terms after which
+      |r|^j < e^-38; taken when |r| < 1 and J <= 8z + 64;
+    - distant poles otherwise: partial fractions
+      r^-z exp(x) E_1(x) - sum_{n=1..z} r^(n-z-1) f_n, at x = 0
+      r^-z ln(1/d) - sum_{n=2..z} r^(n-z-1) / (n-1).  Their coefficients
+      |r|^(n-z-1) stay below e^(38z / (8z+63)) < 116 for |r| < 1 (J past
+      8z + 64), and at most 1 for |r| >= 1.
+    d = 0 raises ZeroDivisionError, and an x/d past float64 OverflowError.
+    ln(1/d) is taken from d itself, exact where 1 - d rounds to 1.
+    """
+    w = x / d
+    r = 1.0 - d
+    log_r = math.log(abs(r)) if r else -math.inf
+    terms = 1 + math.ceil(-38.0 / log_r) if log_r < 0.0 else math.inf
+    if terms <= 8 * z + 64:
+        f = _en_scaled_run(z + 1, z + terms, w)
+        return math.fsum(r ** j * v for j, v in enumerate(f))
+    if x == 0.0:
+        return (-math.log(d) * r ** -z
+                - math.fsum(r ** (n - z - 1) / (n - 1) for n in range(2, z + 1)))
+    f = _en_scaled_run(1, z, w)
+    return (exp_integral_e1_scaled(x) * r ** -z
+            - math.fsum(r ** (n - z - 1) * v for n, v in enumerate(f, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -245,40 +264,14 @@ def gauss_2f1(n_t: int, z: float) -> float:
     """2F1(n_t - 1, 1; n_t; z) for z in [0, 1).
 
     Pochhammer cancellation collapses this family to
-    (n_t-1) * sum_j z^j / (n_t-1+j).  The series is summed directly for
-    z <= 0.9; closer to 1 the exact logarithmic form
-    m z^(-m) (-ln(1-z) - sum_{k<m} z^k/k), m = n_t-1, avoids the slow tail.
+    (n_t-1) * sum_j z^j / (n_t-1+j) = (n_t-1) * integral_0^inf
+    dt / ((1 + t)(1 + (1-z) t)^(n_t-1)), the two-pole kernel at x = 0.
     """
     if n_t < 2:
         raise ValueError(f"n_t must be >= 2, got {n_t}")
     if not 0.0 <= z < 1.0:
         raise ValueError(f"z must lie in [0, 1), got {z}")
-    m = n_t - 1
-    if z == 0.0:
-        return 1.0
-    if z <= _2F1_SERIES_MAX_Z:
-        total = 0.0
-        power = 1.0
-        for j in range(100_000):
-            add = power * m / (m + j)
-            total += add
-            if add < 1e-17 * total:
-                return total
-            power *= z
-        raise ArithmeticError(f"2F1 series failed to converge at z={z}")
-    return _2f1_log_form(m, z, -math.log1p(-z))
-
-
-def _2f1_log_form(m: int, z: float, neg_log_d: float) -> float:
-    """The logarithmic form m z^(-m) (-ln(d) - sum_{k<m} z^k/k) of
-    2F1(m, 1; m+1; z), with d = 1 - z passed as -ln(d), so that a caller
-    holding d itself keeps it exact where 1 - d would round to 1."""
-    partial = 0.0
-    power = 1.0
-    for k in range(1, m):
-        power *= z
-        partial += power / k
-    return m * (neg_log_d - partial) / z ** m
+    return (n_t - 1) * _two_pole(0.0, 1.0 - z, n_t - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -324,15 +317,14 @@ def sinr_cdf(x, params: SystemParams, link: Link,
 def secrecy_rate_closed_form(params: SystemParams) -> float:
     """Exact ergodic secrecy sum-rate, bits/s/Hz.
 
-    n_t * log2(e) * [ d^-(n_t-1) * TwoPole(s, 1/d, n_t-1) - J(s_e, 1, n_t) ]
-    with d the distortion scale, s = sigma^2/P and s_e = sigma^2/(alpha^2 P).
+    n_t * log2(e) * [ TwoPole(s, d, n_t-1) - J(s_e, 1, n_t) ]
+    with TwoPole the integral of exp(-s t) / ((1+t)(1+d t)^(n_t-1)), d the
+    distortion scale, s = sigma^2/P and s_e = sigma^2/(alpha^2 P).
     May be negative: the definition keeps the difference of logs without a
     positive-part clip.
     """
     n_t = params.n_t
-    d = params.distortion
-    legit = d ** (-(n_t - 1)) * laplace_two_pole_integral(
-        params.noise_over_power, 1.0 / d, n_t - 1)
+    legit = _two_pole(params.noise_over_power, params.distortion, n_t - 1)
     eav = laplace_pole_integral(params.eav_noise_over_power, 1.0, n_t)
     return n_t * LOG2_E * (legit - eav)
 
@@ -341,7 +333,8 @@ def secrecy_rate_interference_limited(params: SystemParams) -> float:
     """High-SNR limit of the rate; depends only on (n_t, bits).
 
     n_t * log2(e) * [ B(1, n_t-1) * 2F1(n_t-1, 1; n_t; 1-d) - 1/(n_t-1) ]
-    where B(1, n_t-1) = 1/(n_t-1).  Exactly zero for zero feedback.
+    where B(1, n_t-1) = 1/(n_t-1): the closed form's kernel at s = 0.
+    Exactly zero for zero feedback.
     """
     n_t = params.n_t
     d = params.distortion
@@ -349,13 +342,7 @@ def secrecy_rate_interference_limited(params: SystemParams) -> float:
         raise OverflowError(f"the distortion 2**(-bits/(n_t-1)) underflows "
                             f"to 0 at n_t={n_t}, bits={params.bits}, and the "
                             f"rate grows like -log(distortion)")
-    z = 1.0 - d
-    if z <= _2F1_SERIES_MAX_Z:
-        hyp = gauss_2f1(n_t, z)
-    else:
-        # ln(d) from d itself: 1 - d rounds to 1 once d < 2**-53.
-        hyp = _2f1_log_form(n_t - 1, z, -math.log(d))
-    return n_t * LOG2_E * (hyp - 1.0) / (n_t - 1)
+    return n_t * LOG2_E * (_two_pole(0.0, d, n_t - 1) - 1.0 / (n_t - 1))
 
 
 def secrecy_rate_noise_limited(params: SystemParams) -> float:

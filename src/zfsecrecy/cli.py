@@ -121,6 +121,8 @@ class SweepConfig:
             raise UsageError(f"--mode must be one of {_MODES}")
         if self.regime not in _REGIME_NAMES:
             raise UsageError(f"--regime must be one of {_REGIME_NAMES}")
+        if not 0.0 < self.mc_tol_sigmas < math.inf:
+            raise UsageError("--mc-tol-sigmas must be finite and > 0")
         if min(self.nt) < 2:
             raise UsageError("--nt entries must be >= 2")
         if max(self.nt) > MAX_NT:

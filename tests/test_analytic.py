@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
+from make_arbiter_rates import (ARBITER_GRID, load_rates, mpmath_half_line,
+                                mpmath_rate)
 from zfsecrecy import analytic
 from zfsecrecy.analytic import (Link, Regime, exp_integral_e1,
                                 exp_integral_e1_scaled,
@@ -185,7 +189,8 @@ def test_pole_integral_divergence_and_domain():
 
 def test_two_pole_merged_identity():
     # y = 1 merges the poles: the integral becomes the one-pole case of
-    # order z+1.  At x = 0, z = 1 that value is exactly 1.
+    # order z+1, the series' one term.  At x = 0, z = 1 that value is
+    # exactly 1.
     assert laplace_two_pole_integral(0.0, 1.0, 1) == pytest.approx(1.0,
                                                                    abs=1e-14)
     for x in (0.0, 0.5, 2.0):
@@ -202,7 +207,7 @@ def test_two_pole_log_case():
 def test_two_pole_vs_quadrature():
     cases = [(1.0, 0.5, 4), (0.1, 2.0, 4), (0.0, 2.0, 4), (2.0, 8.0, 1),
              (0.01, 1.0001, 3), (10.0, 3.0, 7),
-             (0.5, 1 + 5e-5, 3)]  # the last inside the 1e-4 guard band
+             (0.5, 1 + 5e-5, 3)]  # the last with nearly merged poles
     for x, y, z in cases:
         ref = quad_two_pole(x, y, z)
         got = laplace_two_pole_integral(x, y, z)
@@ -215,24 +220,14 @@ def test_integrate_half_line_raises_when_it_cannot_converge():
         integrate_half_line(np.sin)
 
 
-def _mpmath_half_line(mpmath, integrand) -> float:
-    """integral_0^inf integrand(x) dx at 40 digits, by Gauss-Legendre in
-    u = ln x on intervals of width 8 over u in [-48, 48] (x from 1e-21 to
-    1e21): an independent rule, and one that resolves every scale there."""
-    with mpmath.workdps(40):
-        return mpmath.quad(lambda u: integrand(mpmath.exp(u)) * mpmath.exp(u),
-                           mpmath.linspace(-48, 48, 13),
-                           method="gauss-legendre")
-
-
 @pytest.mark.parametrize("x,y,z", [
     (0.5, 1 + 5e-5, 3), (0.0, 1 - 3e-5, 5), (2.0, 1 + 2e-6, 1),
     (1e-3, 1 - 9e-5, 20), (10.0, 1 + 1e-5, 60), (1e-6, 1 - 1.5e-6, 127)])
 def test_two_pole_guard_band_matches_mpmath(x, y, z):
-    # 1e-6 <= |y - 1| < 1e-4: the partial fractions are skipped for the
-    # quadrature fallback.
+    # 1e-6 <= |y - 1| < 1e-4, where partial fractions would cancel to a few
+    # digits: the series serves these nearly merged poles.
     mpmath = pytest.importorskip("mpmath")
-    want = float(_mpmath_half_line(mpmath, lambda t: mpmath.exp(-x * t) / (
+    want = float(mpmath_half_line(mpmath, lambda t: mpmath.exp(-x * t) / (
         (t + 1) * (t + mpmath.mpf(y)) ** z)))
     assert abs(laplace_two_pole_integral(x, y, z) - want) <= 1e-9 * want
 
@@ -425,31 +420,13 @@ def test_interference_limited_matches_mpmath_at_tiny_distortion(n_t, bits):
     assert got == pytest.approx(want, rel=1e-14)
 
 
-# The rate arbiter's grid; the closed form raises OverflowError at n_t >= 128
-# where its partial fractions leave the float64 range.
-ARBITER_GRID = [(n_t, bits, alpha, snr_db)
-                for n_t in (2, 5, 16, 64, 128, 256) for bits in (0, 4, 16)
-                for alpha in (1e-3, 0.5, 1.0)
-                for snr_db in (-60, -20, 0, 20, 80)]
-
-
 def _assert_rates_match_mpmath(mpmath, n_t, bits, alpha, snr_db):
     """Quadrature oracle and closed form within 1e-9 * max(1, |R|) of the
-    rate at 40 digits, or ArithmeticError."""
+    rate at 40 digits; neither may raise."""
+    want = mpmath_rate(mpmath, n_t, bits, alpha, snr_db)
     p = SystemParams(n_t=n_t, bits=bits, alpha=alpha, snr_db=snr_db)
-    with mpmath.workdps(40):
-        s = mpmath.mpf(p.noise_over_power)
-        s_eav = mpmath.mpf(p.eav_noise_over_power)
-        d = mpmath.mpf(2) ** (-mpmath.mpf(bits) / (n_t - 1))
-        want = float(n_t / mpmath.log(2) * _mpmath_half_line(
-            mpmath, lambda x: (mpmath.exp(-x * s) / (1 + d * x) ** (n_t - 1)
-                               - mpmath.exp(-x * s_eav) / (1 + x) ** (n_t - 1))
-            / (1 + x)))
     for rate in (rate_from_cdf_quadrature, secrecy_rate_closed_form):
-        try:
-            got = rate(p)
-        except ArithmeticError:
-            continue
+        got = rate(p)
         assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), (
             rate.__name__, got, want)
 
@@ -464,6 +441,19 @@ def test_rates_match_mpmath(n_t, bits, alpha, snr_db):
                                n_t, bits, alpha, snr_db)
 
 
+# Points where partial fractions alone cancel: at (64, 64, 1, -60 dB) they
+# read -6.18e-7 for 2.94e-9, at (200, 64, 0.3103, -54.8 dB) 8.710e-4 for
+# 8.629e-4, and at validate's (5, 1, alpha, 0 dB) they were 2.1e-11 off.
+@pytest.mark.parametrize("n_t,bits,alpha,snr_db", [
+    (64, 64, 1.0, -60), (200, 64, 0.3103, -54.8), (5, 1, 0.25, 0),
+    (5, 1, 0.5, 0), (5, 1, 1.0, 0)])
+def test_closed_form_matches_mpmath_where_partial_fractions_cancel(
+        n_t, bits, alpha, snr_db):
+    want = mpmath_rate(pytest.importorskip("mpmath"), n_t, bits, alpha, snr_db)
+    got = secrecy_rate_closed_form(SystemParams(n_t, bits, alpha, snr_db))
+    assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), (got, want)
+
+
 def _mpmath_clipped_rate(mpmath, p):
     """The clipped rate at 40 digits: n_t log2(e) times the integral of
     S_L (1 - S_E) / (1 + x), the links' survival functions S_L and S_E."""
@@ -471,7 +461,7 @@ def _mpmath_clipped_rate(mpmath, p):
         s = mpmath.mpf(p.noise_over_power)
         s_eav = mpmath.mpf(p.eav_noise_over_power)
         d = mpmath.mpf(2) ** (-mpmath.mpf(p.bits) / (p.n_t - 1))
-        return float(p.n_t / mpmath.log(2) * _mpmath_half_line(
+        return float(p.n_t / mpmath.log(2) * mpmath_half_line(
             mpmath, lambda x: mpmath.exp(-x * s) / (1 + d * x) ** (p.n_t - 1)
             * (1 - mpmath.exp(-x * s_eav) / (1 + x) ** (p.n_t - 1))
             / (1 + x)))
@@ -493,11 +483,66 @@ def test_clipped_quadrature_matches_mpmath(n_t, bits, alpha, snr_db):
     assert got >= rate_from_cdf_quadrature(p) - 1e-9 * max(1.0, abs(want))
 
 
-@pytest.mark.slow
 def test_rates_match_mpmath_on_the_wide_grid():
+    # The 40-digit rates of tests/make_arbiter_rates.py, at all 270 points.
+    want = load_rates()
+    assert list(want) == ARBITER_GRID
+    for point, rate in want.items():
+        p = SystemParams(*point)
+        for got in (rate_from_cdf_quadrature(p), secrecy_rate_closed_form(p)):
+            assert abs(got - rate) <= 1e-9 * max(1.0, abs(rate)), (
+                point, got, rate)
+
+
+@pytest.mark.slow
+def test_arbiter_rates_file_matches_mpmath():
+    # Every ninth point re-derived: 30 points that cover every n_t, bits,
+    # alpha and SNR of the grid.
     mpmath = pytest.importorskip("mpmath")
-    for point in ARBITER_GRID:
-        _assert_rates_match_mpmath(mpmath, *point)
+    want = load_rates()
+    for point in ARBITER_GRID[::9]:
+        got = mpmath_rate(mpmath, *point)
+        assert abs(got - want[point]) <= 1e-14 * max(1.0, abs(got)), point
+
+
+def test_closed_form_and_limit_never_call_the_quadrature(monkeypatch):
+    def no_quadrature(integrand):
+        raise AssertionError("integrate_half_line called")
+
+    monkeypatch.setattr(analytic, "integrate_half_line", no_quadrature)
+    mpmath = pytest.importorskip("mpmath")
+    for point, rate in load_rates().items():
+        p = SystemParams(*point)
+        got = secrecy_rate_closed_form(p)
+        assert abs(got - rate) <= 1e-9 * max(1.0, abs(rate)), (point, got)
+    for n_t, bits in {point[:2] for point in ARBITER_GRID}:
+        with mpmath.workdps(40):
+            z = 1 - mpmath.mpf(2) ** (-mpmath.mpf(bits) / (n_t - 1))
+            want = float(n_t * (mpmath.hyp2f1(n_t - 1, 1, n_t, z) - 1)
+                         / ((n_t - 1) * mpmath.log(2)))
+        got = secrecy_rate_interference_limited(
+            SystemParams(n_t=n_t, bits=bits, alpha=1.0, snr_db=0.0))
+        assert got == pytest.approx(want, rel=1e-13, abs=1e-15), (n_t, bits)
+
+
+# In the model the rate rises with the feedback budget and falls as the
+# path-loss ratio alpha grows; a few ulp of rounding aside, so must the
+# closed form.
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(n_t=st.integers(2, 256), bits=st.integers(0, 300),
+       more_bits=st.integers(0, 300),
+       alpha=st.floats(1e-3, 10.0), alpha_factor=st.floats(1.0, 1e4),
+       snr_db=st.floats(-60.0, 80.0))
+def test_closed_form_matches_the_oracle_and_is_monotone(
+        n_t, bits, more_bits, alpha, alpha_factor, snr_db):
+    p = SystemParams(n_t=n_t, bits=bits, alpha=alpha, snr_db=snr_db)
+    rate = secrecy_rate_closed_form(p)
+    tol = max(1.0, abs(rate))
+    assert abs(rate - rate_from_cdf_quadrature(p)) <= 1e-9 * tol
+    more = SystemParams(n_t, min(300, bits + more_bits), alpha, snr_db)
+    assert secrecy_rate_closed_form(more) >= rate - 1e-15 * tol
+    weaker = SystemParams(n_t, bits, min(10.0, alpha * alpha_factor), snr_db)
+    assert secrecy_rate_closed_form(weaker) <= rate + 1e-15 * tol
 
 
 def test_interference_limited_rejects_underflowing_distortion():

@@ -11,6 +11,7 @@ import tracemalloc
 
 import pytest
 
+from make_arbiter_rates import mpmath_rate
 from oracles import explicit_directions
 from zfsecrecy import simulate
 from zfsecrecy.cli import (CSV_HEADER, EXIT_IO, EXIT_OK, EXIT_USAGE,
@@ -139,15 +140,18 @@ def test_full_mode_populates_rejection_column(tmp_path):
 # chunk, one chunk per point here, statistically equivalent to the
 # 8,192-trial chunks PREVIOUS_FULL_DIGEST keeps (test_simulate's
 # pair-floor gate).
+# All five digests, PREVIOUS_FULL_DIGEST too, are of the closed form's one
+# two-pole kernel: r_analytic moved at 6 of the 24 points, by at most
+# 2.7e-14 relative, and no other column moved.
 @pytest.mark.parametrize("settings,digest", [
     (dict(mode="qca"),
-     "c70be4e09cfb9e750b7aafacb5e83e8366a823dc7413dda28dc18da25727b69d"),
+     "d0c3c946f215b036f4d5cc7fb96843bb4dd3974c5a1a58b3bf7df04258217175"),
     (dict(mode="qca", clip=True),
-     "60c62d3e19323dda9d520a346fa264e98cd7f81a78aa663ec2383b49405d7fd2"),
+     "b8f97185fe3a98bf1013523064b281cd3e2707bb1f83874d20430ebf66ef856d"),
     (dict(mode="full"),
-     "eb8f8d3cba61fb1eb5157f00bc9c8121dbedfb2fb4097241f4f486cccbb2f2b4"),
+     "60e585119687cd040d558d77951ffb9ba3b05ba2c5cc9140929d2a00049a09af"),
     (dict(mode="perfect"),
-     "927badb55160265071b50000bb58e1b045ce5d64bca436ad15f3a3225687106c"),
+     "f5f98ab51e4a8609a117066a30a5163ca1e2b1b9e217a76dd0006cfe15af85af"),
 ], ids=["qca", "qca-clip", "full", "perfect"])
 def test_rate_curve_csv_matches_recorded_digest(settings, digest):
     stream = io.StringIO()
@@ -156,7 +160,7 @@ def test_rate_curve_csv_matches_recorded_digest(settings, digest):
 
 
 PREVIOUS_FULL_DIGEST = (
-    "864123c5bbe4bac54e7df75e2fbac323f0cc6c5e888194fea0724febb74560b8")
+    "03d800e2f8e4be4d4c8705b61c2d7740f6306eac590bb9b0ada254cf70e93b95")
 
 
 def test_explicit_search_oracle_reproduces_the_previous_full_digest(
@@ -172,12 +176,14 @@ def test_explicit_search_oracle_reproduces_the_previous_full_digest(
 
 
 def test_validate_report_matches_recorded_digest(tmp_path):
+    # Recorded with the two-pole kernel: against the partial fractions, only
+    # six closed-vs-quadrature rel= figures moved, each to 3.9e-15 or less.
     report, stream = tmp_path / "report.json", io.StringIO()
     assert run_validate(SweepConfig(**GOLDEN, out=str(report)), stream=stream)
     assert sha256(stream.getvalue().encode()) == (
-        "1eed6ae3de3b027491c44809e9682acb6d904b93e1b6c26a7b374a6cae995de8")
+        "d88b720ac64720818b3c822493ff12a5a9e413f688ff77d1eb38010e2edb01c4")
     assert sha256(read(report)) == (
-        "07c83c6cc8cd385f4c6e2868a887ff38197624f32fa064b02f498748f1b13cbf")
+        "fe3c21c6d0b46bdcf5f8683d34fa89b5f5ff7e1f3fcf09fc33295c4a1f7121e0")
 
 
 def _count_draws(monkeypatch, name):
@@ -325,11 +331,17 @@ def test_usage_errors_exit_one(capsys, monkeypatch, tmp_path):
     err = capsys.readouterr().err
     assert err.count(f"usage error: cannot read config file {cfg}") == 3
     assert err.count("usage error:") == 4
+    # A tolerance of inf would pass every Monte Carlo check; nan and one
+    # below 0 would fail them all.
+    for sigmas in ("-1", "nan", "inf"):
+        assert main(["validate", "--mc-tol-sigmas", sigmas]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "usage error: --mc-tol-sigmas must be finite and > 0\n" * 3)
 
 
 @pytest.mark.parametrize("flags", [
-    ["--nt", "200", "--snr", "60:60:1"],
-    ["--nt", "3", "--bits", "2000"],
+    ["--nt", "200", "--bits", "250000"],  # distortion underflows to 0
+    ["--nt", "3", "--bits", "2140"],  # noise over distortion overflows
     ["--snr", "-4000:-4000:1"],
     ["--alpha", "1e-150", "--snr", "-100:-100:1"],
     ["--alpha", "1e-160", "--snr", "0:0:1"],  # eavesdropper noise 1e320
@@ -342,6 +354,26 @@ def test_numeric_range_errors_exit_one(flags, capsys):
     err = capsys.readouterr().err
     assert err.startswith("usage error: input outside the float64 range")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--nt", "200", "--snr", "60:60:1"],
+    ["--nt", "3", "--bits", "2000"],
+    ["--nt", "200", "--bits", "8", "--snr", "10:10:1"],
+])
+def test_analytic_only_computes_where_partial_fractions_overflowed(
+        flags, capsys):
+    # The closed form's partial fractions overflowed (the first two) or
+    # summed -inf and inf (the last) here; its series serves these poles.
+    mpmath = pytest.importorskip("mpmath")
+    assert main(["rate-curve", "--mode", "analytic-only", *flags]) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert err == ""
+    points = parse_curve_csv(out)
+    assert points
+    for p in points[::10]:  # 40-digit quadrature costs 0.1 s a point
+        want = mpmath_rate(mpmath, p.n_t, p.bits, p.alpha, p.snr_db)
+        assert abs(p.r_analytic - want) <= 1e-9 * max(1.0, abs(want)), p
 
 
 def test_full_mode_runs_past_the_codebook_cap(tmp_path):
