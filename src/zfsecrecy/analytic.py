@@ -238,9 +238,14 @@ def _two_pole(x: float, d: float, z: int) -> float:
       r^-z ln(1/d) - sum_{n=2..z} r^(n-z-1) / (n-1).  Their coefficients
       |r|^(n-z-1) stay below e^(38z / (8z+63)) < 116 for |r| < 1 (J past
       8z + 64), and at most 1 for |r| >= 1.
-    d = 0 raises ZeroDivisionError, and an x/d past float64 OverflowError.
+    For x > 0, where d is 0 or x/d passes float64, the integral is its
+    d -> 0 limit exp(x) E_1(x): the factor (1 + d t)^-z moves it by less
+    than z d/x relative, below 2**-900 there.  At x = 0 it grows like
+    ln(1/d), and d = 0 raises ZeroDivisionError.
     ln(1/d) is taken from d itself, exact where 1 - d rounds to 1.
     """
+    if x > 0.0 and (d == 0.0 or x / d == math.inf):
+        return exp_integral_e1_scaled(x)
     w = x / d
     r = 1.0 - d
     log_r = math.log(abs(r)) if r else -math.inf

@@ -51,22 +51,35 @@ distinct eavesdropper noise level, which does not depend on bits: points
 that differ only in their distortion share it.  Every factor is at least
 1, so a link's sum over the users of log2(1 + SINR) is the log2 of the
 product of its factors: one log2 per trial, not one per (trial, user).
-The product is taken over groups of G users that cannot overflow, G = K
-unless K log2(1 + top / noise) reaches 1000, top the chunk's largest
-numerator (:func:`_group_size`), and the groups' logs are added.  This
-moves a result by rounding only (tests/test_simulate.py derives the
-bound).  A point's per-trial rates are one difference of (n,) rows, the
-users' sum minus the eavesdropper's.  An eavesdropper sum with uses still
-to come is kept until its last one, at most _LIVE_EAV_TERMS * K (the
-bytes of _LIVE_EAV_TERMS (K, n) arrays) at a time; past that bound it is
-recomputed for its point.  ``clip`` keeps (K, n) factors instead, and
-takes sum_k max(log2 a_k - log2 b_k, 0) as log2 prod_k max(a_k / b_k, 1)
-in the users' groups: a ratio is at most its factor a_k.
 
-On two threads (2 shared cores) a log2 over a (5, 8,192) array reaches
-1.9x one thread's throughput, prod(axis=0) over it 1.2x and a subtraction
-of (n,) rows 0.7x, so two workers gain about half as much from the
-product form as one.
+A link's term at a noise level is taken in float32 where its factors stay
+inside float32's normal range: K log2(1 + top / noise) below 120, top the
+chunk's largest numerator, and the noise and the parts within 2**+-100
+(:func:`_float32_term`; at n_t = 5 the users' terms up to about 60 dB).
+Float32 terms come in stacks of up to _STACK_LEVELS noise levels, one
+numpy call per stage, (S, K, n) factors in and (S, n) log2 sums out,
+widened to float64: the users' terms of consecutive groups, and the
+eavesdropper's at the next levels to be visited that are not yet live (a
+look-ahead over the visiting order).  A chunk holds float32 copies of a
+link's parts, and keeps the draw's float64 parts only where a float64
+term needs them.  Every other term keeps the float64 arithmetic: products
+over groups of G users that cannot overflow, G = K unless K log2(1 + top
+/ noise) reaches 1000 (:func:`_group_size`), the groups' logs added.
+Either moves a result by rounding only (tests/test_simulate.py derives
+both bounds).  A point's per-trial rates are one float64 difference of
+(n,) rows, the users' sum minus the eavesdropper's, and its sum and sum of
+squares are float64.  An eavesdropper term with uses still to come is kept
+until its last one, within the bytes of _LIVE_TERM_ROWS (K, n) float64
+arrays; past that bound it is computed for its point alone.  ``clip``
+keeps (K, n) factors instead, and takes sum_k max(log2 a_k - log2 b_k, 0)
+as log2 prod_k max(a_k / b_k, 1) in the users' groups: a ratio is at most
+its factor a_k.
+
+Stacks exist for the two worker threads: a numpy call of 10-30 us costs
+about as much in handing over the interpreter lock as in work.  On one
+default rate-curve chunk replayed 12 times (2 shared cores, medians), one
+float64 term per call took 132 ms on one thread and 123 ms on two; float32
+stacks take 95 ms and 80 ms.
 """
 
 import contextlib
@@ -95,15 +108,24 @@ _CHUNK_TRIALS = 8192
 # Fewest (trial, user) pairs in a chunk, those of an n_t = 5 chunk.
 _CHUNK_PAIRS = 5 * _CHUNK_TRIALS
 _CHUNK_TARGET_BYTES = 48 * 2 ** 20
-# Most (K, n) eavesdropper factors one chunk's rate reduction holds for
-# later points under clip, as many as the draw has parts, or K times as
-# many (n,) sums over the users without clip: no grid (hundreds of alphas
-# at one SNR, say) grows a chunk's memory beyond that.
-_LIVE_EAV_TERMS = 4
+# Bytes per trial a chunk's rate reduction may hold in eavesdropper terms
+# kept for later points, in (K,) float64 rows: their (n,) sums, or under
+# clip the (K, n) factors themselves.  No grid (hundreds of alphas at one
+# SNR, say) grows a chunk's memory beyond that.
+_LIVE_TERM_ROWS = 2
 # A product of factors 1 + SINR stays below 2**_PRODUCT_BITS, inside
 # float64's 2**1024 with room for the rounding of the factors and their
 # bound (:func:`_group_size`).
 _PRODUCT_BITS = 1000
+# Noise levels per float32 stack: one numpy call per stage takes
+# (_STACK_LEVELS, K, n) factors to (_STACK_LEVELS, n) sums.
+_STACK_LEVELS = 4
+# A float32 term's product of K factors stays below 2**_F32_PRODUCT_BITS,
+# inside float32's 2**128, and its noise level and parts within
+# 2**-_F32_EXPONENT .. 2**_F32_EXPONENT, inside float32's normal range
+# (:func:`_float32_term`).
+_F32_PRODUCT_BITS = 120
+_F32_EXPONENT = 100
 # Bytes of one K x K complex array over a block of trials: each per-trial
 # step of a geometry draw runs on blocks this size, not on the whole chunk.
 _BLOCK_TARGET_BYTES = 2 ** 18
@@ -137,17 +159,20 @@ def chunk_trials(params: SystemParams, mode: SimMode) -> int:
     40,960 elements per call.  So chunks hold 20,480, 13,653 and 10,240
     trials at n_t = 2, 3 and 4.
 
-    Per trial, the rate reduction holds (K,) float64 rows, at most as
-    many as under clip: the draw's 4 parts, 2 scratch rows and up to
-    _LIVE_EAV_TERMS eavesdropper terms, plus one row for the per-trial
-    sums and small objects (without clip, 9 rows and 2 scalars).  A FULL
+    Per trial, the rate reduction holds at most the bytes of 11 (K,)
+    float64 rows: the draw's 4 parts (freed once cast unless a float64
+    term needs them), their float32 copies (2), a scratch of 2 (a float32
+    stack, or float64 factors and ratios), up to _LIVE_TERM_ROWS of
+    eavesdropper terms kept for later points, and one row for small
+    objects and (n,) rows: the per-trial sums, the users' stacked sums
+    and the float32 products, 7 in all, within it from n_t = 7 on.  A FULL
     or PERFECT draw holds K x K complex arrays on top, budgeted at 4.5: h,
     the sampler's draw and one block's temporaries (tracemalloc, numpy
     2.4, rows included: 2.6-4.4 in FULL, 1.6-3.5 in PERFECT, the most at
     n_t = 2; no zero-forcing residual is formed).  Every mode gets
     _CHUNK_TRIALS from n_t = 5 to 7."""
     k = params.n_t
-    per_trial = (8 * k * (7 + _LIVE_EAV_TERMS)
+    per_trial = (8 * k * (9 + _LIVE_TERM_ROWS)
                  + (0 if mode is SimMode.QCA else 72 * k * k))
     return max(1, min(max(_CHUNK_TRIALS, _CHUNK_PAIRS // k),
                       _CHUNK_TARGET_BYTES // per_trial))
@@ -364,9 +389,10 @@ def _sinr(num, den, noise: float, out=None):
     return np.divide(num, out, out)
 
 
-def _factors(num, den, noise: float, out):
+def _factors(num, den, noise, out):
     """1 + SINR, the factor whose log2 is the link's rate per trial and
-    user, into ``out``."""
+    user, into ``out``.  ``noise`` is one level, or an (S, 1, 1) column of
+    levels for an (S, K, n) stack ``out``."""
     _sinr(num, den, noise, out)
     out += 1.0
     return out
@@ -389,22 +415,84 @@ def _group_size(k: int, top: float, noise: float) -> int:
     return max(1, int(_PRODUCT_BITS // factor_bits))
 
 
-def _log2_products(factors, g: int, out):
-    """sum_k log2(factors[k]) of the (K, n) ``factors``, every factor
-    >= 1, into the (n,) row ``out``: the log2 of the product of each g
-    consecutive rows, the logs added group after group.
+def _float32_term(k: int, top: float, bound: float, noise: float) -> bool:
+    """Whether a link's term at ``noise`` is taken in float32, for a chunk
+    whose numerators are at most ``top`` and whose parts at most ``bound``.
 
-    ``prod(axis=0)`` multiplies C-ordered rows one after another.  Every
-    group's product but the first is formed in the row before the group,
-    the previous group's last, which its own product no longer needs: no
-    array is allocated, and for g < K ``factors`` is overwritten."""
-    np.prod(factors[:g], axis=0, out=out)
-    np.log2(out, out=out)
-    for start in range(g, len(factors), g):
-        row = factors[start - 1]
-        np.prod(factors[start:start + g], axis=0, out=row)
+    It is where the noise and the parts lie within 2**+-_F32_EXPONENT and
+    K factors, each at most 1 + top / noise, multiply to below
+    2**_F32_PRODUCT_BITS: every cast to float32 is then finite, every sum
+    den + noise normal and a product of all K users finite.  Any other
+    term takes the float64 arithmetic of :func:`_group_size`."""
+    limit = 2.0 ** _F32_EXPONENT
+    if not (1.0 / limit <= noise <= limit and bound <= limit):
+        return False
+    return k * (math.log2(top + noise) - math.log2(noise)) < _F32_PRODUCT_BITS
+
+
+def _log2_products(factors, g: int, out, product=None):
+    """sum_k log2(factors[..., k, :]) of the (..., K, n) ``factors``,
+    every factor >= 1, into ``out`` (..., n): the log2 of the product of
+    each g consecutive users' rows, the logs added group after group.
+
+    ``prod`` over the users multiplies C-ordered rows one after another.
+    The first group's product is formed in ``product``, which has the
+    factors' dtype (``out`` itself if None), and its log2 written to
+    ``out``.  Every later group's product is formed in the row before the
+    group, the previous group's last, which its own product no longer
+    needs: no array is allocated, and for g < K ``factors`` is
+    overwritten."""
+    first = out if product is None else product
+    np.prod(factors[..., :g, :], axis=-2, out=first)
+    np.log2(first, out=out)
+    for start in range(g, factors.shape[-2], g):
+        row = factors[..., start - 1, :]
+        np.prod(factors[..., start:start + g, :], axis=-2, out=row)
         out += np.log2(row, out=row)
     return out
+
+
+class _ChunkLink:
+    """One link's noise-free parts in one chunk and the arithmetic of its
+    terms.
+
+    ``float32`` maps every noise level the chunk needs to whether its term
+    is taken in float32 (:func:`_float32_term`, on the chunk's largest
+    numerator and part).  Float32 copies of the parts, the interference
+    scaled by ``scale`` unless None, are made only for a float32 term,
+    and the float64 parts kept only for a float64 one."""
+
+    def __init__(self, num, den, noises, scale=None):
+        k = len(num)
+        self.top = float(num.max())
+        bound = max(self.top, float(den.max()))
+        self.float32 = {noise: _float32_term(k, self.top, bound, noise)
+                        for noise in noises}
+        self.parts64 = None if all(self.float32.values()) else (num, den)
+        self.parts32 = None
+        if any(self.float32.values()):
+            den32 = den.astype(np.float32)
+            if scale is not None and scale != 1.0:
+                den32 *= np.float32(scale)
+            self.parts32 = num.astype(np.float32), den32
+
+    def stack(self, noises, scales, out, sums=None, product=None):
+        """This link's float32 terms at the noise levels ``noises``, one
+        numpy call per stage: the factors 1 + num / (den * scale + noise),
+        ``scales`` None for 1, into the (S, K, n) ``out``, which is
+        returned; or, given ``sums`` (S, n), their log2 sums over the
+        users (the log2 of float32 products in ``product``, (S, n)),
+        widened into ``sums``."""
+        def column(values):
+            return np.array(values, np.float32).reshape(-1, 1, 1)
+
+        num, den = self.parts32
+        if scales is not None:
+            den = np.multiply(den, column(scales), out=out)
+        _factors(num, den, column(noises), out)
+        if sums is None:
+            return out
+        return _log2_products(out, len(num), sums, product)
 
 
 def _check_counts(n: int, workers: int) -> None:
@@ -417,11 +505,13 @@ def _check_counts(n: int, workers: int) -> None:
 
 def _map_chunks(params: SystemParams, mode: SimMode, n: int, seed: int,
                 workers: int, fn, residual: bool = False):
-    """Yields ``fn(legit_num, legit_den, eav_num, eav_den, rejected,
-    zf_residual)`` of each chunk of n draws, in chunk order, the parts laid
-    out as :func:`_draw_parts` returns them.  ``zf_residual`` is computed
-    only if ``residual`` (:func:`max_zf_residual`), and None otherwise:
-    the rate and sample reductions do not read it.
+    """Yields ``fn(parts)`` of each chunk of n draws, in chunk order,
+    ``parts`` the list [legit_num, legit_den, eav_num, eav_den, rejected,
+    zf_residual] laid out as :func:`_draw_parts` returns them.  Nothing
+    else holds the arrays, so ``fn`` frees them by emptying the list.
+    ``zf_residual`` is computed only if ``residual``
+    (:func:`max_zf_residual`), and None otherwise: the rate and sample
+    reductions do not read it.
 
     Chunk i holds :func:`chunk_trials` draws (the last chunk the rest),
     all from substream ``RngStream(seed, i)``, so neither the worker count
@@ -435,7 +525,7 @@ def _map_chunks(params: SystemParams, mode: SimMode, n: int, seed: int,
     def run_chunk(index: int):
         gen = RngStream(seed, index).generator()
         m = min(chunk, n - index * chunk)
-        return fn(*_draw_parts(params, mode, gen, m, residual))
+        return fn(list(_draw_parts(params, mode, gen, m, residual)))
 
     if workers == 1 or n_chunks == 1:
         yield from map(run_chunk, range(n_chunks))
@@ -528,61 +618,153 @@ def _estimates_of_one_draw(draw: SystemParams, members: list, mode: SimMode,
             (i, eav_noise))
         uses[eav_noise] = uses.get(eav_noise, 0) + 1
     groups = sorted(groups.items(), key=lambda group: group[0][1])
+    # Every point's eavesdropper noise level in visiting order: the
+    # look-ahead that fills the eavesdropper's stacks.
+    visits = [eav_noise for _, rows in groups for _, eav_noise in rows]
+    legit_noises = [noise for (_, noise), _ in groups]
+    # A key of one distortion (QCA at one budget, or any FULL or PERFECT
+    # key) scales the users' float32 interference once per chunk.
+    scales = {scale for (scale, _), _ in groups}
+    one_scale = scales.pop() if len(scales) == 1 else None
+    # Under clip a users' stack of (K, n) factors fills half the scratch.
+    legit_levels = min(_STACK_LEVELS, 2) if clip else _STACK_LEVELS
 
-    def moments(legit_num, legit_den, eav_num, eav_den, rejected, _):
+    def moments(parts):
         # (sum, sum of squares) of the per-trial rate, one row per point.
         # The scratch is per call: chunks run concurrently on threads.
-        k = len(legit_num)
+        k, n = parts[0].shape
+        rejected = parts[4]
+        # Link by link, float32 copies replace the draw's float64 parts
+        # unless a float64 term needs them.
+        legit = _ChunkLink(parts[0], parts[1], legit_noises, one_scale)
+        del parts[:2]
+        eav = _ChunkLink(parts[0], parts[1], uses)
+        parts.clear()
         out = np.empty((len(members), 2))
-        factors = np.empty_like(legit_num)
-        per_trial = np.empty(legit_num.shape[1])
-        if clip:
-            ratios = np.empty_like(factors)
-        else:
-            legit_sum = np.empty_like(per_trial)
-        # Every factor of a link is at most 1 + top / noise (_group_size);
-        # under clip a ratio is at most its legitimate factor.
-        legit_top, eav_top = float(legit_num.max()), float(eav_num.max())
+        per_trial = np.empty(n)
+        # The bytes of two (K, n) float64 arrays: a float32 stack, or
+        # float64 factors and ratios (a lone eavesdropper term in place);
+        # under clip a users' float32 stack in the first, then float32
+        # ratios and a lone eavesdropper term.
+        work = np.empty(max(4, _STACK_LEVELS) * k * n, np.float32)
+        f32 = work.reshape(-1, k, n)
+        f64 = work[:4 * k * n].view(np.float64).reshape(2, k, n)
+        ratios32, lone32, lone64 = f32[2], f32[3:4], f64[1]
+        product = np.empty((_STACK_LEVELS, n), np.float32)
+        legit_sums = None if clip else np.empty((_STACK_LEVELS, n))
+        ahead = {}  # group index -> its users' term, stacked ahead
+
+        def legit_term(index):
+            if index in ahead:
+                return ahead.pop(index)
+            (scale, noise), _ = groups[index]
+            if not legit.float32[noise]:
+                factors = f64[0]
+                num, den = legit.parts64
+                if scale != 1.0:
+                    den = np.multiply(den, scale, out=factors)
+                _factors(num, den, noise, factors)
+                return factors if clip else _log2_products(
+                    factors, _group_size(k, legit.top, noise), legit_sums[0])
+            # This group and the float32 groups right after it, one stack.
+            span = [index]
+            while (len(span) < legit_levels and span[-1] + 1 < len(groups)
+                   and legit.float32[groups[span[-1] + 1][0][1]]):
+                span.append(span[-1] + 1)
+            keys = [groups[i][0] for i in span]
+            s = len(span)
+            terms = legit.stack(
+                [noise for _, noise in keys],
+                None if one_scale is not None else [sc for sc, _ in keys],
+                f32[:s], None if clip else legit_sums[:s], product[:s])
+            ahead.update(zip(span[1:], terms[1:]))
+            return terms[0]
+
         # Eavesdropper terms with uses still to come in this chunk, by
-        # noise level, each freed after its last use: (n,) sums of log2
-        # over the users, or under clip the (K, n) factors themselves.
-        left, live = dict(uses), {}
-        for (scale, legit_noise), rows in groups:
-            den = (legit_den if scale == 1.0
-                   else np.multiply(legit_den, scale, out=factors))
-            legit = _factors(legit_num, den, legit_noise, factors)
-            g = _group_size(k, legit_top, legit_noise)
-            if not clip:  # from here on factors is scratch
-                legit = _log2_products(factors, g, legit_sum)
+        # noise level, each with the id of the array it lives in, freed
+        # after its last use; and those arrays: id -> [bytes, terms
+        # alive].  They hold at most the bytes of _LIVE_TERM_ROWS (K, n)
+        # float64 arrays; a term past that bound is computed into scratch
+        # for its point alone.
+        left, live, held = dict(uses), {}, {}
+        budget = _LIVE_TERM_ROWS * 8 * k * n
+        scan = 0  # visits before this one have been looked ahead over
+
+        def hold(levels, terms, array):
+            nonlocal budget
+            held[id(array)] = [array.nbytes, len(levels)]
+            budget -= array.nbytes
+            live.update((level, (term, id(array)))
+                        for level, term in zip(levels, terms))
+
+        def release(level):
+            nonlocal budget
+            key = live.pop(level)[1]
+            held[key][1] -= 1
+            if not held[key][1]:
+                budget += held.pop(key)[0]
+
+        def eav_term(position, level):
+            nonlocal scan
+            if level in live:
+                return live[level][0]
+            if not eav.float32[level]:
+                # float64, kept while the budget allows.
+                keep = left[level] > 1 and budget >= 8 * (k if clip else 1) * n
+                if clip:
+                    term = _factors(*eav.parts64, level,
+                                    np.empty((k, n)) if keep else lone64)
+                else:
+                    term = _log2_products(
+                        _factors(*eav.parts64, level, f64[0]),
+                        _group_size(k, eav.top, level),
+                        np.empty(n) if keep else per_trial)
+                if keep:
+                    hold([level], [term], term)
+                return term
+            # float32: this level and the next float32 levels to be
+            # visited that are not live, as many as the budget holds.
+            room = min(_STACK_LEVELS, budget // (4 * k * n if clip else 8 * n))
+            levels = [level]
+            scan = max(scan, position + 1)
+            while len(levels) < room and scan < len(visits):
+                candidate = visits[scan]
+                if (candidate not in live and candidate not in levels
+                        and eav.float32[candidate]):
+                    levels.append(candidate)
+                scan += 1
+            s = len(levels)
+            if clip:
+                terms = eav.stack(levels, None, np.empty((s, k, n), np.float32)
+                                  if room else lone32)
+            else:
+                terms = eav.stack(levels, None, f32[:s], np.empty((s, n))
+                                  if room else per_trial[None], product[:s])
+            if room:
+                hold(levels, terms, terms)
+            return terms[0]
+
+        position = 0
+        for index, ((_, legit_noise), rows) in enumerate(groups):
+            legit_t = legit_term(index)
             for i, eav_noise in rows:
-                eav = live.get(eav_noise)
-                if eav is None:
-                    # Kept for later points while a live slot is free;
-                    # otherwise computed into the point's own scratch.
-                    keep = left[eav_noise] > 1 and len(live) < (
-                        _LIVE_EAV_TERMS * (1 if clip else k))
-                    if clip:
-                        eav = _factors(eav_num, eav_den, eav_noise,
-                                       np.empty_like(factors) if keep
-                                       else ratios)
-                    else:
-                        eav = _log2_products(
-                            _factors(eav_num, eav_den, eav_noise, factors),
-                            _group_size(k, eav_top, eav_noise),
-                            np.empty_like(per_trial) if keep else per_trial)
-                    if keep:
-                        live[eav_noise] = eav
-                left[eav_noise] -= 1
-                if not left[eav_noise]:
-                    live.pop(eav_noise, None)
+                eav_t = eav_term(position, eav_noise)
+                position += 1
                 if clip:
                     # sum_k max(log2 a_k - log2 b_k, 0)
                     #     = log2 prod_k max(a_k / b_k, 1)
-                    np.divide(legit, eav, out=ratios)
-                    _log2_products(np.maximum(ratios, 1.0, out=ratios), g,
-                                   per_trial)
+                    single = eav_t.dtype == legit_t.dtype == np.float32
+                    ratios = ratios32 if single else lone64
+                    np.divide(legit_t, eav_t, out=ratios)
+                    _log2_products(np.maximum(ratios, 1.0, out=ratios),
+                                   _group_size(k, legit.top, legit_noise),
+                                   per_trial, product[0] if single else None)
                 else:
-                    np.subtract(legit, eav, out=per_trial)
+                    np.subtract(legit_t, eav_t, out=per_trial)
+                left[eav_noise] -= 1
+                if not left[eav_noise] and eav_noise in live:
+                    release(eav_noise)
+                eav_t = None  # frees a released stack before the next one
                 out[i] = per_trial.sum(), per_trial @ per_trial
         return out, rejected
 
@@ -635,7 +817,7 @@ def _keyed_samples(keys: list, mode: SimMode, n: int, seed: int,
     :func:`_by_draw_key` groups ``keys``."""
     for draw, members in keys:
         first, start = np.empty((4, n)), 0
-        for block in _map_chunks(draw, mode, n, seed, workers, lambda *parts:
+        for block in _map_chunks(draw, mode, n, seed, workers, lambda parts:
                                  np.array([part[0] for part in parts[:4]])):
             first[:, start:start + block.shape[1]] = block
             start += block.shape[1]
@@ -652,7 +834,7 @@ def max_zf_residual(params: SystemParams, n: int, seed: int,
     """(max zero-forcing residual, rejected count) over n FULL-mode draws."""
     worst, rejected = 0.0, 0
     for chunk_rejected, resid in _map_chunks(
-            params, SimMode.FULL, n, seed, workers, lambda *parts: parts[4:],
+            params, SimMode.FULL, n, seed, workers, lambda parts: parts[4:],
             residual=True):
         worst = max(worst, resid)
         rejected += chunk_rejected

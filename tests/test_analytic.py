@@ -232,6 +232,25 @@ def test_two_pole_guard_band_matches_mpmath(x, y, z):
     assert abs(laplace_two_pole_integral(x, y, z) - want) <= 1e-9 * want
 
 
+@pytest.mark.parametrize("d", [0.0, 2.0 ** -1070, 1e-300])
+@pytest.mark.parametrize("x,z", [(1e-3, 2), (0.1, 4), (1.0, 199), (10.0, 2)])
+def test_two_pole_limit_where_the_poles_part_past_float64(x, d, z):
+    # At d = 0, and at d = 2**-1070 where x / d passes float64 for every x
+    # here, the kernel returns the d -> 0 limit exp(x) E_1(x), within
+    # z d / x of the integral, which 40-digit mpmath takes with the factor
+    # (1 + d t)^-z; d = 1e-300 keeps the partial fractions.
+    mpmath = pytest.importorskip("mpmath")
+    want = float(mpmath_half_line(mpmath, lambda t: mpmath.exp(-x * t) / (
+        (1 + t) * (1 + mpmath.mpf(d) * t) ** z)))
+    got = analytic._two_pole(x, d, z)
+    assert abs(got - want) <= 1e-14 * want, (got, want)
+    if d == 0.0 or x / d == math.inf:
+        assert got == analytic.exp_integral_e1_scaled(x)
+    # At x = 0 the integral diverges as d -> 0.
+    with pytest.raises(ZeroDivisionError):
+        analytic._two_pole(0.0, 0.0, z)
+
+
 def test_two_pole_domain():
     with pytest.raises(ValueError):
         laplace_two_pole_integral(-1.0, 2.0, 1)

@@ -1,11 +1,17 @@
 import hashlib
 import math
+import os
+import pathlib
+import platform
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import special, stats
 
+from dispatch import AVX512, BASELINE, recorded, simd_target
 from oracles import assembled_parts, explicit_directions, one_link_samples
 from zfsecrecy import simulate
 from zfsecrecy.analytic import (Link, rate_from_cdf_quadrature,
@@ -87,21 +93,49 @@ def _draw_digest(params, mode, n, seed=11):
 
 # One chunk per (mode, n_t) at bits = 4, outside the golden grid's
 # n_t in {2, 3}.  Each chunk spans many blocks of the draw's per-trial
-# steps (28 trials each at n_t = 24); the digests pin their bits.
+# steps (28 trials each at n_t = 24); the digests pin their bits, per SIMD
+# target (tests/dispatch.py): FULL's sampler runs log1p, expm1 and power.
 DRAW_DIGESTS = {
-    (SimMode.FULL, 5):
+    (SimMode.FULL, 5): {
+        AVX512:
         "666e9c68aee497ebd036c7729fc7aca7de080aa134ef91cbc9c0a5c2c51d21c9",
-    (SimMode.FULL, 8):
+        BASELINE:
+        "0f7d70183df0b60c20dadaf95e6f8ea3f018fffd38d969e43e844c1efc5092de"},
+    (SimMode.FULL, 8): {
+        AVX512:
         "1a434465af8f194fe63cd68acd7644d0319d0279b88c1c787b04bb50232ed52e",
-    (SimMode.FULL, 24):
+        BASELINE:
+        "f62f3d4825761bbf3f1130849a291739327ff05d2c18d9cb3dfe17d7b538b07f"},
+    (SimMode.FULL, 24): {
+        AVX512:
         "4afc34201d315c7b237485dc9ff4491325ebddf942c4a8e239a9465d4a7c82e6",
-    (SimMode.PERFECT, 5):
-        "1a2ddbf291dd14a5f4dc6159211ea634115dcabd6dbf14c78ea15a79ebfe8384",
-    (SimMode.PERFECT, 8):
-        "c0e54b22d47fd1dbde1cc695477d085b3d6a5744f575838546d6c4e19da517de",
-    (SimMode.PERFECT, 24):
-        "09a82ff997028aec3c663c14379ddff98c51f12e6a101fb397df7b3e602c225d",
+        BASELINE:
+        "a81f16a1438994157ec20d4e73b8265fd5ce3db26494686dff3e25f9a41d3abd"},
+    (SimMode.PERFECT, 5): dict.fromkeys(
+        (AVX512, BASELINE),
+        "1a2ddbf291dd14a5f4dc6159211ea634115dcabd6dbf14c78ea15a79ebfe8384"),
+    (SimMode.PERFECT, 8): dict.fromkeys(
+        (AVX512, BASELINE),
+        "c0e54b22d47fd1dbde1cc695477d085b3d6a5744f575838546d6c4e19da517de"),
+    (SimMode.PERFECT, 24): dict.fromkeys(
+        (AVX512, BASELINE),
+        "09a82ff997028aec3c663c14379ddff98c51f12e6a101fb397df7b3e602c225d"),
 }
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
+                    reason="the digests are recorded for x86-64's targets")
+def test_simd_target_names_a_recorded_path():
+    # In this process numpy runs one of the two recorded targets; with the
+    # AVX-512 features disabled it takes the baseline loops.
+    assert simd_target() in (AVX512, BASELINE)
+    env = {**os.environ,
+           "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+    script = "import dispatch; print(dispatch.simd_target())"
+    out = subprocess.run([sys.executable, "-c", script],
+                         cwd=pathlib.Path(__file__).parent, env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == BASELINE
 
 
 # The chunk lengths the digests were recorded at, fixed here so that a
@@ -109,32 +143,40 @@ DRAW_DIGESTS = {
 DRAW_TRIALS = {5: 8_192, 8: 7_021, 24: 780}
 
 
+@pytest.mark.digest
 @pytest.mark.parametrize("mode,n_t", list(DRAW_DIGESTS))
 def test_chunk_draw_bits_are_pinned(mode, n_t):
     params = SystemParams(n_t=n_t, bits=4, alpha=1.0, snr_db=10.0)
     digest, rejected = _draw_digest(params, mode, DRAW_TRIALS[n_t])
     assert rejected == 0
-    assert digest == DRAW_DIGESTS[mode, n_t]
+    assert digest == recorded(DRAW_DIGESTS[mode, n_t])
 
 
 # A rank tolerance of 0.2 rejects about a quarter of the n_t = 5 sets, so
 # 3,000 trials take several resample rounds, each over several blocks.
+# Both SIMD targets reject the same sets.
 FORCED_REJECTION_TOL = 0.2
 REJECTION_DIGESTS = {
-    SimMode.FULL: (
+    SimMode.FULL: ({
+        AVX512:
         "8a7f9538cb170b0516af9a36bf7321e1e04e600730715370404ca34b4e89db87",
+        BASELINE:
+        "e655af5a418c882e45ee8ab14fba13abbb909ca49c640031e3b0682620975ea5"},
         1177),
-    SimMode.PERFECT: (
-        "d93988b5aee4a54e160fb23500dc448b2c8764c0c4c50ec22f900333b9b122bb",
+    SimMode.PERFECT: (dict.fromkeys(
+        (AVX512, BASELINE),
+        "d93988b5aee4a54e160fb23500dc448b2c8764c0c4c50ec22f900333b9b122bb"),
         1133),
 }
 
 
+@pytest.mark.digest
 @pytest.mark.parametrize("mode", list(REJECTION_DIGESTS))
 def test_resampled_draw_bits_are_pinned(mode, monkeypatch):
     monkeypatch.setattr(simulate, "_BEAM_RANK_TOL", FORCED_REJECTION_TOL)
     params = SystemParams(n_t=5, bits=2, alpha=1.0, snr_db=10.0)
-    assert _draw_digest(params, mode, 3_000) == REJECTION_DIGESTS[mode]
+    digests, rejected = REJECTION_DIGESTS[mode]
+    assert _draw_digest(params, mode, 3_000) == (recorded(digests), rejected)
 
 
 def test_sampler_sees_each_round_whole(monkeypatch):
@@ -259,7 +301,7 @@ def test_sampler_matches_explicit_codebook_search(n_t, bits, n_explicit):
     params = SystemParams(n_t=n_t, bits=bits, alpha=1.0, snr_db=10.0)
     sampled = [np.concatenate(c) for c in zip(*simulate._map_chunks(
         params, SimMode.FULL, 40_000, 25, 1,
-        lambda *parts: [part.T for part in parts[:4]]))]
+        lambda parts: [part.T for part in parts[:4]]))]
     explicit = [np.concatenate(c) for c in zip(*(
         _explicit_draw(params, RngStream(26, i).generator(), 500)
         for i in range(n_explicit // 500)))]
@@ -416,14 +458,15 @@ def _user_sums(terms):
 def _log2_group_sums(factors, g):
     """Each trial's sum of log2 over the K columns of ``factors`` (n, K) as
     the engine forms it: the product of each g consecutive columns,
-    multiplied column by column from the group's first, then the groups'
-    log2 added one after another."""
+    multiplied column by column from the group's first in the factors'
+    dtype, then the groups' log2, widened to float64, added one after
+    another."""
     total = None
     for start in range(0, factors.shape[1], g):
         product = factors[:, start].copy()
         for column in factors[:, start + 1:start + g].T:
             product *= column
-        log = np.log2(product)
+        log = np.log2(product).astype(float)
         total = log if total is None else total + log
     return total
 
@@ -461,47 +504,72 @@ def _pairwise_sums(legit, eav, clip, groups=None):
     return per_user.sum(axis=1)
 
 
-def _per_point_moments(points, clip, rates):
-    """The plain per-point reduction, two fresh factor passes per point:
-    the oracle for the engine's grouped, in-place one.  It copies the
-    engine's user-major parts to C-ordered (n, K) arrays and forms each
-    trial's rate with ``rates`` (:func:`_product_sums`, :func:`_link_sums`
-    or :func:`_pairwise_sums`), in groups of the engine's size for each
-    link's largest numerator in the chunk."""
-    noise = [(p.noise_over_power, p.eav_noise_over_power) for p in points]
+def _oracle_factors(num, den, noise, scale, float32):
+    """One link's (n, K) factors 1 + num / (den * scale + noise) and the
+    users per product, as the engine takes them: with ``float32``, in
+    float32 where :func:`simulate._float32_term` takes the link's term so
+    for the chunk's largest numerator and part (the parts, the scale and
+    the noise rounded to float32, the arithmetic done there, and one
+    product of all K users), otherwise in float64 in groups of
+    :func:`simulate._group_size`."""
+    k, top = num.shape[1], num.max()
+    if float32 and simulate._float32_term(k, top, max(top, den.max()), noise):
+        f32 = np.float32
+        return (1.0 + num.astype(f32) / (den.astype(f32) * f32(scale)
+                                         + f32(noise)), k)
+    return 1.0 + num / (den * scale + noise), simulate._group_size(k, top,
+                                                                   noise)
 
-    def moments(*parts):
+
+def _per_point_moments(points, scales, clip, rates, float32):
+    """The plain per-point reduction, two fresh factor passes per point:
+    the oracle for the engine's grouped, stacked, in-place one.  It copies
+    the engine's user-major parts to C-ordered (n, K) arrays, scales the
+    users' interference by each point's ``scales`` entry and forms each
+    trial's rate with ``rates`` (:func:`_product_sums`, :func:`_link_sums`
+    or :func:`_pairwise_sums`) from :func:`_oracle_factors`."""
+
+    def moments(parts):
         legit_num, legit_den, eav_num, eav_den = (
             np.ascontiguousarray(part.T) for part in parts[:4])
         rejected = parts[4]
-        k = legit_num.shape[1]
-        out = np.empty((len(noise), 2))
-        for row, (legit_noise, eav_noise) in zip(out, noise):
-            groups = (simulate._group_size(k, legit_num.max(), legit_noise),
-                      simulate._group_size(k, eav_num.max(), eav_noise))
-            per_trial = rates(1.0 + legit_num / (legit_den + legit_noise),
-                              1.0 + eav_num / (eav_den + eav_noise), clip,
-                              groups)
+        out = np.empty((len(points), 2))
+        for row, p, scale in zip(out, points, scales):
+            (legit, g_legit), (eav, g_eav) = (
+                _oracle_factors(legit_num, legit_den, p.noise_over_power,
+                                scale, float32),
+                _oracle_factors(eav_num, eav_den, p.eav_noise_over_power,
+                                1.0, float32))
+            per_trial = rates(legit, eav, clip, (g_legit, g_eav))
             row[:] = per_trial.sum(), per_trial @ per_trial
         return out, rejected
 
     return moments
 
 
-def _oracle_estimates(points, mode, n, seed, clip, rates=_product_sums):
+def _oracle_estimates(points, mode, n, seed, clip, rates=_product_sums,
+                      float32=True):
     """RateEstimates of :func:`_per_point_moments` at ``points``: one chunk
-    loop per feedback budget, each drawn at that budget's own params, so a
-    QCA draw holds the points' own Gamma(n_t-1, distortion) interference."""
+    loop per draw, FULL's at each feedback budget's own params, QCA's and
+    PERFECT's at bits 0, and in QCA each point scales the unit-scale
+    interference by its own distortion, bit for bit its own draw's
+    (test_gamma_scale_is_a_product_with_the_unit_draw).  ``float32``
+    False takes every factor in float64."""
     by_bits = {}
     for row, p in enumerate(points):
-        by_bits.setdefault(p.bits, []).append(row)
+        by_bits.setdefault(p.bits if mode is SimMode.FULL else 0,
+                           []).append(row)
     estimates = [None] * len(points)
-    for rows in by_bits.values():
+    for bits, rows in by_bits.items():
         group = [points[row] for row in rows]
+        scales = [p.distortion if mode is SimMode.QCA else 1.0
+                  for p in group]
+        draw = SystemParams(n_t=group[0].n_t, bits=bits, alpha=1.0,
+                            snr_db=0.0)
         sums, rejected = np.zeros((len(group), 2)), 0
         for chunk_sums, chunk_rejected in simulate._map_chunks(
-                group[0], mode, n, seed, 1,
-                _per_point_moments(group, clip, rates)):
+                draw, mode, n, seed, 1,
+                _per_point_moments(group, scales, clip, rates, float32)):
             sums += chunk_sums
             rejected += chunk_rejected
         for row, (total, total_sq) in zip(rows, sums.tolist()):
@@ -532,14 +600,19 @@ def test_reduction_matches_per_point_oracle(n_t, mode, clip):
 @pytest.mark.parametrize("n_t", [2, 5, 8, 16])
 @pytest.mark.parametrize("mode", list(SimMode))
 @pytest.mark.parametrize("clip", [False, True])
-def test_per_link_sums_change_only_rounding(n_t, mode, clip):
-    # The engine sums each link's terms over the users and subtracts the
-    # sums; before, it summed each trial's K differences pairwise.  The
-    # two orders may differ in the last bits of a sum, never beyond.
+def test_per_link_sums_change_only_rounding(n_t, mode, clip, monkeypatch):
+    # The engine's float64 terms sum each link's terms over the users and
+    # subtract the sums; before, it summed each trial's K differences
+    # pairwise.  The two orders may differ in the last bits of a sum, never
+    # beyond.  A product bound of 0 bits leaves no term to float32.
     points = _reduction_grid(n_t)
     n = 9_000 if mode is SimMode.QCA else 1_500
+    monkeypatch.setattr(simulate, "_F32_PRODUCT_BITS", 0)
     engine = estimate_secrecy_rates(points, mode, n, seed=14, clip=clip)
-    pairwise = _oracle_estimates(points, mode, n, 14, clip, _pairwise_sums)
+    assert engine == _oracle_estimates(points, mode, n, 14, clip,
+                                       float32=False)
+    pairwise = _oracle_estimates(points, mode, n, 14, clip, _pairwise_sums,
+                                 float32=False)
     for got, old in zip(engine, pairwise):
         assert (got.n_trials, got.rejected) == (old.n_trials, old.rejected)
         assert math.isclose(got.mean, old.mean, rel_tol=1e-13), (got, old)
@@ -547,22 +620,38 @@ def test_per_link_sums_change_only_rounding(n_t, mode, clip):
             got, old)
 
 
-# The product reduction moves a per-trial rate by rounding only.  Both
-# reductions take the same factors f_k = 1 + SINR_k >= 1 (bit for bit) and
-# differ only in how they reach T = sum_k log2 f_k >= 0 for each link, u
-# being float64's unit roundoff 2**-53 and log2 assumed within 4u of its
-# result plus u:
-# - per-user log sum: K logs, added in order: within (K + 4) u T + K u;
+# The product reduction moves a per-trial rate by rounding only.  Take T =
+# sum_k log2 f_k >= 0 for each link, f_k = 1 + SINR_k >= 1, u a precision's
+# unit roundoff (2**-53 in float64, 2**-24 in float32), and log2 within
+# 8 u T + u of its result (4 ulp; an ulp of T is at most 2 u T):
+# - per-user log sum: K logs, added in order: within (K + 8) u T + K u;
 # - product: K / G products of G factors, each within (G - 1) u relative,
 #   (G - 1) u / ln 2 in its log, then K / G logs added in order: within
-#   (K + 4) u T + 1.45 K u.
+#   (K + 8) u T + 1.45 K u.
 # With both links, the final difference, or under clip the ratios (u / ln 2
 # each in the log) and positive parts, a trial's rate moves by at most
-# delta = 3 (K + 5) u (2 + T_legit + T_eav).  A mean moves by at most the
-# mean delta, plus the rounding of numpy's pairwise sum over the trials,
-# (24 + log2 n) u of sum |r|, in each reduction; a sum of squares by
-# sum delta (2 |r| + delta), plus n u of itself in each (any order).
+# 3 (K + 5) u (2 + T_legit + T_eav) when both reductions take the same
+# factors.  A float32 term takes them from float32 casts of the parts, the
+# scale and the noise (each within u, or 2**-150 absolute below 2**-126),
+# then rounds den * scale, + noise, the quotient q and + 1: q moves by at
+# most 6.01 u q plus 2**-49 (every denominator is at least the noise,
+# 2**-100), 1 + q by u more, so log2 f_k by (7.02 u + 2**-48) / ln 2, and
+# the float64 factor it is held to by 3.01 u / ln 2 of float64's u.  So
+# delta, the float32 u in the first part, plus 2K of these casts, bounds
+# every term of either arithmetic (_reduction_delta).  A mean moves by at
+# most the mean delta, plus the rounding of numpy's pairwise sum over the
+# trials, (24 + log2 n) u of sum |r|, in each reduction; a sum of squares
+# by sum delta (2 |r| + delta), plus n u of itself in each (any order),
+# all in float64 (u = _U).
 _U = 2.0 ** -53
+_U32 = 2.0 ** -24
+
+
+def _reduction_delta(k, log_sums):
+    """The per-trial bound above for K users and ``log_sums`` (n,), each
+    trial's T_legit + T_eav."""
+    casts = 2 * k * (7.02 * _U32 + 2.0 ** -48 + 3.01 * _U) / math.log(2.0)
+    return 3 * (k + 5) * _U32 * (2.0 + log_sums) + casts
 
 
 def _assert_moved_by_rounding_only(got, old, r, delta, n):
@@ -609,10 +698,10 @@ def _assert_rounding_only_reduction(points, mode, n, seed):
                 eav = 1.0 + eav_num / (eav_den + p.eav_noise_over_power)
                 r = _link_sums(legit, eav, clip)
                 old = simulate._rate_estimate(r.sum(), r @ r, n, parts[4])
-                scale = (2.0 + _user_sums(np.log2(legit))
-                         + _user_sums(np.log2(eav)))
+                log_sums = (_user_sums(np.log2(legit))
+                            + _user_sums(np.log2(eav)))
                 _assert_moved_by_rounding_only(
-                    engine[row], old, r, 3 * (k + 5) * _U * scale, n)
+                    engine[row], old, r, _reduction_delta(k, log_sums), n)
     return drawn
 
 
@@ -659,6 +748,95 @@ def test_products_split_into_groups_where_they_would_overflow():
     assert simulate._group_size(8, 0.0, 1e-300) == 8
     assert simulate._group_size(8, 1.0, 5e-324) == 1
     assert simulate._group_size(8, 1.0, 0.0) == 1
+
+
+def test_float32_terms_stay_inside_float32s_normal_range():
+    # A float32 term's K factors, each at most 1 + top / noise, multiply to
+    # below 2**120 (float32 ends at 2**128), and its noise and parts lie
+    # within 2**-100 .. 2**100: 5 x 23.9 bits a factor is float32, 5 x 24
+    # is not.
+    term = simulate._float32_term
+    assert term(5, 2.0 ** 23.9 - 1.0, 1.0, 1.0)
+    assert not term(5, 2.0 ** 24 - 1.0, 1.0, 1.0)
+    assert term(120, 0.0, 0.0, 2.0 ** -100) and term(1, 0.0, 0.0, 2.0 ** 100)
+    assert not term(1, 0.0, 0.0, 2.0 ** -101)
+    assert not term(1, 0.0, 0.0, 2.0 ** 101)
+    assert term(1, 1.0, 2.0 ** 100, 1.0) and not term(1, 1.0, 2.0 ** 101, 1.0)
+    assert not term(1, 0.0, 0.0, 0.0)
+    # The default rate-curve's numerators reach about 11, so at n_t = 5
+    # its users' terms are float32 up to about 60 dB.
+    assert term(5, 11.0, 11.0, 10.0 ** -6.0)
+    assert not term(5, 11.0, 11.0, 10.0 ** -6.2)
+
+
+# Terms outside float32's range keep the float64 arithmetic: at 3000 dB no
+# term of any mode is float32, nor at 100 dB any of PERFECT at n_t = 64.
+# These estimates were recorded before float32 terms existed, on both SIMD
+# targets (tests/dispatch.py), and no bit of them moves.
+FLOAT64_ESTIMATES = {
+    (SimMode.FULL, 5, 3000.0, False):
+        [(1.2617427306245106, 0.02105763590800953)] * 2,
+    (SimMode.FULL, 5, 3000.0, True):
+        [(1.6788701019601813, 0.019030649495313093)] * 2,
+    (SimMode.QCA, 5, 3000.0, False):
+        [(1.227838467270847, 0.026452884202827938)] * 2,
+    (SimMode.QCA, 5, 3000.0, True):
+        [(1.8655666965974187, 0.020410450831203065)] * 2,
+    (SimMode.PERFECT, 5, 3000.0, False):
+        [(4976.92777880736, 0.1396761593375627)] * 2,
+    (SimMode.PERFECT, 5, 3000.0, True):
+        [(4976.92777880736, 0.13967615933149155)] * 2,
+    (SimMode.PERFECT, 64, 100.0, False):
+        [(2074.4335348548693, 6.534779976936316),
+         (2074.433534854858, 6.5347799769367745)],
+    (SimMode.PERFECT, 64, 100.0, True):
+        [(2074.4335348548693, 6.534779976936316),
+         (2074.433534854858, 6.5347799769367745)],
+}
+# Trials per case: two n_t = 64 chunks, of 167 and 33 trials.
+FLOAT64_TRIALS = {5: 3_000, 64: 200}
+
+
+@pytest.mark.digest
+@pytest.mark.parametrize("case", list(FLOAT64_ESTIMATES),
+                         ids=lambda c: f"{c[0].name}-{c[1]}-{c[2]:g}dB-{c[3]}")
+def test_float64_terms_are_bit_identical_to_the_float64_reduction(
+        case, monkeypatch):
+    mode, n_t, snr_db, clip = case
+    points = [SystemParams(n_t=n_t, bits=4, alpha=a, snr_db=snr_db)
+              for a in (0.5, 1.0)]
+
+    def no_float32(*args, **kwargs):
+        raise AssertionError("a float32 stack was computed")
+
+    n = FLOAT64_TRIALS[n_t]
+    oracle = _oracle_estimates(points, mode, n, 21, clip, float32=False)
+    monkeypatch.setattr(simulate._ChunkLink, "stack", no_float32)
+    got = estimate_secrecy_rates(points, mode, n, seed=21, workers=2,
+                                 clip=clip)
+    assert got == oracle
+    assert [(e.mean, e.std_err) for e in got] == recorded(
+        dict.fromkeys((AVX512, BASELINE), FLOAT64_ESTIMATES[case]))
+
+
+@pytest.mark.parametrize("mode", list(SimMode))
+@pytest.mark.parametrize("clip", [False, True])
+def test_stack_size_and_workers_move_no_bit(mode, clip, monkeypatch):
+    # Every float32 stage is elementwise, or a product over one level's own
+    # users, so a term's bits do not depend on the levels stacked with it;
+    # and chunks come back in order whatever the worker count.  The
+    # shared-noise grid with stacks of 1, 2 and _STACK_LEVELS, over two QCA
+    # chunks on one and two workers (one chunk in FULL and PERFECT).
+    points = _shared_noise_grid(5)
+    qca = mode is SimMode.QCA
+    n = chunk_trials(points[0], mode) + 700 if qca else 1_500
+    runs = []
+    for levels in (1, 2, simulate._STACK_LEVELS):
+        monkeypatch.setattr(simulate, "_STACK_LEVELS", levels)
+        for workers in (1, 2) if qca else (1,):
+            runs.append(estimate_secrecy_rates(points, mode, n, seed=23,
+                                               workers=workers, clip=clip))
+    assert all(run == runs[0] for run in runs[1:])
 
 
 # --------------------------------------------------------------------------
@@ -804,8 +982,8 @@ def test_real_view_norms_change_only_rounding(n_t, mode, bits, monkeypatch):
                                    legit_moved)
                 + _log2_factor_moved(eav_num, eav_den,
                                      p.eav_noise_over_power, eav_moved))
-            reduction = 3 * (k + 5) * _U * (2.0 + _user_sums(np.log2(legit))
-                                            + _user_sums(np.log2(eav)))
+            reduction = _reduction_delta(k, _user_sums(np.log2(legit))
+                                         + _user_sums(np.log2(eav)))
             _assert_moved_by_rounding_only(got, old, r,
                                            parts_moved + reduction, n)
 
@@ -854,17 +1032,43 @@ def test_shared_eavesdropper_terms_match_per_point_oracle(n_t, mode, clip,
         points, mode, n, 15, clip)
 
 
-def _count_sinr_calls(monkeypatch, points, n):
-    """simulate._sinr calls of one estimate_secrecy_rates run."""
+@pytest.mark.parametrize("mode", list(SimMode))
+@pytest.mark.parametrize("clip", [False, True])
+def test_mixed_float32_and_float64_terms_match_per_point_oracle(mode, clip):
+    # At 150 dB the users' terms leave float32's range, and at 10 dB they
+    # stay in it; alpha 1e-5 and 1e5 put the eavesdropper's on the other
+    # side, so points pair a float64 term with a float32 one both ways.
+    points = [SystemParams(n_t=5, bits=2, alpha=a, snr_db=s)
+              for s in (10.0, 150.0) for a in (1e-5, 1.0, 1e5)]
+    n = 9_000 if mode is SimMode.QCA else 1_500
+    parts = _draw_parts(points[0], mode, RngStream(24, 0).generator(),
+                        min(n, chunk_trials(points[0], mode)))
+    sides = set()
+    for p in points:
+        sides.add(tuple(
+            simulate._float32_term(5, num.max(), max(num.max(), den.max()),
+                                   noise)
+            for num, den, noise in ((parts[0], parts[1], p.noise_over_power),
+                                    (parts[2], parts[3],
+                                     p.eav_noise_over_power))))
+    assert {(True, False), (False, True)} <= sides
+    assert estimate_secrecy_rates(points, mode, n, seed=24, workers=2,
+                                  clip=clip) == _oracle_estimates(
+        points, mode, n, 24, clip)
+
+
+def _count_sinr_calls(monkeypatch, points, n, clip=False):
+    """(calls, noise levels) of simulate._sinr in one estimate_secrecy_rates
+    run: a float32 stack passes a column of levels, a float64 term one."""
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(None)
-        return _sinr(*args, **kwargs)
+    def counted(num, den, noise, out=None):
+        calls.append(np.size(noise))
+        return _sinr(num, den, noise, out)
 
     monkeypatch.setattr(simulate, "_sinr", counted)
-    estimate_secrecy_rates(points, SimMode.QCA, n, seed=16)
-    return len(calls)
+    estimate_secrecy_rates(points, SimMode.QCA, n, seed=16, clip=clip)
+    return len(calls), sum(calls)
 
 
 def test_each_eavesdropper_noise_level_is_computed_once_per_chunk(
@@ -873,51 +1077,53 @@ def test_each_eavesdropper_noise_level_is_computed_once_per_chunk(
     # 4 budgets x 3 alphas x 4 SNRs.  Each chunk computes the users' term
     # once per (distortion, SNR), 16, and the eavesdropper's once per
     # noise level, 12: 28, where one eavesdropper term per point makes 64.
+    # The users' 16 take 4 stacks of 4; the eavesdropper's 12 take 3, each
+    # the SNR's three alphas and the next SNR's first, found ahead.
     n = chunk_trials(P55, SimMode.QCA) + 8
     verify = [SystemParams(n_t=5, bits=b, alpha=a, snr_db=s)
               for b in (0, 1, 4, 8) for a in (0.25, 0.5, 1.0)
               for s in (-10.0, 0.0, 10.0, 20.0)]
-    assert _count_sinr_calls(monkeypatch, verify, n) == 2 * (16 + 12)
+    assert _count_sinr_calls(monkeypatch, verify, n) == (
+        2 * (4 + 3), 2 * (16 + 12))
     # The default rate-curve's key shares no noise level: 21 SNRs, one
-    # users' term each, and one eavesdropper term per point, 63.
+    # users' term each, and one eavesdropper term per point, 63, in stacks
+    # of 4: 6 and 16 of them.
     curve = [SystemParams(n_t=5, bits=4, alpha=a, snr_db=s)
              for a in (0.25, 0.5, 1.0) for s in range(-10, 31, 2)]
     assert len({p.eav_noise_over_power for p in curve}) == 63
-    assert _count_sinr_calls(monkeypatch, curve, n) == 2 * (21 + 63)
+    assert _count_sinr_calls(monkeypatch, curve, n) == (
+        2 * (6 + 16), 2 * (21 + 63))
 
 
 def test_live_eavesdropper_terms_stay_within_their_bound(monkeypatch):
     # 40 alphas x 3 budgets at one SNR: each of 40 eavesdropper terms
-    # serves three groups, but a chunk holds at most 4 (K, n) terms, or
-    # without clip 4 * K = 20 (n,) sums, at a time.
+    # serves three groups, but a chunk holds at most the bytes of
+    # _LIVE_TERM_ROWS = 2 (K, n) float64 arrays in them: 2 * K = 10 (n,)
+    # sums, or under clip 4 (K, n) float32 factors.
     points = [SystemParams(n_t=5, bits=b, alpha=0.1 + 0.05 * i, snr_db=0.0)
               for b in (0, 1, 3) for i in range(40)]
     n = chunk_trials(P55, SimMode.QCA)  # one chunk
     key = SystemParams(n_t=5, bits=0, alpha=1.0, snr_db=0.0)
     parts = _draw_parts(key, SimMode.QCA, RngStream(17, 0).generator(), n)
     array = parts[0].nbytes
-    # Beyond the drawn parts the reduction holds one (K, n) scratch array
-    # and (n,) rows, 1/K of one each: the users' sum, the per-trial sums
-    # and at most 4 * K eavesdropper sums.  Under clip it holds two scratch
-    # arrays, the per-trial sums and at most 4 (K, n) eavesdropper terms.
-    # 128 KiB covers the small objects.  Measured, in arrays of 320 KiB:
-    # 5.51, and 6.25 under clip.
-    # SINR passes: 3 for the users' groups, and for the eavesdropper 40 in
-    # the first group, then 20 in each of the other two without clip; under
-    # clip 36 in each of those two, as 4 of the 40 terms stay live.
-    sinr, calls = simulate._sinr, []
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return sinr(*args, **kwargs)
-
-    for clip, arrays, passes in ((False, 1 + 2 / 5 + 4, 83),
-                                 (True, 2 + 1 / 5 + 4, 115)):
+    # Beyond the drawn parts, which the patched draw keeps alive, the
+    # reduction holds their float32 copies (2 arrays), its scratch (2) and
+    # the live terms (2), and (n,) rows, 1/K of an array each: the
+    # per-trial sums, the users' 4 sums (not under clip) and the float32
+    # products (4 rows of half that).  128 KiB covers the small objects.
+    # Measured, in arrays of 320 KiB: 7.60, and 6.78 under clip.
+    # SINR passes: the users' 3 groups in one stack (two under clip, of 2
+    # and 1).  The eavesdropper's first group fills the budget with stacks
+    # of 4, 4 and 2 terms (under clip one of 4) and computes the other 30
+    # (36) alone, as does the second group; the third, the budget freed
+    # by then, stacks those 30 (36) by 4: 8 (9) stacks.
+    for clip, arrays, passes in ((False, 2 + 2 + 2 + (1 + 4 + 2) / 5,
+                                  (1 + 33 + 30 + 8, 3 + 40 + 30 + 30)),
+                                 (True, 2 + 2 + 2 + (1 + 2) / 5,
+                                  (2 + 37 + 36 + 9, 3 + 40 + 36 + 36))):
         oracle = _oracle_estimates(points, SimMode.QCA, n, 17, clip)
-        calls.clear()
         with monkeypatch.context() as patch:
             patch.setattr(simulate, "_draw_parts", lambda *args: parts)
-            patch.setattr(simulate, "_sinr", counted)
             tracemalloc.start()
             try:
                 shared = estimate_secrecy_rates(points, SimMode.QCA, n,
@@ -925,8 +1131,8 @@ def test_live_eavesdropper_terms_stay_within_their_bound(monkeypatch):
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
+            assert _count_sinr_calls(patch, points, n, clip) == passes, clip
         assert shared == oracle
-        assert len(calls) == passes, clip
         assert peak <= arrays * array + 2 ** 17, (clip, peak / array)
 
 
@@ -956,9 +1162,10 @@ def test_full_chunks_are_sized_by_the_arrays_they_hold():
         geometry_bytes = 16 * 64 ** 2 * chunk_trials(wide, mode)
         assert geometry_bytes <= simulate._CHUNK_TARGET_BYTES
     assert chunk_trials(wide, SimMode.QCA) == simulate._CHUNK_TRIALS
-    # Past n_t = 69 the (K,) rows of a QCA chunk (4 parts, 2 scratch rows
-    # and the live terms) outgrow the target at _CHUNK_TRIALS trials.
-    rows = 6 + simulate._LIVE_EAV_TERMS
+    # Past n_t = 69 the (K,) rows of a QCA chunk (4 parts, their float32
+    # copies, 2 scratch rows and the live terms) outgrow the target at
+    # _CHUNK_TRIALS trials.
+    rows = 8 + simulate._LIVE_TERM_ROWS
     for n_t in (128, 256):
         qca = chunk_trials(SystemParams(n_t=n_t, bits=4, alpha=1.0,
                                         snr_db=10.0), SimMode.QCA)
