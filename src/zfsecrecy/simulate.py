@@ -14,7 +14,8 @@ FULL     draws channels and ZF beams explicitly; num and den are the beam
 QCA      draws them from the quantization-cell-approximation law: num
          Exp(1), den Gamma(n_t-1, distortion) for the users and
          Gamma(n_t-1, 1) for the eavesdropper.  Much faster, and exactly
-         the model the closed forms integrate.
+         the model the closed forms integrate.  For the unclipped rate
+         the eavesdropper reuses the users' draws (below).
 PERFECT  as FULL with beams built from the true channel directions: zero
          inter-user interference (den = 0), a degenerate sanity check.
 
@@ -45,6 +46,20 @@ bit.  So one draw per chunk serves every point of a key:
 ``collect_sinr_samples`` takes every point's samples from it, each point's
 result bit-identical to the one-point call.
 
+The unclipped rate is E[users' sum] - E[eavesdropper's sum], which reads
+each link's law alone, so in QCA its two links share one draw (common
+random numbers): the eavesdropper takes the users' Exp(1) numerators and
+unit-scale Gamma(n_t-1, 1) interference, the first two draws of the
+4-part stream.  That halves the draw and, the links' errors cancelling
+in the difference, cuts the standard error 1.08-86x on validate's
+default grid (to 0 where the links coincide, at distortion 1 and alpha
+1, where every trial's rate is exactly 0); tests/calibrate_validate.py
+holds each point's z over many seeds to its bands.  The clipped rate
+reads the links' joint law, and ``collect_sinr_samples`` hands each
+link's samples to a test of its own, so both keep independent links;
+FULL and PERFECT draw both links from one geometry, whose joint law is
+the physics.
+
 Within a chunk, ``estimate_secrecy_rates`` computes the users' factors
 1 + SINR once per (distortion, SNR) and the eavesdropper's once per
 distinct eavesdropper noise level, which does not depend on bits: points
@@ -52,9 +67,11 @@ that differ only in their distortion share it.  Every factor is at least
 1, so a link's sum over the users of log2(1 + SINR) is the log2 of the
 product of its factors: one log2 per trial, not one per (trial, user).
 
-Each link is one ``_ChunkLink``, which visits one key per point, (scale,
-noise), the eavesdropper's at scale 1, the points in order of the users'
-noise.  One rule, :func:`_term_kind`, gives each key its kind.  A term is
+Each drawn pair of parts is one ``_ChunkLink``, which visits one key per
+point and link, (scale, noise), the eavesdropper's at scale 1, the points
+in order of the users' noise: the shared draw's one link visits both
+links' keys, and computes a key both visit once.  One rule,
+:func:`_term_kind`, gives each key its kind.  A term is
 float32, all K users in one product, where its factors stay inside
 float32's normal range: K log2(1 + top / noise) below 120, top the
 chunk's largest numerator, and the noise and the parts within 2**+-100
@@ -62,18 +79,20 @@ chunk's largest numerator, and the noise and the parts within 2**+-100
 float64, in products of G users that cannot overflow, G = K unless K
 log2(1 + top / noise) reaches 1000, the groups' logs added.  Either moves
 a result by rounding only (tests/test_simulate.py derives both bounds).
-A term that is not live is computed in a stack with the next keys to be
-visited that are not live and have its kind, one numpy call per stage:
-(S, K, n) factors in the scratch and (S, n) log2 sums out, widened to
-float64, S up to _STACK_LEVELS float32 levels or the 2 float64 ones the
-scratch holds.  It is kept until its key's last visit, within the link's
-byte budget: one stack for the users, whose keys come in runs, and
-_LIVE_TERM_ROWS (K, n) float64 arrays for the eavesdropper.  A term the
-budget holds none of is computed alone into the scratch.  A chunk holds
-float32 copies of a link's parts, and keeps the draw's float64 parts
-only where a float64 term needs them.  A point's per-trial rates are one
-float64 difference of (n,) rows, the users' sum minus the
-eavesdropper's, and its sum and sum of squares are float64.  ``clip``
+A term that is not live is computed in a stack with the next keys of its
+link to be visited that are not live and have its kind, one numpy call
+per stage: (S, K, n) factors in the scratch and (S, n) log2 sums out,
+widened to float64, S up to _STACK_LEVELS float32 levels or the 2
+float64 ones the scratch holds.  It is kept until its key's last visit,
+within its link's byte budget: one stack for the users, whose keys come
+in runs, and _LIVE_TERM_ROWS (K, n) float64 arrays for the eavesdropper;
+the shared link keeps the two apart, a key in the budget of the link
+that visits it first.  A term the budget holds none of is computed alone
+into the scratch.  A chunk holds float32 copies of each pair of parts,
+and keeps the draw's float64 parts only where a float64 term needs them.
+A point's per-trial rates are one float64 difference of (n,) rows, the
+users' sum minus the eavesdropper's, and its sum and sum of squares are
+float64.  ``clip``
 keeps the (K, n) factors as terms instead, and takes
 sum_k max(log2 a_k - log2 b_k, 0) as log2 prod_k max(a_k / b_k, 1) in
 the users' groups: a ratio is at most its factor a_k.
@@ -119,7 +138,7 @@ _CHUNK_TARGET_BYTES = 48 * 2 ** 20
 _LIVE_TERM_ROWS = 2
 # A product of factors 1 + SINR stays below 2**_PRODUCT_BITS, inside
 # float64's 2**1024 with room for the rounding of the factors and their
-# bound (:func:`_group_size`).
+# bound (:func:`_term_kind`).
 _PRODUCT_BITS = 1000
 # Noise levels per float32 stack: one numpy call per stage takes
 # (_STACK_LEVELS, K, n) factors to (_STACK_LEVELS, n) sums.
@@ -127,7 +146,7 @@ _STACK_LEVELS = 4
 # A float32 term's product of K factors stays below 2**_F32_PRODUCT_BITS,
 # inside float32's 2**128, and its noise level and parts within
 # 2**-_F32_EXPONENT .. 2**_F32_EXPONENT, inside float32's normal range
-# (:func:`_float32_term`).
+# (:func:`_term_kind`).
 _F32_PRODUCT_BITS = 120
 _F32_EXPONENT = 100
 # Bytes of one K x K complex array over a block of trials: each per-trial
@@ -169,8 +188,10 @@ def chunk_trials(params: SystemParams, mode: SimMode) -> int:
     factors; under clip one, for a lone term and the ratios, beside the
     users' stack of factors), up to _LIVE_TERM_ROWS of eavesdropper terms
     kept for later points, and one row for small objects and (n,) rows:
-    the per-trial sums, the users' stack of sums (without clip) and the
-    float32 products, 7 in all, within it from n_t = 7 on.  A FULL
+    the per-trial sums, the users' stack of sums (without clip), a lone
+    term's sums and the float32 products, 8 in all, within it from n_t = 8
+    on.  The unclipped QCA rate's shared draw has 2 parts and 1 row of
+    float32 copies, 3 rows under the rule, which stays as it is.  A FULL
     or PERFECT draw holds K x K complex arrays on top, budgeted at 4.5: h,
     the sampler's draw and one block's temporaries (tracemalloc, numpy
     2.4, rows included: 2.6-4.4 in FULL, 1.6-3.5 in PERFECT, the most at
@@ -348,10 +369,17 @@ def _rvq_directions(h: np.ndarray, bits: int,
     return e
 
 
-def _qca_draw(params: SystemParams, gen: np.random.Generator, n: int):
+def _qca_draw(params: SystemParams, gen: np.random.Generator, n: int,
+              shared: bool = False):
     """n QCA-mode draws of the noise-free SINR parts, as :func:`_geometry_draw`
     returns them: Exp(1) numerators over Gamma(n_t-1, distortion) (users)
     and Gamma(n_t-1, 1) (eavesdropper) interference.
+
+    With ``shared`` only the users' two parts are drawn, the stream's first
+    two draws and so bit for bit the users' parts of a 4-part draw, and the
+    eavesdropper's parts are the same two arrays: common random numbers,
+    each link with its own law wherever the distortion is 1, as at every
+    draw key (:func:`_by_draw_key`).
 
     Each part is drawn (n, K), the stream's order, and copied to contiguous
     (K, n) rows as it is drawn, so the (n, K) original is freed at once."""
@@ -362,13 +390,15 @@ def _qca_draw(params: SystemParams, gen: np.random.Generator, n: int):
     legit_num = part(gen.exponential(size=(n, k)))
     legit_den = part(gen.gamma(shape=k - 1, scale=params.distortion,
                                size=(n, k)))
+    if shared:
+        return legit_num, legit_den, legit_num, legit_den, 0, None
     eav_num = part(gen.exponential(size=(n, k)))
     eav_den = part(gen.gamma(shape=k - 1, scale=1.0, size=(n, k)))
     return legit_num, legit_den, eav_num, eav_den, 0, None
 
 
 def _draw_parts(params: SystemParams, mode: SimMode, gen, n: int,
-                residual: bool = False):
+                residual: bool = False, shared: bool = False):
     """n draws of both links' noise-free SINR parts in any mode.
 
     Returns (legit_num, legit_den, eav_num, eav_den), each C-ordered
@@ -376,10 +406,11 @@ def _draw_parts(params: SystemParams, mode: SimMode, gen, n: int,
     sum over axis 0 adds the users one after another.  Then the rejected
     count and, in FULL and PERFECT with ``residual``, the largest
     zero-forcing residual, otherwise None (QCA has no beams).  They depend
-    on ``params`` only through (n_t, bits).
+    on ``params`` only through (n_t, bits).  ``shared`` QCA draws hand
+    the users' parts to both links (:func:`_qca_draw`).
     """
     if mode is SimMode.QCA:
-        return _qca_draw(params, gen, n)
+        return _qca_draw(params, gen, n, shared)
     if mode is SimMode.FULL:
         return _geometry_draw(params, gen, n, residual=residual)
     if mode is SimMode.PERFECT:
@@ -452,71 +483,84 @@ def _log2_products(factors, g: int, out, product=None):
 
 
 class _ChunkLink:
-    """One link's terms in one chunk, taken visit by visit.
+    """Link terms of one chunk, taken visit by visit.
 
     ``keys`` holds the (scale, noise) of each visit in visiting order; the
-    link's factors at a key are 1 + num / (den * scale + noise).  Each
-    key's kind is :func:`_term_kind` on the chunk's largest numerator and
-    part.  A term is the (n,) log2 sum over the users of its factors,
-    formed in the scratch, or under ``clip`` the (K, n) factors.  Float32
-    copies of the parts are made only if some key is float32, their
-    interference scaled once if every key has one scale, and the draw's
-    float64 parts kept only if some key is float64.
+    factors at a key are 1 + num / (den * scale + noise).  The visits cycle
+    through the roles of ``budgets``: one for a link of its own, or the
+    users' and the eavesdropper's where both links take the same parts.  A
+    key has the role of its first visit and is computed once, whichever
+    roles visit it.  Each key's kind is :func:`_term_kind` on the chunk's
+    largest numerator and part.  A term is the (n,) log2 sum over the
+    users of its factors, formed in the scratch, or under ``clip`` the
+    (K, n) factors.  Float32 copies of the parts are made only if some key
+    is float32, their interference scaled once if every key has one scale,
+    and the draw's float64 parts kept only if some key is float64.
 
-    ``scratch``, set once both links are built (and so once the draw's
-    float64 parts are freed), is (work, product, per_trial): the bytes of
-    a stack's factors or of a lone term, a float32 (_STACK_LEVELS, n)
-    array for float32 products, and the loop's (n,) float64 row, which
-    takes a lone sum."""
+    ``scratch``, set once the links are built (and so once the draw's
+    float64 parts are freed), is (work, product): the bytes of a stack's
+    factors or of a lone term, and a float32 (_STACK_LEVELS, n) array for
+    float32 products."""
 
-    def __init__(self, num, den, keys, budget, clip):
+    def __init__(self, num, den, keys, budgets, clip):
         k = len(num)
         top = float(num.max())
         bound = max(top, float(den.max()))
-        self.keys, self.budget, self.clip = keys, budget, clip
+        self.keys, self.budgets, self.clip = keys, list(budgets), clip
+        self.position = 0
+        self.role = {}
+        for position, key in enumerate(keys):
+            self.role.setdefault(key, position % len(budgets))
         self.kinds = {key: _term_kind(k, top, bound, key[1])
-                      for key in dict.fromkeys(keys)}
+                      for key in self.role}
         self.last = {key: position for position, key in enumerate(keys)}
-        self.live = {}  # key -> (term, [bytes, live terms] of its stack)
-        # Whether a stack multiplies the interference by its keys' scales:
-        # the float32 copy is scaled once if every key has one scale.
+        self.live = {}  # key -> (term, [bytes, live terms, role] of its stack)
+        # The interference scale each dtype's parts carry: the float32 copy
+        # is scaled once if every key has one scale.
         scales = {scale for scale, _ in keys}
-        self.rescale = {np.float64: scales != {1.0},
-                        np.float32: len(scales) > 1}
+        self.carried = {np.float64: 1.0, np.float32: 1.0}
         dtypes = {dtype for dtype, _ in self.kinds.values()}
         self.parts = {np.float64: (num, den)} if np.float64 in dtypes else {}
         if np.float32 in dtypes:
             den32 = den.astype(np.float32)
             if len(scales) == 1 and scales != {1.0}:
-                den32 *= np.float32(scales.pop())
+                self.carried[np.float32] = scale = scales.pop()
+                den32 *= np.float32(scale)
             self.parts[np.float32] = num.astype(np.float32), den32
 
-    def take(self, position: int):
-        """The term of the key visited at ``position``.
+    def take(self):
+        """The term of the next visit's key.
 
         A term that is not live is computed in a stack with the next keys
-        to be visited that are not live and have its kind, one numpy call
-        per stage; the look-ahead stops at a key of another kind.  A stack
-        holds as many terms as the link's remaining ``budget`` bytes do, at
-        most _STACK_LEVELS, and without clip no more than the scratch
-        holds the factors of.  Each of its terms stays live until its key's
-        last visit, and its bytes return to the budget once none of them
-        is.  A term for which the budget holds none is computed alone into
-        the scratch."""
+        of its role to be visited that are not live and have its kind, one
+        numpy call per stage; the look-ahead stops at a key of its role and
+        another kind.  A stack holds as many terms as its role's remaining
+        budget bytes do, at most _STACK_LEVELS, and without clip no more
+        than the scratch holds the factors of.  Each of its terms stays
+        live until its key's last visit, and its bytes return to the budget
+        once none of them is.  A term for which the budget holds none is
+        computed alone, its factors into the scratch."""
+        position = self.position
+        self.position += 1
         key = self.keys[position]
         live = self.live.get(key)
         if live is None:
+            role = self.role[key]
             dtype, group = kind = self.kinds[key]
-            work, product, per_trial = self.scratch
+            work, product = self.scratch
             num, den = self.parts[dtype]
             k, n = num.shape
-            room = min(_STACK_LEVELS,
-                       self.budget // (num.nbytes if self.clip else 8 * n))
+            room = min(_STACK_LEVELS, self.budgets[role]
+                       // (num.nbytes if self.clip else 8 * n))
             if not self.clip:
                 room = min(room, work.nbytes // num.nbytes)
             keys = [key]
             for ahead in itertools.islice(self.keys, position + 1, None):
-                if len(keys) >= room or self.kinds[ahead] != kind:
+                if len(keys) >= room:
+                    break
+                if self.role[ahead] != role:
+                    continue
+                if self.kinds[ahead] != kind:
                     break
                 if ahead not in self.live and ahead not in keys:
                     keys.append(ahead)
@@ -526,20 +570,19 @@ class _ChunkLink:
             else:
                 out = work[:s * num.nbytes].view(dtype).reshape(s, k, n)
             scales, noises = zip(*keys)
-            if self.rescale[dtype]:
+            if set(scales) != {self.carried[dtype]}:
                 den = np.multiply(den, np.array(scales, dtype)[:, None, None],
                                   out=out)
             terms = _factors(num, den, np.array(noises, dtype)[:, None, None],
                              out)
             if not self.clip:
-                sums = np.empty((s, n)) if room else per_trial[None]
                 terms = _log2_products(
-                    terms, group, sums,
+                    terms, group, np.empty((s, n)),
                     product[:s] if dtype is np.float32 else None)
             if not room:
                 return terms[0]
-            stack = [terms.nbytes, s]
-            self.budget -= terms.nbytes
+            stack = [terms.nbytes, s, role]
+            self.budgets[role] -= terms.nbytes
             self.live.update(zip(keys, zip(terms, [stack] * s)))
             live = self.live[key]
         term, stack = live
@@ -547,7 +590,7 @@ class _ChunkLink:
             del self.live[key]
             stack[1] -= 1
             if not stack[1]:
-                self.budget += stack[0]
+                self.budgets[stack[2]] += stack[0]
         return term
 
 
@@ -560,14 +603,16 @@ def _check_counts(n: int, workers: int) -> None:
 
 
 def _map_chunks(params: SystemParams, mode: SimMode, n: int, seed: int,
-                workers: int, fn, residual: bool = False):
+                workers: int, fn, residual: bool = False,
+                shared: bool = False):
     """Yields ``fn(parts)`` of each chunk of n draws, in chunk order,
     ``parts`` the list [legit_num, legit_den, eav_num, eav_den, rejected,
     zf_residual] laid out as :func:`_draw_parts` returns them.  Nothing
     else holds the arrays, so ``fn`` frees them by emptying the list.
     ``zf_residual`` is computed only if ``residual``
     (:func:`max_zf_residual`), and None otherwise: the rate and sample
-    reductions do not read it.
+    reductions do not read it.  ``shared`` QCA draws give both links the
+    users' parts (:func:`_qca_draw`); only the unclipped rate asks for it.
 
     Chunk i holds :func:`chunk_trials` draws (the last chunk the rest),
     all from substream ``RngStream(seed, i)``, so neither the worker count
@@ -581,7 +626,7 @@ def _map_chunks(params: SystemParams, mode: SimMode, n: int, seed: int,
     def run_chunk(index: int):
         gen = RngStream(seed, index).generator()
         m = min(chunk, n - index * chunk)
-        return fn(list(_draw_parts(params, mode, gen, m, residual)))
+        return fn(list(_draw_parts(params, mode, gen, m, residual, shared)))
 
     if workers == 1 or n_chunks == 1:
         yield from map(run_chunk, range(n_chunks))
@@ -662,13 +707,23 @@ def _estimates_of_one_draw(draw: SystemParams, members: list, mode: SimMode,
                            clip: bool) -> list:
     """:func:`estimate_secrecy_rates` at the points of ``members``, one
     draw key's (row, point, scale) triples, all served by the draws of
-    ``draw``."""
+    ``draw``.
+
+    The unclipped QCA rate, E[users' sum] - E[eavesdropper's], reads each
+    link's law alone, so its draws are shared: the eavesdropper takes the
+    users' Exp(1) numerators and unit-scale interference, and one link
+    serves both (common random numbers: half the draw, and a key both
+    links visit, as at distortion 1 and alpha 1, is computed once).  The
+    clipped rate reads the links' joint law, independent in QCA, and FULL
+    and PERFECT draw both links from one geometry: these take the 4-part
+    draw and one link each."""
     # Only the users' interference scale and noise, and the eavesdropper
     # noise, tell points apart.  Points are visited by (scale, SNR) group,
     # the groups in order of the users' noise, so that the points of one
     # SNR and alpha, which share an eavesdropper noise level, come close
     # together.  Each link visits one key per point, the eavesdropper's
     # at scale 1.
+    shared = mode is SimMode.QCA and not clip
     groups = {}
     for i, (_, p, scale) in enumerate(members):
         groups.setdefault((scale, p.noise_over_power), []).append(i)
@@ -677,6 +732,7 @@ def _estimates_of_one_draw(draw: SystemParams, members: list, mode: SimMode,
     legit_keys = [(members[i][2], members[i][1].noise_over_power)
                   for i in order]
     eav_keys = [(1.0, members[i][1].eav_noise_over_power) for i in order]
+    both_keys = [key for pair in zip(legit_keys, eav_keys) for key in pair]
 
     def moments(parts):
         # (sum, sum of squares) of the per-trial rate, one row per point.
@@ -684,26 +740,32 @@ def _estimates_of_one_draw(draw: SystemParams, members: list, mode: SimMode,
         k, n = parts[0].shape
         rejected = parts[4]
         # The users' budget is one stack, the eavesdropper's
-        # _LIVE_TERM_ROWS (K, n) float64 arrays.  Link by link, float32
-        # copies replace the draw's float64 parts unless a float64 term
-        # needs them.
-        legit = _ChunkLink(parts[0], parts[1], legit_keys,
-                           8 * (k if clip else _STACK_LEVELS) * n, clip)
-        del parts[:2]
-        eav = _ChunkLink(parts[0], parts[1], eav_keys,
-                         _LIVE_TERM_ROWS * 8 * k * n, clip)
+        # _LIVE_TERM_ROWS (K, n) float64 arrays; the shared draw's one
+        # link holds both, one per role.  Link by link, float32 copies
+        # replace the draw's float64 parts unless a float64 term needs
+        # them.
+        budgets = (8 * (k if clip else _STACK_LEVELS) * n,
+                   _LIVE_TERM_ROWS * 8 * k * n)
+        if shared:
+            legit = eav = _ChunkLink(parts[0], parts[1], both_keys, budgets,
+                                     clip)
+        else:
+            legit = _ChunkLink(parts[0], parts[1], legit_keys, budgets[:1],
+                               clip)
+            del parts[:2]
+            eav = _ChunkLink(parts[0], parts[1], eav_keys, budgets[1:], clip)
         parts.clear()
         # Two (K, n) float64 arrays' bytes for a stack's factors; under
         # clip one, for a lone eavesdropper term and the ratios, which may
-        # overwrite it.  The users' keys come in runs, so their stack is
-        # always free to be remade and never lone.
+        # overwrite it.  Under clip the users' keys come in runs, so their
+        # stack is always free to be remade and never lone.
         work = np.empty((8 if clip else 16) * k * n, np.uint8)
         product = np.empty((_STACK_LEVELS, n), np.float32)
         per_trial = np.empty(n)
-        legit.scratch = eav.scratch = work, product, per_trial
+        legit.scratch = eav.scratch = work, product
         out = np.empty((len(members), 2))
         for position, i in enumerate(order):
-            legit_t, eav_t = legit.take(position), eav.take(position)
+            legit_t, eav_t = legit.take(), eav.take()
             if clip:
                 # sum_k max(log2 a_k - log2 b_k, 0)
                 #     = log2 prod_k max(a_k / b_k, 1)
@@ -722,7 +784,7 @@ def _estimates_of_one_draw(draw: SystemParams, members: list, mode: SimMode,
     sums = np.zeros((len(members), 2))
     rejected = 0
     for chunk_sums, chunk_rejected in _map_chunks(
-            draw, mode, n_trials, seed, workers, moments):
+            draw, mode, n_trials, seed, workers, moments, shared=shared):
         sums += chunk_sums
         rejected += chunk_rejected
     return [_rate_estimate(total, total_sq, n_trials, rejected)

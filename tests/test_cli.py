@@ -8,13 +8,14 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from decimal import Decimal
 
 import pytest
 
 from dispatch import AVX512, BASELINE, recorded
 from make_arbiter_rates import mpmath_rate
 from oracles import explicit_directions
-from zfsecrecy import simulate
+from zfsecrecy import analytic, simulate
 from zfsecrecy.cli import (CSV_HEADER, EXIT_IO, EXIT_OK, EXIT_USAGE,
                            EXIT_VALIDATION, MAX_GRID_POINTS, MAX_NT,
                            MAX_TRIALS, MAX_WORKERS, SweepConfig, UsageError,
@@ -149,13 +150,18 @@ def test_full_mode_populates_rejection_column(tmp_path):
 # 4.9e-8, about 1e-6 of a standard error (test_simulate's float32 rounding
 # gates).  Each is pinned per SIMD target (tests/dispatch.py): the float32
 # and float64 log2 loops, and FULL's sampler, round differently on each.
+# The qca digest is of the shared draw: the unclipped QCA rate's
+# eavesdropper takes the users' Exp(1) numerators and unit-scale
+# interference, statistically equivalent to independent links
+# (tests/calibrate_validate.py is its gate); qca-clip, full and perfect
+# did not move.
 @pytest.mark.digest
 @pytest.mark.parametrize("settings,digests", [
     (dict(mode="qca"), {
         AVX512:
-        "a6bd58307dfcf977c96115e044a3a2e0d9c0b934bb14d0a254e4d8b401fc68ba",
+        "56fad36a0803f454ea1772696b96cbb1d4decad63ebaa7be756de4baf48cc35d",
         BASELINE:
-        "b4146f54374b82fe4ee58d447e29cd228fb6ca56c7409d176986ea67bf0a7ac5"}),
+        "b5650b6b31e11b156945120f0995aa65449fe3e7f3bef9c6d13fbf81b0b85540"}),
     (dict(mode="qca", clip=True), {
         AVX512:
         "e9c2d89a0e6b9ea22a54da9383859ad271212d4971fd54b9152a575240c4bdb2",
@@ -205,18 +211,20 @@ def test_validate_report_matches_recorded_digest(tmp_path):
     # six closed-vs-quadrature rel= figures moved, each to 3.9e-15 or less.
     # Recorded with float32 link terms: two printed mc= figures moved in
     # their sixth digit, and the report's Monte Carlo means and errors.
+    # Recorded with the shared QCA draw: every mc-vs-closed line moved, and
+    # at bits 0, alpha 1 it reads mc=0 |diff|=0 bound=0, a PASS.
     report, stream = tmp_path / "report.json", io.StringIO()
     assert run_validate(SweepConfig(**GOLDEN, out=str(report)), stream=stream)
     assert sha256(stream.getvalue().encode()) == recorded({
         AVX512:
-        "af3e1217da6b04c1d1a5df156a78cff0d8410ded9b2cd4f53eb5143abc6a60a9",
+        "40debabea8a9c76af20d5b81e8b1a7a3b634057962b8c8f2755f87ed511d9957",
         BASELINE:
-        "4b261a3b95e9c36a11fc6213be9cb15ea91ba094bf8f39ee67c78ab6dde836f6"})
+        "b8e7da6ee7afc7911ee360fc575e95199189ff61b7f2f812a47af38cfd03bd8a"})
     assert sha256(read(report)) == recorded({
         AVX512:
-        "60516c63df9cbbc24f838cdc098da851fd40a29fca0b3efcfaa9f38388fb8333",
+        "96ffcaf05d954ed89afd2a24bb0f8fccad38e774f832358e0caef1fefd9f42dd",
         BASELINE:
-        "6435db8824b9378b0c3d2ac32809fef1edf0a957edef9bcd812b5e4939643c1c"})
+        "29e8d799cb6da7ca89317e49ffc3401f903fae5bf1f81b43a2ce69630428434c"})
 
 
 def _count_draws(monkeypatch, name):
@@ -507,6 +515,44 @@ def test_validate_with_corrupted_tolerance_fails():
     assert code == EXIT_VALIDATION
 
 
+def test_default_validate_passes_exact_zeros_and_fails_injected_bias(
+        monkeypatch, capsys):
+    # At bits 0 and alpha 1 the unclipped QCA rate's two links share one
+    # draw and one law: every trial's rate, the mean, its standard error
+    # and the closed form are exactly 0 at the default grid's 12 such
+    # points, and "|diff| <= bound" passes them.  A closed form moved away
+    # from the estimate by 4 sigma at one point, or by anything at all at
+    # a zero-variance point, still fails.
+    assert main(["validate"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert not [line for line in lines if line.startswith("FAIL")]
+    zeros = [line for line in lines
+             if "mc-vs-closed" in line and " bits=0 alpha=1 " in line]
+    assert len(zeros) == 12
+    assert all(line.endswith("mc=0 closed=0 |diff|=0 bound=0")
+               for line in zeros)
+
+    biased = SystemParams(n_t=5, bits=4, alpha=1.0, snr_db=10.0)
+    zero = SystemParams(n_t=3, bits=0, alpha=1.0, snr_db=0.0)
+    est = simulate.estimate_secrecy_rate(biased, simulate.SimMode.QCA,
+                                         200_000, seed=20250)
+    closed_form = analytic.secrecy_rate_closed_form
+
+    def moved(p):
+        r = closed_form(p)
+        if p == biased:  # r (1 + 4 sigma / r), away from the estimate
+            return r + math.copysign(4.0 * est.std_err, r - est.mean)
+        return r + 1e-12 if p == zero else r
+
+    monkeypatch.setattr(analytic, "secrecy_rate_closed_form", moved)
+    assert main(["validate"]) == EXIT_VALIDATION
+    failed = [line.split(":")[0]
+              for line in capsys.readouterr().out.splitlines()
+              if line.startswith("FAIL") and "mc-vs-closed" in line]
+    assert failed == [f"FAIL  triangle mc-vs-closed {tag}" for tag in (
+        "nt=3 bits=0 alpha=1 snr=0dB", "nt=5 bits=4 alpha=1 snr=10dB")]
+
+
 def test_dist_check_qca_passes_and_notes_two_antenna_caveat(capsys):
     code = main(["dist-check", "--nt", "2,5", "--bits", "4", "--alpha", "1",
                  "--snr", "10:10:1", "--trials", "10000", "--seed", "3",
@@ -627,11 +673,17 @@ def test_reals_carry_seventeen_significant_digits(tmp_path):
     out = tmp_path / "g.csv"
     config = SweepConfig(**TINY, out=str(out))
     (point,) = run_rate_curve(config, stream=io.StringIO())
-    row = read(out).decode().strip().split("\n")[1]
-    mc_field = row.split(",")[5]
-    assert float(mc_field) == point.r_mc_mean
-    mantissa = mc_field.lstrip("-0.").replace(".", "").split("e")[0]
-    assert len(mantissa) >= 16  # 17 significant digits requested
+    row = read(out).decode().strip().split("\n")[1].split(",")
+    # Every real field is its value rounded to 17 significant digits, which
+    # round-trips exactly; 'g' drops the rounding's trailing zeros, so the
+    # field is compared as a decimal, not by its length (the Monte Carlo
+    # mean here, 1.1521594011783600, prints with 15).
+    reals = (point.snr_db, point.alpha, point.r_analytic, point.r_mc_mean,
+             point.r_mc_stderr)
+    for field, value in zip((row[i] for i in (0, 1, 4, 5, 6)), reals):
+        assert float(field) == value
+        assert Decimal(field) == Decimal(format(value, ".16e")), field
+    assert len(row[4].replace(".", "")) == 17  # r_analytic needs all 17
 
 
 def test_interior_maximum_for_weak_eavesdroppers(tmp_path):

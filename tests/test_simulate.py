@@ -552,8 +552,10 @@ def _oracle_estimates(points, mode, n, seed, clip, rates=_product_sums,
     loop per draw, FULL's at each feedback budget's own params, QCA's and
     PERFECT's at bits 0, and in QCA each point scales the unit-scale
     interference by its own distortion, bit for bit its own draw's
-    (test_gamma_scale_is_a_product_with_the_unit_draw).  ``float32``
-    False takes every factor in float64."""
+    (test_gamma_scale_is_a_product_with_the_unit_draw).  The unclipped
+    QCA rate takes the shared draw, whose eavesdropper parts are the
+    users' unit-scale ones.  ``float32`` False takes every factor in
+    float64."""
     by_bits = {}
     for row, p in enumerate(points):
         by_bits.setdefault(p.bits if mode is SimMode.FULL else 0,
@@ -568,7 +570,8 @@ def _oracle_estimates(points, mode, n, seed, clip, rates=_product_sums,
         sums, rejected = np.zeros((len(group), 2)), 0
         for chunk_sums, chunk_rejected in simulate._map_chunks(
                 draw, mode, n, seed, 1,
-                _per_point_moments(group, scales, clip, rates, float32)):
+                _per_point_moments(group, scales, clip, rates, float32),
+                shared=mode is SimMode.QCA and not clip):
             sums += chunk_sums
             rejected += chunk_rejected
         for row, (total, total_sq) in zip(rows, sums.tolist()):
@@ -676,24 +679,31 @@ def _assert_moved_by_rounding_only(got, old, r, delta, n):
 def _assert_rounding_only_reduction(points, mode, n, seed):
     """Every estimate at ``points``, one chunk of n trials, against the
     per-user log-sum reduction of the same chunk, with and without clip.
-    Returns the chunk's parts, by feedback budget."""
+    The unclipped QCA rate takes the shared draw: the 4-part draw's users'
+    parts (its first two draws) for both links.  Returns the chunk's
+    4-part draws, by draw key (:func:`simulate.draw_key`)."""
     assert n <= chunk_trials(points[0], mode)
     k = points[0].n_t
-    by_bits = {}
+    by_key = {}
     for row, p in enumerate(points):
-        by_bits.setdefault(p.bits, []).append(row)
-    drawn = {bits: _draw_parts(points[rows[0]], mode,
-                               RngStream(seed, 0).generator(), n)
-             for bits, rows in by_bits.items()}
+        by_key.setdefault(simulate.draw_key(p, mode), []).append(row)
+    drawn = {key: _draw_parts(SystemParams(n_t=key[0], bits=key[1], alpha=1.0,
+                                           snr_db=0.0),
+                              mode, RngStream(seed, 0).generator(), n)
+             for key in by_key}
     for clip in (False, True):
         engine = estimate_secrecy_rates(points, mode, n, seed, clip=clip)
-        for bits, rows in by_bits.items():
-            parts = drawn[bits]
+        for key, rows in by_key.items():
+            parts = drawn[key]
             legit_num, legit_den, eav_num, eav_den = (
                 np.ascontiguousarray(part.T) for part in parts[:4])
+            if mode is SimMode.QCA and not clip:
+                eav_num, eav_den = legit_num, legit_den
             for row in rows:
                 p = points[row]
-                legit = 1.0 + legit_num / (legit_den + p.noise_over_power)
+                scale = p.distortion if mode is SimMode.QCA else 1.0
+                legit = 1.0 + legit_num / (legit_den * scale
+                                           + p.noise_over_power)
                 eav = 1.0 + eav_num / (eav_den + p.eav_noise_over_power)
                 r = _link_sums(legit, eav, clip)
                 old = simulate._rate_estimate(r.sum(), r @ r, n, parts[4])
@@ -731,7 +741,8 @@ def test_products_split_into_groups_where_they_would_overflow():
         points = [SystemParams(n_t=n_t, bits=4, alpha=a, snr_db=snr_db)
                   for snr_db in groups for a in (0.5, 1.0)]
         n = min(chunk_trials(points[0], mode), 2_000)
-        num, den = _assert_rounding_only_reduction(points, mode, n, 19)[4][:2]
+        num, den = _assert_rounding_only_reduction(points, mode, n, 19)[
+            simulate.draw_key(points[0], mode)][:2]
         top = num.max()
         for snr_db, g in groups.items():
             noise = 10.0 ** (-snr_db / 10.0)
@@ -794,14 +805,16 @@ def _recorded_kinds(monkeypatch):
 # Terms outside float32's range keep the float64 arithmetic: at 3000 dB no
 # term of any mode is float32, nor at 100 dB any of PERFECT at n_t = 64.
 # These estimates were recorded before float32 terms existed, on both SIMD
-# targets (tests/dispatch.py), and no bit of them moves.
+# targets (tests/dispatch.py), and no bit of them moves; the unclipped QCA
+# one was recorded again, on both targets, once that rate took the shared
+# draw (1.2278 +- 0.0265 before, 0.66 combined sigma from the new mean).
 FLOAT64_ESTIMATES = {
     (SimMode.FULL, 5, 3000.0, False):
         [(1.2617427306245106, 0.02105763590800953)] * 2,
     (SimMode.FULL, 5, 3000.0, True):
         [(1.6788701019601813, 0.019030649495313093)] * 2,
     (SimMode.QCA, 5, 3000.0, False):
-        [(1.227838467270847, 0.026452884202827938)] * 2,
+        [(1.245903074999109, 0.007497846976679237)] * 2,
     (SimMode.QCA, 5, 3000.0, True):
         [(1.8655666965974187, 0.020410450831203065)] * 2,
     (SimMode.PERFECT, 5, 3000.0, False):
@@ -1103,18 +1116,21 @@ def test_each_eavesdropper_noise_level_is_computed_once_per_chunk(
     # Two chunks of one QCA key shaped like the default validate's:
     # 4 budgets x 3 alphas x 4 SNRs.  Each chunk computes the users' term
     # once per (distortion, SNR), 16, and the eavesdropper's once per
-    # noise level, 12: 28, where one eavesdropper term per point makes 64.
-    # The users' 16 take 4 stacks of 4; the eavesdropper's 12 take 3, each
-    # the SNR's three alphas and the next SNR's first, found ahead.
+    # noise level, 12, where one eavesdropper term per point makes 64.
+    # Both links take the shared draw, and at alpha 1 the eavesdropper's
+    # level is the users' term at distortion 1 of its SNR, computed once:
+    # 16 + 8 = 24 terms.  The users' 16 take 4 stacks of 4; the
+    # eavesdropper's other 8 take 2, each two SNRs' alphas 0.25 and 0.5,
+    # found ahead.
     n = chunk_trials(P55, SimMode.QCA) + 8
     verify = [SystemParams(n_t=5, bits=b, alpha=a, snr_db=s)
               for b in (0, 1, 4, 8) for a in (0.25, 0.5, 1.0)
               for s in (-10.0, 0.0, 10.0, 20.0)]
     assert _count_sinr_calls(monkeypatch, verify, n) == (
-        2 * (4 + 3), 2 * (16 + 12))
+        2 * (4 + 2), 2 * (16 + 8))
     # The default rate-curve's key shares no noise level: 21 SNRs, one
-    # users' term each, and one eavesdropper term per point, 63, in stacks
-    # of 4: 6 and 16 of them.
+    # users' term each, and one eavesdropper term per point, 63, each
+    # link's terms in stacks of its own of 4: 6 and 16 of them.
     curve = [SystemParams(n_t=5, bits=4, alpha=a, snr_db=s)
              for a in (0.25, 0.5, 1.0) for s in range(-10, 31, 2)]
     assert len({p.eav_noise_over_power for p in curve}) == 63
@@ -1131,26 +1147,35 @@ def test_live_eavesdropper_terms_stay_within_their_bound(monkeypatch):
               for b in (0, 1, 3) for i in range(40)]
     n = chunk_trials(P55, SimMode.QCA)  # one chunk
     key = SystemParams(n_t=5, bits=0, alpha=1.0, snr_db=0.0)
-    parts = _draw_parts(key, SimMode.QCA, RngStream(17, 0).generator(), n)
-    array = parts[0].nbytes
+    drawn = {shared: _draw_parts(key, SimMode.QCA,
+                                 RngStream(17, 0).generator(), n,
+                                 shared=shared) for shared in (False, True)}
+    array = drawn[False][0].nbytes
     # Beyond the drawn parts, which the patched draw keeps alive, the
-    # reduction holds their float32 copies (2 arrays), its scratch (2) and
-    # the live terms (2), and (n,) rows, 1/K of an array each: the
-    # per-trial sums, the users' 4 sums (not under clip) and the float32
-    # products (4 rows of half that).  128 KiB covers the small objects.
-    # Measured, in arrays of 320 KiB: 7.60, and 6.78 under clip.
+    # reduction holds float32 copies of the parts, its scratch (2 arrays)
+    # and the live terms (2), and (n,) rows, 1/K of an array each.
+    # Without clip both links take the shared draw's one pair of copies
+    # (1 array), and the rows are the per-trial sums, the users' stack of
+    # 3 sums, a lone term's sum and the float32 products (4 rows of half
+    # that).  Under clip each link has its copies (2 arrays), and the rows
+    # are the per-trial sums and the products.  128 KiB covers the small
+    # objects.  Measured, in arrays of 320 KiB: 6.62, and 6.80 under clip.
     # SINR passes: the users' 3 groups in one stack (two under clip, of 2
-    # and 1).  The eavesdropper's first group fills the budget with stacks
-    # of 4, 4 and 2 terms (under clip one of 4) and computes the other 30
-    # (36) alone, as does the second group; the third, the budget freed
-    # by then, stacks those 30 (36) by 4: 8 (9) stacks.
-    for clip, arrays, passes in ((False, 2 + 2 + 2 + (1 + 4 + 2) / 5,
-                                  (1 + 33 + 30 + 8, 3 + 40 + 30 + 30)),
+    # and 1).  Without clip the level of alpha 1 (i = 18) is the users'
+    # term at bits 0, computed once, which leaves 39 eavesdropper terms.
+    # The eavesdropper's first group fills the budget with stacks of 4, 4
+    # and 2 terms (under clip one of 4) and computes the other 29 (36)
+    # alone, as does the second group; the third, the budget freed by
+    # then, stacks those 29 (36) by 4: 8 (9) stacks.
+    for clip, arrays, passes in ((False, 1 + 2 + 2 + (1 + 3 + 1 + 2) / 5,
+                                  (1 + 32 + 29 + 8, 3 + 39 + 29 + 29)),
                                  (True, 2 + 2 + 2 + (1 + 2) / 5,
                                   (2 + 37 + 36 + 9, 3 + 40 + 36 + 36))):
         oracle = _oracle_estimates(points, SimMode.QCA, n, 17, clip)
         with monkeypatch.context() as patch:
-            patch.setattr(simulate, "_draw_parts", lambda *args: parts)
+            patch.setattr(simulate, "_draw_parts",
+                          lambda params, mode, gen, m, residual, shared:
+                          drawn[shared])
             tracemalloc.start()
             try:
                 shared = estimate_secrecy_rates(points, SimMode.QCA, n,
@@ -1236,11 +1261,13 @@ def test_one_chunk_stays_within_the_chunk_memory_target(mode, n_t):
         # A QCA chunk at n_t = 5 holds only (K, n) float64 rows' worth of
         # arrays: the float32 parts, the scratch, the live terms and the
         # (n,) rows.  Measured with numpy 2.4 before the reduction took one
-        # term path: 6.53, and 6.73 under clip.  More means some array is
-        # again made while the draw's float64 parts are alive (7.62).
+        # term path: 6.53, and 6.73 under clip; with it, 5.93 and 6.23.
+        # The unclipped rate's shared draw holds one pair of parts and one
+        # of float32 copies: 4.93.  More means some array is again made
+        # while the draw's float64 parts are alive (7.62 with two links).
         if mode is SimMode.QCA and n_t == 5:
             rows = peak / (8 * n_t * n)
-            assert rows <= (6.73 if clip else 6.53) + 0.1, (clip, rows)
+            assert rows <= (6.73 if clip else 4.93) + 0.1, (clip, rows)
     # chunk_trials budgets 4.5 K x K complex arrays per trial in FULL and
     # PERFECT on top of the (K,) rows.  The draw's per-trial steps run in
     # one pass over blocks, so beyond one block's temporaries a chunk holds
