@@ -8,8 +8,7 @@ noise-limited limits, each cross-validating the other.
 
 from .analytic import (Link, Regime, exp_integral_e1, exp_integral_e1_scaled,
                        gauss_2f1, laplace_pole_integral,
-                       laplace_two_pole_integral, rate_from_cdf_quadrature,
-                       secrecy_rate_closed_form,
+                       rate_from_cdf_quadrature, secrecy_rate_closed_form,
                        secrecy_rate_interference_limited,
                        secrecy_rate_noise_limited, sinr_cdf)
 from .linalg import RngStream
@@ -24,10 +23,10 @@ __all__ = [
     "SimMode", "SystemParams", "collect_sinr_samples",
     "estimate_secrecy_rate", "estimate_secrecy_rates", "exp_integral_e1",
     "exp_integral_e1_scaled", "gauss_2f1", "generate_codebook",
-    "ks_statistic", "laplace_pole_integral", "laplace_two_pole_integral",
-    "quantization_distortion", "rate_from_cdf_quadrature",
-    "secrecy_rate_closed_form", "secrecy_rate_interference_limited",
-    "secrecy_rate_noise_limited", "sinr_cdf",
+    "ks_statistic", "laplace_pole_integral", "quantization_distortion",
+    "rate_from_cdf_quadrature", "secrecy_rate_closed_form",
+    "secrecy_rate_interference_limited", "secrecy_rate_noise_limited",
+    "sinr_cdf",
 ]
 
 __version__ = "0.1.0"

@@ -196,22 +196,6 @@ def laplace_pole_integral(p: float, a: float, n: int) -> float:
     return a ** (1.0 - n) * _en_scaled(n, a * p)
 
 
-def laplace_two_pole_integral(x: float, y: float, z: int) -> float:
-    """integral_0^inf exp(-x t) / ((t + 1)(t + y)^z) dt for x >= 0, y > 0.
-
-    y^(-z) times the two-pole kernel at d = 1/y; at y = 1 the poles merge
-    and its series is the one term exp(x) E_{z+1}(x) of
-    :func:`laplace_pole_integral`.
-    """
-    if x < 0:
-        raise ValueError(f"x must be >= 0, got {x}")
-    if not y > 0:
-        raise ValueError(f"y must be > 0, got {y}")
-    if z < 1:
-        raise ValueError(f"z must be >= 1, got {z}")
-    return y ** -z * _two_pole(x, 1.0 / y, z)
-
-
 def _en_scaled_run(lo: int, hi: int, w: float) -> list:
     """[exp(w) E_n(w) for n = lo..hi], from one :func:`_en_scaled` call at
     the order nearest w: f_{n+1} = (1 - w f_n) / n scales errors by w/n,

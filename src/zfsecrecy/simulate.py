@@ -67,33 +67,35 @@ that differ only in their distortion share it.  Every factor is at least
 1, so a link's sum over the users of log2(1 + SINR) is the log2 of the
 product of its factors: one log2 per trial, not one per (trial, user).
 
-Each drawn pair of parts is one ``_ChunkLink``, which visits one key per
-point and link, (scale, noise), the eavesdropper's at scale 1, the points
-in order of the users' noise: the shared draw's one link visits both
-links' keys, and computes a key both visit once.  One rule,
-:func:`_term_kind`, gives each key its kind.  A term is
-float32, all K users in one product, where its factors stay inside
-float32's normal range: K log2(1 + top / noise) below 120, top the
-chunk's largest numerator, and the noise and the parts within 2**+-100
-(at n_t = 5 the users' terms up to about 60 dB).  Any other term is
-float64, in products of G users that cannot overflow, G = K unless K
-log2(1 + top / noise) reaches 1000, the groups' logs added.  Either moves
-a result by rounding only (tests/test_simulate.py derives both bounds).
-A term that is not live is computed in a stack with the next keys of its
-link to be visited that are not live and have its kind, one numpy call
-per stage: (S, K, n) factors in the scratch and (S, n) log2 sums out,
-widened to float64, S up to _STACK_LEVELS float32 levels or the 2
-float64 ones the scratch holds.  It is kept until its key's last visit,
-within its link's byte budget: one stack for the users, whose keys come
-in runs, and _LIVE_TERM_ROWS (K, n) float64 arrays for the eavesdropper;
-the shared link keeps the two apart, a key in the budget of the link
-that visits it first.  A term the budget holds none of is computed alone
-into the scratch.  A chunk holds float32 copies of each pair of parts,
+The reduction follows a plan, built once per draw key and set of kinds
+(:func:`_block_plan`).  A term's key is (part, scale, noise): the drawn
+pair it reads (the users', the eavesdropper's, or for the shared draw the
+one pair both links read), its interference scale (the eavesdropper's
+is 1) and its noise level.  One rule, :func:`_term_kind`, gives each key
+its kind.  A term is float32, all K users in one product, where its
+factors stay inside float32's normal range: K log2(1 + top / noise)
+below 120, top the chunk's largest numerator, and the noise and the
+parts within 2**+-100 (at n_t = 5 the users' terms up to about 60 dB).
+Any other term is float64, in products of G users that cannot overflow,
+G = K unless K log2(1 + top / noise) reaches 1000, the groups' logs
+added.  Either moves a result by rounding only (tests/test_simulate.py
+derives both bounds).  A chunk whose largest numerator moves a kind
+follows a plan of its own.
+
+The points, in order of the users' noise, are cut into blocks: runs of
+points with the same users' noise, taken whole while the block's
+distinct terms fit a byte budget, and a run larger than that split
+point by point.  A block computes each distinct term once, in stacks of
+one part and kind, one numpy call per stage: (S, K, n) factors in the
+scratch and (S, n) log2 sums out, widened to float64, S up to
+_STACK_LEVELS float32 levels or 2 float64 ones, the keys at scale 1
+first, so that their stacks skip the interference multiply.  Then it
+reduces its points and drops its terms: no term outlives its block.  A
+chunk holds float32 copies of each pair of parts a float32 term reads,
 and keeps the draw's float64 parts only where a float64 term needs them.
 A point's per-trial rates are one float64 difference of (n,) rows, the
 users' sum minus the eavesdropper's, and its sum and sum of squares are
-float64.  ``clip``
-keeps the (K, n) factors as terms instead, and takes
+float64.  ``clip`` keeps the (K, n) factors as terms instead, and takes
 sum_k max(log2 a_k - log2 b_k, 0) as log2 prod_k max(a_k / b_k, 1) in
 the users' groups: a ratio is at most its factor a_k.
 
@@ -105,7 +107,6 @@ stacks take 95 ms and 80 ms.
 """
 
 import contextlib
-import itertools
 import math
 import sys
 from collections import deque
@@ -131,11 +132,12 @@ _CHUNK_TRIALS = 8192
 # Fewest (trial, user) pairs in a chunk, those of an n_t = 5 chunk.
 _CHUNK_PAIRS = 5 * _CHUNK_TRIALS
 _CHUNK_TARGET_BYTES = 48 * 2 ** 20
-# Bytes per trial a chunk's rate reduction may hold in eavesdropper terms
-# kept for later points, in (K,) float64 rows: their (n,) sums, or under
-# clip the (K, n) factors themselves.  No grid (hundreds of alphas at one
-# SNR, say) grows a chunk's memory beyond that.
-_LIVE_TERM_ROWS = 2
+# Bytes per trial of one block's terms in the rate reduction, in (K,)
+# float64 rows: their (n,) sums, or under clip the (K, n) factors
+# themselves; below n_t = 6, three float32 stacks' (n,) sums if more
+# (:func:`_block_plan`).  No grid (hundreds of alphas at one SNR, say)
+# grows a chunk's arrays beyond that.
+_BLOCK_TERM_ROWS = 2
 # A product of factors 1 + SINR stays below 2**_PRODUCT_BITS, inside
 # float64's 2**1024 with room for the rounding of the factors and their
 # bound (:func:`_term_kind`).
@@ -185,20 +187,20 @@ def chunk_trials(params: SystemParams, mode: SimMode) -> int:
     Per trial, the rate reduction holds at most the bytes of 11 (K,)
     float64 rows: the draw's 4 parts (freed once cast unless a float64
     term needs them), their float32 copies (2), a scratch of 2 (a stack's
-    factors; under clip one, for a lone term and the ratios, beside the
-    users' stack of factors), up to _LIVE_TERM_ROWS of eavesdropper terms
-    kept for later points, and one row for small objects and (n,) rows:
-    the per-trial sums, the users' stack of sums (without clip), a lone
-    term's sums and the float32 products, 8 in all, within it from n_t = 8
-    on.  The unclipped QCA rate's shared draw has 2 parts and 1 row of
-    float32 copies, 3 rows under the rule, which stays as it is.  A FULL
+    factors; under clip one, for the ratios), _BLOCK_TERM_ROWS of a
+    block's terms, and one row for small objects and (n,) rows: the
+    per-trial sums and the float32 products, 3 in all, within it from
+    n_t = 3 on.  Below n_t = 6 a block may hold 12 (n,) rows, more than
+    its 2 (K,) rows, in chunks far below the target.  The unclipped QCA
+    rate's shared draw has 2 parts and 1 row of float32 copies, 3 rows
+    under the rule, which stays as it is.  A FULL
     or PERFECT draw holds K x K complex arrays on top, budgeted at 4.5: h,
     the sampler's draw and one block's temporaries (tracemalloc, numpy
     2.4, rows included: 2.6-4.4 in FULL, 1.6-3.5 in PERFECT, the most at
     n_t = 2; no zero-forcing residual is formed).  Every mode gets
     _CHUNK_TRIALS from n_t = 5 to 7."""
     k = params.n_t
-    per_trial = (8 * k * (9 + _LIVE_TERM_ROWS)
+    per_trial = (8 * k * (9 + _BLOCK_TERM_ROWS)
                  + (0 if mode is SimMode.QCA else 72 * k * k))
     return max(1, min(max(_CHUNK_TRIALS, _CHUNK_PAIRS // k),
                       _CHUNK_TARGET_BYTES // per_trial))
@@ -460,6 +462,13 @@ def _term_kind(k: int, top: float, bound: float, noise: float) -> tuple:
     return np.float64, max(1, int(_PRODUCT_BITS // factor_bits))
 
 
+def _part_bounds(num, den) -> tuple:
+    """(top, bound) of one pair of parts for :func:`_term_kind`: its
+    largest numerator and its largest part."""
+    top = float(num.max())
+    return top, max(top, float(den.max()))
+
+
 def _log2_products(factors, g: int, out, product=None):
     """sum_k log2(factors[..., k, :]) of the (..., K, n) ``factors``,
     every factor >= 1, into ``out`` (..., n): the log2 of the product of
@@ -482,116 +491,123 @@ def _log2_products(factors, g: int, out, product=None):
     return out
 
 
-class _ChunkLink:
-    """Link terms of one chunk, taken visit by visit.
+def _block_plan(members: list, eav_part: int, kinds: dict, k: int,
+                clip: bool) -> tuple:
+    """The reduction of a chunk of K users at the points of ``members``
+    (:func:`_estimates_of_one_draw`), whose terms have ``kinds``: (casts,
+    blocks), built once per draw key and kinds.
 
-    ``keys`` holds the (scale, noise) of each visit in visiting order; the
-    factors at a key are 1 + num / (den * scale + noise).  The visits cycle
-    through the roles of ``budgets``: one for a link of its own, or the
-    users' and the eavesdropper's where both links take the same parts.  A
-    key has the role of its first visit and is computed once, whichever
-    roles visit it.  Each key's kind is :func:`_term_kind` on the chunk's
-    largest numerator and part.  A term is the (n,) log2 sum over the
-    users of its factors, formed in the scratch, or under ``clip`` the
-    (K, n) factors.  Float32 copies of the parts are made only if some key
-    is float32, their interference scaled once if every key has one scale,
-    and the draw's float64 parts kept only if some key is float64.
+    A term's key is (part, scale, noise), its factors 1 + num / (den *
+    scale + noise) from pair ``part`` of the draw's parts: each point has
+    the users' (0, its distortion or 1, its noise) and the eavesdropper's
+    (``eav_part``, 1, its noise).  ``kinds`` maps a key's (part, noise) to
+    its :func:`_term_kind`.  A term is an (n,) float64 sum, or under
+    ``clip`` its (K, n) factors.
 
-    ``scratch``, set once the links are built (and so once the draw's
-    float64 parts are freed), is (work, product): the bytes of a stack's
-    factors or of a lone term, and a float32 (_STACK_LEVELS, n) array for
-    float32 products."""
+    Points are visited by (scale, users' noise), in order of the users'
+    noise, and cut into blocks: runs of points with the same users' noise,
+    taken whole while the block's distinct terms fit the budget, the
+    larger of _BLOCK_TERM_ROWS (K, n) float64 arrays and three float32
+    stacks' (n,) sums, and a run larger than that split point by point.
+    Each block is (stacks, reductions): its distinct terms in stacks of
+    one part and kind, up to _STACK_LEVELS float32 levels or 2 float64
+    ones, scale-1 keys first, each stack (part, dtype, users per product,
+    scales, noises) with (S, 1, 1) columns of the dtype, the scales None
+    where all are 1; then per point (row in ``members``, the indices of
+    its two terms in the block's stacks, the users' term's users per
+    product).  ``casts`` holds the (part, dtype) copies of the parts that
+    the stacks read."""
+    budget = 8 * max(_BLOCK_TERM_ROWS * k, 3 * _STACK_LEVELS)
 
-    def __init__(self, num, den, keys, budgets, clip):
-        k = len(num)
-        top = float(num.max())
-        bound = max(top, float(den.max()))
-        self.keys, self.budgets, self.clip = keys, list(budgets), clip
-        self.position = 0
-        self.role = {}
-        for position, key in enumerate(keys):
-            self.role.setdefault(key, position % len(budgets))
-        self.kinds = {key: _term_kind(k, top, bound, key[1])
-                      for key in self.role}
-        self.last = {key: position for position, key in enumerate(keys)}
-        self.live = {}  # key -> (term, [bytes, live terms, role] of its stack)
-        # The interference scale each dtype's parts carry: the float32 copy
-        # is scaled once if every key has one scale.
-        scales = {scale for scale, _ in keys}
-        self.carried = {np.float64: 1.0, np.float32: 1.0}
-        dtypes = {dtype for dtype, _ in self.kinds.values()}
-        self.parts = {np.float64: (num, den)} if np.float64 in dtypes else {}
-        if np.float32 in dtypes:
-            den32 = den.astype(np.float32)
-            if len(scales) == 1 and scales != {1.0}:
-                self.carried[np.float32] = scale = scales.pop()
-                den32 *= np.float32(scale)
-            self.parts[np.float32] = num.astype(np.float32), den32
+    def fits(keys):
+        # Bytes per trial of the terms at ``keys`` within the budget.
+        return budget >= sum(
+            k * np.dtype(kinds[part, noise][0]).itemsize if clip else 8
+            for part, _, noise in keys)
 
-    def take(self):
-        """The term of the next visit's key.
-
-        A term that is not live is computed in a stack with the next keys
-        of its role to be visited that are not live and have its kind, one
-        numpy call per stage; the look-ahead stops at a key of its role and
-        another kind.  A stack holds as many terms as its role's remaining
-        budget bytes do, at most _STACK_LEVELS, and without clip no more
-        than the scratch holds the factors of.  Each of its terms stays
-        live until its key's last visit, and its bytes return to the budget
-        once none of them is.  A term for which the budget holds none is
-        computed alone, its factors into the scratch."""
-        position = self.position
-        self.position += 1
-        key = self.keys[position]
-        live = self.live.get(key)
-        if live is None:
-            role = self.role[key]
-            dtype, group = kind = self.kinds[key]
-            work, product = self.scratch
-            num, den = self.parts[dtype]
-            k, n = num.shape
-            room = min(_STACK_LEVELS, self.budgets[role]
-                       // (num.nbytes if self.clip else 8 * n))
-            if not self.clip:
-                room = min(room, work.nbytes // num.nbytes)
-            keys = [key]
-            for ahead in itertools.islice(self.keys, position + 1, None):
-                if len(keys) >= room:
-                    break
-                if self.role[ahead] != role:
-                    continue
-                if self.kinds[ahead] != kind:
-                    break
-                if ahead not in self.live and ahead not in keys:
-                    keys.append(ahead)
-            s = len(keys)
-            if self.clip and room:
-                out = np.empty((s, k, n), dtype)
+    runs = {}
+    for i, (_, p, scale) in enumerate(members):
+        runs.setdefault(p.noise_over_power, {}).setdefault(scale, []).append(
+            (i, (0, scale, p.noise_over_power),
+             (eav_part, 1.0, p.eav_noise_over_power)))
+    blocks = []
+    for noise in sorted(runs):
+        run = [visit for group in runs[noise].values() for visit in group]
+        for unit in [run] if fits(_term_keys(run)) else [[v] for v in run]:
+            keys = _term_keys(unit)
+            if blocks and fits({**blocks[-1][1], **keys}):
+                blocks[-1][0].extend(unit)
+                blocks[-1][1].update(keys)
             else:
-                out = work[:s * num.nbytes].view(dtype).reshape(s, k, n)
-            scales, noises = zip(*keys)
-            if set(scales) != {self.carried[dtype]}:
-                den = np.multiply(den, np.array(scales, dtype)[:, None, None],
-                                  out=out)
-            terms = _factors(num, den, np.array(noises, dtype)[:, None, None],
-                             out)
-            if not self.clip:
-                terms = _log2_products(
-                    terms, group, np.empty((s, n)),
-                    product[:s] if dtype is np.float32 else None)
-            if not room:
-                return terms[0]
-            stack = [terms.nbytes, s, role]
-            self.budgets[role] -= terms.nbytes
-            self.live.update(zip(keys, zip(terms, [stack] * s)))
-            live = self.live[key]
-        term, stack = live
-        if position == self.last[key]:
-            del self.live[key]
-            stack[1] -= 1
-            if not stack[1]:
-                self.budgets[stack[2]] += stack[0]
-        return term
+                blocks.append((unit, keys))
+    plan = [_block_stacks(*block, kinds) for block in blocks]
+    return {stack[:2] for stacks, _ in plan for stack in stacks}, plan
+
+
+def _term_keys(visits: list) -> dict:
+    """The distinct term keys of ``visits``, in order of first use."""
+    return dict.fromkeys(key for _, *pair in visits for key in pair)
+
+
+def _block_stacks(visits: list, keys: dict, kinds: dict) -> tuple:
+    """One block of :func:`_block_plan`: (stacks, reductions) of
+    ``visits``, whose distinct term keys are ``keys``."""
+    groups = {}
+    for key in sorted(keys, key=lambda key: key[1] != 1.0):
+        groups.setdefault((key[0], kinds[key[0], key[2]]), []).append(key)
+    stacks, index = [], {}
+    for (part, (dtype, group)), same in groups.items():
+        size = _STACK_LEVELS if dtype is np.float32 else min(_STACK_LEVELS, 2)
+        for start in range(0, len(same), size):
+            stack = same[start:start + size]
+            index.update((key, len(index)) for key in stack)
+            _, scales, noises = (np.array(column, dtype)[:, None, None]
+                                 for column in zip(*stack))
+            stacks.append((part, dtype, group,
+                           None if (scales == 1.0).all() else scales, noises))
+    reductions = [(row, index[legit], index[eav], kinds[legit[0], legit[2]][1])
+                  for row, legit, eav in visits]
+    return stacks, reductions
+
+
+def _reduce_block(parts: dict, stacks: list, reductions: list, scratch,
+                  out: np.ndarray, clip: bool) -> None:
+    """One block of a chunk's reduction (:func:`_block_plan`): computes its
+    terms from ``parts`` ((part, dtype) -> (num, den)), stack by stack, one
+    numpy call per stage, then writes each visit's (sum, sum of squares)
+    of the per-trial rate to its row of ``out``.  Its terms are freed on
+    return.
+
+    ``scratch`` is (work, product, per_trial): the bytes of a stack's
+    factors, or under ``clip`` of the ratios, a float32 (_STACK_LEVELS, n)
+    array for float32 products and an (n,) float64 row for the rates."""
+    work, product, per_trial = scratch
+    terms = []
+    for part, dtype, group, scales, noises in stacks:
+        num, den = parts[part, dtype]
+        (k, n), s = num.shape, len(noises)
+        factors = (np.empty((s, k, n), dtype) if clip else
+                   work[:s * num.nbytes].view(dtype).reshape(s, k, n))
+        if scales is not None:
+            den = np.multiply(den, scales, out=factors)
+        _factors(num, den, noises, factors)
+        if not clip:
+            factors = _log2_products(
+                factors, group, np.empty((s, n)),
+                product[:s] if dtype is np.float32 else None)
+        terms.extend(factors)
+    for row, legit, eav, group in reductions:
+        a, b = terms[legit], terms[eav]
+        if clip:
+            # sum_k max(log2 a_k - log2 b_k, 0) = log2 prod_k max(a_k / b_k, 1)
+            dtype = np.result_type(a, b)
+            ratios = work[:dtype.itemsize * a.size].view(dtype).reshape(a.shape)
+            np.maximum(np.divide(a, b, out=ratios), 1.0, out=ratios)
+            _log2_products(ratios, group, per_trial,
+                           product[0] if dtype == np.float32 else None)
+        else:
+            np.subtract(a, b, out=per_trial)
+        out[row] = per_trial.sum(), per_trial @ per_trial
 
 
 def _check_counts(n: int, workers: int) -> None:
@@ -710,75 +726,47 @@ def _estimates_of_one_draw(draw: SystemParams, members: list, mode: SimMode,
     ``draw``.
 
     The unclipped QCA rate, E[users' sum] - E[eavesdropper's], reads each
-    link's law alone, so its draws are shared: the eavesdropper takes the
-    users' Exp(1) numerators and unit-scale interference, and one link
-    serves both (common random numbers: half the draw, and a key both
-    links visit, as at distortion 1 and alpha 1, is computed once).  The
-    clipped rate reads the links' joint law, independent in QCA, and FULL
-    and PERFECT draw both links from one geometry: these take the 4-part
-    draw and one link each."""
-    # Only the users' interference scale and noise, and the eavesdropper
-    # noise, tell points apart.  Points are visited by (scale, SNR) group,
-    # the groups in order of the users' noise, so that the points of one
-    # SNR and alpha, which share an eavesdropper noise level, come close
-    # together.  Each link visits one key per point, the eavesdropper's
-    # at scale 1.
+    link's law alone, so its draws are shared: the eavesdropper's keys
+    read the users' Exp(1) numerators and unit-scale interference (common
+    random numbers: half the draw, and a key both links visit, as at
+    distortion 1 and alpha 1, is computed once).  The clipped rate reads
+    the links' joint law, independent in QCA, and FULL and PERFECT draw
+    both links from one geometry: these read the 4-part draw's two pairs.
+    Each chunk follows the :func:`_block_plan` of its kinds."""
     shared = mode is SimMode.QCA and not clip
-    groups = {}
-    for i, (_, p, scale) in enumerate(members):
-        groups.setdefault((scale, p.noise_over_power), []).append(i)
-    order = [i for key in sorted(groups, key=lambda key: key[1])
-             for i in groups[key]]
-    legit_keys = [(members[i][2], members[i][1].noise_over_power)
-                  for i in order]
-    eav_keys = [(1.0, members[i][1].eav_noise_over_power) for i in order]
-    both_keys = [key for pair in zip(legit_keys, eav_keys) for key in pair]
+    eav_part = 0 if shared else 1
+    levels = list(dict.fromkeys(
+        level for _, p, _ in members
+        for level in ((0, p.noise_over_power),
+                      (eav_part, p.eav_noise_over_power))))
+    plans = {}
 
     def moments(parts):
         # (sum, sum of squares) of the per-trial rate, one row per point.
         # The scratch is per call: chunks run concurrently on threads.
         k, n = parts[0].shape
         rejected = parts[4]
-        # The users' budget is one stack, the eavesdropper's
-        # _LIVE_TERM_ROWS (K, n) float64 arrays; the shared draw's one
-        # link holds both, one per role.  Link by link, float32 copies
-        # replace the draw's float64 parts unless a float64 term needs
-        # them.
-        budgets = (8 * (k if clip else _STACK_LEVELS) * n,
-                   _LIVE_TERM_ROWS * 8 * k * n)
-        if shared:
-            legit = eav = _ChunkLink(parts[0], parts[1], both_keys, budgets,
-                                     clip)
-        else:
-            legit = _ChunkLink(parts[0], parts[1], legit_keys, budgets[:1],
-                               clip)
-            del parts[:2]
-            eav = _ChunkLink(parts[0], parts[1], eav_keys, budgets[1:], clip)
+        pairs = [parts[2 * part:2 * part + 2] for part in range(eav_part + 1)]
         parts.clear()
+        bounds = [_part_bounds(*pair) for pair in pairs]
+        kinds = {level: _term_kind(k, *bounds[level[0]], level[1])
+                 for level in levels}
+        # Two threads may both build a missing plan; the two are equal.
+        plan_key = tuple(kinds.values())
+        if plan_key not in plans:
+            plans[plan_key] = _block_plan(members, eav_part, kinds, k, clip)
+        casts, blocks = plans[plan_key]
+        arrays = {(part, dtype): tuple(x.astype(dtype, copy=False)
+                                       for x in pairs[part])
+                  for part, dtype in casts}
+        del pairs  # the draw's float64 parts, unless a float64 term reads them
         # Two (K, n) float64 arrays' bytes for a stack's factors; under
-        # clip one, for a lone eavesdropper term and the ratios, which may
-        # overwrite it.  Under clip the users' keys come in runs, so their
-        # stack is always free to be remade and never lone.
-        work = np.empty((8 if clip else 16) * k * n, np.uint8)
-        product = np.empty((_STACK_LEVELS, n), np.float32)
-        per_trial = np.empty(n)
-        legit.scratch = eav.scratch = work, product
+        # clip one, for the ratios.
+        scratch = (np.empty((8 if clip else 16) * k * n, np.uint8),
+                   np.empty((_STACK_LEVELS, n), np.float32), np.empty(n))
         out = np.empty((len(members), 2))
-        for position, i in enumerate(order):
-            legit_t, eav_t = legit.take(), eav.take()
-            if clip:
-                # sum_k max(log2 a_k - log2 b_k, 0)
-                #     = log2 prod_k max(a_k / b_k, 1)
-                dtype = np.result_type(legit_t, eav_t)
-                ratios = np.divide(legit_t, eav_t, out=work[
-                    :dtype.itemsize * k * n].view(dtype).reshape(k, n))
-                _log2_products(np.maximum(ratios, 1.0, out=ratios),
-                               legit.kinds[legit_keys[position]][1], per_trial,
-                               product[0] if dtype == np.float32 else None)
-            else:
-                np.subtract(legit_t, eav_t, out=per_trial)
-            legit_t = eav_t = None  # frees a finished stack before the next
-            out[i] = per_trial.sum(), per_trial @ per_trial
+        for stacks, reductions in blocks:
+            _reduce_block(arrays, stacks, reductions, scratch, out, clip)
         return out, rejected
 
     sums = np.zeros((len(members), 2))

@@ -13,7 +13,6 @@ from zfsecrecy.analytic import (Link, Regime, exp_integral_e1,
                                 exp_integral_e1_scaled,
                                 gauss_2f1, integrate_half_line,
                                 laplace_pole_integral,
-                                laplace_two_pole_integral,
                                 rate_from_cdf_quadrature,
                                 secrecy_rate_closed_form,
                                 secrecy_rate_interference_limited,
@@ -187,20 +186,26 @@ def test_pole_integral_divergence_and_domain():
 # Two-pole Laplace integral
 # --------------------------------------------------------------------------
 
+def _two_pole_integral(x, y, z):
+    """integral_0^inf exp(-x t) / ((t + 1)(t + y)^z) dt for x >= 0, y > 0:
+    the two-pole kernel at d = 1/y, times y^-z."""
+    return analytic._two_pole(x, 1.0 / y, z) * y ** -z
+
+
 def test_two_pole_merged_identity():
     # y = 1 merges the poles: the integral becomes the one-pole case of
     # order z+1, the series' one term.  At x = 0, z = 1 that value is
     # exactly 1.
-    assert laplace_two_pole_integral(0.0, 1.0, 1) == pytest.approx(1.0,
+    assert _two_pole_integral(0.0, 1.0, 1) == pytest.approx(1.0,
                                                                    abs=1e-14)
     for x in (0.0, 0.5, 2.0):
         for z in (1, 2, 4):
-            assert laplace_two_pole_integral(x, 1.0, z) == (
+            assert _two_pole_integral(x, 1.0, z) == (
                 laplace_pole_integral(x, 1.0, z + 1))
 
 
 def test_two_pole_log_case():
-    assert laplace_two_pole_integral(0.0, 2.0, 1) == pytest.approx(
+    assert _two_pole_integral(0.0, 2.0, 1) == pytest.approx(
         math.log(2.0), abs=1e-14)
 
 
@@ -210,7 +215,7 @@ def test_two_pole_vs_quadrature():
              (0.5, 1 + 5e-5, 3)]  # the last with nearly merged poles
     for x, y, z in cases:
         ref = quad_two_pole(x, y, z)
-        got = laplace_two_pole_integral(x, y, z)
+        got = _two_pole_integral(x, y, z)
         assert abs(got - ref) / abs(ref) < 1e-8, (x, y, z)
 
 
@@ -229,7 +234,7 @@ def test_two_pole_guard_band_matches_mpmath(x, y, z):
     mpmath = pytest.importorskip("mpmath")
     want = float(mpmath_half_line(mpmath, lambda t: mpmath.exp(-x * t) / (
         (t + 1) * (t + mpmath.mpf(y)) ** z)))
-    assert abs(laplace_two_pole_integral(x, y, z) - want) <= 1e-9 * want
+    assert abs(_two_pole_integral(x, y, z) - want) <= 1e-9 * want
 
 
 @pytest.mark.parametrize("d", [0.0, 2.0 ** -1070, 1e-300])
@@ -249,15 +254,6 @@ def test_two_pole_limit_where_the_poles_part_past_float64(x, d, z):
     # At x = 0 the integral diverges as d -> 0.
     with pytest.raises(ZeroDivisionError):
         analytic._two_pole(0.0, 0.0, z)
-
-
-def test_two_pole_domain():
-    with pytest.raises(ValueError):
-        laplace_two_pole_integral(-1.0, 2.0, 1)
-    with pytest.raises(ValueError):
-        laplace_two_pole_integral(0.0, -2.0, 1)
-    with pytest.raises(ValueError):
-        laplace_two_pole_integral(0.0, 2.0, 0)
 
 
 # --------------------------------------------------------------------------

@@ -1119,9 +1119,8 @@ def test_each_eavesdropper_noise_level_is_computed_once_per_chunk(
     # noise level, 12, where one eavesdropper term per point makes 64.
     # Both links take the shared draw, and at alpha 1 the eavesdropper's
     # level is the users' term at distortion 1 of its SNR, computed once:
-    # 16 + 8 = 24 terms.  The users' 16 take 4 stacks of 4; the
-    # eavesdropper's other 8 take 2, each two SNRs' alphas 0.25 and 0.5,
-    # found ahead.
+    # 16 + 8 = 24 terms, 6 an SNR.  A block takes two SNRs' 12 terms, the
+    # 6 at scale 1 first, in 3 stacks of 4.
     n = chunk_trials(P55, SimMode.QCA) + 8
     verify = [SystemParams(n_t=5, bits=b, alpha=a, snr_db=s)
               for b in (0, 1, 4, 8) for a in (0.25, 0.5, 1.0)
@@ -1129,20 +1128,77 @@ def test_each_eavesdropper_noise_level_is_computed_once_per_chunk(
     assert _count_sinr_calls(monkeypatch, verify, n) == (
         2 * (4 + 2), 2 * (16 + 8))
     # The default rate-curve's key shares no noise level: 21 SNRs, one
-    # users' term each, and one eavesdropper term per point, 63, each
-    # link's terms in stacks of its own of 4: 6 and 16 of them.
+    # users' term each, and one eavesdropper term per point, 63.  A block
+    # takes three SNRs' 12 terms, the 9 eavesdropper ones first, in 3
+    # stacks of 4: 21 stacks.  Both chunks follow one plan, built once.
     curve = [SystemParams(n_t=5, bits=4, alpha=a, snr_db=s)
              for a in (0.25, 0.5, 1.0) for s in range(-10, 31, 2)]
     assert len({p.eav_noise_over_power for p in curve}) == 63
+    plans = _recorded_plans(monkeypatch)
     assert _count_sinr_calls(monkeypatch, curve, n) == (
-        2 * (6 + 16), 2 * (21 + 63))
+        2 * 21, 2 * (21 + 63))
+    assert len(plans) == 1
+
+
+def _recorded_plans(monkeypatch):
+    """The list that the kinds of each plan simulate._block_plan builds are
+    appended to from now on."""
+    plans, block_plan = [], simulate._block_plan
+
+    def recorded(members, eav_part, kinds, k, clip):
+        plans.append(tuple(kinds.values()))
+        return block_plan(members, eav_part, kinds, k, clip)
+
+    monkeypatch.setattr(simulate, "_block_plan", recorded)
+    return plans
+
+
+@pytest.mark.parametrize("clip", [False, True])
+def test_chunks_of_other_kinds_follow_plans_of_their_own(clip, monkeypatch):
+    # Near 62 dB at n_t = 5 a term is float32 or float64 as its chunk's
+    # largest numerator falls: the four chunks here take 2 kinds of plan
+    # (3 under clip), each built once, and every estimate is the oracle's
+    # bit for bit.
+    points = [SystemParams(n_t=5, bits=2, alpha=a, snr_db=s)
+              for s in (61.5, 62.0, 62.5) for a in (0.5, 1.0)]
+    n = 3 * chunk_trials(P55, SimMode.QCA) + 100
+    oracle = _oracle_estimates(points, SimMode.QCA, n, 25, clip)
+    plans = _recorded_plans(monkeypatch)
+    assert estimate_secrecy_rates(points, SimMode.QCA, n, seed=25,
+                                  clip=clip) == oracle
+    assert len(plans) == (3 if clip else 2) == len(set(plans))
+
+
+def _held_in_arrays(monkeypatch, run) -> int:
+    """The most bytes numpy's arrays hold (its own tracemalloc domain)
+    while run() reduces a chunk, read after every log2 stage
+    (simulate._log2_products) at which the traced total reaches a new
+    high: a stack's, and under clip a point's, when a block's terms, the
+    scratch and the parts' copies are all alive.  tracemalloc must be
+    tracing."""
+    held, total, log2_products = [0], [0], simulate._log2_products
+
+    def sampled(*args):
+        out = log2_products(*args)
+        if tracemalloc.get_traced_memory()[0] > total[0]:
+            total[0] = tracemalloc.get_traced_memory()[0]
+            snapshot = tracemalloc.take_snapshot().filter_traces(
+                [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+            held[0] = max(held[0], sum(t.size for t in snapshot.traces))
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(simulate, "_log2_products", sampled)
+        run()
+    return held[0]
 
 
 def test_live_eavesdropper_terms_stay_within_their_bound(monkeypatch):
     # 40 alphas x 3 budgets at one SNR: each of 40 eavesdropper terms
-    # serves three groups, but a chunk holds at most the bytes of
-    # _LIVE_TERM_ROWS = 2 (K, n) float64 arrays in them: 2 * K = 10 (n,)
-    # sums, or under clip 4 (K, n) float32 factors.
+    # serves three groups, but a block holds at most the bytes of the
+    # larger of _BLOCK_TERM_ROWS = 2 (K, n) float64 arrays and three
+    # float32 stacks' sums: 12 (n,) sums, or under clip 4 (K, n) float32
+    # factors (5 would take 100 of the 96 bytes a trial).
     points = [SystemParams(n_t=5, bits=b, alpha=0.1 + 0.05 * i, snr_db=0.0)
               for b in (0, 1, 3) for i in range(40)]
     n = chunk_trials(P55, SimMode.QCA)  # one chunk
@@ -1152,25 +1208,23 @@ def test_live_eavesdropper_terms_stay_within_their_bound(monkeypatch):
                                  shared=shared) for shared in (False, True)}
     array = drawn[False][0].nbytes
     # Beyond the drawn parts, which the patched draw keeps alive, the
-    # reduction holds float32 copies of the parts, its scratch (2 arrays)
-    # and the live terms (2), and (n,) rows, 1/K of an array each.
-    # Without clip both links take the shared draw's one pair of copies
-    # (1 array), and the rows are the per-trial sums, the users' stack of
-    # 3 sums, a lone term's sum and the float32 products (4 rows of half
-    # that).  Under clip each link has its copies (2 arrays), and the rows
-    # are the per-trial sums and the products.  128 KiB covers the small
-    # objects.  Measured, in arrays of 320 KiB: 6.62, and 6.80 under clip.
-    # SINR passes: the users' 3 groups in one stack (two under clip, of 2
-    # and 1).  Without clip the level of alpha 1 (i = 18) is the users'
-    # term at bits 0, computed once, which leaves 39 eavesdropper terms.
-    # The eavesdropper's first group fills the budget with stacks of 4, 4
-    # and 2 terms (under clip one of 4) and computes the other 29 (36)
-    # alone, as does the second group; the third, the budget freed by
-    # then, stacks those 29 (36) by 4: 8 (9) stacks.
-    for clip, arrays, passes in ((False, 1 + 2 + 2 + (1 + 3 + 1 + 2) / 5,
-                                  (1 + 32 + 29 + 8, 3 + 39 + 29 + 29)),
-                                 (True, 2 + 2 + 2 + (1 + 2) / 5,
-                                  (2 + 37 + 36 + 9, 3 + 40 + 36 + 36))):
+    # reduction holds float32 copies of the parts, its scratch, a block's
+    # terms and (n,) rows, 1/K of an array each: the per-trial sums and
+    # the float32 products (3 rows).  Without clip both links take the
+    # shared draw's one pair of copies (1 array), the scratch holds a
+    # stack's factors (2) and a block its 12 sums (2.4): 6.0.  Under clip
+    # each link has its copies (2), the scratch the ratios (1) and a block
+    # 4 float32 factors (2): 5.6.  The bounds are those of the layout
+    # before blocks, kept: 6.4 and 6.6, and 128 KiB for small objects.
+    # Measured, in arrays of 320 KiB: 6.36, and 5.88 under clip.
+    # SINR passes: the grid is one run of 120 points, whose 42 distinct
+    # terms (the level of alpha 1, i = 18, is the users' term at bits 0
+    # without clip) overflow a block, so it is cut point by point.
+    # Without clip into 11 blocks of 12 terms, 3 stacks of 4 each; under
+    # clip into 41 blocks of at most 4 terms, two stacks each, one of the
+    # users' factors and one of the eavesdropper's.
+    for clip, arrays, passes in ((False, 6.4, (33, 132)),
+                                 (True, 6.6, (82, 162))):
         oracle = _oracle_estimates(points, SimMode.QCA, n, 17, clip)
         with monkeypatch.context() as patch:
             patch.setattr(simulate, "_draw_parts",
@@ -1181,11 +1235,23 @@ def test_live_eavesdropper_terms_stay_within_their_bound(monkeypatch):
                 shared = estimate_secrecy_rates(points, SimMode.QCA, n,
                                                 seed=17, clip=clip)
                 peak = tracemalloc.get_traced_memory()[1]
+                # Ten times the alphas hold no more in arrays: the plan
+                # cuts the wider run into more blocks of the same budget.
+                # Its 1,200 points' Python objects (their members, plan
+                # entries and output rows, about 500 B a point, as before
+                # blocks) are no array a block holds.  Measured: 6.14, and
+                # 5.74 under clip.
+                wide = _held_in_arrays(patch, lambda: estimate_secrecy_rates(
+                    [SystemParams(n_t=5, bits=b, alpha=0.1 + 0.005 * i,
+                                  snr_db=0.0)
+                     for b in (0, 1, 3) for i in range(400)],
+                    SimMode.QCA, n, seed=17, clip=clip))
             finally:
                 tracemalloc.stop()
             assert _count_sinr_calls(patch, points, n, clip) == passes, clip
         assert shared == oracle
         assert peak <= arrays * array + 2 ** 17, (clip, peak / array)
+        assert wide <= arrays * array + 2 ** 17, (clip, wide / array)
 
 
 def test_worker_cap_is_checked_before_any_pool_exists(monkeypatch):
@@ -1215,9 +1281,9 @@ def test_full_chunks_are_sized_by_the_arrays_they_hold():
         assert geometry_bytes <= simulate._CHUNK_TARGET_BYTES
     assert chunk_trials(wide, SimMode.QCA) == simulate._CHUNK_TRIALS
     # Past n_t = 69 the (K,) rows of a QCA chunk (4 parts, their float32
-    # copies, 2 scratch rows and the live terms) outgrow the target at
+    # copies, 2 scratch rows and a block's terms) outgrow the target at
     # _CHUNK_TRIALS trials.
-    rows = 8 + simulate._LIVE_TERM_ROWS
+    rows = 8 + simulate._BLOCK_TERM_ROWS
     for n_t in (128, 256):
         qca = chunk_trials(SystemParams(n_t=n_t, bits=4, alpha=1.0,
                                         snr_db=10.0), SimMode.QCA)
@@ -1245,8 +1311,8 @@ def test_chunks_from_five_antennas_on_keep_the_byte_rule():
 ])
 def test_one_chunk_stays_within_the_chunk_memory_target(mode, n_t):
     # One whole chunk, draw and rate reduction, and in QCA also under clip.
-    # Each of 5 eavesdropper noise levels serves two points, so the
-    # reduction keeps as many live terms as it may.
+    # Each of 5 eavesdropper noise levels serves two points, so a block
+    # holds as many terms as its budget takes.
     points = [SystemParams(n_t=n_t, bits=4, alpha=a, snr_db=10.0)
               for a in (0.25, 0.5, 0.75, 1.0, 1.5)] * 2
     n = chunk_trials(points[0], mode)
@@ -1259,12 +1325,13 @@ def test_one_chunk_stays_within_the_chunk_memory_target(mode, n_t):
             tracemalloc.stop()
         assert peak <= simulate._CHUNK_TARGET_BYTES, (n, clip, peak)
         # A QCA chunk at n_t = 5 holds only (K, n) float64 rows' worth of
-        # arrays: the float32 parts, the scratch, the live terms and the
+        # arrays: the float32 parts, the scratch, a block's terms and the
         # (n,) rows.  Measured with numpy 2.4 before the reduction took one
         # term path: 6.53, and 6.73 under clip; with it, 5.93 and 6.23.
         # The unclipped rate's shared draw holds one pair of parts and one
-        # of float32 copies: 4.93.  More means some array is again made
-        # while the draw's float64 parts are alive (7.62 with two links).
+        # of float32 copies: 4.93; with block plans 4.94, and 6.03 under
+        # clip.  More means some array is again made while the draw's
+        # float64 parts are alive (7.62 with two links).
         if mode is SimMode.QCA and n_t == 5:
             rows = peak / (8 * n_t * n)
             assert rows <= (6.73 if clip else 4.93) + 0.1, (clip, rows)
