@@ -7,11 +7,11 @@ The SINR of a served user, with quantized feedback, has survival function
 
 where d is the quantization-distortion scale; the eavesdropper's SINR obeys
 the same law with d = 1 and its own noise level.  Every rate here is the
-difference of the two expected log terms, evaluated either exactly (one
-two-pole kernel over scaled exponential integrals), in the
-interference-limited limit (drop the exponential: the same kernel at s = 0),
-in the noise-limited limit (drop the polynomial), or by double-exponential
-quadrature as an independent oracle.
+difference of the two links' expected log terms.  The exact rate and its
+interference-limited limit (drop the exponential: s = 0) and noise-limited
+limit (drop the polynomial: d = 0) take both terms from one two-pole kernel
+over scaled exponential integrals; double-exponential quadrature of the
+same laws is an independent oracle.
 
 All chi-square-style variates follow the complex-variate convention: the
 two-degree case is Exp(1) with density exp(-x), and the 2k-degree case is
@@ -122,25 +122,6 @@ def exp_integral_e1_scaled(x: float) -> float:
     return _en_scaled_cf(1, x)
 
 
-def _en_scaled(n: int, x: float) -> float:
-    """exp(x) * E_n(x) for integer n >= 1 and x >= 0 (x > 0 when n == 1).
-
-    For x <= 1 the upward recurrence from E1 is stable (errors shrink by
-    x/k per step); for x > 1 the continued fraction is used directly, since
-    upward recurrence amplifies roundoff by roughly x/k per step.
-    """
-    if n == 1:
-        return exp_integral_e1_scaled(x)
-    if x == 0.0:
-        return 1.0 / (n - 1)
-    if x <= 1.0:
-        val = exp_integral_e1_scaled(x)
-        for k in range(2, n + 1):
-            val = (1.0 - x * val) / (k - 1)
-        return val
-    return _en_scaled_cf(n, x)
-
-
 # ---------------------------------------------------------------------------
 # Quadrature
 # ---------------------------------------------------------------------------
@@ -193,25 +174,39 @@ def laplace_pole_integral(p: float, a: float, n: int) -> float:
         if n == 1:
             raise ValueError("integral diverges for p = 0, n = 1")
         return a ** (1.0 - n) / (n - 1)
-    return a ** (1.0 - n) * _en_scaled(n, a * p)
+    return a ** (1.0 - n) * _en_scaled_run(n, n, a * p)[0]
 
 
 def _en_scaled_run(lo: int, hi: int, w: float) -> list:
-    """[exp(w) E_n(w) for n = lo..hi], from one :func:`_en_scaled` call at
-    the order nearest w: f_{n+1} = (1 - w f_n) / n scales errors by w/n,
-    so it runs upward above that order and downward below it."""
-    n0 = min(max(round(w), lo), hi)
-    f = [0.0] * (hi - lo + 1)
-    f[n0 - lo] = _en_scaled(n0, w)
+    """[exp(w) E_n(w) for n = lo..hi], for w >= 0 (w > 0 when lo = 1): the
+    one E_n evaluator.
+
+    f_{n+1} = (1 - w f_n) / n scales errors by w/n.  For w <= 1 the run
+    climbs from exp(w) E_1(w); for w > 1 it starts from the continued
+    fraction at the order nearest w and runs upward above that order and
+    downward below it.  At w = 0, f_n = 1/(n-1) exactly.
+    """
+    if w == 0.0:
+        return [1.0 / (n - 1) for n in range(lo, hi + 1)]
+    if w <= 1.0:
+        n0, start = 1, exp_integral_e1_scaled(w)
+    else:
+        n0 = min(max(round(w), lo), hi)
+        start = _en_scaled_cf(n0, w)
+    base = min(n0, lo)
+    f = [0.0] * (hi - base + 1)
+    f[n0 - base] = start
     for n in range(n0, hi):
-        f[n + 1 - lo] = (1.0 - w * f[n - lo]) / n
-    for n in range(n0 - 1, lo - 1, -1):
-        f[n - lo] = (1.0 - n * f[n + 1 - lo]) / w
-    return f
+        f[n + 1 - base] = (1.0 - w * f[n - base]) / n
+    for n in range(n0 - 1, base - 1, -1):
+        f[n - base] = (1.0 - n * f[n + 1 - base]) / w
+    return f[lo - base:]
 
 
 def _two_pole(x: float, d: float, z: int) -> float:
-    """integral_0^inf exp(-x t) / ((1 + t)(1 + d t)^z) dt for x >= 0, d > 0.
+    """integral_0^inf exp(-x t) / ((1 + t)(1 + d t)^z) dt for x, d >= 0:
+    E ln(1 + sinr) of a link whose SINR law (:func:`_link_law`) has noise
+    level x, interference scale d and z = n_t - 1.
 
     With r = 1 - d and w = x/d, and f_n = exp(w) E_n(w):
     - close poles: the series sum_j r^j f_{z+1+j}, its terms positive for
@@ -225,11 +220,16 @@ def _two_pole(x: float, d: float, z: int) -> float:
     For x > 0, where d is 0 or x/d passes float64, the integral is its
     d -> 0 limit exp(x) E_1(x): the factor (1 + d t)^-z moves it by less
     than z d/x relative, below 2**-900 there.  At x = 0 it grows like
-    ln(1/d), and d = 0 raises ZeroDivisionError.
+    ln(1/d), and x = 0, d = 0, its one divergence, raises OverflowError.
     ln(1/d) is taken from d itself, exact where 1 - d rounds to 1.
     """
     if x > 0.0 and (d == 0.0 or x / d == math.inf):
         return exp_integral_e1_scaled(x)
+    if d == 0.0:
+        raise OverflowError(
+            "the rate's integral diverges: a link's noise level and its "
+            "interference scale are both 0, each because it underflows to "
+            "0 or the regime drops it")
     w = x / d
     r = 1.0 - d
     log_r = math.log(abs(r)) if r else -math.inf
@@ -267,23 +267,40 @@ def gauss_2f1(n_t: int, z: float) -> float:
 # SINR distributions
 # ---------------------------------------------------------------------------
 
+def _link_law(params: SystemParams, link: Link, regime: Regime) -> tuple:
+    """(noise, interference) of a link's SINR law in ``regime``, the one
+    place each law is stated: P(sinr > x) = exp(-x noise) /
+    (1 + interference x)**(n_t - 1).
+
+    A served user has noise sigma^2/P and interference the distortion
+    scale; the eavesdropper has noise sigma^2/(alpha^2 P) and
+    interference 1.  The interference-limited regime drops the noise and
+    the noise-limited regime the interference: a dropped part is 0, and
+    is never computed.
+    """
+    if not isinstance(regime, Regime):
+        raise ValueError(f"unknown regime {regime!r}")
+    legit = link is Link.LEGITIMATE
+    noise = interference = 0.0
+    if regime is not Regime.INTERFERENCE_LIMITED:
+        noise = (params.noise_over_power if legit
+                 else params.eav_noise_over_power)
+    if regime is not Regime.NOISE_LIMITED:
+        interference = params.distortion if legit else 1.0
+    return noise, interference
+
+
 def _survival_law(params: SystemParams, link: Link, regime: Regime):
-    """x -> P(sinr > x) for the requested link and regime, its constants
-    bound once: the one survival formula, for x >= 0."""
-    if link is Link.LEGITIMATE:
-        noise = params.noise_over_power
-        interference = params.distortion
-    else:
-        noise = params.eav_noise_over_power
-        interference = 1.0
+    """x -> P(sinr > x) for the link's law (:func:`_link_law`), its
+    constants bound once, for x >= 0.  A part that is 0 is left out of the
+    formula, not multiplied in: 0 * inf is nan at x = inf."""
+    noise, interference = _link_law(params, link, regime)
     k = params.n_t - 1
-    if regime is Regime.GENERAL:
-        return lambda x: np.exp(-x * noise) / (1.0 + interference * x) ** k
-    if regime is Regime.INTERFERENCE_LIMITED:
-        return lambda x: 1.0 / (1.0 + interference * x) ** k
-    if regime is Regime.NOISE_LIMITED:
+    if not interference:
         return lambda x: np.exp(-x * noise)
-    raise ValueError(f"unknown regime {regime!r}")
+    if not noise:
+        return lambda x: 1.0 / (1.0 + interference * x) ** k
+    return lambda x: np.exp(-x * noise) / (1.0 + interference * x) ** k
 
 
 def sinr_cdf(x, params: SystemParams, link: Link,
@@ -303,59 +320,47 @@ def sinr_cdf(x, params: SystemParams, link: Link,
 # Ergodic secrecy sum-rate
 # ---------------------------------------------------------------------------
 
+def _rate(params: SystemParams, regime: Regime) -> float:
+    """n_t * log2(e) * [K(legit) - K(eav)], K the two-pole kernel of each
+    link's law in ``regime``: exactly 0 where the two laws are equal."""
+    z = params.n_t - 1
+    legit = _two_pole(*_link_law(params, Link.LEGITIMATE, regime), z)
+    eav = _two_pole(*_link_law(params, Link.EAVESDROPPER, regime), z)
+    return params.n_t * LOG2_E * (legit - eav)
+
+
 def secrecy_rate_closed_form(params: SystemParams) -> float:
     """Exact ergodic secrecy sum-rate, bits/s/Hz.
 
-    n_t * log2(e) * [ TwoPole(s, d, n_t-1) - J(s_e, 1, n_t) ]
-    with TwoPole the integral of exp(-s t) / ((1+t)(1+d t)^(n_t-1)), d the
-    distortion scale, s = sigma^2/P and s_e = sigma^2/(alpha^2 P).
+    n_t * log2(e) * [ TwoPole(s, d) - TwoPole(s_e, 1) ]
+    with TwoPole(x, d) the integral of exp(-x t) / ((1+t)(1+d t)^(n_t-1)),
+    d the distortion scale, s = sigma^2/P and s_e = sigma^2/(alpha^2 P).
     May be negative: the definition keeps the difference of logs without a
     positive-part clip.
     """
-    n_t = params.n_t
-    legit = _two_pole(params.noise_over_power, params.distortion, n_t - 1)
-    eav = laplace_pole_integral(params.eav_noise_over_power, 1.0, n_t)
-    return n_t * LOG2_E * (legit - eav)
+    return _rate(params, Regime.GENERAL)
 
 
 def secrecy_rate_interference_limited(params: SystemParams) -> float:
     """High-SNR limit of the rate; depends only on (n_t, bits).
 
     n_t * log2(e) * [ B(1, n_t-1) * 2F1(n_t-1, 1; n_t; 1-d) - 1/(n_t-1) ]
-    where B(1, n_t-1) = 1/(n_t-1): the closed form's kernel at s = 0.
-    Exactly zero for zero feedback.
+    where B(1, n_t-1) = 1/(n_t-1): the closed form's kernels at s = s_e = 0.
+    Exactly zero for zero feedback.  Where the distortion underflows to 0
+    the rate, which grows like -log(distortion), raises OverflowError.
     """
-    n_t = params.n_t
-    d = params.distortion
-    if d == 0.0:
-        raise OverflowError(f"the distortion 2**(-bits/(n_t-1)) underflows "
-                            f"to 0 at n_t={n_t}, bits={params.bits}, and the "
-                            f"rate grows like -log(distortion)")
-    return n_t * LOG2_E * (_two_pole(0.0, d, n_t - 1) - 1.0 / (n_t - 1))
+    return _rate(params, Regime.INTERFERENCE_LIMITED)
 
 
 def secrecy_rate_noise_limited(params: SystemParams) -> float:
     """Low-SNR limit of the rate; independent of the feedback budget.
 
     n_t * log2(e) * [ e^s E1(s) - e^s' E1(s') ] with s = sigma^2/P and
-    s' = sigma^2/(alpha^2 P).  Exactly zero at alpha = 1.
+    s' = sigma^2/(alpha^2 P): the closed form's kernels at d = 0.  Exactly
+    zero at alpha = 1.  Where a noise level underflows to 0 its term, which
+    grows like -log(s), raises OverflowError.
     """
-    s_legit = params.noise_over_power
-    s_eav = params.eav_noise_over_power
-    if s_legit == s_eav:
-        return 0.0
-    return params.n_t * LOG2_E * (exp_integral_e1_scaled(s_legit)
-                                  - exp_integral_e1_scaled(s_eav))
-
-
-def secrecy_rate_for_regime(params: SystemParams, regime: Regime) -> float:
-    if regime is Regime.GENERAL:
-        return secrecy_rate_closed_form(params)
-    if regime is Regime.INTERFERENCE_LIMITED:
-        return secrecy_rate_interference_limited(params)
-    if regime is Regime.NOISE_LIMITED:
-        return secrecy_rate_noise_limited(params)
-    raise ValueError(f"unknown regime {regime!r}")
+    return _rate(params, Regime.NOISE_LIMITED)
 
 
 def rate_from_cdf_quadrature(params: SystemParams,

@@ -765,8 +765,11 @@ def _estimates_of_one_draw(draw: SystemParams, members: list, mode: SimMode,
         scratch = (np.empty((8 if clip else 16) * k * n, np.uint8),
                    np.empty((_STACK_LEVELS, n), np.float32), np.empty(n))
         out = np.empty((len(members), 2))
-        for stacks, reductions in blocks:
-            _reduce_block(arrays, stacks, reductions, scratch, out, clip)
+        # A factor past float64 makes its point's sums non-finite, and that
+        # raises below: no warning on the way.
+        with np.errstate(all="ignore"):
+            for stacks, reductions in blocks:
+                _reduce_block(arrays, stacks, reductions, scratch, out, clip)
         return out, rejected
 
     sums = np.zeros((len(members), 2))
@@ -775,6 +778,14 @@ def _estimates_of_one_draw(draw: SystemParams, members: list, mode: SimMode,
             draw, mode, n_trials, seed, workers, moments, shared=shared):
         sums += chunk_sums
         rejected += chunk_rejected
+    finite = np.isfinite(sums).all(axis=1)
+    if not finite.all():
+        p = members[int(finite.argmin())][1]
+        raise OverflowError(
+            f"the per-trial rates at n_t={p.n_t}, bits={p.bits}, "
+            f"alpha={p.alpha!r}, snr_db={p.snr_db!r} leave float64: 1 + sinr "
+            f"overflows where a link's noise level is subnormal or 0 and it "
+            f"meets no interference")
     return [_rate_estimate(total, total_sq, n_trials, rejected)
             for total, total_sq in sums.tolist()]
 

@@ -116,6 +116,21 @@ def test_scaled_continued_fraction_matches_mpmath(n):
             n, x, got, want)
 
 
+# exp(0) E_1(0) diverges: no run from lo = 1 at w = 0.
+@pytest.mark.parametrize("w,lo", [(w, lo) for w in (0.0, 0.5, 1.0, 1.5, 40.0)
+                                  for lo in (1, 2, 65) if w or lo > 1])
+def test_en_scaled_run_matches_mpmath(w, lo):
+    # The run climbs from E1 for w <= 1 and starts at the continued
+    # fraction otherwise (at w = 40 it runs down to lo = 1 and 2 and up to
+    # lo = 65's orders); at w = 0 each term is exactly 1/(n-1).
+    mpmath = pytest.importorskip("mpmath")
+    got = analytic._en_scaled_run(lo, lo + 7, w)
+    assert len(got) == 8
+    for n, value in enumerate(got, lo):
+        want = 1.0 / (n - 1) if w == 0.0 else _mpmath_en_scaled(mpmath, n, w)
+        assert abs(value - want) <= 1e-14 * want, (n, value, want)
+
+
 def test_scaled_continued_fraction_converges_up_to_the_float64_limit():
     # Once x + n + 2i rounds to x + n, each step's delta settles at
     # 1 - 2**-53 or 1 + 2**-52: a stopping test of delta == 1.0 alone never
@@ -252,7 +267,7 @@ def test_two_pole_limit_where_the_poles_part_past_float64(x, d, z):
     if d == 0.0 or x / d == math.inf:
         assert got == analytic.exp_integral_e1_scaled(x)
     # At x = 0 the integral diverges as d -> 0.
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(OverflowError, match="underflows"):
         analytic._two_pole(0.0, 0.0, z)
 
 
@@ -310,6 +325,10 @@ def test_cdf_is_zero_at_origin():
     for link in Link:
         for regime in Regime:
             assert sinr_cdf(0.0, PARAMS_55, link, regime) == 0.0
+            # and 1 at infinity: a regime's law leaves the part it drops
+            # out, where exp(-inf * 0) or (1 + 0 * inf) would be nan.
+            got = sinr_cdf(np.array([0.0, np.inf]), PARAMS_55, link, regime)
+            assert got.tolist() == [0.0, 1.0], (link, regime)
 
 
 def test_cdf_rejects_negative_argument():

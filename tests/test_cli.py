@@ -353,6 +353,13 @@ def test_usage_errors_exit_one(capsys, monkeypatch, tmp_path):
     assert main(["rate-curve", "--workers", "1000000",
                  "--trials", str(MAX_TRIALS)]) == EXIT_USAGE
     assert capsys.readouterr().err.count("usage error: worker cap hit") == 2
+    # --clip=false is the default, byte for byte.
+    tiny = ["rate-curve", "--nt", "5", "--bits", "4", "--alpha", "1",
+            "--snr", "10:10:1", "--trials", "2000", "--seed", "3"]
+    assert main(tiny) == EXIT_OK
+    default = capsys.readouterr().out
+    assert main([*tiny, "--clip=false"]) == EXIT_OK
+    assert capsys.readouterr().out == default
     # Refused by validate() too, before the first chunk is drawn: one FULL
     # trial at n_t = 100,000 would hold 720 GB of K x K arrays.
     def no_draw(*args, **kwargs):
@@ -381,6 +388,21 @@ def test_usage_errors_exit_one(capsys, monkeypatch, tmp_path):
         assert main(["validate", "--mc-tol-sigmas", sigmas]) == EXIT_USAGE
     assert capsys.readouterr().err == (
         "usage error: --mc-tol-sigmas must be finite and > 0\n" * 3)
+    for flags, message in (
+            (["--clip=maybe"], "expected a boolean, got 'maybe'"),
+            (["--trials", "0"], "--trials must be >= 1"),
+            (["--workers", "0"], "--workers must be >= 1"),
+            (["--bits", "-1"], "--bits entries must be >= 0"),
+            (["--nt", ","], "--nt, --bits and --alpha must be non-empty"),
+            (["--nt", "a"], "expected comma-separated integers, got 'a'")):
+        assert main(["rate-curve", *flags]) == EXIT_USAGE, flags
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and message in err, (flags, err)
+    cfg = tmp_path / "no-equals.cfg"
+    cfg.write_text("# sweep\nnt = 5\ntrials 100\n")
+    assert main(["rate-curve", "--config", str(cfg)]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"usage error: {cfg}:3: expected key=value, got 'trials 100'\n")
 
 
 @pytest.mark.parametrize("flags", [
@@ -393,6 +415,9 @@ def test_usage_errors_exit_one(capsys, monkeypatch, tmp_path):
     ["--alpha", "1e-160", "--snr", "0:0:1"],  # eavesdropper noise 1e320
     ["--regime", "il", "--bits", "5000"],
     ["--regime", "il", "--nt", "2", "--bits", "1075"],
+    # The eavesdropper's noise level 1e-30 / 1e300 underflows to 0, where
+    # its noise-limited term grows like -log(noise).
+    ["--regime", "nl", "--alpha", "1e150", "--snr", "300:300:1"],
 ])
 def test_numeric_range_errors_exit_one(flags, capsys):
     # Valid settings whose closed form leaves float64: a message, no traceback.
@@ -462,6 +487,35 @@ def test_interference_limit_at_distortion_below_float64_epsilon(tmp_path):
     points = parse_curve_csv(read(out).decode())
     assert all(math.isfinite(p.r_analytic) and p.r_analytic > 0
                for p in points)
+
+
+def test_noise_limited_rows_are_the_noise_limited_rate(capsys):
+    assert main(["rate-curve", "--mode", "analytic-only", "--regime", "nl",
+                 "--nt", "3,5", "--bits", "0,4", "--snr", "-20:20:10"]) == (
+        EXIT_OK)
+    points = parse_curve_csv(capsys.readouterr().out)
+    assert len(points) == 2 * 2 * 3 * 5
+    for p in points:
+        want = analytic.secrecy_rate_noise_limited(
+            SystemParams(n_t=p.n_t, bits=p.bits, alpha=p.alpha,
+                         snr_db=p.snr_db))
+        assert p.r_analytic == want, p
+
+
+@pytest.mark.parametrize("flags", [
+    ["--mode", "perfect", "--snr", "3100:3100:1"],
+    ["--mode", "perfect", "--nt", "2", "--snr", "3090:3090:1"],
+    ["--mode", "qca", "--bits", "5000", "--snr", "3100:3100:1"],
+])
+def test_monte_carlo_rates_outside_float64_exit_one(flags, capsys):
+    # The users' noise level 1e-310 is subnormal and their interference 0
+    # (perfect feedback, or a distortion that underflows), so 1 + sinr
+    # overflows: a message, not a row of inf and nan.
+    assert main(["rate-curve", "--trials", "2000", *flags]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage error: input outside the float64 range")
+    assert "per-trial rates at" in err and "leave float64" in err
 
 
 def test_settings_a_subcommand_ignores_exit_one(tmp_path):

@@ -395,6 +395,14 @@ def test_worker_count_never_changes_results():
         assert one.std_err == four.std_err
 
 
+def test_one_trial_has_zero_std_err():
+    # One trial gives no spread to estimate: the standard error is 0.
+    for mode in SimMode:
+        est = estimate_secrecy_rate(P55, mode, 1, seed=4)
+        assert est.n_trials == 1 and math.isfinite(est.mean)
+        assert est.std_err == 0.0
+
+
 def test_std_err_scales_as_inverse_root_n():
     small = estimate_secrecy_rate(P55, SimMode.QCA, 20_000, seed=30)
     large = estimate_secrecy_rate(P55, SimMode.QCA, 80_000, seed=31)
