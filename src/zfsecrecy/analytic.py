@@ -101,25 +101,19 @@ def _en_scaled_cf(n: int, x: float) -> float:
 
 
 def exp_integral_e1(x: float) -> float:
-    """E1(x) = integral_x^inf exp(-t)/t dt, for x > 0.
-
-    Power series for x <= 1, continued fraction for x > 1; relative error
-    below 1e-12 across the positive axis.
-    """
-    if not x > 0:
-        raise ValueError(f"E1 requires x > 0, got {x}")
-    if x <= 1.0:
-        return _e1_series(x)
-    return math.exp(-x) * _en_scaled_cf(1, x)
+    """E1(x) = integral_x^inf exp(-t)/t dt, for x > 0: exp(-x) times
+    :func:`exp_integral_e1_scaled`, within 1e-15 relative wherever E1 is a
+    normal float64 (x up to about 701).  The domain check comes first:
+    exp(-x) overflows at x below about -709."""
+    return exp_integral_e1_scaled(x) * math.exp(-x)
 
 
 def exp_integral_e1_scaled(x: float) -> float:
-    """exp(x) * E1(x), stable for arbitrarily large x (~ 1/x as x -> inf)."""
+    """exp(x) * E1(x), stable for arbitrarily large x (~ 1/x as x -> inf):
+    the first term of the E_n run (:func:`_en_scaled_run`)."""
     if not x > 0:
         raise ValueError(f"E1 requires x > 0, got {x}")
-    if x <= 1.0:
-        return math.exp(x) * _e1_series(x)
-    return _en_scaled_cf(1, x)
+    return _en_scaled_run(1, 1, x)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -160,9 +154,10 @@ def laplace_pole_integral(p: float, a: float, n: int) -> float:
     """J(p, a, n) = integral_0^inf exp(-p t) (t + a)^(-n) dt.
 
     Satisfies J(p,a,1) = exp(a p) E1(a p) and the downward-in-order identity
-    J(p,a,n) = (a^(1-n) - p J(p,a,n-1)) / (n-1); evaluated through the scaled
-    exponential integral exp(ap) E_n(ap), which keeps full precision even
-    for a*p far beyond the overflow point of exp.
+    J(p,a,n) = (a^(1-n) - p J(p,a,n-1)) / (n-1).  t = a u merges it into
+    the two-pole kernel at d = 1, a^(1-n) TwoPole(a p, 1, n-1), whose one
+    term is the scaled exponential integral exp(ap) E_n(ap): full precision
+    even for a*p far beyond the overflow point of exp.
     """
     if p < 0:
         raise ValueError(f"p must be >= 0, got {p}")
@@ -170,26 +165,25 @@ def laplace_pole_integral(p: float, a: float, n: int) -> float:
         raise ValueError(f"a must be > 0, got {a}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if p == 0.0:
-        if n == 1:
-            raise ValueError("integral diverges for p = 0, n = 1")
-        return a ** (1.0 - n) / (n - 1)
-    return a ** (1.0 - n) * _en_scaled_run(n, n, a * p)[0]
+    if p == 0.0 and n == 1:
+        raise ValueError("integral diverges for p = 0, n = 1")
+    return a ** (1.0 - n) * _two_pole(a * p, 1.0, n - 1)
 
 
 def _en_scaled_run(lo: int, hi: int, w: float) -> list:
     """[exp(w) E_n(w) for n = lo..hi], for w >= 0 (w > 0 when lo = 1): the
-    one E_n evaluator.
+    one E_n evaluator, E1 included.
 
     f_{n+1} = (1 - w f_n) / n scales errors by w/n.  For w <= 1 the run
-    climbs from exp(w) E_1(w); for w > 1 it starts from the continued
-    fraction at the order nearest w and runs upward above that order and
-    downward below it.  At w = 0, f_n = 1/(n-1) exactly.
+    climbs from exp(w) times the E_1 power series; for w > 1 it starts
+    from the continued fraction at the order nearest w and runs upward
+    above that order and downward below it.  At w = 0, f_n = 1/(n-1)
+    exactly.
     """
     if w == 0.0:
         return [1.0 / (n - 1) for n in range(lo, hi + 1)]
     if w <= 1.0:
-        n0, start = 1, exp_integral_e1_scaled(w)
+        n0, start = 1, math.exp(w) * _e1_series(w)
     else:
         n0 = min(max(round(w), lo), hi)
         start = _en_scaled_cf(n0, w)

@@ -718,6 +718,15 @@ def estimate_secrecy_rates(points, mode: SimMode, n_trials: int, seed: int,
     return estimates
 
 
+def _float64_error(what: str, p: SystemParams) -> OverflowError:
+    """The error for Monte Carlo values ``what`` at ``p`` that leave
+    float64."""
+    return OverflowError(
+        f"{what} at n_t={p.n_t}, bits={p.bits}, alpha={p.alpha!r}, "
+        f"snr_db={p.snr_db!r} leave float64: the sinr overflows where a "
+        f"link's noise level is subnormal or 0 and it meets no interference")
+
+
 def _estimates_of_one_draw(draw: SystemParams, members: list, mode: SimMode,
                            n_trials: int, seed: int, workers: int,
                            clip: bool) -> list:
@@ -780,12 +789,8 @@ def _estimates_of_one_draw(draw: SystemParams, members: list, mode: SimMode,
         rejected += chunk_rejected
     finite = np.isfinite(sums).all(axis=1)
     if not finite.all():
-        p = members[int(finite.argmin())][1]
-        raise OverflowError(
-            f"the per-trial rates at n_t={p.n_t}, bits={p.bits}, "
-            f"alpha={p.alpha!r}, snr_db={p.snr_db!r} leave float64: 1 + sinr "
-            f"overflows where a link's noise level is subnormal or 0 and it "
-            f"meets no interference")
+        raise _float64_error("the per-trial rates",
+                             members[int(finite.argmin())][1])
     return [_rate_estimate(total, total_sq, n_trials, rejected)
             for total, total_sq in sums.tolist()]
 
@@ -816,7 +821,8 @@ def collect_sinr_samples(points, mode: SimMode, n: int, seed: int,
     handed out, so memory does not grow with the points per key, and a
     caller that drops each array before taking the next holds one link's
     samples at a time.  Each point's samples are bit-identical to a
-    one-point collection, whatever the worker count.
+    one-point collection, whatever the worker count.  Samples that leave
+    float64 raise OverflowError as their array is made, as the rates do.
     """
     keys = _by_draw_key(list(points), mode)
     _check_counts(n, workers)
@@ -835,10 +841,20 @@ def _keyed_samples(keys: list, mode: SimMode, n: int, seed: int,
             start += block.shape[1]
         legit_num, legit_den, eav_num, eav_den = first
         for row, p, scale in members:
-            yield row, Link.LEGITIMATE, _sinr(legit_num, legit_den * scale,
-                                              p.noise_over_power)
-            yield row, Link.EAVESDROPPER, _sinr(eav_num, eav_den,
-                                                p.eav_noise_over_power)
+            yield row, Link.LEGITIMATE, _finite_sinr(
+                p, legit_num, legit_den * scale, p.noise_over_power)
+            yield row, Link.EAVESDROPPER, _finite_sinr(
+                p, eav_num, eav_den, p.eav_noise_over_power)
+
+
+def _finite_sinr(p: SystemParams, num, den, noise: float):
+    """:func:`_sinr` samples of the point ``p``, or OverflowError where one
+    is not finite; the check allocates nothing."""
+    with np.errstate(all="ignore"):
+        samples = _sinr(num, den, noise)
+    if not math.isfinite(samples.max()):
+        raise _float64_error("the SINR samples", p)
+    return samples
 
 
 def max_zf_residual(params: SystemParams, n: int, seed: int,

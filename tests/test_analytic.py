@@ -90,6 +90,30 @@ def test_e1_domain():
         exp_integral_e1(0.0)
     with pytest.raises(ValueError):
         exp_integral_e1(-1.0)
+    with pytest.raises(ValueError):  # before exp(-x) could overflow
+        exp_integral_e1(-1e300)
+
+
+# Where E1 is a normal float64: E1(700) is about 1.4e-307.
+E1_GRID = [float(x) for x in np.logspace(-300, math.log10(700.0), 400)]
+
+
+def test_e1_is_exp_times_the_scaled_e1():
+    # Both functions are views of the E_n run's first term.
+    for x in E1_GRID:
+        assert exp_integral_e1(x) == math.exp(-x) * exp_integral_e1_scaled(x)
+
+
+def test_e1_matches_mpmath_from_1e_minus_300_to_700():
+    # 40-digit mpmath; the worst seen is 3.3e-16 for each function.
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for x in E1_GRID:
+            e1 = mpmath.e1(x)
+            for got, want in ((exp_integral_e1(x), e1),
+                              (exp_integral_e1_scaled(x),
+                               mpmath.exp(x) * e1)):
+                assert abs(got - want) <= 1e-15 * want, (x, got, want)
 
 
 def _mpmath_en_scaled(mpmath, n: int, x: float) -> float:
@@ -186,6 +210,16 @@ def test_pole_integral_matches_quadrature_up_to_order_ten():
                 ref = quad_pole(p, a, n)
                 got = laplace_pole_integral(p, a, n)
                 assert abs(got - ref) / abs(ref) < 1e-9, (p, a, n)
+
+
+def test_pole_integral_is_the_merged_two_pole_kernel():
+    # t = a u merges the poles: at criterion 5's (p, a, n) the integral is
+    # a^(1-n) times the two-pole kernel at d = 1, bit for bit.
+    for p in (0.1, 1.0, 10.0, 100.0):
+        for a in (0.5, 1.0, 2.0):
+            for n in range(1, 11):
+                assert laplace_pole_integral(p, a, n) == (
+                    a ** (1 - n) * analytic._two_pole(a * p, 1.0, n - 1))
 
 
 def test_pole_integral_divergence_and_domain():

@@ -21,7 +21,7 @@ from zfsecrecy.cli import (CSV_HEADER, EXIT_IO, EXIT_OK, EXIT_USAGE,
                            MAX_TRIALS, MAX_WORKERS, SweepConfig, UsageError,
                            build_parser, main,
                            parse_curve_csv, run_dist_check, run_rate_curve,
-                           run_validate)
+                           run_selftest, run_validate)
 from zfsecrecy.params import SystemParams
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -616,6 +616,39 @@ def test_dist_check_qca_passes_and_notes_two_antenna_caveat(capsys):
     assert "nt=2" in out and "degenerate" in out
 
 
+def test_dist_check_prints_each_line_key_by_key():
+    # Lines print as tested, one draw key at a time: a repeated --nt entry
+    # joins its key's first points, ahead of the next n_t.
+    stream = io.StringIO()
+    assert run_dist_check(SweepConfig(
+        nt=[3, 5, 3], bits=[4], alpha=[1.0], snr_start=10.0, snr_stop=10.0,
+        snr_step=1.0, trials=2_000, seed=3, mode="qca"), stream=stream)
+    lines = stream.getvalue().splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        f"PASS  ks {link} nt={n_t} bits=4 alpha=1 snr=10dB"
+        for n_t in (3, 3, 5) for link in ("legitimate", "eavesdropper")
+    ] + ["dist-check"]
+
+
+@pytest.mark.parametrize("flags", [
+    ["--mode", "perfect", "--bits", "1"],
+    ["--mode", "qca", "--bits", "5000"],
+])
+def test_dist_check_samples_outside_float64_exit_one(flags, capsys):
+    # The users' noise level 1e-310 is subnormal and their interference 0,
+    # so their SINR overflows: a message, as on the rate path, not a
+    # RuntimeWarning and a KS FAIL on inf samples.
+    assert main(["dist-check", "--snr", "3100:3100:1", "--nt", "3",
+                 "--alpha", "1", *flags]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage error: input outside the float64 range")
+    assert "SINR samples at n_t=3" in err and "leave float64" in err
+    # FULL users meet their quantization error: finite samples, and a pass.
+    assert main(["dist-check", "--snr", "3100:3100:1", "--nt", "3",
+                 "--alpha", "1", "--mode", "full", "--bits", "1"]) == EXIT_OK
+
+
 def test_dist_check_full_mode_uses_loose_threshold(capsys):
     code = main(["dist-check", "--nt", "5", "--bits", "4", "--alpha", "1",
                  "--snr", "10:10:1", "--trials", "4000", "--seed", "3",
@@ -628,6 +661,23 @@ def test_dist_check_full_mode_uses_loose_threshold(capsys):
 def test_selftest_passes():
     assert main(["selftest"]) == EXIT_OK
     assert main(["selftest", "--seed", "99"]) == EXIT_OK
+
+
+@pytest.mark.parametrize("evaluator", ["_en_scaled_run", "_two_pole"])
+def test_selftest_fails_when_an_evaluator_is_off_by_a_millionth(
+        monkeypatch, evaluator):
+    # Every public special function is a view of the E_n run or the
+    # two-pole kernel: either one 1e-6 off fails a check.
+    exact = getattr(analytic, evaluator)
+    if evaluator == "_two_pole":
+        monkeypatch.setattr(analytic, evaluator,
+                            lambda *args: exact(*args) * (1.0 + 1e-6))
+    else:
+        monkeypatch.setattr(analytic, evaluator, lambda *args: [
+            v * (1.0 + 1e-6) for v in exact(*args)])
+    stream = io.StringIO()
+    assert not run_selftest(stream=stream)
+    assert "FAIL" in stream.getvalue()
 
 
 def test_overflowing_eavesdropper_noise_level_exits_one(capsys):
