@@ -239,9 +239,9 @@ def run_validate(config: SweepConfig, stream=None) -> bool:
     grid = list(config.grid())
     estimates = simulate.estimate_secrecy_rates(
         grid, SimMode.QCA, config.trials, config.seed, workers=config.workers)
-    for p, est in zip(grid, estimates):
+    quads = analytic._quadrature_rates(grid, Regime.GENERAL)
+    for p, est, quad in zip(grid, estimates, quads):
         closed = analytic.secrecy_rate_closed_form(p)
-        quad = analytic.rate_from_cdf_quadrature(p, Regime.GENERAL)
         rel = abs(closed - quad) / max(abs(quad), 1e-6)
         all_ok &= _check(
             f"triangle closed-vs-quadrature {_tag(p)}", rel < 1e-8,

@@ -20,13 +20,15 @@ PERFECT  as FULL with beams built from the true channel directions: zero
          inter-user interference (den = 0), a degenerate sanity check.
 
 One function, ``_map_chunks``, partitions the trials into fixed-size chunks,
-each drawn from its own counter-based substream keyed by (seed, chunk
-index), and hands every chunk's noise-free parts to a reduction.  Chunk
-results come back in index order, so the worker count can never change a
-result bit.  Below n_t = 5 a chunk holds more trials than its usual 8,192,
-as many (trial, user) pairs as an n_t = 5 chunk: numpy calls on fewer
-elements lose more to two threads handing over the interpreter lock than
-the second thread gains (:func:`chunk_trials`).
+each drawn from its own substream keyed under the seed by the draw key
+(below) and the chunk index (:func:`_chunk_stream`), and hands every
+chunk's noise-free parts to a reduction.  Chunk results come back in index
+order, so the worker count can never change a result bit, and two draw
+keys never read one stream: their chunks' draws are independent.  Below
+n_t = 5 a chunk holds more trials than its usual 8,192, as many (trial,
+user) pairs as an n_t = 5 chunk: numpy calls on fewer elements lose more
+to two threads handing over the interpreter lock than the second thread
+gains (:func:`chunk_trials`).
 
 A FULL or PERFECT draw forms the zero-forcing residual, the largest
 |d_k^H w_i| over i != k of its kept trials, only when
@@ -34,7 +36,7 @@ A FULL or PERFECT draw forms the zero-forcing residual, the largest
 ``residual`` flag: the rate and sample reductions never read it, so their
 draws skip its (n, K, K) product and hand on None, never a perfect-looking
 0.0.  The draws' row and column norms are sums of squares over float64
-views (:func:`_norms`), not np.linalg.norm.
+views (:func:`_squared_norms`), not np.linalg.norm.
 
 The draws never depend on the SNR or alpha, which enter only through the
 noise levels, and a point's draw key names all they do depend on: (n_t,
@@ -162,6 +164,10 @@ class SimMode(Enum):
     PERFECT = "perfect"
 
 
+# Each mode's first element of a chunk's stream key (:func:`_chunk_stream`).
+_MODE_IDS = {SimMode.FULL: 0, SimMode.QCA: 1, SimMode.PERFECT: 2}
+
+
 @dataclass(frozen=True)
 class RateEstimate:
     """Monte Carlo mean of an ergodic rate with its standard error."""
@@ -196,7 +202,7 @@ def chunk_trials(params: SystemParams, mode: SimMode) -> int:
     under the rule, which stays as it is.  A FULL
     or PERFECT draw holds K x K complex arrays on top, budgeted at 4.5: h,
     the sampler's draw and one block's temporaries (tracemalloc, numpy
-    2.4, rows included: 2.6-4.4 in FULL, 1.6-3.5 in PERFECT, the most at
+    2.4, rows included: 2.6-4.4 in FULL, 1.6-3.3 in PERFECT, the most at
     n_t = 2; no zero-forcing residual is formed).  Every mode gets
     _CHUNK_TRIALS from n_t = 5 to 7."""
     k = params.n_t
@@ -213,16 +219,19 @@ def _trial_blocks(n: int, k: int) -> list:
     return [slice(start, start + step) for start in range(0, n, step)]
 
 
-def _zf_beams_batch(directions: np.ndarray):
-    """Vectorized zero-forcing beams for a batch of direction sets.
+def _zf_inverse(directions: np.ndarray):
+    """The zero-forcing beams of a batch of direction sets, as the sets'
+    inverses.
 
     ``directions`` has shape (n, K, K), rows = unit directions.  Beam i is
-    column i of the set's inverse, conjugated and normalized: orthogonal to
-    every direction but the i-th, its norm is 1 / (distance of direction i
-    from the others' span).  Returns (beams (n, K, K), ok (n,) mask).  Each
-    set's beams depend on that set alone, so :func:`_geometry_draw` calls
-    this on one block of trials at a time, and the inverse, its norms and
-    the beams are temporaries of that block.
+    column a_i of the set's inverse A, conjugated and scaled to unit norm:
+    orthogonal to every direction but the i-th, and 1 / |a_i| is the
+    distance of direction i from the others' span.  No beam is formed: a
+    row x's gain |x^H w_i|^2 is |(x A)_i|^2 / |a_i|^2.  Returns (A (n, K, K),
+    gain (n, K) the squared distances 1 / |a_i|^2, ok (n,) mask, each
+    distance above _BEAM_RANK_TOL).  Each set's inverse depends on that set
+    alone, so :func:`_geometry_draw` calls this on one block of trials at
+    a time, and the inverse and its gains are temporaries of that block.
     """
     try:
         inv = np.linalg.inv(directions)
@@ -231,9 +240,8 @@ def _zf_beams_batch(directions: np.ndarray):
         for t, matrix in enumerate(directions):
             with contextlib.suppress(np.linalg.LinAlgError):
                 inv[t] = np.linalg.inv(matrix)
-    distance = 1.0 / _norms(inv, axis=1)  # (n, K), one per column
-    beams = np.conj(np.swapaxes(inv, 1, 2)) * distance[:, :, None]
-    return beams, (distance > _BEAM_RANK_TOL).all(axis=1)
+    gain = 1.0 / _squared_norms(inv, axis=1)  # (n, K), one per column
+    return inv, gain, (gain > _BEAM_RANK_TOL ** 2).all(axis=1)
 
 
 def _geometry_draw(params: SystemParams, gen: np.random.Generator, n: int,
@@ -282,61 +290,77 @@ def _geometry_draw(params: SystemParams, gen: np.random.Generator, n: int,
     return (*parts, rejected, worst)
 
 
-def _norms(x: np.ndarray, axis: int) -> np.ndarray:
-    """Euclidean norms of the rows (``axis`` 2) or columns (1) of the
-    complex (n, K, K) ``x``: square roots of sums of squares over its
-    float64 view, where np.linalg.norm on complex input takes about 8x as
-    long.  A column's real and imaginary parts are summed apart, then
-    added.  Only a unit-stride last axis has such a view: an ``x`` without
-    one (a swapped-axes view, say) is copied first."""
+def _squared_norms(x: np.ndarray, axis: int) -> np.ndarray:
+    """Squared Euclidean norms of the rows (``axis`` 2) or columns (1) of
+    the complex (n, K, K) ``x``: sums of squares over its float64 view,
+    where np.linalg.norm on complex input takes about 8x as long.  A
+    column's real and imaginary parts are summed apart, then added.  Only
+    a unit-stride last axis has such a view: an ``x`` without one (a
+    swapped-axes view, say) is copied first."""
     if x.strides[-1] != x.itemsize:
         x = np.ascontiguousarray(x)
     flat = x.view(float)
     if axis == 2:
-        return np.sqrt(np.einsum("tkn,tkn->tk", flat, flat))
+        return np.einsum("tkn,tkn->tk", flat, flat)
     squares = np.einsum("tkn,tkn->tn", flat, flat)
-    return np.sqrt(squares[:, 0::2] + squares[:, 1::2])
+    return squares[:, 0::2] + squares[:, 1::2]
+
+
+def _squared_moduli(z: np.ndarray) -> np.ndarray:
+    """|z|^2 of the complex ``z``, a temporary with a unit-stride last axis,
+    from the squares of its float64 view, which it overwrites: no square
+    root, as np.abs takes."""
+    flat = z.view(float)
+    np.square(flat, out=flat)
+    return flat[..., 0::2] + flat[..., 1::2]
 
 
 def _unit_rows(x: np.ndarray) -> np.ndarray:
     """The (n, K, K) ``x`` with each row (last axis) scaled to unit norm."""
-    return x / _norms(x, axis=2)[..., None]
+    return x / np.sqrt(_squared_norms(x, axis=2))[..., None]
 
 
 def _block_parts(h, g, point_dirs, perfect: bool, residual: bool):
     """One block's pieces of :func:`_geometry_draw`: its kept trials'
     (signal, interference, eav_amps, eav_den), each (n, K), then the
     block's rejected count and, if ``residual``, its largest zero-forcing
-    residual (:func:`_zf_residual`), else None."""
-    beams, ok = _zf_beams_batch(point_dirs)
+    residual (:func:`_zf_residual`), else None.
+
+    Every gain comes from the inverse (:func:`_zf_inverse`): power[t, k, i]
+    = |h_k^H w_i|^2 = |(h A)[t, k, i]|^2 gain[t, i], one batched matmul,
+    and the eavesdropper's |g^H w_i|^2 likewise from g A."""
+    inv, gain, ok = _zf_inverse(point_dirs)
     n_bad = int(np.count_nonzero(~ok))
     if n_bad:
-        h, g, beams, point_dirs = (arr[ok] for arr in (h, g, beams, point_dirs))
+        h, g, inv, gain, point_dirs = (arr[ok] for arr in
+                                       (h, g, inv, gain, point_dirs))
 
-    # cross[t, k, i] = h_k^H w_i;  eav[t, i] = g^H w_i
-    cross = np.einsum("tkn,tin->tki", np.conj(h), beams)
-    power = np.abs(cross) ** 2
-    signal = np.einsum("tkk->tk", power).copy()
+    power = _squared_moduli(h @ inv)
+    power *= gain[:, None, :]
+    signal = np.diagonal(power, axis1=1, axis2=2).copy()
     if perfect:
         interference = np.zeros_like(signal)
     else:
         interference = power.sum(axis=2) - signal
-    del cross, power  # not alive while the eavesdropper's gains are made
+    del power  # not alive while the eavesdropper's gains are made
 
-    eav_amps = np.abs(np.einsum("tn,tin->ti", np.conj(g), beams)) ** 2
+    eav_amps = _squared_moduli(g[:, None, :] @ inv)[:, 0]
+    eav_amps *= gain
     eav_den = eav_amps.sum(axis=1, keepdims=True) - eav_amps
-    worst = _zf_residual(point_dirs, beams) if residual else None
+    worst = _zf_residual(point_dirs, inv, gain) if residual else None
     return (signal, interference, eav_amps, eav_den), n_bad, worst
 
 
-def _zf_residual(dirs, beams) -> float:
-    """Largest |d_k^H w_i| over i != k and the trials of (n, K, K)
-    ``dirs`` and ``beams``: how far the beams are from zero-forcing the
-    directions they were built from (0 for exact ones)."""
+def _zf_residual(dirs, inv, gain) -> float:
+    """Largest |d_k^H w_i| over i != k and the trials of (n, K, K) ``dirs``,
+    for the beams of their inverses ``inv`` and squared distances ``gain``
+    (:func:`_zf_inverse`): how far the beams are from zero-forcing the
+    directions they were built from (0 for exact ones).  |d_k^H w_i|^2 is
+    |(d A)[k, i]|^2 gain[i], and d A is the identity up to rounding."""
     k = dirs.shape[1]
-    zf = np.abs(np.einsum("tkn,tin->tki", np.conj(dirs), beams))
+    zf = _squared_moduli(dirs @ inv) * gain[:, None, :]
     zf[:, np.arange(k), np.arange(k)] = 0.0
-    return float(zf.max(initial=0.0))
+    return math.sqrt(zf.max(initial=0.0))
 
 
 def _rvq_directions(h: np.ndarray, bits: int,
@@ -383,19 +407,15 @@ def _qca_draw(params: SystemParams, gen: np.random.Generator, n: int,
     each link with its own law wherever the distortion is 1, as at every
     draw key (:func:`_by_draw_key`).
 
-    Each part is drawn (n, K), the stream's order, and copied to contiguous
-    (K, n) rows as it is drawn, so the (n, K) original is freed at once."""
-    def part(draw):
-        return np.ascontiguousarray(draw.T)
-
+    Each part is drawn straight into its C-ordered user-major (K, n)
+    layout, row k user k's n trials: no (n, K) draw is copied."""
     k = params.n_t
-    legit_num = part(gen.exponential(size=(n, k)))
-    legit_den = part(gen.gamma(shape=k - 1, scale=params.distortion,
-                               size=(n, k)))
+    legit_num = gen.exponential(size=(k, n))
+    legit_den = gen.gamma(shape=k - 1, scale=params.distortion, size=(k, n))
     if shared:
         return legit_num, legit_den, legit_num, legit_den, 0, None
-    eav_num = part(gen.exponential(size=(n, k)))
-    eav_den = part(gen.gamma(shape=k - 1, scale=1.0, size=(n, k)))
+    eav_num = gen.exponential(size=(k, n))
+    eav_den = gen.gamma(shape=k - 1, scale=1.0, size=(k, n))
     return legit_num, legit_den, eav_num, eav_den, 0, None
 
 
@@ -631,8 +651,9 @@ def _map_chunks(params: SystemParams, mode: SimMode, n: int, seed: int,
     users' parts (:func:`_qca_draw`); only the unclipped rate asks for it.
 
     Chunk i holds :func:`chunk_trials` draws (the last chunk the rest),
-    all from substream ``RngStream(seed, i)``, so neither the worker count
-    nor thread scheduling can change a result bit.  At most
+    all from its own substream, :func:`_chunk_stream`, keyed by the draw
+    key and i, so neither the worker count nor thread scheduling can
+    change a result bit, and no two draw keys share a stream.  At most
     ``2 * workers`` chunks are in flight, so memory does not grow with n.
     """
     _check_counts(n, workers)
@@ -640,7 +661,7 @@ def _map_chunks(params: SystemParams, mode: SimMode, n: int, seed: int,
     n_chunks = (n + chunk - 1) // chunk
 
     def run_chunk(index: int):
-        gen = RngStream(seed, index).generator()
+        gen = _chunk_stream(seed, params, mode, index).generator()
         m = min(chunk, n - index * chunk)
         return fn(list(_draw_parts(params, mode, gen, m, residual, shared)))
 
@@ -655,6 +676,15 @@ def _map_chunks(params: SystemParams, mode: SimMode, n: int, seed: int,
                 yield pending.popleft().result()
         while pending:
             yield pending.popleft().result()
+
+
+def _chunk_stream(seed: int, params: SystemParams, mode: SimMode,
+                  index: int) -> RngStream:
+    """The substream of chunk ``index`` of the draws that serve ``params``:
+    keyed under ``seed`` by (mode, n_t, bits in FULL else 0, index), its
+    draw key (:func:`draw_key`) and the chunk, so that the chunks of two
+    keys, whose trial counts and layouts differ, never read one stream."""
+    return RngStream(seed, (_MODE_IDS[mode], *draw_key(params, mode), index))
 
 
 def _rate_estimate(total: float, total_sq: float, n_trials: int,

@@ -10,7 +10,16 @@ within 3.5/sqrt(2N) of 1.  Points whose every estimate equals the closed
 form with a standard error of exactly 0 (both links one law on one draw)
 have no z and are listed as exact.  It also counts the seeds at which
 validate's own check, |mc - closed| <= 3 std_err, fails at some point, and
-the failing lines.  The exit status is 1 if a point leaves its bands.
+the failing lines.
+
+It also prints how the keys' z-scores correlate.  Every point of one n_t
+(one draw key) reads one draw, but two keys must draw independently: for
+each pair of n_t values, the correlation over the seeds of z at every
+(bits, alpha, snr) both keys share, and the mean of those correlations,
+which for independent keys lies within 3/sqrt(N) of 0 (each correlation
+has a standard deviation of about 1/sqrt(N), and so has their mean at
+most).  The exit status is 1 if a point leaves its bands or a pair of
+keys its correlation band.
 
 zfsecrecy is imported from PYTHONPATH, so the harness of one checkout
 measures the engine of another.  ``--against`` reads a previous run's
@@ -32,6 +41,7 @@ from zfsecrecy import analytic, cli, simulate
 
 BAND_SIGMAS = 3.5
 CHECK_SIGMAS = 3.0
+CORRELATION_SIGMAS = 3.0
 
 
 def calibrate(seeds: int, workers: int = 2) -> dict:
@@ -59,11 +69,35 @@ def calibrate(seeds: int, workers: int = 2) -> dict:
                   for p, x, col, se in zip(grid, exact, z.T, errors.T)]
     return {"seeds": seeds, "trials": config.trials,
             "fail_seeds": int(failed.any(axis=1).sum()),
-            "fail_lines": int(failed.sum()), "points": points}
+            "fail_lines": int(failed.sum()), "points": points,
+            "key_correlations": key_correlations(grid, z, exact)}
+
+
+def key_correlations(grid, z, exact) -> list:
+    """Per pair of n_t values: the correlations over the seeds (the rows
+    of ``z``) of the two keys' z at each (bits, alpha, snr) that both
+    have and that is not ``exact``, and their mean, least and largest."""
+    columns = {}
+    for col, (p, x) in enumerate(zip(grid, exact)):
+        if not x:
+            columns.setdefault(p.n_t, {})[(p.bits, p.alpha, p.snr_db)] = col
+    pairs = []
+    keys = sorted(columns)
+    for i, a in enumerate(keys):
+        for b in keys[i + 1:]:
+            shared = [point for point in columns[a] if point in columns[b]]
+            r = [float(np.corrcoef(z[:, columns[a][point]],
+                                   z[:, columns[b][point]])[0, 1])
+                 for point in shared]
+            pairs.append({"keys": f"nt={a},{b}", "points": len(r),
+                          "mean_r": float(np.mean(r)), "min_r": min(r),
+                          "max_r": max(r)})
+    return pairs
 
 
 def report(result: dict, against=None, stream=sys.stdout) -> int:
-    """Prints ``result`` point by point; returns the points out of band."""
+    """Prints ``result`` point by point, then pair of keys by pair; returns
+    the points and pairs out of band."""
     n = result["seeds"]
     mean_band = BAND_SIGMAS / math.sqrt(n)
     sd_band = BAND_SIGMAS / math.sqrt(2 * n)
@@ -85,7 +119,15 @@ def report(result: dict, against=None, stream=sys.stdout) -> int:
         print(f"{'in   ' if ok else 'OUT  '}  {p['tag']}: mean z="
               f"{p['mean_z']:+.4f} sd z={p['sd_z']:.4f} std_err="
               f"{p['mean_std_err']:.4g}{ratio}", file=stream)
-    print(f"points out of band: {outside}; exact points: "
+    corr_band = CORRELATION_SIGMAS / math.sqrt(n)
+    for pair in result["key_correlations"]:
+        ok = abs(pair["mean_r"]) <= corr_band
+        outside += not ok
+        print(f"{'in   ' if ok else 'OUT  '}  keys {pair['keys']}: mean "
+              f"correlation of z {pair['mean_r']:+.4f} (band "
+              f"{corr_band:.4f}) over {pair['points']} shared points, from "
+              f"{pair['min_r']:+.4f} to {pair['max_r']:+.4f}", file=stream)
+    print(f"points and key pairs out of band: {outside}; exact points: "
           f"{sum(p['exact'] for p in result['points'])}; seeds with a "
           f"mc-vs-closed FAIL: {result['fail_seeds']} of {n} "
           f"({result['fail_lines']} lines)", file=stream)

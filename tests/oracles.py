@@ -38,6 +38,15 @@ def qr_zf_beams(directions):
     return q[..., -1], diag.min(axis=(1, 2)) > simulate._BEAM_RANK_TOL
 
 
+def inverse_beams(directions):
+    """The engine's zero-forcing beams made explicit: (beams (n, K, K), ok
+    (n,) mask), beam i, row i, column i of ``simulate._zf_inverse``'s
+    inverse conjugated and scaled by its distance.  The engine never forms
+    them; its gains read the inverse."""
+    inv, gain, ok = simulate._zf_inverse(directions)
+    return np.conj(np.swapaxes(inv, 1, 2)) * np.sqrt(gain)[:, :, None], ok
+
+
 def assembled_parts(params, gen, n, perfect=False):
     """Oracle for ``simulate._draw_parts`` in FULL and PERFECT mode.
 

@@ -94,6 +94,14 @@ def test_e1_domain():
         exp_integral_e1(-1e300)
 
 
+def test_special_functions_take_their_limit_zero_at_infinity():
+    # exp(x) E1(x) ~ 1/x, and J(p, a, 2) = exp(ap) E_2(ap) / a with a p
+    # past float64: each value's limit is 0, not an error.
+    assert exp_integral_e1(math.inf) == 0.0
+    assert exp_integral_e1_scaled(math.inf) == 0.0
+    assert laplace_pole_integral(1e308, 10.0, 2) == 0.0
+
+
 # Where E1 is a normal float64: E1(700) is about 1.4e-307.
 E1_GRID = [float(x) for x in np.logspace(-300, math.log10(700.0), 400)]
 
@@ -272,6 +280,63 @@ def test_integrate_half_line_raises_when_it_cannot_converge():
     # sin has no integral over the half line; the error estimate is huge.
     with pytest.raises(ArithmeticError, match="did not converge"):
         integrate_half_line(np.sin)
+    with pytest.raises(ArithmeticError, match="did not converge"):
+        analytic._exp_sinh(lambda t, rows: np.sin(t) * (rows[:, None] + 1), 3)
+
+
+def test_rows_of_one_pass_are_each_the_one_row_rule(monkeypatch):
+    # Row 0 converges at a coarse level and row 1 at a finer one: each is
+    # the one-row rule's value bit for bit, and once row 0 has converged
+    # its integrand is not called again.  Blocks of one row change nothing.
+    def integrand(t, rows):
+        return np.exp(-t * np.array([1.0, 1e-3])[rows, None]) / (1.0 + t)
+
+    singles = [integrate_half_line(lambda t, c=c: np.exp(-t * c) / (1.0 + t))
+               for c in (1.0, 1e-3)]
+    calls = []
+
+    def recorded(t, rows):
+        calls.append(rows.tolist())
+        return integrand(t, rows)
+
+    assert analytic._exp_sinh(recorded, 2).tolist() == singles
+    assert calls[0] == [0, 1] and calls[-1] == [1]
+    monkeypatch.setattr(analytic, "_QUAD_BLOCK_VALUES", 1)
+    assert analytic._exp_sinh(integrand, 2).tolist() == singles
+
+
+def _per_point_quadrature(p, regime, clip):
+    """The quadrature rule at one point, as its own scalar integrand of
+    the links' survival laws: the grid function's reference."""
+    legit = analytic._survival_law(p, Link.LEGITIMATE, regime)
+    eav = analytic._survival_law(p, Link.EAVESDROPPER, regime)
+    if clip:
+        def integrand(x):
+            return legit(x) * (1.0 - eav(x)) / (1.0 + x)
+    else:
+        def integrand(x):
+            return (legit(x) - eav(x)) / (1.0 + x)
+    return p.n_t * LOG2_E * integrate_half_line(integrand)
+
+
+VALIDATE_GRID = [SystemParams(n_t=n_t, bits=bits, alpha=alpha, snr_db=snr_db)
+                 for n_t in (2, 3, 5) for bits in (0, 1, 4, 8)
+                 for alpha in (0.25, 0.5, 1.0)
+                 for snr_db in (-10.0, 0.0, 10.0, 20.0)]
+
+
+@pytest.mark.parametrize("regime", list(Regime))
+@pytest.mark.parametrize("clip", [False, True])
+def test_grid_quadrature_is_the_per_point_rule(regime, clip):
+    # validate's 144 points in one pass, each within 1e-13 relative of the
+    # rule run on that point alone (exactly 0 where both laws are one).
+    got = analytic._quadrature_rates(VALIDATE_GRID, regime, clip)
+    assert len(got) == len(VALIDATE_GRID)
+    for p, rate in zip(VALIDATE_GRID, got):
+        want = _per_point_quadrature(p, regime, clip)
+        assert abs(rate - want) <= 1e-13 * abs(want), (p, rate, want)
+        assert rate_from_cdf_quadrature(p, regime, clip) == (
+            analytic._quadrature_rates([p], regime, clip)[0])
 
 
 @pytest.mark.parametrize("x,y,z", [
@@ -553,13 +618,15 @@ def test_clipped_quadrature_matches_mpmath(n_t, bits, alpha, snr_db):
 
 def test_rates_match_mpmath_on_the_wide_grid():
     # The 40-digit rates of tests/make_arbiter_rates.py, at all 270 points.
+    # The quadrature oracle runs as validate runs it, one pass over all.
     want = load_rates()
     assert list(want) == ARBITER_GRID
-    for point, rate in want.items():
-        p = SystemParams(*point)
-        for got in (rate_from_cdf_quadrature(p), secrecy_rate_closed_form(p)):
+    points = [SystemParams(*point) for point in want]
+    for p, quad, rate in zip(points, analytic._quadrature_rates(points),
+                             want.values()):
+        for got in (quad, secrecy_rate_closed_form(p)):
             assert abs(got - rate) <= 1e-9 * max(1.0, abs(rate)), (
-                point, got, rate)
+                p, got, rate)
 
 
 @pytest.mark.slow

@@ -155,28 +155,32 @@ def test_full_mode_populates_rejection_column(tmp_path):
 # interference, statistically equivalent to independent links
 # (tests/calibrate_validate.py is its gate); qca-clip, full and perfect
 # did not move.
+# All five, and the validate and dist-check digests below, are of chunk
+# streams keyed by draw key and chunk on SFC64 (simulate._chunk_stream):
+# every Monte Carlo column moved, r_analytic did not (the calibration
+# harness, the perfbench gates and the statistical tests are the gates).
 @pytest.mark.digest
 @pytest.mark.parametrize("settings,digests", [
     (dict(mode="qca"), {
         AVX512:
-        "56fad36a0803f454ea1772696b96cbb1d4decad63ebaa7be756de4baf48cc35d",
+        "234a9aa1622801736b762218947dcb293f094a5a52499f576d3e767a8b476420",
         BASELINE:
-        "b5650b6b31e11b156945120f0995aa65449fe3e7f3bef9c6d13fbf81b0b85540"}),
+        "ac2a3f28a414ee0272cd242c1d4a22533fba25bfbc218f53711fbe76d337db28"}),
     (dict(mode="qca", clip=True), {
         AVX512:
-        "e9c2d89a0e6b9ea22a54da9383859ad271212d4971fd54b9152a575240c4bdb2",
+        "e28a888546105ce6ec0179b9b093a02632d1bd1ade2da12543bfd2e675a07352",
         BASELINE:
-        "ba3126dde649fa67101c676262ee313a6b0dc54dd73c1b497920f82cc07dab88"}),
+        "685f1e871194a5befe0a26f31f70de76774523f0f9615ebaef171e1a6c4105e0"}),
     (dict(mode="full"), {
         AVX512:
-        "36249f20cc81d104fcb5444677d33d9e90dff52e49f6a5007f01f0b05cf6b8d1",
+        "7414c6999bdd93435d23957ba19de71d0f960a0685f4d23a50f743ad2f39c324",
         BASELINE:
-        "696dedab0245df81509cdaf149139912ca7ace3fcd1bf22e6e1c1021ff0fe7a4"}),
+        "d846473678851214078cc1c46a2189b3581f8c7ab1d00a23a08c3214c31f4298"}),
     (dict(mode="perfect"), {
         AVX512:
-        "e9fda531f48f80184e6a620637ed427549f9c6cb10c015fc3baaa16e576b185a",
+        "d2faaaf8eb78db24a5aa591a11f4dcd1473091f8d918e1ca9454f4f87c3aec11",
         BASELINE:
-        "46dc1c8d2ab51c6ef023f00d2271c4d9df1fd7662b67eaa00f751dbf442ed089"}),
+        "8036cf9ce4189b1d2d73778085f5441891e6a1e3817bf344176dd8357abffe1d"}),
 ], ids=["qca", "qca-clip", "full", "perfect"])
 def test_rate_curve_csv_matches_recorded_digest(settings, digests):
     stream = io.StringIO()
@@ -186,9 +190,9 @@ def test_rate_curve_csv_matches_recorded_digest(settings, digests):
 
 PREVIOUS_FULL_DIGEST = {
     AVX512:
-    "357870ed1d8ba91726b0b25e2a3d5f47b7776e333504d74ab1ce25e018cf6d5e",
+    "cd4ceafd716974114ef726fc5ac0a74110f95ecfb49816e55c499ae37a793254",
     BASELINE:
-    "72ae7a3f35c27336c57a4b04cca361ce2d40ddd4671613b56b1344cae22d26d1"}
+    "4da82c16de6699e2110d71de60f458e87f51f01c2e769e48ce286c49944578a9"}
 
 
 @pytest.mark.digest
@@ -217,14 +221,14 @@ def test_validate_report_matches_recorded_digest(tmp_path):
     assert run_validate(SweepConfig(**GOLDEN, out=str(report)), stream=stream)
     assert sha256(stream.getvalue().encode()) == recorded({
         AVX512:
-        "40debabea8a9c76af20d5b81e8b1a7a3b634057962b8c8f2755f87ed511d9957",
+        "459156049a0d2e5378a7b9cefdbb5ac237c988de6d30a3dcade3c1b13a46c38e",
         BASELINE:
-        "b8e7da6ee7afc7911ee360fc575e95199189ff61b7f2f812a47af38cfd03bd8a"})
+        "1b803d8bbed117e1123cd9316849d7824cb651dc82c08dfbfb29cc8c84cc61d6"})
     assert sha256(read(report)) == recorded({
         AVX512:
-        "96ffcaf05d954ed89afd2a24bb0f8fccad38e774f832358e0caef1fefd9f42dd",
+        "1c475cc2bdb0ed143eb59a0c3b217d5427a5197ff204fb3b09a786128ff64c65",
         BASELINE:
-        "29e8d799cb6da7ca89317e49ffc3401f903fae5bf1f81b43a2ce69630428434c"})
+        "3884fe3682b81398daaf6fc3f2f09e042e9a2a86cfb0e2f1cf6144af6963762e"})
 
 
 def _count_draws(monkeypatch, name):
@@ -266,11 +270,11 @@ def test_dist_check_draws_once_per_antenna_count_and_chunk(monkeypatch):
 @pytest.mark.digest
 @pytest.mark.parametrize("mode,ks_calls,digest", [
     ("qca", 24 + 12,
-     "6036ad39de14bcc28c3a5f12f2b8ccada0799d4c59db2b31d5a7057c8392f831"),
+     "b0e9346cad5adefa63b60cb050469531e8c6e7fe1848837021585fbf9a97a8c3"),
     ("perfect", 24 + 12,
-     "f97d01e8dde43c03c8a5b79fdb23e3c00672ee266f878bb04a2bf31dc46b4ea8"),
+     "d48dd82c79faf48dbf81263d01332c937ab06491dbc7d8048dc3a9819b79b041"),
     ("full", 24 + 24,
-     "3a6b72cd00a357b6a3e89cc14a311dba0d7a5d86c01662459eef8ab63b3a4553"),
+     "25d4218f203bb5e6b7d85bc4a96087a5595cafb8a85810fbc24f0cbb3475e462"),
 ], ids=["qca", "perfect", "full"])
 def test_dist_check_tests_each_eavesdropper_sample_set_once(
         monkeypatch, mode, ks_calls, digest):

@@ -3,11 +3,11 @@ import pytest
 from scipy import stats
 
 import zfsecrecy
-from oracles import select_codewords
+from oracles import inverse_beams, select_codewords
 from zfsecrecy.linalg import RngStream, complex_gaussian_batch
 from zfsecrecy.params import SystemParams, quantization_distortion
 from zfsecrecy.codebooks import CodebookSizeError, generate_codebook
-from zfsecrecy.simulate import _qca_draw, _zf_beams_batch, ks_statistic
+from zfsecrecy.simulate import _qca_draw, ks_statistic
 
 
 def test_every_public_name_resolves():
@@ -141,7 +141,7 @@ def test_gamma_beta_product_is_scaled_exponential(n_t):
 # --------------------------------------------------------------------------
 
 def test_beams_for_orthonormal_directions_are_the_same_lines():
-    beams, ok = _zf_beams_batch(np.eye(2, dtype=complex)[None])
+    beams, ok = inverse_beams(np.eye(2, dtype=complex)[None])
     assert ok.all()
     assert abs(beams[0, 0, 0]) == pytest.approx(1.0, abs=1e-12)
     assert abs(beams[0, 1, 1]) == pytest.approx(1.0, abs=1e-12)
@@ -150,7 +150,7 @@ def test_beams_for_orthonormal_directions_are_the_same_lines():
 def test_beams_null_all_other_directions():
     dirs = complex_gaussian_batch(RngStream(12, 0).generator(), (1, 5, 5))
     dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
-    beams, ok = _zf_beams_batch(dirs)
+    beams, ok = inverse_beams(dirs)
     assert ok.all()
     cross = np.abs(dirs[0].conj() @ beams[0].T)  # [i, k] = |dir_i^H w_k|
     np.fill_diagonal(cross, 0.0)
@@ -162,5 +162,5 @@ def test_beams_reject_duplicate_directions():
     dirs = complex_gaussian_batch(RngStream(13, 0).generator(), (1, 3, 3))
     dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
     dirs[0, 1] = dirs[0, 0]
-    _, ok = _zf_beams_batch(dirs)
+    _, ok = inverse_beams(dirs)
     assert not ok.any()

@@ -20,6 +20,16 @@ def test_distinct_streams_differ():
     assert np.abs(a - c).max() > 1e-6
 
 
+def test_an_int_id_is_the_one_element_key():
+    # Chunk streams are keyed by tuples (draw key and chunk); an int id is
+    # the key of one element, and keys that differ anywhere differ.
+    a, b, c, d = (stream.generator().random(4)
+                  for stream in (RngStream(7, 3), RngStream(7, (3,)),
+                                 RngStream(7, (3, 0)), RngStream(7, (1, 3))))
+    assert a.tobytes() == b.tobytes()
+    assert len({a.tobytes(), c.tobytes(), d.tobytes()}) == 3
+
+
 def test_generator_input_continues_the_stream():
     gen = RngStream(7, 0).generator()
     first = complex_gaussian_batch(gen, (4,))

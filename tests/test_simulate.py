@@ -12,7 +12,8 @@ import pytest
 from scipy import special, stats
 
 from dispatch import AVX512, BASELINE, recorded, simd_target
-from oracles import assembled_parts, explicit_directions, one_link_samples
+from oracles import (assembled_parts, explicit_directions, inverse_beams,
+                     one_link_samples)
 from zfsecrecy import simulate
 from zfsecrecy.analytic import (Link, rate_from_cdf_quadrature,
                                 secrecy_rate_closed_form, sinr_cdf)
@@ -20,7 +21,7 @@ from zfsecrecy.cli import MAX_NT
 from zfsecrecy.linalg import RngStream, complex_gaussian_batch
 from zfsecrecy.params import SystemParams
 from zfsecrecy.simulate import (SimMode, _draw_parts, _rvq_directions, _sinr,
-                                _zf_beams_batch, chunk_trials,
+                                _zf_inverse, chunk_trials,
                                 collect_sinr_samples, estimate_secrecy_rate,
                                 estimate_secrecy_rates, ks_statistic,
                                 max_zf_residual)
@@ -78,6 +79,35 @@ def test_realization_determinism():
         np.testing.assert_array_equal(ours, theirs)
 
 
+def test_chunk_streams_are_keyed_by_draw_key_and_chunk():
+    # Each chunk of a draw key replays from _chunk_stream, whatever the
+    # worker count.  An n_t = 3 and an n_t = 5 QCA chunk hold 40,959 and
+    # 40,960 (trial, user) pairs: keyed by (seed, chunk) alone they drew
+    # the same Exp(1) numerators, and keyed by their draw keys too they
+    # share not one.
+    p3, p5 = (SystemParams(n_t=k, bits=0, alpha=1.0, snr_db=0.0)
+              for k in (3, 5))
+    n = chunk_trials(p5, SimMode.QCA) + 100
+    chunks = list(simulate._map_chunks(p5, SimMode.QCA, n, 9, 2,
+                                       lambda parts: parts[:4]))
+    assert len(chunks) == 2
+    for i, chunk in enumerate(chunks):
+        replay = _draw_parts(p5, SimMode.QCA, simulate._chunk_stream(
+            9, p5, SimMode.QCA, i).generator(), chunk[0].shape[1])
+        for ours, theirs in zip(chunk, replay[:4]):
+            assert np.array_equal(ours, theirs)
+    first3 = next(simulate._map_chunks(
+        p3, SimMode.QCA, chunk_trials(p3, SimMode.QCA), 9, 1,
+        lambda parts: parts[0]))
+    assert np.intersect1d(first3, chunks[0][0]).size == 0
+    # Every mode, every FULL budget, every chunk: a stream of its own.
+    keys = [(mode, SystemParams(n_t=5, bits=bits, alpha=1.0, snr_db=0.0), i)
+            for mode in SimMode for bits in (2, 4) for i in (0, 1)]
+    firsts = {tuple(simulate._chunk_stream(9, p, mode, i).generator()
+                    .random(2)) for mode, p, i in keys}
+    assert len(firsts) == len(keys) - 4  # QCA and PERFECT ignore bits
+
+
 def _draw_digest(params, mode, n, seed=11):
     """sha256 of one _draw_parts call with the residual computed: its four
     parts' bytes, then the rejected count and the repr of the zero-forcing
@@ -98,28 +128,28 @@ def _draw_digest(params, mode, n, seed=11):
 DRAW_DIGESTS = {
     (SimMode.FULL, 5): {
         AVX512:
-        "666e9c68aee497ebd036c7729fc7aca7de080aa134ef91cbc9c0a5c2c51d21c9",
+        "5decd7ecd74068d18952ea8129b99a09d3f868b1890cb2e6ab76cd7c700f006c",
         BASELINE:
-        "0f7d70183df0b60c20dadaf95e6f8ea3f018fffd38d969e43e844c1efc5092de"},
+        "2028883ef9b90eceee32a85440e40341236d736c14899227c1e0729a3c3de017"},
     (SimMode.FULL, 8): {
         AVX512:
-        "1a434465af8f194fe63cd68acd7644d0319d0279b88c1c787b04bb50232ed52e",
+        "59f304c47c1f009c3dfa9a19d0a8162feb7147f9f071c80d5160914c6acf351b",
         BASELINE:
-        "f62f3d4825761bbf3f1130849a291739327ff05d2c18d9cb3dfe17d7b538b07f"},
+        "6891196a495d05fd15e785c6e8a8ed8eeb92e0e0fa8474e91de565efc6324073"},
     (SimMode.FULL, 24): {
         AVX512:
-        "4afc34201d315c7b237485dc9ff4491325ebddf942c4a8e239a9465d4a7c82e6",
+        "b8eb1b3b759d0ce4cf3c8a9081b52f98c4b3634bef901edd60bc6be2d43a8063",
         BASELINE:
-        "a81f16a1438994157ec20d4e73b8265fd5ce3db26494686dff3e25f9a41d3abd"},
+        "8218921741a0f84e0ee925f87aa209e85cc500aad86f6d438e6421a5282577ae"},
     (SimMode.PERFECT, 5): dict.fromkeys(
         (AVX512, BASELINE),
-        "1a2ddbf291dd14a5f4dc6159211ea634115dcabd6dbf14c78ea15a79ebfe8384"),
+        "17baf3a89e979013b75447401b631e73b4107f8387992b9e8becc53ea01ea020"),
     (SimMode.PERFECT, 8): dict.fromkeys(
         (AVX512, BASELINE),
-        "c0e54b22d47fd1dbde1cc695477d085b3d6a5744f575838546d6c4e19da517de"),
+        "b03d92361d028ef777195821e27a72cf5e1b99d4b20e2a981ef12303cfbc6b70"),
     (SimMode.PERFECT, 24): dict.fromkeys(
         (AVX512, BASELINE),
-        "09a82ff997028aec3c663c14379ddff98c51f12e6a101fb397df7b3e602c225d"),
+        "b2c89b46ea1709342b4066b908f2e51ef9a035123c14c1c4f317f74cf4878075"),
 }
 
 
@@ -159,14 +189,14 @@ FORCED_REJECTION_TOL = 0.2
 REJECTION_DIGESTS = {
     SimMode.FULL: ({
         AVX512:
-        "8a7f9538cb170b0516af9a36bf7321e1e04e600730715370404ca34b4e89db87",
+        "13dc95a54e257768577541936a0a874fcdc154c2f154bb2314a5843e28ab374e",
         BASELINE:
-        "e655af5a418c882e45ee8ab14fba13abbb909ca49c640031e3b0682620975ea5"},
-        1177),
+        "e7487026ea92a7e0c91e81d4929e984eccfabcb781fc2ae2b65d99e76653b017"},
+        1147),
     SimMode.PERFECT: (dict.fromkeys(
         (AVX512, BASELINE),
-        "d93988b5aee4a54e160fb23500dc448b2c8764c0c4c50ec22f900333b9b122bb"),
-        1133),
+        "ee62f86b6a5d926f7140b5c9639edc82a2ba801dd5fa6c2232d65adc03e11ba7"),
+        1207),
 }
 
 
@@ -200,7 +230,7 @@ def test_sampler_sees_each_round_whole(monkeypatch):
         before = h.copy()
         cw = _rvq_directions(h, bits, gen)
         np.testing.assert_array_equal(h, before)
-        rounds.append((m, int((~_zf_beams_batch(cw)[1]).sum())))
+        rounds.append((m, int((~_zf_inverse(cw)[2]).sum())))
         return cw
 
     monkeypatch.setattr(simulate, "_rvq_directions", recorded)
@@ -334,7 +364,7 @@ def test_singular_direction_set_is_rejected_not_raised():
     dirs[3, 4] = dirs[3, 2]
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.inv(dirs)
-    beams, ok = _zf_beams_batch(dirs)
+    beams, ok = inverse_beams(dirs)
     assert ok.tolist() == [True, False, True, False, True]
     kept_dirs, kept = dirs[ok], beams[ok]
     assert np.isfinite(kept).all()
@@ -695,10 +725,11 @@ def _assert_rounding_only_reduction(points, mode, n, seed):
     by_key = {}
     for row, p in enumerate(points):
         by_key.setdefault(simulate.draw_key(p, mode), []).append(row)
-    drawn = {key: _draw_parts(SystemParams(n_t=key[0], bits=key[1], alpha=1.0,
-                                           snr_db=0.0),
-                              mode, RngStream(seed, 0).generator(), n)
+    draws = {key: SystemParams(n_t=key[0], bits=key[1], alpha=1.0, snr_db=0.0)
              for key in by_key}
+    drawn = {key: _draw_parts(draw, mode, simulate._chunk_stream(
+                 seed, draw, mode, 0).generator(), n)
+             for key, draw in draws.items()}
     for clip in (False, True):
         engine = estimate_secrecy_rates(points, mode, n, seed, clip=clip)
         for key, rows in by_key.items():
@@ -812,29 +843,32 @@ def _recorded_kinds(monkeypatch):
 
 # Terms outside float32's range keep the float64 arithmetic: at 3000 dB no
 # term of any mode is float32, nor at 100 dB any of PERFECT at n_t = 64.
-# These estimates were recorded before float32 terms existed, on both SIMD
-# targets (tests/dispatch.py), and no bit of them moves; the unclipped QCA
-# one was recorded again, on both targets, once that rate took the shared
-# draw (1.2278 +- 0.0265 before, 0.66 combined sigma from the new mean).
+# Every estimate equals the float64 reduction's (the oracle) bit for bit,
+# and these are its values, recorded on both SIMD targets
+# (tests/dispatch.py) with each chunk's stream keyed by its draw key
+# (simulate._chunk_stream); FULL's clipped one differs between the targets
+# in its last digit (its sampler's log1p, expm1 and power), the others are
+# one value for both.
 FLOAT64_ESTIMATES = {
     (SimMode.FULL, 5, 3000.0, False):
-        [(1.2617427306245106, 0.02105763590800953)] * 2,
+        [(1.2045899424041893, 0.021027552509101207)] * 2,
     (SimMode.FULL, 5, 3000.0, True):
-        [(1.6788701019601813, 0.019030649495313093)] * 2,
+        {AVX512: [(1.637573026366365, 0.01872661359379371)] * 2,
+         BASELINE: [(1.637573026366365, 0.018726613593793705)] * 2},
     (SimMode.QCA, 5, 3000.0, False):
-        [(1.245903074999109, 0.007497846976679237)] * 2,
+        [(1.250921203264531, 0.007690205580159052)] * 2,
     (SimMode.QCA, 5, 3000.0, True):
-        [(1.8655666965974187, 0.020410450831203065)] * 2,
+        [(1.8981433903313378, 0.020866035862320526)] * 2,
     (SimMode.PERFECT, 5, 3000.0, False):
-        [(4976.92777880736, 0.1396761593375627)] * 2,
+        [(4977.075961485756, 0.13465468002217382)] * 2,
     (SimMode.PERFECT, 5, 3000.0, True):
-        [(4976.92777880736, 0.13967615933149155)] * 2,
+        [(4977.075961485756, 0.13465468002217382)] * 2,
     (SimMode.PERFECT, 64, 100.0, False):
-        [(2074.4335348548693, 6.534779976936316),
-         (2074.433534854858, 6.5347799769367745)],
+        [(2067.066908811419, 6.745011699642421),
+         (2067.0669088114078, 6.745011699642865)],
     (SimMode.PERFECT, 64, 100.0, True):
-        [(2074.4335348548693, 6.534779976936316),
-         (2074.433534854858, 6.5347799769367745)],
+        [(2067.066908811419, 6.745011699642421),
+         (2067.0669088114078, 6.745011699643309)],
 }
 # Trials per case: two n_t = 64 chunks, of 167 and 33 trials.
 FLOAT64_TRIALS = {5: 3_000, 64: 200}
@@ -855,8 +889,10 @@ def test_float64_terms_are_bit_identical_to_the_float64_reduction(
                                  clip=clip)
     assert kinds and all(dtype is np.float64 for dtype, _ in kinds)
     assert got == oracle
+    want = FLOAT64_ESTIMATES[case]
     assert [(e.mean, e.std_err) for e in got] == recorded(
-        dict.fromkeys((AVX512, BASELINE), FLOAT64_ESTIMATES[case]))
+        want if isinstance(want, dict) else dict.fromkeys((AVX512, BASELINE),
+                                                          want))
 
 
 @pytest.mark.parametrize("mode", list(SimMode))
@@ -891,9 +927,10 @@ def test_stack_size_and_workers_move_no_bit(mode, clip, monkeypatch):
 # Row and column norms over float64 views
 # --------------------------------------------------------------------------
 
-def _linalg_norms(x, axis):
-    """Oracle for ``simulate._norms``: np.linalg.norm of the complex array."""
-    return np.linalg.norm(x, axis=axis)
+def _linalg_squared_norms(x, axis):
+    """Oracle for ``simulate._squared_norms``: np.linalg.norm of the complex
+    array, squared."""
+    return np.linalg.norm(x, axis=axis) ** 2
 
 
 def test_norms_accept_any_layout():
@@ -904,12 +941,14 @@ def test_norms_accept_any_layout():
     with pytest.raises(ValueError):
         swapped.view(float)
     for axis in (1, 2):
-        got = simulate._norms(x, axis)
-        np.testing.assert_allclose(got, _linalg_norms(x, axis),
+        got = simulate._squared_norms(x, axis)
+        np.testing.assert_allclose(np.sqrt(got), np.linalg.norm(x, axis=axis),
                                    rtol=2 * 9 * _U, atol=0)
-        assert np.array_equal(simulate._norms(swapped, axis), simulate._norms(
-            np.ascontiguousarray(swapped), axis))
-        assert np.array_equal(simulate._norms(x[::2], axis), got[::2])
+        assert np.array_equal(
+            simulate._squared_norms(swapped, axis),
+            simulate._squared_norms(np.ascontiguousarray(swapped), axis))
+        assert np.array_equal(simulate._squared_norms(x[::2], axis),
+                              got[::2])
 
 
 def _norm_gate_bounds(params, mode, seed, n, dirs):
@@ -942,7 +981,7 @@ def _norm_gate_bounds(params, mode, seed, n, dirs):
     k = params.n_t
     nu = (2 * k + 1) * _U
     delta = 2 * nu + 2 * _U
-    gen = RngStream(seed, 0).generator()
+    gen = simulate._chunk_stream(seed, params, mode, 0).generator()
     h = complex_gaussian_batch(gen, (n, k, k))
     g = complex_gaussian_batch(gen, (n, k))
     if mode is SimMode.PERFECT:
@@ -992,19 +1031,20 @@ def test_real_view_norms_change_only_rounding(n_t, mode, bits, monkeypatch):
               for a in (0.5, 1.0) for s in (-10.0, 10.0, 30.0)]
     params, seed = points[0], 33
     n = min(chunk_trials(params, mode), 2_000)
-    engine = _draw_parts(params, mode, RngStream(seed, 0).generator(), n)
+    stream = simulate._chunk_stream(seed, params, mode, 0)
+    engine = _draw_parts(params, mode, stream.generator(), n)
     rates = {clip: estimate_secrecy_rates(points, mode, n, seed, clip=clip)
              for clip in (False, True)}
-    dirs, zf_beams = [], simulate._zf_beams_batch
+    dirs, zf_inverse = [], simulate._zf_inverse
 
     def recorded(point_dirs):
         dirs.append(point_dirs.copy())
-        return zf_beams(point_dirs)
+        return zf_inverse(point_dirs)
 
     with monkeypatch.context() as patch:
-        patch.setattr(simulate, "_norms", _linalg_norms)
-        patch.setattr(simulate, "_zf_beams_batch", recorded)
-        oracle = _draw_parts(params, mode, RngStream(seed, 0).generator(), n)
+        patch.setattr(simulate, "_squared_norms", _linalg_squared_norms)
+        patch.setattr(simulate, "_zf_inverse", recorded)
+        oracle = _draw_parts(params, mode, stream.generator(), n)
     assert engine[4] == oracle[4] == 0
     legit_moved, eav_moved = _norm_gate_bounds(params, mode, seed, n,
                                                np.concatenate(dirs))
@@ -1044,8 +1084,8 @@ def test_real_view_norms_move_no_rejected_count(mode, monkeypatch):
     monkeypatch.setattr(simulate, "_BEAM_RANK_TOL", FORCED_REJECTION_TOL)
     params = SystemParams(n_t=5, bits=2, alpha=1.0, snr_db=10.0)
     counts = []
-    for norms in (simulate._norms, _linalg_norms):
-        monkeypatch.setattr(simulate, "_norms", norms)
+    for norms in (simulate._squared_norms, _linalg_squared_norms):
+        monkeypatch.setattr(simulate, "_squared_norms", norms)
         counts.append([_draw_parts(params, mode, RngStream(seed, 0).generator(),
                                    3_000)[4] for seed in (11, 12, 13)])
     assert counts[0] == counts[1]
@@ -1089,8 +1129,9 @@ def test_mixed_float32_and_float64_terms_match_per_point_oracle(mode, clip):
     points = [SystemParams(n_t=5, bits=2, alpha=a, snr_db=s)
               for s in (10.0, 150.0) for a in (1e-5, 1.0, 1e5)]
     n = 9_000 if mode is SimMode.QCA else 1_500
-    parts = _draw_parts(points[0], mode, RngStream(24, 0).generator(),
-                        min(n, chunk_trials(points[0], mode)))
+    parts = _draw_parts(points[0], mode, simulate._chunk_stream(
+        24, points[0], mode, 0).generator(), min(n, chunk_trials(points[0],
+                                                                 mode)))
     sides = set()
     for p in points:
         sides.add(tuple(
@@ -1164,9 +1205,10 @@ def _recorded_plans(monkeypatch):
 @pytest.mark.parametrize("clip", [False, True])
 def test_chunks_of_other_kinds_follow_plans_of_their_own(clip, monkeypatch):
     # Near 62 dB at n_t = 5 a term is float32 or float64 as its chunk's
-    # largest numerator falls: the four chunks here take 2 kinds of plan
-    # (3 under clip), each built once, and every estimate is the oracle's
-    # bit for bit.
+    # largest numerator falls: the four chunks of seed 25 take 4 kinds of
+    # plan, with and without clip, each built once, and every estimate is
+    # the oracle's bit for bit.  (The chunks' streams decide the count:
+    # keyed by (seed, chunk) alone they took 2, and 3 under clip.)
     points = [SystemParams(n_t=5, bits=2, alpha=a, snr_db=s)
               for s in (61.5, 62.0, 62.5) for a in (0.5, 1.0)]
     n = 3 * chunk_trials(P55, SimMode.QCA) + 100
@@ -1174,7 +1216,7 @@ def test_chunks_of_other_kinds_follow_plans_of_their_own(clip, monkeypatch):
     plans = _recorded_plans(monkeypatch)
     assert estimate_secrecy_rates(points, SimMode.QCA, n, seed=25,
                                   clip=clip) == oracle
-    assert len(plans) == (3 if clip else 2) == len(set(plans))
+    assert len(plans) == 4 == len(set(plans))
 
 
 def _held_in_arrays(monkeypatch, run) -> int:
@@ -1211,9 +1253,9 @@ def test_live_eavesdropper_terms_stay_within_their_bound(monkeypatch):
               for b in (0, 1, 3) for i in range(40)]
     n = chunk_trials(P55, SimMode.QCA)  # one chunk
     key = SystemParams(n_t=5, bits=0, alpha=1.0, snr_db=0.0)
-    drawn = {shared: _draw_parts(key, SimMode.QCA,
-                                 RngStream(17, 0).generator(), n,
-                                 shared=shared) for shared in (False, True)}
+    drawn = {shared: _draw_parts(key, SimMode.QCA, simulate._chunk_stream(
+                 17, key, SimMode.QCA, 0).generator(), n, shared=shared)
+             for shared in (False, True)}
     array = drawn[False][0].nbytes
     # Beyond the drawn parts, which the patched draw keeps alive, the
     # reduction holds float32 copies of the parts, its scratch, a block's
@@ -1348,7 +1390,9 @@ def test_one_chunk_stays_within_the_chunk_memory_target(mode, n_t):
     # one pass over blocks, so beyond one block's temporaries a chunk holds
     # the (K, n) parts, h, g and, in FULL, the sampler's draw.  Measured
     # with numpy 2.4, rows included: FULL 4.36 at n_t = 2, 3.67 at 3, 3.20
-    # at 5, 2.94 at 8, 2.65 at 24; PERFECT 3.46, 2.63, 1.97, 1.75, 1.58.
+    # at 5, 2.94 at 8, 2.65 at 24; PERFECT 3.26, 2.49, 1.90, 1.75, 1.58
+    # (3.46, 2.63 and 1.97 at n_t 2, 3 and 5 while the gains came from
+    # formed beams, not from the inverse).
     # The smaller n_t, the more the rows weigh: at n_t = 2 the parts alone
     # are one array.  A failure here means some step again spans the whole
     # chunk; a whole-round array of unit directions reads 3.80 (FULL) and
@@ -1611,25 +1655,31 @@ def test_residual_leaves_the_draw_bit_identical(mode, tol, monkeypatch):
 def test_largest_residual_covers_every_kept_draw(monkeypatch):
     # Beams tilted toward another direction by a per-trial 1e-3 |d_00| give
     # every kept set a residual of about that size, and rejected sets one
-    # above 1e-2.  Over two chunks of several resample rounds, each of many
-    # blocks, the engine's largest residual must be the largest over every
-    # kept set, computed here on its own with a matrix product.
+    # above 1e-2.  The engine reads the beams from the inverse, so the tilt
+    # goes into the inverse: column i of the tilted inverse is the tilted
+    # beam i conjugated, its gain 1 / |w_i|^2.  Over two chunks of several
+    # resample rounds, each of many blocks, the engine's largest residual
+    # must be the largest over every kept set of |d_k^H w_i| / |w_i|,
+    # computed here on its own with a matrix product.
     monkeypatch.setattr(simulate, "_BEAM_RANK_TOL", FORCED_REJECTION_TOL)
-    zf_beams, zf_residual = simulate._zf_beams_batch, simulate._zf_residual
+    zf_inverse, zf_residual = simulate._zf_inverse, simulate._zf_residual
     kept_sets, residual_trials = [], []
 
     def tilted(dirs):
-        beams, ok = zf_beams(dirs)
+        inv, gain, ok = zf_inverse(dirs)
+        beams = np.conj(np.swapaxes(inv, 1, 2)) * np.sqrt(gain)[:, :, None]
         tilt = 1e-3 * np.abs(dirs[:, 0, 0]) + 1e-2 * ~ok
         beams = beams + tilt[:, None, None] * np.roll(dirs, 1, axis=1)
+        beams /= np.linalg.norm(beams, axis=2, keepdims=True)
         kept_sets.append((dirs[ok].copy(), beams[ok]))
-        return beams, ok
+        inv = np.ascontiguousarray(np.conj(np.swapaxes(beams, 1, 2)))
+        return inv, np.ones(ok.shape + (5,)), ok
 
-    def counted(dirs, beams):
+    def counted(dirs, inv, gain):
         residual_trials.append(len(dirs))
-        return zf_residual(dirs, beams)
+        return zf_residual(dirs, inv, gain)
 
-    monkeypatch.setattr(simulate, "_zf_beams_batch", tilted)
+    monkeypatch.setattr(simulate, "_zf_inverse", tilted)
     monkeypatch.setattr(simulate, "_zf_residual", counted)
     params = SystemParams(n_t=5, bits=2, alpha=1.0, snr_db=10.0)
     n = chunk_trials(params, SimMode.FULL) + 3_000
