@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 import os
@@ -1461,15 +1462,33 @@ def test_trial_count_validation():
         estimate_secrecy_rate(P55, SimMode.QCA, 10, seed=1, workers=0)
 
 
-@pytest.mark.parametrize("snr_db", [0.0, 10.0, 20.0])
+AGREEMENT_SNRS_DB = (0.0, 10.0, 20.0)
+
+
+@functools.lru_cache(maxsize=None)
+def _agreement_estimates() -> dict:
+    """Each mode's estimates at the agreement test's three SNRs, from one
+    draw per mode (each bit-identical to its one-point call)."""
+    points = [SystemParams(n_t=5, bits=4, alpha=1.0, snr_db=s)
+              for s in AGREEMENT_SNRS_DB]
+    qca = estimate_secrecy_rates(points, SimMode.QCA, 2_000_000, seed=11,
+                                 workers=2)
+    full = estimate_secrecy_rates(points, SimMode.FULL, 2_500_000, seed=11,
+                                  workers=2)
+    return dict(zip(AGREEMENT_SNRS_DB, zip(qca, full)))
+
+
+@pytest.mark.parametrize("snr_db", AGREEMENT_SNRS_DB)
 def test_full_and_qca_modes_agree_loosely(snr_db):
     # QCA samples the closed form's law: quantization-cell interference for
     # the users, orthonormal beams for the eavesdropper.  FULL, the
     # exact-RVQ sampler, makes neither simplification, so the documented
-    # tolerance is loose.
-    p = SystemParams(n_t=5, bits=4, alpha=1.0, snr_db=snr_db)
-    qca = estimate_secrecy_rate(p, SimMode.QCA, 200_000, seed=11)
-    full = estimate_secrecy_rate(p, SimMode.FULL, 30_000, seed=11)
+    # tolerance is loose.  At 10 dB the true gap, 4.93% (the mean over
+    # seeds 0-99 of this test's gap), sits just inside the 5% envelope, so
+    # the trial counts hold the gap's standard error to about 0.06%: 12 of
+    # those seeds fail.  With 30,000 FULL and 200,000 QCA trials it was
+    # 0.53%, and 44 failed.
+    qca, full = _agreement_estimates()[snr_db]
     combined = math.hypot(qca.std_err, full.std_err)
     gap = abs(qca.mean - full.mean)
     assert gap < max(0.05 * abs(qca.mean), 4.0 * combined), (
