@@ -120,8 +120,9 @@ def exp_integral_e1_scaled(x: float) -> float:
 # Quadrature
 # ---------------------------------------------------------------------------
 
-# Most (row, node) values one integrand call of :func:`_exp_sinh` makes,
-# so that each of its temporaries stays within 32 KiB.
+# Most (row, node) values one integrand call of :func:`_exp_sinh` makes:
+# each of its temporaries stays within 32 KiB, or one row's new nodes
+# where a level has more (8,192 and 16,384 at levels 10 and 11).
 _QUAD_BLOCK_VALUES = 2 ** 12
 
 
@@ -294,8 +295,8 @@ def gauss_2f1(n_t: int, z: float) -> float:
 
 def _link_law(params: SystemParams, link: Link, regime: Regime) -> tuple:
     """(noise, interference) of a link's SINR law in ``regime``, the one
-    place each law is stated: P(sinr > x) = exp(-x noise) /
-    (1 + interference x)**(n_t - 1).
+    place each law's constants are stated; :func:`_survival` states its
+    form, P(sinr > x) = exp(-x noise) / (1 + interference x)**(n_t - 1).
 
     A served user has noise sigma^2/P and interference the distortion
     scale; the eavesdropper has noise sigma^2/(alpha^2 P) and
@@ -315,17 +316,13 @@ def _link_law(params: SystemParams, link: Link, regime: Regime) -> tuple:
     return noise, interference
 
 
-def _survival_law(params: SystemParams, link: Link, regime: Regime):
-    """x -> P(sinr > x) for the link's law (:func:`_link_law`), its
-    constants bound once, for x >= 0.  A part that is 0 is left out of the
-    formula, not multiplied in: 0 * inf is nan at x = inf."""
-    noise, interference = _link_law(params, link, regime)
-    k = params.n_t - 1
-    if not interference:
-        return lambda x: np.exp(-x * noise)
-    if not noise:
-        return lambda x: 1.0 / (1.0 + interference * x) ** k
-    return lambda x: np.exp(-x * noise) / (1.0 + interference * x) ** k
+def _survival(x, noise, interference, k):
+    """P(sinr > x) = exp(-x noise) / (1 + interference x)**k for finite
+    x >= 0, k = n_t - 1: the law of :func:`_link_law`, stated once.  The
+    constants broadcast against x.  A part that is 0 multiplies in as
+    exp(-0) or 1 + 0 x, both exactly 1; at x = inf it would be 0 * inf,
+    nan."""
+    return np.exp(-x * noise) / (1.0 + interference * x) ** k
 
 
 def sinr_cdf(x, params: SystemParams, link: Link,
@@ -333,12 +330,16 @@ def sinr_cdf(x, params: SystemParams, link: Link,
     """CDF of a served user's (or the eavesdropper's) SINR; x a float or an
     array.
 
-    Monotone non-decreasing, 0 at x = 0, tending to 1 as x grows.
+    Monotone non-decreasing, 0 at x = 0, tending to 1 as x grows, and 1 at
+    x = inf, where :func:`_survival` leaves a law's part that is 0 as nan.
     """
     negative = (x < 0).any() if isinstance(x, np.ndarray) else x < 0
     if negative:
         raise ValueError(f"x must be >= 0, got {x}")
-    return 1.0 - _survival_law(params, link, regime)(x)
+    with np.errstate(invalid="ignore"):
+        survival = _survival(x, *_link_law(params, link, regime),
+                             params.n_t - 1)
+    return 1.0 - np.where(x == math.inf, 0.0, survival)
 
 
 # ---------------------------------------------------------------------------
@@ -412,8 +413,8 @@ def _quadrature_rates(points, regime: Regime = Regime.GENERAL,
     SystemParams), in one :func:`_exp_sinh` pass: row i integrates point
     i's laws (:func:`_link_law`), and each row is the one-point rule.
 
-    A part of a law that is 0 multiplies in as exp(-0) or 1 + 0 x, both
-    exactly 1: the nodes t stay finite, so no 0 * inf arises."""
+    The nodes t stay finite, so a part of a law that is 0 multiplies in
+    as exactly 1 (:func:`_survival`)."""
     laws = np.array([(*_link_law(p, Link.LEGITIMATE, regime),
                       *_link_law(p, Link.EAVESDROPPER, regime), p.n_t - 1)
                      for p in points]).T
@@ -421,8 +422,8 @@ def _quadrature_rates(points, regime: Regime = Regime.GENERAL,
     def integrand(x, rows):
         noise, interference, eav_noise, eav_interference, k = (
             laws[:, rows, None])
-        legit = np.exp(-x * noise) / (1.0 + interference * x) ** k
-        eav = np.exp(-x * eav_noise) / (1.0 + eav_interference * x) ** k
+        legit = _survival(x, noise, interference, k)
+        eav = _survival(x, eav_noise, eav_interference, k)
         return (legit * (1.0 - eav) if clip else legit - eav) / (1.0 + x)
 
     values = _exp_sinh(integrand, len(points)).tolist()

@@ -24,7 +24,9 @@ class RngStream:
     give statistically independent streams, so parallel workers can own
     disjoint substreams: the key is the SeedSequence spawn key that seeds
     an SFC64 generator, which draws normals and gammas about 1.45x as fast
-    as Philox (numpy 2.4).
+    as Philox (numpy 2.4).  Each key element must lie in [0, 2**32):
+    SeedSequence spreads a larger one over several 32-bit words, so
+    ``(2**32,)`` would be the key ``(0, 1)``.
     """
 
     seed: int
@@ -34,8 +36,10 @@ class RngStream:
         """Fresh generator positioned at the start of this stream."""
         key = (self.stream_id if isinstance(self.stream_id, tuple)
                else (self.stream_id,))
-        seeds = np.random.SeedSequence(
-            self.seed & _MASK64, spawn_key=tuple(i & _MASK64 for i in key))
+        if not all(0 <= i < 2 ** 32 for i in key):
+            raise ValueError(f"stream key elements must lie in [0, 2**32), "
+                             f"got {self.stream_id!r}")
+        seeds = np.random.SeedSequence(self.seed & _MASK64, spawn_key=key)
         return np.random.Generator(np.random.SFC64(seeds))
 
 

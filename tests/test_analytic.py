@@ -308,8 +308,11 @@ def test_rows_of_one_pass_are_each_the_one_row_rule(monkeypatch):
 def _per_point_quadrature(p, regime, clip):
     """The quadrature rule at one point, as its own scalar integrand of
     the links' survival laws: the grid function's reference."""
-    legit = analytic._survival_law(p, Link.LEGITIMATE, regime)
-    eav = analytic._survival_law(p, Link.EAVESDROPPER, regime)
+    def law(link):
+        noise, interference = analytic._link_law(p, link, regime)
+        return lambda x: analytic._survival(x, noise, interference, p.n_t - 1)
+
+    legit, eav = law(Link.LEGITIMATE), law(Link.EAVESDROPPER)
     if clip:
         def integrand(x):
             return legit(x) * (1.0 - eav(x)) / (1.0 + x)
@@ -641,10 +644,11 @@ def test_arbiter_rates_file_matches_mpmath():
 
 
 def test_closed_form_and_limit_never_call_the_quadrature(monkeypatch):
-    def no_quadrature(integrand):
-        raise AssertionError("integrate_half_line called")
+    # _exp_sinh is the one rule under both quadrature entry points.
+    def no_quadrature(integrand, n_rows):
+        raise AssertionError("the exp-sinh quadrature called")
 
-    monkeypatch.setattr(analytic, "integrate_half_line", no_quadrature)
+    monkeypatch.setattr(analytic, "_exp_sinh", no_quadrature)
     mpmath = pytest.importorskip("mpmath")
     for point, rate in load_rates().items():
         p = SystemParams(*point)

@@ -30,6 +30,15 @@ def test_an_int_id_is_the_one_element_key():
     assert len({a.tobytes(), c.tobytes(), d.tobytes()}) == 3
 
 
+@pytest.mark.parametrize("stream_id", [2 ** 32, (0, 2 ** 32), -1, (3, -1)])
+def test_key_elements_outside_32_bits_are_rejected(stream_id):
+    # SeedSequence spreads an element past 32 bits over several words, so
+    # (2**32,) would draw the stream of (0, 1).
+    with pytest.raises(ValueError, match="2\\*\\*32"):
+        RngStream(7, stream_id).generator()
+    RngStream(7, (2 ** 32 - 1, 0)).generator()
+
+
 def test_generator_input_continues_the_stream():
     gen = RngStream(7, 0).generator()
     first = complex_gaussian_batch(gen, (4,))
