@@ -8,23 +8,20 @@ noise-limited limits, each cross-validating the other.
 
 from .analytic import (Link, Regime, exp_integral_e1, exp_integral_e1_scaled,
                        gauss_2f1, laplace_pole_integral,
-                       rate_from_cdf_quadrature, secrecy_rate_closed_form,
+                       rates_from_cdf_quadrature, secrecy_rate_closed_form,
                        secrecy_rate_interference_limited,
                        secrecy_rate_noise_limited, sinr_cdf)
 from .linalg import RngStream
 from .params import SystemParams, quantization_distortion
-from .codebooks import CodebookSizeError, generate_codebook
 from .simulate import (RateEstimate, SimMode, collect_sinr_samples,
-                       estimate_secrecy_rate, estimate_secrecy_rates,
-                       ks_statistic)
+                       estimate_secrecy_rates, ks_statistic)
 
 __all__ = [
-    "CodebookSizeError", "Link", "RateEstimate", "Regime", "RngStream",
-    "SimMode", "SystemParams", "collect_sinr_samples",
-    "estimate_secrecy_rate", "estimate_secrecy_rates", "exp_integral_e1",
-    "exp_integral_e1_scaled", "gauss_2f1", "generate_codebook",
-    "ks_statistic", "laplace_pole_integral", "quantization_distortion",
-    "rate_from_cdf_quadrature", "secrecy_rate_closed_form",
+    "Link", "RateEstimate", "Regime", "RngStream", "SimMode", "SystemParams",
+    "collect_sinr_samples", "estimate_secrecy_rates", "exp_integral_e1",
+    "exp_integral_e1_scaled", "gauss_2f1", "ks_statistic",
+    "laplace_pole_integral", "quantization_distortion",
+    "rates_from_cdf_quadrature", "secrecy_rate_closed_form",
     "secrecy_rate_interference_limited", "secrecy_rate_noise_limited",
     "sinr_cdf",
 ]

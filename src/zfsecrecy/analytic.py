@@ -389,10 +389,10 @@ def secrecy_rate_noise_limited(params: SystemParams) -> float:
     return _rate(params, Regime.NOISE_LIMITED)
 
 
-def rate_from_cdf_quadrature(params: SystemParams,
-                             regime: Regime = Regime.GENERAL,
-                             clip: bool = False) -> float:
-    """Independent oracle: the rate by quadrature of the SINR laws.
+def rates_from_cdf_quadrature(points, regime: Regime = Regime.GENERAL,
+                              clip: bool = False) -> list:
+    """Independent oracle: the rate at each of ``points`` (a list of
+    SystemParams) by quadrature of the SINR laws.
 
     Integrates n_t * log2(e) * [(1-F) - (1-G)] / (1+x) over x >= 0, where F
     and G are the two links' CDFs for the given regime.  Serves as ground
@@ -403,18 +403,12 @@ def rate_from_cdf_quadrature(params: SystemParams,
     E sum_k [log2(1+sinr_k) - log2(1+eav_sinr_k)]^+, for independent links
     as in QCA: E[(A-B)^+] = integral of P(A > t) P(B <= t) dt, so the
     integrand is (1-F) * G / (1+x).
+
+    One :func:`_exp_sinh` pass serves every point: row i integrates point
+    i's laws (:func:`_link_law`), and each row is the one-point rule.  The
+    nodes t stay finite, so a part of a law that is 0 multiplies in as
+    exactly 1 (:func:`_survival`).
     """
-    return _quadrature_rates([params], regime, clip)[0]
-
-
-def _quadrature_rates(points, regime: Regime = Regime.GENERAL,
-                      clip: bool = False) -> list:
-    """:func:`rate_from_cdf_quadrature` at each of ``points`` (a list of
-    SystemParams), in one :func:`_exp_sinh` pass: row i integrates point
-    i's laws (:func:`_link_law`), and each row is the one-point rule.
-
-    The nodes t stay finite, so a part of a law that is 0 multiplies in
-    as exactly 1 (:func:`_survival`)."""
     laws = np.array([(*_link_law(p, Link.LEGITIMATE, regime),
                       *_link_law(p, Link.EAVESDROPPER, regime), p.n_t - 1)
                      for p in points]).T

@@ -133,8 +133,9 @@ class SweepConfig:
             raise UsageError("--nt entries must be >= 2")
         if max(self.nt) > MAX_NT:
             raise UsageError(f"antenna cap hit: --nt entries must be <= {MAX_NT}")
-        if min(self.bits) < 0:
-            raise UsageError("--bits entries must be >= 0")
+        # FULL streams key on bits, and a stream key element is 32 bits.
+        if not 0 <= min(self.bits) <= max(self.bits) < 2 ** 32:
+            raise UsageError("--bits entries must lie in [0, 2**32)")
         # The random streams key on 64 bits: any other seed would alias one.
         if not 0 <= self.seed < 2 ** 64:
             raise UsageError("--seed must lie in [0, 2**64)")
@@ -239,7 +240,7 @@ def run_validate(config: SweepConfig, stream=None) -> bool:
     grid = list(config.grid())
     estimates = simulate.estimate_secrecy_rates(
         grid, SimMode.QCA, config.trials, config.seed, workers=config.workers)
-    quads = analytic._quadrature_rates(grid, Regime.GENERAL)
+    quads = analytic.rates_from_cdf_quadrature(grid)
     for p, est, quad in zip(grid, estimates, quads):
         closed = analytic.secrecy_rate_closed_form(p)
         rel = abs(closed - quad) / max(abs(quad), 1e-6)

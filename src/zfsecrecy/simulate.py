@@ -627,7 +627,11 @@ def _reduce_block(parts: dict, stacks: list, reductions: list, scratch,
                            product[0] if dtype == np.float32 else None)
         else:
             np.subtract(a, b, out=per_trial)
-        out[row] = per_trial.sum(), per_trial @ per_trial
+        # The sum of squares is numpy's pairwise sum of the squared row, not
+        # BLAS's dot, whose partial sums follow OpenBLAS's thread count and
+        # kernel.  The row is scratch, so it is squared in place.
+        total = per_trial.sum()
+        out[row] = total, np.square(per_trial, out=per_trial).sum()
 
 
 def _check_counts(n: int, workers: int) -> None:
@@ -823,16 +827,6 @@ def _estimates_of_one_draw(draw: SystemParams, members: list, mode: SimMode,
                              members[int(finite.argmin())][1])
     return [_rate_estimate(total, total_sq, n_trials, rejected)
             for total, total_sq in sums.tolist()]
-
-
-def estimate_secrecy_rate(params: SystemParams, mode: SimMode, n_trials: int,
-                          seed: int, workers: int = 1,
-                          clip: bool = False) -> RateEstimate:
-    """Monte Carlo ergodic secrecy sum-rate over ``n_trials`` channel draws:
-    :func:`estimate_secrecy_rates` at one point.  For a fixed seed the
-    result is bit-identical across worker counts."""
-    return estimate_secrecy_rates([params], mode, n_trials, seed, workers,
-                                  clip)[0]
 
 
 def collect_sinr_samples(points, mode: SimMode, n: int, seed: int,

@@ -29,7 +29,7 @@ from scipy import integrate
 from zfsecrecy import cli
 from zfsecrecy.analytic import (Link, exp_integral_e1, gauss_2f1,
                                 laplace_pole_integral, Regime,
-                                rate_from_cdf_quadrature,
+                                rates_from_cdf_quadrature,
                                 secrecy_rate_closed_form,
                                 secrecy_rate_interference_limited,
                                 secrecy_rate_noise_limited, sinr_cdf)
@@ -65,7 +65,7 @@ def test_criterion_1_correctness_triangle():
                                        seed=SEED)
     for p, est in zip(points, estimates):
         closed = secrecy_rate_closed_form(p)
-        quad = rate_from_cdf_quadrature(p)
+        quad = rates_from_cdf_quadrature([p])[0]
         rel = abs(closed - quad) / max(abs(quad), 1e-6)
         worst_rel = max(worst_rel, rel)
         assert rel < 1e-8, (p, closed, quad, rel)

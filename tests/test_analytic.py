@@ -13,12 +13,12 @@ from zfsecrecy.analytic import (Link, Regime, exp_integral_e1,
                                 exp_integral_e1_scaled,
                                 gauss_2f1, integrate_half_line,
                                 laplace_pole_integral,
-                                rate_from_cdf_quadrature,
+                                rates_from_cdf_quadrature,
                                 secrecy_rate_closed_form,
                                 secrecy_rate_interference_limited,
                                 secrecy_rate_noise_limited, sinr_cdf)
 from zfsecrecy.params import SystemParams
-from zfsecrecy.simulate import SimMode, estimate_secrecy_rate
+from zfsecrecy.simulate import SimMode, estimate_secrecy_rates
 
 LOG2_E = math.log2(math.e)
 
@@ -333,13 +333,11 @@ VALIDATE_GRID = [SystemParams(n_t=n_t, bits=bits, alpha=alpha, snr_db=snr_db)
 def test_grid_quadrature_is_the_per_point_rule(regime, clip):
     # validate's 144 points in one pass, each within 1e-13 relative of the
     # rule run on that point alone (exactly 0 where both laws are one).
-    got = analytic._quadrature_rates(VALIDATE_GRID, regime, clip)
+    got = rates_from_cdf_quadrature(VALIDATE_GRID, regime, clip)
     assert len(got) == len(VALIDATE_GRID)
     for p, rate in zip(VALIDATE_GRID, got):
         want = _per_point_quadrature(p, regime, clip)
         assert abs(rate - want) <= 1e-13 * abs(want), (p, rate, want)
-        assert rate_from_cdf_quadrature(p, regime, clip) == (
-            analytic._quadrature_rates([p], regime, clip)[0])
 
 
 @pytest.mark.parametrize("x,y,z", [
@@ -489,9 +487,9 @@ def test_rate_triangle_at_reference_point():
     # Closed form pinned by the quadrature oracle, then MC-confirmed.
     p = PARAMS_55
     closed = secrecy_rate_closed_form(p)
-    quad = rate_from_cdf_quadrature(p)
+    quad = rates_from_cdf_quadrature([p])[0]
     assert abs(closed - quad) / abs(quad) < 1e-8
-    est = estimate_secrecy_rate(p, SimMode.QCA, 200_000, seed=11)
+    est = estimate_secrecy_rates([p], SimMode.QCA, 200_000, seed=11)[0]
     assert abs(est.mean - closed) < 3.0 * est.std_err
 
 
@@ -499,7 +497,8 @@ def test_rate_increases_for_weaker_eavesdropper():
     strong = SystemParams(n_t=5, bits=4, alpha=1.0, snr_db=0.0)
     weak = SystemParams(n_t=5, bits=4, alpha=0.25, snr_db=0.0)
     assert secrecy_rate_closed_form(weak) > secrecy_rate_closed_form(strong)
-    assert rate_from_cdf_quadrature(weak) > rate_from_cdf_quadrature(strong)
+    weak_rate, strong_rate = rates_from_cdf_quadrature([weak, strong])
+    assert weak_rate > strong_rate
 
 
 def test_rate_nondecreasing_in_feedback():
@@ -523,7 +522,7 @@ def test_interference_limited_two_antenna_value():
     assert secrecy_rate_interference_limited(p) == pytest.approx(want,
                                                                  rel=1e-12)
     assert want == pytest.approx(1.114610, abs=1e-5)
-    quad = rate_from_cdf_quadrature(p, Regime.INTERFERENCE_LIMITED)
+    quad = rates_from_cdf_quadrature([p], Regime.INTERFERENCE_LIMITED)[0]
     assert secrecy_rate_interference_limited(p) == pytest.approx(quad,
                                                                  rel=1e-8)
 
@@ -534,7 +533,8 @@ def test_interference_limited_increases_in_feedback():
         p = SystemParams(n_t=5, bits=bits, alpha=1.0, snr_db=0.0)
         val = secrecy_rate_interference_limited(p)
         assert val == pytest.approx(
-            rate_from_cdf_quadrature(p, Regime.INTERFERENCE_LIMITED), abs=1e-8)
+            rates_from_cdf_quadrature([p], Regime.INTERFERENCE_LIMITED)[0],
+            abs=1e-8)
         vals.append(val)
     assert all(b > a for a, b in zip(vals, vals[1:]))
 
@@ -561,10 +561,9 @@ def _assert_rates_match_mpmath(mpmath, n_t, bits, alpha, snr_db):
     rate at 40 digits; neither may raise."""
     want = mpmath_rate(mpmath, n_t, bits, alpha, snr_db)
     p = SystemParams(n_t=n_t, bits=bits, alpha=alpha, snr_db=snr_db)
-    for rate in (rate_from_cdf_quadrature, secrecy_rate_closed_form):
-        got = rate(p)
-        assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), (
-            rate.__name__, got, want)
+    for name, got in (("quadrature", rates_from_cdf_quadrature([p])[0]),
+                      ("closed form", secrecy_rate_closed_form(p))):
+        assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), (name, got, want)
 
 
 @pytest.mark.parametrize("n_t,bits,alpha,snr_db", [
@@ -613,10 +612,11 @@ def test_clipped_quadrature_matches_mpmath(n_t, bits, alpha, snr_db):
     mpmath = pytest.importorskip("mpmath")
     p = SystemParams(n_t=n_t, bits=bits, alpha=alpha, snr_db=snr_db)
     want = _mpmath_clipped_rate(mpmath, p)
-    got = rate_from_cdf_quadrature(p, clip=True)
+    got = rates_from_cdf_quadrature([p], clip=True)[0]
     assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), (got, want)
     # Clipping drops only negative per-user parts.
-    assert got >= rate_from_cdf_quadrature(p) - 1e-9 * max(1.0, abs(want))
+    plain = rates_from_cdf_quadrature([p])[0]
+    assert got >= plain - 1e-9 * max(1.0, abs(want))
 
 
 def test_rates_match_mpmath_on_the_wide_grid():
@@ -625,7 +625,7 @@ def test_rates_match_mpmath_on_the_wide_grid():
     want = load_rates()
     assert list(want) == ARBITER_GRID
     points = [SystemParams(*point) for point in want]
-    for p, quad, rate in zip(points, analytic._quadrature_rates(points),
+    for p, quad, rate in zip(points, rates_from_cdf_quadrature(points),
                              want.values()):
         for got in (quad, secrecy_rate_closed_form(p)):
             assert abs(got - rate) <= 1e-9 * max(1.0, abs(rate)), (
@@ -677,7 +677,7 @@ def test_closed_form_matches_the_oracle_and_is_monotone(
     p = SystemParams(n_t=n_t, bits=bits, alpha=alpha, snr_db=snr_db)
     rate = secrecy_rate_closed_form(p)
     tol = max(1.0, abs(rate))
-    assert abs(rate - rate_from_cdf_quadrature(p)) <= 1e-9 * tol
+    assert abs(rate - rates_from_cdf_quadrature([p])[0]) <= 1e-9 * tol
     more = SystemParams(n_t, min(300, bits + more_bits), alpha, snr_db)
     assert secrecy_rate_closed_form(more) >= rate - 1e-15 * tol
     weaker = SystemParams(n_t, bits, min(10.0, alpha * alpha_factor), snr_db)
@@ -700,7 +700,7 @@ def test_noise_limited_reference_value():
     val = secrecy_rate_noise_limited(p)
     assert val == pytest.approx(2.813, abs=1e-3)
     assert val == pytest.approx(
-        rate_from_cdf_quadrature(p, Regime.NOISE_LIMITED), abs=1e-8)
+        rates_from_cdf_quadrature([p], Regime.NOISE_LIMITED)[0], abs=1e-8)
 
 
 def test_noise_limited_ignores_feedback():
@@ -711,7 +711,7 @@ def test_noise_limited_ignores_feedback():
 
 def test_quadrature_zero_when_laws_coincide():
     p = SystemParams(n_t=5, bits=0, alpha=1.0, snr_db=10.0)
-    assert abs(rate_from_cdf_quadrature(p)) < 1e-9
+    assert abs(rates_from_cdf_quadrature([p])[0]) < 1e-9
 
 
 @pytest.mark.parametrize("n_t,bits", [(2, 1), (2, 4), (3, 1), (3, 4),
@@ -719,7 +719,7 @@ def test_quadrature_zero_when_laws_coincide():
 def test_quadrature_cross_checks_interference_limited(n_t, bits):
     p = SystemParams(n_t=n_t, bits=bits, alpha=1.0, snr_db=0.0)
     closed = secrecy_rate_interference_limited(p)
-    quad = rate_from_cdf_quadrature(p, Regime.INTERFERENCE_LIMITED)
+    quad = rates_from_cdf_quadrature([p], Regime.INTERFERENCE_LIMITED)[0]
     assert abs(closed - quad) / abs(quad) < 1e-8
 
 

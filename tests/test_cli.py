@@ -1,4 +1,5 @@
 import argparse
+import ast
 import hashlib
 import importlib.util
 import io
@@ -159,28 +160,33 @@ def test_full_mode_populates_rejection_column(tmp_path):
 # streams keyed by draw key and chunk on SFC64 (simulate._chunk_stream):
 # every Monte Carlo column moved, r_analytic did not (the calibration
 # harness, the perfbench gates and the statistical tests are the gates).
+# All five are of sums of squares taken as numpy's pairwise sum of the
+# squared row, not BLAS's dot, so that OpenBLAS's thread count and kernel
+# cannot move them: only r_mc_stderr moved, in its last digits.
+# The baseline entries are recorded under OPENBLAS_CORETYPE=Haswell, as
+# CI's baseline step runs them.
 @pytest.mark.digest
 @pytest.mark.parametrize("settings,digests", [
     (dict(mode="qca"), {
         AVX512:
-        "234a9aa1622801736b762218947dcb293f094a5a52499f576d3e767a8b476420",
+        "a843956e06db569e6e1f22767587124efbc04e6ccaf0c8e137cb358863a5dba0",
         BASELINE:
-        "ac2a3f28a414ee0272cd242c1d4a22533fba25bfbc218f53711fbe76d337db28"}),
+        "5f52ac310903880c61d5ccc6ba54c8ad4de858cd3471242ee24c22bc32e81a61"}),
     (dict(mode="qca", clip=True), {
         AVX512:
-        "e28a888546105ce6ec0179b9b093a02632d1bd1ade2da12543bfd2e675a07352",
+        "71550c9718615034eaa0641d7c7117d1f3e7d712a07d98416c38bde8696f752a",
         BASELINE:
-        "685f1e871194a5befe0a26f31f70de76774523f0f9615ebaef171e1a6c4105e0"}),
+        "e638e702b586de2023d5f62c5aa21fbd13b2bfcfcf397faee60c80e4999c1444"}),
     (dict(mode="full"), {
         AVX512:
-        "7414c6999bdd93435d23957ba19de71d0f960a0685f4d23a50f743ad2f39c324",
+        "2619200c295650fc0609e1af91266d6db938a147d5bd81ba713d9c3ac5da66e6",
         BASELINE:
-        "d846473678851214078cc1c46a2189b3581f8c7ab1d00a23a08c3214c31f4298"}),
+        "188f7c53f743e92272f255d8cd9fbaff3ba3673f6d529dd65ab08ab8ad1be68c"}),
     (dict(mode="perfect"), {
         AVX512:
-        "d2faaaf8eb78db24a5aa591a11f4dcd1473091f8d918e1ca9454f4f87c3aec11",
+        "1338f3a9d948f36c1923e435568ad851690db25ce50fe327d446049fbde3b097",
         BASELINE:
-        "8036cf9ce4189b1d2d73778085f5441891e6a1e3817bf344176dd8357abffe1d"}),
+        "bbbc43e36211c4fa776a4fec42ded3fea954ba4918503a3dd408f3b97914e735"}),
 ], ids=["qca", "qca-clip", "full", "perfect"])
 def test_rate_curve_csv_matches_recorded_digest(settings, digests):
     stream = io.StringIO()
@@ -190,9 +196,9 @@ def test_rate_curve_csv_matches_recorded_digest(settings, digests):
 
 PREVIOUS_FULL_DIGEST = {
     AVX512:
-    "cd4ceafd716974114ef726fc5ac0a74110f95ecfb49816e55c499ae37a793254",
+    "6a43381a6d362b3da65a41dd01b502331f079af8941b0ebdec05ba6561ce553f",
     BASELINE:
-    "4da82c16de6699e2110d71de60f458e87f51f01c2e769e48ce286c49944578a9"}
+    "2d55974ca6898dac487bbe7b137bd40ab573a93bb63b7dd8e4684ee12ab912b1"}
 
 
 @pytest.mark.digest
@@ -364,6 +370,10 @@ def test_usage_errors_exit_one(capsys, monkeypatch, tmp_path):
     default = capsys.readouterr().out
     assert main([*tiny, "--clip=false"]) == EXIT_OK
     assert capsys.readouterr().out == default
+    # FULL keys its streams by bits: the largest budget a key holds runs.
+    assert main(["rate-curve", "--mode", "full", "--nt", "3", "--bits",
+                 str(2 ** 32 - 1), "--trials", "10", "--snr", "0:0:1"]) == EXIT_OK
+    capsys.readouterr()
     # Refused by validate() too, before the first chunk is drawn: one FULL
     # trial at n_t = 100,000 would hold 720 GB of K x K arrays.
     def no_draw(*args, **kwargs):
@@ -396,12 +406,16 @@ def test_usage_errors_exit_one(capsys, monkeypatch, tmp_path):
             (["--clip=maybe"], "expected a boolean, got 'maybe'"),
             (["--trials", "0"], "--trials must be >= 1"),
             (["--workers", "0"], "--workers must be >= 1"),
-            (["--bits", "-1"], "--bits entries must be >= 0"),
+            (["--bits", "-1"], "--bits entries must lie in [0, 2**32)"),
+            # FULL keys its streams by bits, and a key element has 32 bits.
+            (["--mode", "full", "--bits", str(2 ** 32)],
+             "--bits entries must lie in [0, 2**32)"),
             (["--nt", ","], "--nt, --bits and --alpha must be non-empty"),
             (["--nt", "a"], "expected comma-separated integers, got 'a'")):
         assert main(["rate-curve", *flags]) == EXIT_USAGE, flags
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and message in err, (flags, err)
+        assert "Traceback" not in err
     cfg = tmp_path / "no-equals.cfg"
     cfg.write_text("# sweep\nnt = 5\ntrials 100\n")
     assert main(["rate-curve", "--config", str(cfg)]) == EXIT_USAGE
@@ -592,8 +606,8 @@ def test_default_validate_passes_exact_zeros_and_fails_injected_bias(
 
     biased = SystemParams(n_t=5, bits=4, alpha=1.0, snr_db=10.0)
     zero = SystemParams(n_t=3, bits=0, alpha=1.0, snr_db=0.0)
-    est = simulate.estimate_secrecy_rate(biased, simulate.SimMode.QCA,
-                                         200_000, seed=20250)
+    est = simulate.estimate_secrecy_rates([biased], simulate.SimMode.QCA,
+                                          200_000, seed=20250)[0]
     closed_form = analytic.secrecy_rate_closed_form
 
     def moved(p):
@@ -838,6 +852,17 @@ def test_readme_command_line_names_exactly_the_parser_flags():
     assert documented == offered - {"-h", "--help"}
 
 
+def test_cli_reads_only_public_engine_names():
+    # Each estimator has one public entry, and the CLI goes through it.
+    tree = ast.parse((ROOT / "src" / "zfsecrecy" / "cli.py").read_text())
+    private = [f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute)
+               and isinstance(node.value, ast.Name)
+               and node.value.id in ("analytic", "simulate")
+               and node.attr.startswith("_")]
+    assert not private, private
+
+
 def test_readme_python_example_runs_and_its_value_comment_holds():
     readme = (ROOT / "README.md").read_text()
     block = readme.split("```python\n", 1)[1].split("```", 1)[0]
@@ -854,8 +879,8 @@ def test_cli_selftest_and_quadrature_load_no_scipy():
             f"import zfsecrecy.cli; "
             f"from zfsecrecy import analytic, params; "
             f"assert zfsecrecy.cli.run_selftest(stream=io.StringIO()); "
-            f"analytic.rate_from_cdf_quadrature(params.SystemParams("
-            f"n_t=5, bits=4, alpha=0.5, snr_db=-60.0)); "
+            f"analytic.rates_from_cdf_quadrature([params.SystemParams("
+            f"n_t=5, bits=4, alpha=0.5, snr_db=-60.0)]); "
             f"loaded = [m for m in sys.modules if m.startswith('scipy')]; "
             f"assert not loaded, loaded")
     subprocess.run([sys.executable, "-c", code], check=True)

@@ -16,15 +16,15 @@ from dispatch import AVX512, BASELINE, recorded, simd_target
 from oracles import (assembled_parts, explicit_directions, inverse_beams,
                      one_link_samples)
 from zfsecrecy import simulate
-from zfsecrecy.analytic import (Link, rate_from_cdf_quadrature,
+from zfsecrecy.analytic import (Link, rates_from_cdf_quadrature,
                                 secrecy_rate_closed_form, sinr_cdf)
 from zfsecrecy.cli import MAX_NT
 from zfsecrecy.linalg import RngStream, complex_gaussian_batch
 from zfsecrecy.params import SystemParams
 from zfsecrecy.simulate import (SimMode, _draw_parts, _rvq_directions, _sinr,
                                 _zf_inverse, chunk_trials,
-                                collect_sinr_samples, estimate_secrecy_rate,
-                                estimate_secrecy_rates, ks_statistic,
+                                collect_sinr_samples, estimate_secrecy_rates,
+                                ks_statistic,
                                 max_zf_residual)
 
 P55 = SystemParams(n_t=5, bits=4, alpha=1.0, snr_db=10.0)
@@ -126,31 +126,40 @@ def _draw_digest(params, mode, n, seed=11):
 # n_t in {2, 3}.  Each chunk spans many blocks of the draw's per-trial
 # steps (28 trials each at n_t = 24); the digests pin their bits, per SIMD
 # target (tests/dispatch.py): FULL's sampler runs log1p, expm1 and power.
+# The beams come through OpenBLAS's matmul and inverse, whose last bits
+# follow its CPU kernel: the baseline entries are recorded under
+# OPENBLAS_CORETYPE=Haswell, as CI's baseline step runs them.
 DRAW_DIGESTS = {
     (SimMode.FULL, 5): {
         AVX512:
         "5decd7ecd74068d18952ea8129b99a09d3f868b1890cb2e6ab76cd7c700f006c",
         BASELINE:
-        "2028883ef9b90eceee32a85440e40341236d736c14899227c1e0729a3c3de017"},
+        "b27832017c427e7fe37ec197f741c4509a4c9a61c1ac7c99bc295397298334f0"},
     (SimMode.FULL, 8): {
         AVX512:
         "59f304c47c1f009c3dfa9a19d0a8162feb7147f9f071c80d5160914c6acf351b",
         BASELINE:
-        "6891196a495d05fd15e785c6e8a8ed8eeb92e0e0fa8474e91de565efc6324073"},
+        "4503313916dddce66994a00fdb9b1014afa0f1b27f3bea31491de189058f9fa2"},
     (SimMode.FULL, 24): {
         AVX512:
         "b8eb1b3b759d0ce4cf3c8a9081b52f98c4b3634bef901edd60bc6be2d43a8063",
         BASELINE:
-        "8218921741a0f84e0ee925f87aa209e85cc500aad86f6d438e6421a5282577ae"},
-    (SimMode.PERFECT, 5): dict.fromkeys(
-        (AVX512, BASELINE),
-        "17baf3a89e979013b75447401b631e73b4107f8387992b9e8becc53ea01ea020"),
-    (SimMode.PERFECT, 8): dict.fromkeys(
-        (AVX512, BASELINE),
-        "b03d92361d028ef777195821e27a72cf5e1b99d4b20e2a981ef12303cfbc6b70"),
-    (SimMode.PERFECT, 24): dict.fromkeys(
-        (AVX512, BASELINE),
-        "b2c89b46ea1709342b4066b908f2e51ef9a035123c14c1c4f317f74cf4878075"),
+        "2a41b2c734cdf6b5f0369efef11eb26f44d9380a72af210a4d5af076bf94ddce"},
+    (SimMode.PERFECT, 5): {
+        AVX512:
+        "17baf3a89e979013b75447401b631e73b4107f8387992b9e8becc53ea01ea020",
+        BASELINE:
+        "4da43d37e3d0ba587c975e74ea5d0b4b532a749aa968e9f3f24879c6e8dcec3c"},
+    (SimMode.PERFECT, 8): {
+        AVX512:
+        "b03d92361d028ef777195821e27a72cf5e1b99d4b20e2a981ef12303cfbc6b70",
+        BASELINE:
+        "394e0918f96fed47ad5676c5cd7d89530617458be214d954c240047708fcea76"},
+    (SimMode.PERFECT, 24): {
+        AVX512:
+        "b2c89b46ea1709342b4066b908f2e51ef9a035123c14c1c4f317f74cf4878075",
+        BASELINE:
+        "7eb050a422aab3614449898c45deda1c7fd868c3a4fba00a73dedb5f413d453d"},
 }
 
 
@@ -185,18 +194,21 @@ def test_chunk_draw_bits_are_pinned(mode, n_t):
 
 # A rank tolerance of 0.2 rejects about a quarter of the n_t = 5 sets, so
 # 3,000 trials take several resample rounds, each over several blocks.
-# Both SIMD targets reject the same sets.
+# Both SIMD targets reject the same sets; the digests are recorded as
+# DRAW_DIGESTS' are.
 FORCED_REJECTION_TOL = 0.2
 REJECTION_DIGESTS = {
     SimMode.FULL: ({
         AVX512:
         "13dc95a54e257768577541936a0a874fcdc154c2f154bb2314a5843e28ab374e",
         BASELINE:
-        "e7487026ea92a7e0c91e81d4929e984eccfabcb781fc2ae2b65d99e76653b017"},
+        "8b70067c09196fbeab16b7d3c11b8aa8de480b33786091e0cdacfc3926f931ba"},
         1147),
-    SimMode.PERFECT: (dict.fromkeys(
-        (AVX512, BASELINE),
-        "ee62f86b6a5d926f7140b5c9639edc82a2ba801dd5fa6c2232d65adc03e11ba7"),
+    SimMode.PERFECT: ({
+        AVX512:
+        "ee62f86b6a5d926f7140b5c9639edc82a2ba801dd5fa6c2232d65adc03e11ba7",
+        BASELINE:
+        "a37b021cf88c448d8cc5c1365bd18d49d989d758d1e694b2b6e05b0328cd20a6"},
         1207),
 }
 
@@ -382,12 +394,12 @@ def test_singular_direction_set_is_rejected_not_raised():
 def test_rate_is_zero_for_symmetric_links():
     # Zero feedback and equal path loss: both links have the same SINR law.
     p = SystemParams(n_t=5, bits=0, alpha=1.0, snr_db=10.0)
-    est = estimate_secrecy_rate(p, SimMode.QCA, 100_000, seed=6)
+    est = estimate_secrecy_rates([p], SimMode.QCA, 100_000, seed=6)[0]
     assert abs(est.mean) <= 3.0 * est.std_err
 
 
 def test_qca_estimate_matches_closed_form():
-    est = estimate_secrecy_rate(P55, SimMode.QCA, 200_000, seed=11)
+    est = estimate_secrecy_rates([P55], SimMode.QCA, 200_000, seed=11)[0]
     assert abs(est.mean - secrecy_rate_closed_form(P55)) < 3.0 * est.std_err
 
 
@@ -420,23 +432,50 @@ def test_pair_floor_moves_estimates_only_statistically(n_t, seed,
 
 def test_worker_count_never_changes_results():
     for mode in (SimMode.QCA, SimMode.FULL):
-        one = estimate_secrecy_rate(P55, mode, 30_000, seed=6, workers=1)
-        four = estimate_secrecy_rate(P55, mode, 30_000, seed=6, workers=4)
+        one = estimate_secrecy_rates([P55], mode, 30_000, seed=6,
+                                     workers=1)[0]
+        four = estimate_secrecy_rates([P55], mode, 30_000, seed=6,
+                                      workers=4)[0]
         assert one.mean == four.mean
         assert one.std_err == four.std_err
+
+
+def test_openblas_threads_and_kernel_never_change_results():
+    # BLAS's dot sums a long row in per-thread parts, split by OpenBLAS's
+    # thread count and kernel; the reduction's sums of squares take none.
+    # n_t = 2 chunks hold 20,480 trials, long enough for OpenBLAS to
+    # thread a dot over them.
+    src = pathlib.Path(__file__).parent.parent / "src"
+    script = (f"import sys; sys.path.insert(0, {str(src)!r}); "
+              f"from zfsecrecy.params import SystemParams as P; "
+              f"from zfsecrecy.simulate import SimMode, estimate_secrecy_rates; "
+              f"print(estimate_secrecy_rates([P(n_t=2, bits=4, alpha=a, "
+              f"snr_db=s) for a in (0.5, 1.0) for s in (0.0, 20.0)], "
+              f"SimMode.QCA, 30_000, seed=3))")
+    base = {k: v for k, v in os.environ.items()
+            if not k.startswith("OPENBLAS_")}
+    settings = [{"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "2"},
+                {}]
+    if platform.machine() in ("x86_64", "AMD64"):
+        settings.append({"OPENBLAS_CORETYPE": "Haswell"})
+    outputs = {subprocess.run([sys.executable, "-c", script],
+                              env={**base, **extra}, capture_output=True,
+                              text=True, check=True).stdout
+               for extra in settings}
+    assert len(outputs) == 1, outputs
 
 
 def test_one_trial_has_zero_std_err():
     # One trial gives no spread to estimate: the standard error is 0.
     for mode in SimMode:
-        est = estimate_secrecy_rate(P55, mode, 1, seed=4)
+        est = estimate_secrecy_rates([P55], mode, 1, seed=4)[0]
         assert est.n_trials == 1 and math.isfinite(est.mean)
         assert est.std_err == 0.0
 
 
 def test_std_err_scales_as_inverse_root_n():
-    small = estimate_secrecy_rate(P55, SimMode.QCA, 20_000, seed=30)
-    large = estimate_secrecy_rate(P55, SimMode.QCA, 80_000, seed=31)
+    small = estimate_secrecy_rates([P55], SimMode.QCA, 20_000, seed=30)[0]
+    large = estimate_secrecy_rates([P55], SimMode.QCA, 80_000, seed=31)[0]
     assert small.std_err / large.std_err == pytest.approx(2.0, rel=0.2)
 
 
@@ -449,14 +488,14 @@ def test_clipped_qca_estimates_match_the_clipped_quadrature(n_t, seed):
               for b in (1, 4) for a in (0.5, 1.0) for s in (0.0, 10.0)]
     for p, est in zip(points, estimate_secrecy_rates(
             points, SimMode.QCA, 60_000, seed, clip=True)):
-        want = rate_from_cdf_quadrature(p, clip=True)
+        want = rates_from_cdf_quadrature([p], clip=True)[0]
         assert abs(est.mean - want) < 4.0 * est.std_err, (p, est, want)
 
 
 def test_clip_only_raises_the_mean():
-    plain = estimate_secrecy_rate(P55, SimMode.QCA, 50_000, seed=32)
-    clipped = estimate_secrecy_rate(P55, SimMode.QCA, 50_000, seed=32,
-                                    clip=True)
+    plain = estimate_secrecy_rates([P55], SimMode.QCA, 50_000, seed=32)[0]
+    clipped = estimate_secrecy_rates([P55], SimMode.QCA, 50_000, seed=32,
+                                     clip=True)[0]
     assert clipped.mean >= plain.mean
 
 
@@ -472,8 +511,8 @@ GRID6 = [SystemParams(n_t=3, bits=2, alpha=a, snr_db=s)
     (SimMode.QCA, {"clip": True}),
 ])
 def test_shared_draws_reproduce_each_single_point_estimate(mode, options):
-    single = [estimate_secrecy_rate(p, mode, 14_000, seed=12, **options)
-              for p in GRID6]
+    single = [estimate_secrecy_rates([p], mode, 14_000, seed=12,
+                                     **options)[0] for p in GRID6]
     assert len(set(single)) == len(GRID6)  # the points really differ
     for workers in (1, 2, 4):
         assert estimate_secrecy_rates(GRID6, mode, 14_000, seed=12,
@@ -579,7 +618,7 @@ def _per_point_moments(points, scales, clip, rates, float32):
                 _oracle_factors(eav_num, eav_den, p.eav_noise_over_power,
                                 1.0, float32))
             per_trial = rates(legit, eav, clip, (g_legit, g_eav))
-            row[:] = per_trial.sum(), per_trial @ per_trial
+            row[:] = per_trial.sum(), np.square(per_trial).sum()
         return out, rejected
 
     return moments
@@ -847,29 +886,34 @@ def _recorded_kinds(monkeypatch):
 # Every estimate equals the float64 reduction's (the oracle) bit for bit,
 # and these are its values, recorded on both SIMD targets
 # (tests/dispatch.py) with each chunk's stream keyed by its draw key
-# (simulate._chunk_stream); FULL's clipped one differs between the targets
-# in its last digit (its sampler's log1p, expm1 and power), the others are
-# one value for both.
+# (simulate._chunk_stream), the baseline ones under OPENBLAS_CORETYPE=
+# Haswell.  FULL's differ between the targets in their last digit (its
+# sampler's log1p, expm1 and power, and OpenBLAS's kernel), and so does
+# PERFECT's clipped one at n_t = 64 (OpenBLAS's kernel: the float64 parts
+# come through its matmul and inverse); the others are one value for both.
 FLOAT64_ESTIMATES = {
     (SimMode.FULL, 5, 3000.0, False):
-        [(1.2045899424041893, 0.021027552509101207)] * 2,
+        {AVX512: [(1.2045899424041893, 0.021027552509101207)] * 2,
+         BASELINE: [(1.2045899424041893, 0.021027552509101204)] * 2},
     (SimMode.FULL, 5, 3000.0, True):
-        {AVX512: [(1.637573026366365, 0.01872661359379371)] * 2,
-         BASELINE: [(1.637573026366365, 0.018726613593793705)] * 2},
+        {AVX512: [(1.637573026366365, 0.018726613593793715)] * 2,
+         BASELINE: [(1.637573026366365, 0.01872661359379371)] * 2},
     (SimMode.QCA, 5, 3000.0, False):
-        [(1.250921203264531, 0.007690205580159052)] * 2,
+        [(1.250921203264531, 0.007690205580159046)] * 2,
     (SimMode.QCA, 5, 3000.0, True):
-        [(1.8981433903313378, 0.020866035862320526)] * 2,
+        [(1.8981433903313378, 0.02086603586232053)] * 2,
     (SimMode.PERFECT, 5, 3000.0, False):
-        [(4977.075961485756, 0.13465468002217382)] * 2,
+        [(4977.075961485756, 0.1346546800347689)] * 2,
     (SimMode.PERFECT, 5, 3000.0, True):
-        [(4977.075961485756, 0.13465468002217382)] * 2,
+        [(4977.075961485756, 0.1346546800347689)] * 2,
     (SimMode.PERFECT, 64, 100.0, False):
-        [(2067.066908811419, 6.745011699642421),
-         (2067.0669088114078, 6.745011699642865)],
-    (SimMode.PERFECT, 64, 100.0, True):
-        [(2067.066908811419, 6.745011699642421),
+        [(2067.066908811419, 6.745011699642865),
          (2067.0669088114078, 6.745011699643309)],
+    (SimMode.PERFECT, 64, 100.0, True):
+        {AVX512: [(2067.066908811419, 6.745011699642643),
+                  (2067.0669088114078, 6.745011699643309)],
+         BASELINE: [(2067.066908811419, 6.745011699643087),
+                    (2067.0669088114078, 6.745011699643309)]},
 }
 # Trials per case: two n_t = 64 chunks, of 167 and 33 trials.
 FLOAT64_TRIALS = {5: 3_000, 64: 200}
@@ -1313,8 +1357,8 @@ def test_worker_cap_is_checked_before_any_pool_exists(monkeypatch):
     # Three chunks: even without the cap at most three threads could start.
     n = 3 * chunk_trials(P55, SimMode.QCA)
     with pytest.raises(ValueError, match="workers"):
-        estimate_secrecy_rate(P55, SimMode.QCA, n, seed=1,
-                              workers=simulate.MAX_WORKERS + 1)
+        estimate_secrecy_rates([P55], SimMode.QCA, n, seed=1,
+                               workers=simulate.MAX_WORKERS + 1)
 
 
 def test_full_chunks_are_sized_by_the_arrays_they_hold():
@@ -1457,9 +1501,9 @@ def test_gamma_scale_is_a_product_with_the_unit_draw():
 
 def test_trial_count_validation():
     with pytest.raises(ValueError):
-        estimate_secrecy_rate(P55, SimMode.QCA, 0, seed=1)
+        estimate_secrecy_rates([P55], SimMode.QCA, 0, seed=1)
     with pytest.raises(ValueError):
-        estimate_secrecy_rate(P55, SimMode.QCA, 10, seed=1, workers=0)
+        estimate_secrecy_rates([P55], SimMode.QCA, 10, seed=1, workers=0)
 
 
 AGREEMENT_SNRS_DB = (0.0, 10.0, 20.0)
