@@ -20,23 +20,23 @@ PERFECT  as FULL with beams built from the true channel directions: zero
          inter-user interference (den = 0), a degenerate sanity check.
 
 One function, ``_map_chunks``, partitions the trials into fixed-size chunks,
-each drawn from its own substream keyed under the seed by the draw key
-(below) and the chunk index (:func:`_chunk_stream`), and hands every
-chunk's noise-free parts to a reduction.  Chunk results come back in index
-order, so the worker count can never change a result bit, and two draw
-keys never read one stream: their chunks' draws are independent.  Below
-n_t = 5 a chunk holds more trials than its usual 8,192, as many (trial,
-user) pairs as an n_t = 5 chunk: numpy calls on fewer elements lose more
-to two threads handing over the interpreter lock than the second thread
-gains (:func:`chunk_trials`).
+gives each its own generator, a substream keyed under the seed by the draw
+key (below) and the chunk index (:func:`_chunk_stream`), and yields the
+caller's function of each chunk's generator and trial count: each caller
+makes its own draw.  Chunk results come back in index order, so the worker
+count can never change a result bit, and two draw keys never read one
+stream: their chunks' draws are independent.  Below n_t = 5 a chunk holds
+more trials than its usual 8,192, as many (trial, user) pairs as an n_t = 5
+chunk: numpy calls on fewer elements lose more to two threads handing over
+the interpreter lock than the second thread gains (:func:`chunk_trials`).
 
 A FULL or PERFECT draw forms the zero-forcing residual, the largest
-|d_k^H w_i| over i != k of its kept trials, only when
-:func:`max_zf_residual` asks for it through ``_map_chunks``' private
-``residual`` flag: the rate and sample reductions never read it, so their
-draws skip its (n, K, K) product and hand on None, never a perfect-looking
-0.0.  The draws' row and column norms are sums of squares over float64
-views (:func:`_squared_norms`), not np.linalg.norm.
+|d_k^H w_i| over i != k of its kept trials, only where
+:func:`max_zf_residual` asks :func:`_geometry_draw` for it: the rate and
+sample reductions draw through :func:`_draw_parts`, which never asks, so
+their draws skip its (n, K, K) product and hand on None, never a
+perfect-looking 0.0.  The draws' row and column norms are sums of squares
+over float64 views (:func:`_squared_norms`), not np.linalg.norm.
 
 The draws never depend on the SNR or alpha, which enter only through the
 noise levels, and a point's draw key names all they do depend on: (n_t,
@@ -420,23 +420,23 @@ def _qca_draw(params: SystemParams, gen: np.random.Generator, n: int,
 
 
 def _draw_parts(params: SystemParams, mode: SimMode, gen, n: int,
-                residual: bool = False, shared: bool = False):
+                shared: bool = False):
     """n draws of both links' noise-free SINR parts in any mode.
 
     Returns (legit_num, legit_den, eav_num, eav_den), each C-ordered
     user-major (K, n): row k is user k's (or stream k's) n trials, so a
     sum over axis 0 adds the users one after another.  Then the rejected
-    count and, in FULL and PERFECT with ``residual``, the largest
-    zero-forcing residual, otherwise None (QCA has no beams).  They depend
-    on ``params`` only through (n_t, bits).  ``shared`` QCA draws hand
-    the users' parts to both links (:func:`_qca_draw`).
+    count and None, where :func:`_geometry_draw` hands on the zero-forcing
+    residual it forms only for :func:`max_zf_residual`.  They depend on
+    ``params`` only through (n_t, bits).  ``shared`` QCA draws hand the
+    users' parts to both links (:func:`_qca_draw`).
     """
     if mode is SimMode.QCA:
         return _qca_draw(params, gen, n, shared)
     if mode is SimMode.FULL:
-        return _geometry_draw(params, gen, n, residual=residual)
+        return _geometry_draw(params, gen, n)
     if mode is SimMode.PERFECT:
-        return _geometry_draw(params, gen, n, perfect=True, residual=residual)
+        return _geometry_draw(params, gen, n, perfect=True)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -643,21 +643,13 @@ def _check_counts(n: int, workers: int) -> None:
 
 
 def _map_chunks(params: SystemParams, mode: SimMode, n: int, seed: int,
-                workers: int, fn, residual: bool = False,
-                shared: bool = False):
-    """Yields ``fn(parts)`` of each chunk of n draws, in chunk order,
-    ``parts`` the list [legit_num, legit_den, eav_num, eav_den, rejected,
-    zf_residual] laid out as :func:`_draw_parts` returns them.  Nothing
-    else holds the arrays, so ``fn`` frees them by emptying the list.
-    ``zf_residual`` is computed only if ``residual``
-    (:func:`max_zf_residual`), and None otherwise: the rate and sample
-    reductions do not read it.  ``shared`` QCA draws give both links the
-    users' parts (:func:`_qca_draw`); only the unclipped rate asks for it.
-
-    Chunk i holds :func:`chunk_trials` draws (the last chunk the rest),
-    all from its own substream, :func:`_chunk_stream`, keyed by the draw
-    key and i, so neither the worker count nor thread scheduling can
-    change a result bit, and no two draw keys share a stream.  At most
+                workers: int, fn):
+    """Yields ``fn(gen, m)`` of each chunk of n trials, in chunk order:
+    ``gen`` the chunk's own generator and ``m`` its trial count.  Chunk i
+    holds :func:`chunk_trials` trials (the last chunk the rest) and draws
+    from its own substream, :func:`_chunk_stream`, keyed by the draw key
+    and i, so neither the worker count nor thread scheduling can change a
+    result bit, and no two draw keys share a stream.  At most
     ``2 * workers`` chunks are in flight, so memory does not grow with n.
     """
     _check_counts(n, workers)
@@ -665,9 +657,8 @@ def _map_chunks(params: SystemParams, mode: SimMode, n: int, seed: int,
     n_chunks = (n + chunk - 1) // chunk
 
     def run_chunk(index: int):
-        gen = _chunk_stream(seed, params, mode, index).generator()
-        m = min(chunk, n - index * chunk)
-        return fn(list(_draw_parts(params, mode, gen, m, residual, shared)))
+        return fn(_chunk_stream(seed, params, mode, index).generator(),
+                  min(chunk, n - index * chunk))
 
     if workers == 1 or n_chunks == 1:
         yield from map(run_chunk, range(n_chunks))
@@ -784,13 +775,13 @@ def _estimates_of_one_draw(draw: SystemParams, members: list, mode: SimMode,
                       (eav_part, p.eav_noise_over_power))))
     plans = {}
 
-    def moments(parts):
+    def moments(gen, n):
         # (sum, sum of squares) of the per-trial rate, one row per point.
         # The scratch is per call: chunks run concurrently on threads.
-        k, n = parts[0].shape
-        rejected = parts[4]
+        *parts, rejected, _ = _draw_parts(draw, mode, gen, n, shared)
+        k = draw.n_t
         pairs = [parts[2 * part:2 * part + 2] for part in range(eav_part + 1)]
-        parts.clear()
+        del parts
         bounds = [_part_bounds(*pair) for pair in pairs]
         kinds = {level: _term_kind(k, *bounds[level[0]], level[1])
                  for level in levels}
@@ -818,7 +809,7 @@ def _estimates_of_one_draw(draw: SystemParams, members: list, mode: SimMode,
     sums = np.zeros((len(members), 2))
     rejected = 0
     for chunk_sums, chunk_rejected in _map_chunks(
-            draw, mode, n_trials, seed, workers, moments, shared=shared):
+            draw, mode, n_trials, seed, workers, moments):
         sums += chunk_sums
         rejected += chunk_rejected
     finite = np.isfinite(sums).all(axis=1)
@@ -859,8 +850,9 @@ def _keyed_samples(keys: list, mode: SimMode, n: int, seed: int,
     :func:`_by_draw_key` groups ``keys``."""
     for draw, members in keys:
         first, start = np.empty((4, n)), 0
-        for block in _map_chunks(draw, mode, n, seed, workers, lambda parts:
-                                 np.array([part[0] for part in parts[:4]])):
+        for block in _map_chunks(draw, mode, n, seed, workers, lambda gen, m:
+                                 np.array([part[0] for part in _draw_parts(
+                                     draw, mode, gen, m)[:4]])):
             first[:, start:start + block.shape[1]] = block
             start += block.shape[1]
         legit_num, legit_den, eav_num, eav_den = first
@@ -886,8 +878,8 @@ def max_zf_residual(params: SystemParams, n: int, seed: int,
     """(max zero-forcing residual, rejected count) over n FULL-mode draws."""
     worst, rejected = 0.0, 0
     for chunk_rejected, resid in _map_chunks(
-            params, SimMode.FULL, n, seed, workers, lambda parts: parts[4:],
-            residual=True):
+            params, SimMode.FULL, n, seed, workers, lambda gen, m:
+            _geometry_draw(params, gen, m, residual=True)[4:]):
         worst = max(worst, resid)
         rejected += chunk_rejected
     return worst, rejected

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Many-seed calibration of validate's mc-vs-closed checks.
+"""Many-seed calibration of validate's mc-vs-closed checks and of
+dist-check's KS checks.
 
 Runs the Monte Carlo leg of the default ``zfsecrecy validate`` grid (its
 144 points at 200,000 trials) at seeds 0 .. N-1 and prints, for every
@@ -21,16 +22,22 @@ has a standard deviation of about 1/sqrt(N), and so has their mean at
 most).  The exit status is 1 if a point leaves its bands or a pair of
 keys its correlation band.
 
+At the same seeds it runs ``zfsecrecy dist-check`` at its defaults and
+counts the seeds at which some KS line prints FAIL, and those lines: the
+family-wise false-alarm rate of dist-check on a correct engine.
+
 zfsecrecy is imported from PYTHONPATH, so the harness of one checkout
 measures the engine of another.  ``--against`` reads a previous run's
 ``--out`` file and adds each point's standard error over the other's.
-About half a minute per 200 seeds on two cores:
+About 35 s per 200 seeds on two cores:
 
     PYTHONPATH=../other/src python3 tests/calibrate_validate.py --out a.json
     PYTHONPATH=src python3 tests/calibrate_validate.py --against a.json
 """
 
 import argparse
+import dataclasses
+import io
 import json
 import math
 import sys
@@ -45,8 +52,11 @@ CORRELATION_SIGMAS = 3.0
 
 
 def calibrate(seeds: int, workers: int = 2) -> dict:
-    """z-statistics of the default validate grid over seeds 0 .. seeds-1."""
+    """z-statistics of the default validate grid, and the FAIL lines of the
+    default dist-check, over seeds 0 .. seeds-1."""
     _, config = cli._resolve_config(["validate"])
+    _, dist = cli._resolve_config(["dist-check"])
+    dist_fails = []
     grid = list(config.grid())
     closed = np.array([analytic.secrecy_rate_closed_form(p) for p in grid])
     means, errors = np.empty((seeds, len(grid))), np.empty((seeds, len(grid)))
@@ -55,6 +65,11 @@ def calibrate(seeds: int, workers: int = 2) -> dict:
             grid, simulate.SimMode.QCA, config.trials, seed, workers=workers)
         means[seed] = [e.mean for e in estimates]
         errors[seed] = [e.std_err for e in estimates]
+        out = io.StringIO()
+        cli.run_dist_check(dataclasses.replace(dist, seed=seed,
+                                               workers=workers), stream=out)
+        dist_fails.append(sum(line.startswith("FAIL")
+                              for line in out.getvalue().splitlines()))
     gaps = np.abs(means - closed)
     failed = gaps > CHECK_SIGMAS * errors
     exact = ((errors == 0.0) & (gaps == 0.0)).all(axis=0)
@@ -70,7 +85,10 @@ def calibrate(seeds: int, workers: int = 2) -> dict:
     return {"seeds": seeds, "trials": config.trials,
             "fail_seeds": int(failed.any(axis=1).sum()),
             "fail_lines": int(failed.sum()), "points": points,
-            "key_correlations": key_correlations(grid, z, exact)}
+            "key_correlations": key_correlations(grid, z, exact),
+            "dist_check": {"trials": dist.trials,
+                           "fail_seeds": sum(map(bool, dist_fails)),
+                           "fail_lines": sum(dist_fails)}}
 
 
 def key_correlations(grid, z, exact) -> list:
@@ -131,6 +149,10 @@ def report(result: dict, against=None, stream=sys.stdout) -> int:
           f"{sum(p['exact'] for p in result['points'])}; seeds with a "
           f"mc-vs-closed FAIL: {result['fail_seeds']} of {n} "
           f"({result['fail_lines']} lines)", file=stream)
+    dist = result["dist_check"]
+    print(f"dist-check at its defaults ({dist['trials']} trials): seeds with "
+          f"a KS FAIL: {dist['fail_seeds']} of {n} ({dist['fail_lines']} "
+          f"lines)", file=stream)
     return outside
 
 

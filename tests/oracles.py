@@ -94,7 +94,8 @@ def one_link_samples(params, mode, link, n, seed, workers=1):
     num, noise = {"legitimate": (0, params.noise_over_power),
                   "eavesdropper": (2, params.eav_noise_over_power)}[link]
 
-    def first_user(parts):
+    def first_user(gen, m):
+        parts = simulate._draw_parts(params, mode, gen, m)
         return simulate._sinr(parts[num][0], parts[num + 1][0], noise)
 
     return np.concatenate(list(simulate._map_chunks(params, mode, n, seed,

@@ -21,8 +21,9 @@ from zfsecrecy.analytic import (Link, rates_from_cdf_quadrature,
 from zfsecrecy.cli import MAX_NT
 from zfsecrecy.linalg import RngStream, complex_gaussian_batch
 from zfsecrecy.params import SystemParams
-from zfsecrecy.simulate import (SimMode, _draw_parts, _rvq_directions, _sinr,
-                                _zf_inverse, chunk_trials,
+from zfsecrecy.simulate import (SimMode, _draw_parts, _geometry_draw,
+                                _rvq_directions, _sinr, _zf_inverse,
+                                chunk_trials,
                                 collect_sinr_samples, estimate_secrecy_rates,
                                 ks_statistic,
                                 max_zf_residual)
@@ -89,8 +90,9 @@ def test_chunk_streams_are_keyed_by_draw_key_and_chunk():
     p3, p5 = (SystemParams(n_t=k, bits=0, alpha=1.0, snr_db=0.0)
               for k in (3, 5))
     n = chunk_trials(p5, SimMode.QCA) + 100
-    chunks = list(simulate._map_chunks(p5, SimMode.QCA, n, 9, 2,
-                                       lambda parts: parts[:4]))
+    chunks = list(simulate._map_chunks(
+        p5, SimMode.QCA, n, 9, 2,
+        lambda gen, m: _draw_parts(p5, SimMode.QCA, gen, m)[:4]))
     assert len(chunks) == 2
     for i, chunk in enumerate(chunks):
         replay = _draw_parts(p5, SimMode.QCA, simulate._chunk_stream(
@@ -99,7 +101,7 @@ def test_chunk_streams_are_keyed_by_draw_key_and_chunk():
             assert np.array_equal(ours, theirs)
     first3 = next(simulate._map_chunks(
         p3, SimMode.QCA, chunk_trials(p3, SimMode.QCA), 9, 1,
-        lambda parts: parts[0]))
+        lambda gen, m: _draw_parts(p3, SimMode.QCA, gen, m)[0]))
     assert np.intersect1d(first3, chunks[0][0]).size == 0
     # Every mode, every FULL budget, every chunk: a stream of its own.
     keys = [(mode, SystemParams(n_t=5, bits=bits, alpha=1.0, snr_db=0.0), i)
@@ -109,12 +111,26 @@ def test_chunk_streams_are_keyed_by_draw_key_and_chunk():
     assert len(firsts) == len(keys) - 4  # QCA and PERFECT ignore bits
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_map_chunks_calls_fn_with_each_chunks_stream_and_size(workers):
+    # The driver draws nothing: per chunk, in chunk order, it calls fn with
+    # the chunk's own generator and its trial count, the remainder last.
+    p = SystemParams(n_t=5, bits=0, alpha=1.0, snr_db=0.0)
+    chunk = chunk_trials(p, SimMode.QCA)
+    got = list(simulate._map_chunks(p, SimMode.QCA, 2 * chunk + 100, 9,
+                                    workers, lambda gen, m: (gen.random(), m)))
+    assert [m for _, m in got] == [chunk, chunk, 100]
+    assert [u for u, _ in got] == [
+        simulate._chunk_stream(9, p, SimMode.QCA, i).generator().random()
+        for i in range(3)]
+
+
 def _draw_digest(params, mode, n, seed=11):
-    """sha256 of one _draw_parts call with the residual computed: its four
+    """sha256 of one geometry draw with the residual computed: its four
     parts' bytes, then the rejected count and the repr of the zero-forcing
     residual."""
-    out = _draw_parts(params, mode, RngStream(seed, 0).generator(), n,
-                      residual=True)
+    out = _geometry_draw(params, RngStream(seed, 0).generator(), n,
+                         perfect=mode is SimMode.PERFECT, residual=True)
     digest = hashlib.sha256()
     for part in out[:4]:
         digest.update(np.ascontiguousarray(part).tobytes())
@@ -315,8 +331,8 @@ def test_mean_quantization_error_is_the_readme_value():
 def test_codeword_phase_changes_no_sinr_part(monkeypatch):
     # The sampler omits the codeword's phase: rotating every sampled
     # direction by a random phase must leave every output as it was.
-    base = _draw_parts(P55, SimMode.FULL, RngStream(27, 0).generator(), 2_000,
-                       residual=True)
+    base = _geometry_draw(P55, RngStream(27, 0).generator(), 2_000,
+                          residual=True)
     phases = RngStream(27, 1).generator()
 
     def rotated(h_dir, bits, gen):
@@ -324,8 +340,8 @@ def test_codeword_phase_changes_no_sinr_part(monkeypatch):
         return cw * np.exp(2j * np.pi * phases.random(cw.shape[:2]))[..., None]
 
     monkeypatch.setattr(simulate, "_rvq_directions", rotated)
-    turned = _draw_parts(P55, SimMode.FULL, RngStream(27, 0).generator(), 2_000,
-                         residual=True)
+    turned = _geometry_draw(P55, RngStream(27, 0).generator(), 2_000,
+                            residual=True)
     for ours, theirs in zip(base[:4], turned[:4]):
         assert np.abs(ours - theirs).max() <= 1e-12 * np.abs(ours).max()
     assert base[4] == turned[4] == 0
@@ -344,7 +360,8 @@ def test_sampler_matches_explicit_codebook_search(n_t, bits, n_explicit):
     params = SystemParams(n_t=n_t, bits=bits, alpha=1.0, snr_db=10.0)
     sampled = [np.concatenate(c) for c in zip(*simulate._map_chunks(
         params, SimMode.FULL, 40_000, 25, 1,
-        lambda parts: [part.T for part in parts[:4]]))]
+        lambda gen, m: [part.T for part in
+                        _draw_parts(params, SimMode.FULL, gen, m)[:4]]))]
     explicit = [np.concatenate(c) for c in zip(*(
         _explicit_draw(params, RngStream(26, i).generator(), 500)
         for i in range(n_explicit // 500)))]
@@ -645,11 +662,12 @@ def _oracle_estimates(points, mode, n, seed, clip, rates=_product_sums,
                   for p in group]
         draw = SystemParams(n_t=group[0].n_t, bits=bits, alpha=1.0,
                             snr_db=0.0)
+        moments = _per_point_moments(group, scales, clip, rates, float32)
+        shared = mode is SimMode.QCA and not clip
         sums, rejected = np.zeros((len(group), 2)), 0
         for chunk_sums, chunk_rejected in simulate._map_chunks(
-                draw, mode, n, seed, 1,
-                _per_point_moments(group, scales, clip, rates, float32),
-                shared=mode is SimMode.QCA and not clip):
+                draw, mode, n, seed, 1, lambda gen, m: moments(
+                    simulate._draw_parts(draw, mode, gen, m, shared))):
             sums += chunk_sums
             rejected += chunk_rejected
         for row, (total, total_sq) in zip(rows, sums.tolist()):
@@ -1323,8 +1341,7 @@ def test_live_eavesdropper_terms_stay_within_their_bound(monkeypatch):
         oracle = _oracle_estimates(points, SimMode.QCA, n, 17, clip)
         with monkeypatch.context() as patch:
             patch.setattr(simulate, "_draw_parts",
-                          lambda params, mode, gen, m, residual, shared:
-                          drawn[shared])
+                          lambda params, mode, gen, m, shared: drawn[shared])
             tracemalloc.start()
             try:
                 shared = estimate_secrecy_rates(points, SimMode.QCA, n,
@@ -1707,8 +1724,9 @@ def test_residual_leaves_the_draw_bit_identical(mode, tol, monkeypatch):
     monkeypatch.setattr(simulate, "_BEAM_RANK_TOL", tol)
     params = SystemParams(n_t=5, bits=2, alpha=1.0, snr_db=10.0)
     plain, with_residual = (
-        _draw_parts(params, mode, RngStream(11, 0).generator(), 3_000,
-                    residual) for residual in (False, True))
+        _geometry_draw(params, RngStream(11, 0).generator(), 3_000,
+                       perfect=mode is SimMode.PERFECT, residual=residual)
+        for residual in (False, True))
     for ours, theirs in zip(plain[:4], with_residual[:4]):
         assert ours.tobytes() == theirs.tobytes()
     assert plain[4] == with_residual[4]
