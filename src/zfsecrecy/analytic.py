@@ -333,8 +333,7 @@ def sinr_cdf(x, params: SystemParams, link: Link,
     Monotone non-decreasing, 0 at x = 0, tending to 1 as x grows, and 1 at
     x = inf, where :func:`_survival` leaves a law's part that is 0 as nan.
     """
-    negative = (x < 0).any() if isinstance(x, np.ndarray) else x < 0
-    if negative:
+    if np.any(np.less(x, 0)):
         raise ValueError(f"x must be >= 0, got {x}")
     with np.errstate(invalid="ignore"):
         survival = _survival(x, *_link_law(params, link, regime),

@@ -195,7 +195,6 @@ def parse_curve_csv(text: str):
 
 def run_rate_curve(config: SweepConfig, stream=None):
     """Sweep the grid, returning CurvePoints and writing CSV when requested."""
-    stream = stream if stream is not None else sys.stdout
     rate = getattr(analytic, _REGIME_RATES[Regime(config.regime)])
     grid = list(config.grid())
     r_analytic = [rate(p) for p in grid]
@@ -214,7 +213,7 @@ def run_rate_curve(config: SweepConfig, stream=None):
             fh.write(body)
         print(f"wrote {len(points)} points to {config.out}", file=stream)
     else:
-        stream.write(body)
+        print(body, end="", file=stream)
     return points
 
 
@@ -234,7 +233,6 @@ def run_validate(config: SweepConfig, stream=None) -> bool:
     closed forms integrate), so validate has no --mode.  Returns True iff
     every check passed; writes a JSON report to --out when given.
     """
-    stream = stream if stream is not None else sys.stdout
     report = []
     all_ok = True
     grid = list(config.grid())
@@ -320,7 +318,6 @@ def run_dist_check(config: SweepConfig, stream=None) -> bool:
     entry repeats, or, in FULL, a --bits entry does: --nt 3,5,3 prints
     both n_t = 3 points before the n_t = 5 one.
     """
-    stream = stream if stream is not None else sys.stdout
     if config.mode == "analytic-only":
         raise UsageError("dist-check needs a sampling mode (full/qca/perfect)")
     mode = SimMode(config.mode)
@@ -363,7 +360,6 @@ def run_dist_check(config: SweepConfig, stream=None) -> bool:
 def run_selftest(seed: int = 20250, stream=None) -> bool:
     """Special-function oracle checks and the engine's zero-forcing
     residual."""
-    stream = stream if stream is not None else sys.stdout
     report = []
     ok = True
 

@@ -9,8 +9,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_MASK64 = (1 << 64) - 1
-
 
 @dataclass(frozen=True)
 class RngStream:
@@ -26,7 +24,8 @@ class RngStream:
     an SFC64 generator, which draws normals and gammas about 1.45x as fast
     as Philox (numpy 2.4).  Each key element must lie in [0, 2**32):
     SeedSequence spreads a larger one over several 32-bit words, so
-    ``(2**32,)`` would be the key ``(0, 1)``.
+    ``(2**32,)`` would be the key ``(0, 1)``.  The seed must lie in
+    [0, 2**64), the range the streams are keyed on.
     """
 
     seed: int
@@ -36,10 +35,12 @@ class RngStream:
         """Fresh generator positioned at the start of this stream."""
         key = (self.stream_id if isinstance(self.stream_id, tuple)
                else (self.stream_id,))
+        if not 0 <= self.seed < 2 ** 64:
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed!r}")
         if not all(0 <= i < 2 ** 32 for i in key):
             raise ValueError(f"stream key elements must lie in [0, 2**32), "
                              f"got {self.stream_id!r}")
-        seeds = np.random.SeedSequence(self.seed & _MASK64, spawn_key=key)
+        seeds = np.random.SeedSequence(self.seed, spawn_key=key)
         return np.random.Generator(np.random.SFC64(seeds))
 
 

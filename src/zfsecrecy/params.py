@@ -4,21 +4,6 @@ import math
 from dataclasses import dataclass
 
 
-def quantization_distortion(bits: int, n_t: int) -> float:
-    """Expected quantization-distortion scale 2**(-bits/(n_t-1)).
-
-    This is the factor by which random-vector-quantization feedback with
-    ``bits`` bits per user shrinks the residual inter-user interference in
-    an ``n_t``-antenna zero-forcing downlink.  It is 1 for zero feedback
-    and decays toward 0 as the feedback budget grows.
-    """
-    if n_t < 2:
-        raise ValueError(f"n_t must be >= 2, got {n_t}")
-    if bits < 0:
-        raise ValueError(f"bits must be >= 0, got {bits}")
-    return 2.0 ** (-bits / (n_t - 1))
-
-
 @dataclass(frozen=True)
 class SystemParams:
     """One downlink scenario: antennas/users, feedback budget, path loss, SNR.
@@ -47,8 +32,15 @@ class SystemParams:
 
     @property
     def distortion(self) -> float:
-        """Quantization-distortion scale 2**(-bits/(n_t-1)), in (0, 1]."""
-        return quantization_distortion(self.bits, self.n_t)
+        """Expected quantization-distortion scale 2**(-bits/(n_t-1)), in
+        (0, 1].
+
+        This is the factor by which random-vector-quantization feedback
+        with ``bits`` bits per user shrinks the residual inter-user
+        interference in an ``n_t``-antenna zero-forcing downlink.  It is 1
+        for zero feedback and decays toward 0 as the feedback budget grows.
+        """
+        return 2.0 ** (-self.bits / (self.n_t - 1))
 
     @property
     def noise_over_power(self) -> float:

@@ -389,8 +389,7 @@ def _rvq_directions(h: np.ndarray, bits: int,
     for b in _trial_blocks(n, k):
         h_b, e_b, z_b = _unit_rows(h[b]), e[b], z[b]
         e_b -= h_b * np.einsum("tkn,tkn->tk", np.conj(h_b), e_b)[..., None]
-        flat = e_b.view(float)
-        e_b *= np.sqrt(z_b / np.einsum("tkn,tkn->tk", flat, flat))[..., None]
+        e_b *= np.sqrt(z_b / _squared_norms(e_b, axis=2))[..., None]
         e_b += np.sqrt(1.0 - z_b)[..., None] * h_b
     return e
 
@@ -649,8 +648,9 @@ def _map_chunks(params: SystemParams, mode: SimMode, n: int, seed: int,
     holds :func:`chunk_trials` trials (the last chunk the rest) and draws
     from its own substream, :func:`_chunk_stream`, keyed by the draw key
     and i, so neither the worker count nor thread scheduling can change a
-    result bit, and no two draw keys share a stream.  At most
-    ``2 * workers`` chunks are in flight, so memory does not grow with n.
+    result bit, and no two draw keys share a stream.  Every chunk runs on
+    a pool of ``workers`` threads, one worker included, with at most
+    ``2 * workers`` chunks in flight, so memory does not grow with n.
     """
     _check_counts(n, workers)
     chunk = chunk_trials(params, mode)
@@ -660,9 +660,6 @@ def _map_chunks(params: SystemParams, mode: SimMode, n: int, seed: int,
         return fn(_chunk_stream(seed, params, mode, index).generator(),
                   min(chunk, n - index * chunk))
 
-    if workers == 1 or n_chunks == 1:
-        yield from map(run_chunk, range(n_chunks))
-        return
     with ThreadPoolExecutor(max_workers=workers) as pool:
         pending = deque()
         for index in range(n_chunks):

@@ -34,7 +34,7 @@ from zfsecrecy.analytic import (Link, exp_integral_e1, gauss_2f1,
                                 secrecy_rate_interference_limited,
                                 secrecy_rate_noise_limited, sinr_cdf)
 from zfsecrecy.linalg import RngStream
-from zfsecrecy.params import SystemParams, quantization_distortion
+from zfsecrecy.params import SystemParams
 from zfsecrecy.simulate import (SimMode, collect_sinr_samples,
                                 estimate_secrecy_rates, ks_statistic,
                                 max_zf_residual)
@@ -182,7 +182,7 @@ def test_criterion_4_distributions():
     # Gamma x Beta product collapses to a scaled exponential (n_t >= 3;
     # the beta factor is degenerate at n_t = 2).
     for n_t in (3, 5):
-        d = quantization_distortion(4, n_t)
+        d = SystemParams(n_t=n_t, bits=4, alpha=1.0, snr_db=0.0).distortion
         gen = RngStream(33, 0).generator()
         product = (gen.gamma(shape=n_t - 1, scale=d, size=10_000)
                    * gen.beta(1, n_t - 2, size=10_000))

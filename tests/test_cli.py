@@ -1,5 +1,6 @@
 import argparse
 import ast
+import dataclasses
 import hashlib
 import importlib.util
 import io
@@ -16,7 +17,7 @@ import pytest
 from dispatch import AVX512, BASELINE, recorded
 from make_arbiter_rates import mpmath_rate
 from oracles import explicit_directions
-from zfsecrecy import analytic, simulate
+from zfsecrecy import analytic, cli, simulate
 from zfsecrecy.cli import (CSV_HEADER, EXIT_IO, EXIT_OK, EXIT_USAGE,
                            EXIT_VALIDATION, MAX_GRID_POINTS, MAX_NT,
                            MAX_TRIALS, MAX_WORKERS, SweepConfig, UsageError,
@@ -313,6 +314,52 @@ def test_dist_check_memory_stays_within_the_trial_cap_estimate():
         finally:
             tracemalloc.stop()
         assert peak <= 72 * n + 2 ** 20, (snr_stop, peak / n)
+
+
+def test_validate_catches_a_closed_form_biased_at_one_key(monkeypatch):
+    # Power of the mc-vs-closed check: the default validate, its closed form
+    # moved by 4 standard errors at every n_t = 3 grid point, must fail,
+    # and only at n_t = 3.  Points whose standard error is 0 stay unbiased.
+    _, config = cli._resolve_config(["validate"])
+    grid = list(config.grid())
+    estimates = simulate.estimate_secrecy_rates(
+        grid, simulate.SimMode.QCA, config.trials, config.seed)
+    shift = {p: 4.0 * est.std_err for p, est in zip(grid, estimates)
+             if p.n_t == 3 and est.std_err > 0}
+    closed = analytic.secrecy_rate_closed_form
+    monkeypatch.setattr(analytic, "secrecy_rate_closed_form",
+                        lambda p: closed(p) + shift.get(p, 0.0))
+    stream = io.StringIO()
+    assert not run_validate(config, stream=stream)
+    failed = [line for line in stream.getvalue().splitlines()
+              if line.startswith("FAIL  triangle mc-vs-closed")]
+    assert all(" nt=3 " in line for line in failed), failed
+    # A bias of 4 against the 3-sigma check: at this seed 21 of the 44
+    # shifted points fail, the key's points sharing one draw.
+    assert len(failed) >= len(shift) // 4, (len(failed), len(shift))
+
+
+def test_strict_ks_level_rejects_samples_of_another_law():
+    # Power of dist-check's strict level 1.63/sqrt(n) at its defaults
+    # (n_t 5, bits 4, 10 dB, 1e4 samples): FULL samples are not of the QCA
+    # law (KS about 0.05 for the user, 0.08-0.11 for the eavesdropper),
+    # and QCA samples drawn at bits 4 are not of the bits-5 law (0.05).
+    n = 10_000
+    strict = 1.63 / math.sqrt(n)
+    points = [SystemParams(n_t=5, bits=4, alpha=alpha, snr_db=10.0)
+              for alpha in (0.25, 0.5, 1.0)]
+    for row, link, samples in simulate.collect_sinr_samples(
+            points, simulate.SimMode.FULL, n=n, seed=20250):
+        stat = simulate.ks_statistic(
+            samples, lambda x: analytic.sinr_cdf(x, points[row], link))
+        assert stat > strict, (row, link, stat)
+    for row, link, samples in simulate.collect_sinr_samples(
+            points, simulate.SimMode.QCA, n=n, seed=20250):
+        if link is analytic.Link.LEGITIMATE:
+            wrong = dataclasses.replace(points[row], bits=5)
+            stat = simulate.ks_statistic(
+                samples, lambda x: analytic.sinr_cdf(x, wrong, link))
+            assert stat > strict, (row, stat)
 
 
 def test_perfect_rate_curve_draws_once_per_antenna_count_and_chunk(

@@ -5,7 +5,7 @@ from scipy import stats
 import zfsecrecy
 from oracles import inverse_beams, select_codewords
 from zfsecrecy.linalg import RngStream, complex_gaussian_batch
-from zfsecrecy.params import SystemParams, quantization_distortion
+from zfsecrecy.params import SystemParams
 from zfsecrecy.codebooks import CodebookSizeError, generate_codebook
 from zfsecrecy.simulate import _qca_draw, ks_statistic
 
@@ -21,14 +21,12 @@ def test_every_public_name_resolves():
 # --------------------------------------------------------------------------
 
 def test_distortion_scale_values():
-    assert quantization_distortion(4, 5) == pytest.approx(0.5)
-    assert quantization_distortion(0, 3) == 1.0
-    assert quantization_distortion(8, 3) == pytest.approx(0.0625)
-
-
-def test_distortion_scale_rejects_single_antenna():
-    with pytest.raises(ValueError):
-        quantization_distortion(4, 1)
+    def distortion(bits, n_t):
+        return SystemParams(n_t=n_t, bits=bits, alpha=1.0,
+                            snr_db=0.0).distortion
+    assert distortion(4, 5) == pytest.approx(0.5)
+    assert distortion(0, 3) == 1.0
+    assert distortion(8, 3) == pytest.approx(0.0625)
 
 
 def test_params_validation():
@@ -129,7 +127,7 @@ def test_qca_gain_distribution_ks():
 def test_gamma_beta_product_is_scaled_exponential(n_t):
     # Gamma(n_t-1, d) times an independent Beta(1, n_t-2) collapses to an
     # exponential with scale d (needs n_t >= 3: Beta(1, 0) is degenerate).
-    d = quantization_distortion(4, n_t)
+    d = SystemParams(n_t=n_t, bits=4, alpha=1.0, snr_db=0.0).distortion
     gen = RngStream(33, 0).generator()
     product = (gen.gamma(shape=n_t - 1, scale=d, size=10_000)
                * gen.beta(1, n_t - 2, size=10_000))

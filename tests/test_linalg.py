@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from zfsecrecy.linalg import RngStream, complex_gaussian_batch
-from zfsecrecy.simulate import ks_statistic
+from zfsecrecy.params import SystemParams
+from zfsecrecy.simulate import SimMode, estimate_secrecy_rates, ks_statistic
 
 
 def test_sampling_is_deterministic_per_stream():
@@ -37,6 +38,19 @@ def test_key_elements_outside_32_bits_are_rejected(stream_id):
     with pytest.raises(ValueError, match="2\\*\\*32"):
         RngStream(7, stream_id).generator()
     RngStream(7, (2 ** 32 - 1, 0)).generator()
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 64 + 5])
+def test_seeds_outside_64_bits_are_rejected(seed):
+    # The streams key on 64 bits: -1 would otherwise draw the stream of
+    # 2**64 - 1, and 2**64 that of 0.
+    with pytest.raises(ValueError, match="2\\*\\*64"):
+        RngStream(seed, 0).generator()
+    p = SystemParams(n_t=3, bits=2, alpha=1.0, snr_db=10.0)
+    with pytest.raises(ValueError, match="2\\*\\*64"):
+        estimate_secrecy_rates([p], SimMode.QCA, 100, seed=seed)
+    for edge in (0, 2 ** 64 - 1):
+        RngStream(edge, 0).generator()
 
 
 def test_generator_input_continues_the_stream():
